@@ -79,14 +79,15 @@ def _parse_sigma(text):
 
 def _default_threads():
     env = os.environ.get("MVG_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return None
+    if not env:
+        return None
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise _UsageError(f"MVG_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def build_parser():
@@ -125,7 +126,8 @@ def build_parser():
     p.add_argument("--cumulative-active", action="store_true",
                    help="keep earlier layers active in later solves")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for graph building (default: MVG_THREADS or machine parallelism)")
+                   help="worker cap for graph building, capped at the CPU count "
+                        "(default: MVG_THREADS or the CPU count)")
 
     r = sub.add_parser("render", help="render an image to .ppm or .svg")
     r.add_argument("-i", "--input", required=True, help="input .mvi image")
@@ -196,6 +198,8 @@ def _cmd_inpaint(args, summary):
             "active_size": rec.active_size,
             "iterations": rec.iterations,
             "residual": rec.residual,
+            "converged": rec.converged,
+            "sigma": rec.sigma,
         }
         for rec in front.log
     ]
@@ -249,8 +253,9 @@ def _emit_summary(summary, log_path):
             with open(log_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             return
-        except OSError:
-            pass
+        except OSError as e:
+            sys.stderr.write(f"log error: cannot write {log_path}: {e}; "
+                             "summary follows on stderr\n")
     sys.stderr.write(text + "\n")
 
 

@@ -23,8 +23,8 @@ class SolverConfig:
     max_iter: iteration cap per solve.
     cumulative_active: keep earlier layers active in later solves instead of
               freezing them.
-    threads:  worker cap for graph construction; None means machine
-              parallelism.
+    threads:  worker cap for graph construction, capped at the CPU count;
+              None means the CPU count.
     """
 
     k: int = 25
@@ -59,6 +59,7 @@ class SolverConfig:
             raise ConfigError(f"threads must be a positive integer, got {self.threads}")
 
     def resolved_threads(self) -> int:
+        cpus = max(1, os.cpu_count() or 1)
         if self.threads is not None:
-            return int(self.threads)
-        return max(1, os.cpu_count() or 1)
+            return min(int(self.threads), cpus)
+        return cpus

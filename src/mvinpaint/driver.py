@@ -23,13 +23,20 @@ from .operators import solve_dirichlet
 
 @dataclass
 class LayerRecord:
-    """Per-layer log entry of one inpainting run."""
+    """Per-layer log entry of one inpainting run.
+
+    residual is the last relative change of the solve; converged says
+    whether it fell below cfg.eps before max_iter ran out.  sigma is the
+    weight scale of the layer's graph.
+    """
 
     index: int
     border_size: int
     active_size: int
     iterations: int
     residual: float
+    converged: bool
+    sigma: float
 
 
 @dataclass
@@ -99,9 +106,11 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
         (image, front) where front is the final FrontState whose log holds
         one LayerRecord per processed layer.
 
+    A fully known mask is not an error: the result is a copy of img and
+    the log is empty.
+
     Raises:
-        DimensionMismatch: mismatched shapes or nothing to inpaint on a
-            fully known mask is fine and returns a copy.
+        DimensionMismatch: the mask shape does not match the image.
         SolverError / GraphBuildError / CutLocusError: numerical failures,
             annotated with the failing layer where possible.
     """
@@ -145,13 +154,16 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
                 e.layer = layer
             raise
         mask_now.known_flat[border] = True
+        residual = float(trace[-1]) if trace else 0.0
         front.log.append(
             LayerRecord(
                 index=layer,
                 border_size=int(border.size),
                 active_size=int(active.size),
                 iterations=iters,
-                residual=float(trace[-1]) if trace else 0.0,
+                residual=residual,
+                converged=residual < cfg.eps,
+                sigma=graph.sigma,
             )
         )
 

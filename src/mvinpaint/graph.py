@@ -4,14 +4,30 @@ Each target vertex is compared against candidate pixels inside a periodic
 search window through patch distances that only use pixels known in both
 patches, and keeps directed edges to its k most similar candidates with
 weights w = exp(-d^2 / sigma^2).
+
+build_graph evaluates these distances with a shift table, the integral-image
+scheme of Darbon, Cunha, Chan, Osher and Jensen (ISBI 2008) for nonlocal
+means.  The candidate of target t at window offset s is t + s, and its patch
+compares the pixel pairs (x, x + s) for x in the patch of t.  For each offset
+the masked field
+
+    g_s(x) = K(x) K(x+s) d^2(f(x), f(x+s))
+
+and the overlap field k_s(x) = K(x) K(x+s) are computed once over the
+periodic region the target patches cover, and a (2p+1) x (2p+1) box sum of
+each, read at the targets, gives every target's patch sum and overlap count
+at that offset.  A pixel pair is thus evaluated once per offset instead of
+once per overlapping target patch.  extract_patch and patch_distance are the
+direct per-pair definition.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
 from .errors import ConfigError, DimensionMismatch, GraphBuildError
@@ -54,12 +70,6 @@ class NonlocalGraph:
         return cls(vertex_count, ids, w)
 
 
-def _patch_offsets(rows: int, cols: int, p: int):
-    di = np.arange(-p, p + 1)
-    dj = np.arange(-p, p + 1)
-    return di, dj
-
-
 def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
     """Copy the periodic patch of the given radius around center.
 
@@ -73,9 +83,9 @@ def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
     i, j = int(center[0]), int(center[1])
     if not (0 <= i < img.rows and 0 <= j < img.cols):
         raise DimensionMismatch(f"patch center {center} outside the grid")
-    di, dj = _patch_offsets(img.rows, img.cols, radius)
-    ri = (i + di) % img.rows
-    cj = (j + dj) % img.cols
+    offsets = np.arange(-radius, radius + 1)
+    ri = (i + offsets) % img.rows
+    cj = (j + offsets) % img.cols
     values = img.data[np.ix_(ri, cj)].reshape(-1, img.descriptor.point_len).copy()
     known = mask.known[np.ix_(ri, cj)].reshape(-1).copy()
     return Patch(center=(i, j), radius=radius, values=values, known=known)
@@ -96,10 +106,35 @@ def patch_distance(a: Patch, b: Patch, desc: ManifoldDescriptor) -> float:
     return float(np.sqrt(d2.sum()) / cnt)
 
 
-def _window_ids(i, j, rows, cols, row_off, col_off):
-    rr = (i + row_off) % rows
-    cc = (j + col_off) % cols
-    return (rr[:, None] * cols + cc[None, :]).reshape(-1)
+# pixel pairs per kernel.dist2 call; bounds the per-chunk temporaries
+_CHUNK_PAIRS = 1 << 16
+
+
+def _window_offsets(r: int, n: int) -> np.ndarray:
+    """Contiguous offsets in [-r, r], one per distinct residue of [-r, r] mod n."""
+    lo = -min(r, n // 2)
+    return np.arange(lo, lo + min(2 * r + 1, n))
+
+
+def _periodic_span(coords: np.ndarray, n: int):
+    """Start and length of the shortest periodic interval holding coords."""
+    u = np.unique(coords)
+    gaps = np.diff(u, append=u[0] + n)
+    g = int(np.argmax(gaps))
+    return int(u[(g + 1) % u.size]), n - int(gaps[g]) + 1
+
+
+def _box_at(field: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int) -> np.ndarray:
+    """w x w window sums of field (..., R, C) at top-left corners (rows, cols).
+
+    Each window is summed term by term, w columns then w rows, so its
+    rounding is relative to its own sum and not to the whole field's.
+    """
+    n = field.shape[-1] - w + 1
+    h = field[..., :n].copy()
+    for k in range(1, w):
+        h += field[..., k : k + n]
+    return h[..., rows[:, None] + np.arange(w), cols[:, None]].sum(axis=-1)
 
 
 def build_graph(
@@ -117,6 +152,13 @@ def build_graph(
     finite ones are kept (ties broken by ascending vertex id).  Weights are
     exp(-d^2 / sigma^2) with sigma either fixed by the config or, for
     "auto", the mean of all selected finite distances of this image.
+
+    The distances come from the shift table of the module docstring: the
+    window offsets, one per distinct candidate, are split into fixed chunks
+    that each make one kernel.dist2 call over the region the target patches
+    cover, and the chunks run on up to cfg.resolved_threads() threads.  Each
+    chunk fills its own offsets' entries, so the graph does not depend on
+    the thread count.
 
     candidate_mask, when given, replaces the mask for candidate-center
     eligibility only; patch known flags always come from mask.  The front
@@ -142,64 +184,80 @@ def build_graph(
         raise DimensionMismatch("target ids outside the grid")
 
     kernel = img.descriptor.kernel
-    p = int(cfg.p)
-    px = (2 * p + 1) ** 2
+    p, r = int(cfg.p), int(cfg.r)
+    box = 2 * p + 1
+    t_row, t_col = np.divmod(targets, cols)
 
-    # patch gather table: shifted_ids[u, o] is the vertex at patch offset o of u
-    di, dj = _patch_offsets(rows, cols, p)
-    gi = np.arange(rows)[:, None, None, None]
-    gj = np.arange(cols)[None, :, None, None]
-    shifted = ((gi + di[None, None, :, None]) % rows) * cols + (
-        (gj + dj[None, None, None, :]) % cols
-    )
-    shifted = shifted.reshape(V, px)
+    # window offsets (a, b) in A x B, one per candidate; the one that is zero
+    # modulo the grid maps t to itself
+    A, B = _window_offsets(r, rows), _window_offsets(r, cols)
+    cand_row = (t_row[:, None] + A) % rows
+    cand_col = (t_col[:, None] + B) % cols
+    ids = (cand_row[:, :, None] * cols + cand_col[:, None, :]).reshape(targets.size, -1)
+    valid = (candidate_mask or mask).known_flat[ids] & (ids != targets[:, None])
 
-    P = img.flat[shifted]                 # (V, px, L)
-    K = mask.known_flat[shifted]          # (V, px)
-    Kf = K.astype(np.float64)
-    cand_known = (candidate_mask or mask).known_flat
+    # region: the targets' periodic row/column span widened by p, so that
+    # target t's patch starts at region pixel (tr, tc); Fw[ia, ib] is the
+    # region shifted by the offset (A[ia], B[ib])
+    r0, nr = _periodic_span(t_row, rows)
+    c0, nc = _periodic_span(t_col, cols)
+    nR, nC = nr + 2 * p, nc + 2 * p
+    fr = np.arange(r0 - p + A[0], r0 + nr + p + A[-1]) % rows
+    fc = np.arange(c0 - p + B[0], c0 + nc + p + B[-1]) % cols
+    F = img.data[np.ix_(fr, fc)]
+    KF = mask.known[np.ix_(fr, fc)]
+    Fw = np.moveaxis(sliding_window_view(F, (nR, nC), axis=(0, 1)), 2, -1)
+    Kw = sliding_window_view(KF, (nR, nC))
+    X, KX = Fw[-A[0], -B[0]], Kw[-A[0], -B[0]]
+    tr, tc = (t_row - r0) % rows, (t_col - c0) % cols
 
-    row_off = np.unique(np.arange(-cfg.r, cfg.r + 1) % rows)
-    col_off = np.unique(np.arange(-cfg.r, cfg.r + 1) % cols)
+    ssum = np.empty((ids.shape[1], targets.size))
+    cnt = np.empty((ids.shape[1], targets.size))
+    step = max(1, _CHUNK_PAIRS // (nR * nC))
 
-    sel_ids = [None] * targets.size
-    sel_d = [None] * targets.size
+    def work(chunk):
+        ia, jb = chunk
+        je = min(jb + step, B.size)
+        both = (KX & Kw[ia, jb:je]).astype(np.float64)          # k_s, (c, nR, nC)
+        g = kernel.dist2(X, Fw[ia, jb:je]) * both
+        lo = ia * B.size + jb
+        ssum[lo : lo + je - jb] = _box_at(g, tr, tc, box)
+        cnt[lo : lo + je - jb] = _box_at(both, tr, tc, box)
 
-    def work(ti: int):
-        t = int(targets[ti])
-        i, j = divmod(t, cols)
-        ids = _window_ids(i, j, rows, cols, row_off, col_off)
-        ids = ids[cand_known[ids] & (ids != t)]
-        if ids.size == 0:
+    chunks = [(ia, jb) for ia in range(A.size) for jb in range(0, B.size, step)]
+    workers = min(cfg.resolved_threads(), len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # consume to surface the first worker exception
+            list(pool.map(work, chunks))
+    else:
+        for chunk in chunks:
+            work(chunk)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(cnt > 0.0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf).T
+    finite = valid & np.isfinite(d)
+    nfin = finite.sum(axis=1)
+    empty = np.flatnonzero(nfin == 0)
+    if empty.size:
+        t = int(targets[empty[0]])
+        if not valid[empty[0]].any():
             raise GraphBuildError(
                 f"vertex {t}: no known-center candidate in the search window",
                 vertex=t,
             )
-        d2 = kernel.dist2(P[t][None, :, :], P[ids])      # (C, px)
-        both = Kf[t][None, :] * Kf[ids]
-        cnt = np.einsum("cp->c", both)
-        ssum = np.einsum("cp,cp->c", d2, both)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(cnt > 0.0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf)
-        finite = np.isfinite(d)
-        nfin = int(finite.sum())
-        if nfin == 0:
-            raise GraphBuildError(
-                f"vertex {t}: no candidate with overlapping known pixels",
-                vertex=t,
-            )
-        order = np.lexsort((ids, d))[: min(int(cfg.k), nfin)]
-        sel_ids[ti] = ids[order].astype(np.int64)
-        sel_d[ti] = d[order]
-
-    workers = min(cfg.resolved_threads(), targets.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # consume to surface the first worker exception
-            list(pool.map(work, range(targets.size)))
-    else:
-        for ti in range(targets.size):
-            work(ti)
+        raise GraphBuildError(
+            f"vertex {t}: no candidate with overlapping known pixels",
+            vertex=t,
+        )
+    d = np.where(finite, d, np.inf)
+    order = np.lexsort((ids, d))
+    sel_ids = []
+    sel_d = []
+    for ti in range(targets.size):
+        keep = order[ti, : min(int(cfg.k), int(nfin[ti]))]
+        sel_ids.append(ids[ti, keep])
+        sel_d.append(d[ti, keep])
 
     if isinstance(cfg.sigma, str):
         all_d = np.concatenate(sel_d)

@@ -255,11 +255,15 @@ class _Sphere2Kernel:
         return y / np.sqrt(np.einsum("...l,...l->...", y, y))[..., None]
 
     def _angle(self, x, y):
-        # atan2 of (sin, cos) keeps full precision at tiny angles, where
-        # arccos of the dot product alone loses half the mantissa
-        c = np.einsum("...l,...l->...", x, y)
-        s = np.linalg.norm(np.cross(x, y), axis=-1)
-        return np.arctan2(s, c)
+        # Kahan's 2 atan2(|x - y|, |x + y|) keeps full precision at tiny
+        # angles, where arccos of the dot product loses half the mantissa,
+        # and near the antipode
+        u = x - y
+        v = x + y
+        return 2.0 * np.arctan2(
+            np.sqrt(np.einsum("...l,...l->...", u, u)),
+            np.sqrt(np.einsum("...l,...l->...", v, v)),
+        )
 
     def log(self, x, y):
         c = np.einsum("...l,...l->...", x, y)

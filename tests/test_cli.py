@@ -1,13 +1,14 @@
 """End to end tests of the command line interface."""
 
 import json
+import os
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
-from mvinpaint import cli
+from mvinpaint import SolverConfig, cli
 from mvinpaint.fileio import read_mask, read_mvi
 from mvinpaint.synthetic import cut_mask, generate_sphere_image
 
@@ -97,7 +98,8 @@ class TestPipeline:
         assert len(summary["layers"]) >= 1
         for rec in summary["layers"]:
             assert set(rec) == {"index", "border_size", "active_size",
-                                "iterations", "residual"}
+                                "iterations", "residual", "converged", "sigma"}
+            assert rec["sigma"] > 0.0
 
         truth = read_mvi(img_p)
         filled = read_mvi(out_p)
@@ -157,6 +159,18 @@ class TestSummaryRouting:
         assert summary["exit_code"] == 2
         assert "error" in summary
 
+    def test_unwritable_log_is_reported(self, tmp_path, capsys):
+        log = tmp_path / "no-such-dir" / "run.json"
+        assert run_cli("generate", "--manifold", "s2", "--rows", 4,
+                       "--cols", 4, "-o", tmp_path / "x.mvi",
+                       "--log", log) == 0
+        err = capsys.readouterr().err
+        notes = [ln for ln in err.splitlines() if ln.startswith("log error")]
+        assert len(notes) == 1
+        assert str(log) in notes[0]
+        assert "No such file or directory" in notes[0]
+        assert json_summary(err)["status"] == "ok"
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -184,6 +198,36 @@ class TestExitCodes:
                      "-o", tmp_path / "o.mvi", "--tau", 2)
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_unconverged_layers_exit_0(self, tmp_path, capsys):
+        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
+        run_cli("generate", "--manifold", "s2", "--rows", 8, "--cols", 8,
+                "-o", img_p)
+        run_cli("mask", "--rows", 8, "--cols", 8, "--rect", "3,3,2,2",
+                "-o", mask_p)
+        capsys.readouterr()
+        rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
+                     "-o", tmp_path / "o.mvi",
+                     "--k", 3, "--p", 1, "--r", 3, "--max-iter", 1)
+        assert rc == 0
+        layers = json_summary(capsys.readouterr().err)["layers"]
+        assert layers and not any(rec["converged"] for rec in layers)
+
+    @pytest.mark.parametrize("value", ["not-a-number", "0", "-2", "1.5"])
+    def test_invalid_env_thread_count_exits_1(self, tmp_path, capsys,
+                                              monkeypatch, value):
+        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
+        run_cli("generate", "--manifold", "s2", "--rows", 6, "--cols", 6,
+                "-o", img_p)
+        run_cli("mask", "--rows", 6, "--cols", 6, "--rect", "2,2,2,2",
+                "-o", mask_p)
+        capsys.readouterr()
+        monkeypatch.setenv("MVG_THREADS", value)
+        out = tmp_path / "o.mvi"
+        rc = run_cli("inpaint", "-i", img_p, "-m", mask_p, "-o", out)
+        assert rc == 1
+        assert "usage error: MVG_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_render_needs_known_extension(self, tmp_path, capsys):
         img_p = tmp_path / "i.mvi"
@@ -267,8 +311,14 @@ class TestDeterminism:
                                   "--threads", 1)
         monkeypatch.setenv("MVG_THREADS", "2")
         assert self._inpaint(tmp_path, img_p, mask_p, "b.mvi") == reference
-        monkeypatch.setenv("MVG_THREADS", "not-a-number")
-        assert self._inpaint(tmp_path, img_p, mask_p, "c.mvi") == reference
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert SolverConfig(threads=100000).resolved_threads() == 2
+        assert SolverConfig(threads=1).resolved_threads() == 1
+        assert SolverConfig().resolved_threads() == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert SolverConfig(threads=8).resolved_threads() == 1
 
 
 @pytest.mark.skipif(shutil.which("mvinpaint") is None,

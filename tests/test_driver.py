@@ -201,6 +201,20 @@ class TestInpaint:
         out, front = mv.inpaint(img, mask, cheap_cfg(k=5, p=2, r=4))
         assert np.array_equal(out.data, img.data)
         assert all(rec.iterations == 1 for rec in front.log)
+        assert all(rec.converged for rec in front.log)
+
+    def test_layer_stopped_by_max_iter_is_not_converged(self):
+        rng = np.random.default_rng(67)
+        img = random_image(S2, 8, 8, rng)
+        mask = hole_mask(8, 8, 2, 2, 3, 3)
+        cfg = cheap_cfg(max_iter=1)
+        _, front = mv.inpaint(img, mask, cfg)
+        assert len(front.log) == 2
+        for rec in front.log:
+            assert rec.iterations == 1
+            assert rec.residual >= cfg.eps
+            assert rec.converged is False
+            assert rec.sigma > 0.0
 
     def test_known_pixels_bitwise_preserved(self):
         rng = np.random.default_rng(64)

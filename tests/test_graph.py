@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import random_image
 E1 = mv.ManifoldDescriptor.euclidean(1)
 E2 = mv.ManifoldDescriptor.euclidean(2)
 S2 = mv.ManifoldDescriptor.sphere2()
+SPD2 = mv.ManifoldDescriptor.spd(2)
 
 
 def cfg(**kw):
@@ -195,24 +197,57 @@ class TestBuildGraph:
         # nearest by value difference: 4 and 6 (diff 1), then 2 (diff 3)
         assert ids.tolist() == [4, 6, 2]
 
-    def test_matches_brute_force_selection(self):
-        rng = np.random.default_rng(23)
-        img = random_image(E2, 7, 7, rng)
-        mask = mv.Mask.all_known(7, 7)
-        targets = [0, 10, 24, 48]
-        g = mv.build_graph(img, mask, cfg(k=4, p=1, r=2), targets)
+    @pytest.mark.parametrize(
+        "desc, rows, cols, targets, kpr, known_share, cand_share, seed",
+        [
+            pytest.param(E2, 7, 7, [0, 10, 24, 48], (4, 1, 2), 1.0, None, 23,
+                         id="e2-all-known"),
+            # a partially known mask plus a distinct, sparser candidate mask
+            pytest.param(E2, 7, 8, [3, 17, 30, 44, 55], (4, 1, 2), 0.7, 0.5, 26,
+                         id="e2-candidate-mask"),
+            pytest.param(S2, 8, 7, [9, 20, 33, 46], (5, 1, 3), 0.75, None, 27,
+                         id="sphere2"),
+            pytest.param(SPD2, 7, 7, [8, 16, 24, 40], (4, 1, 2), 0.75, None, 28,
+                         id="spd2"),
+            # 2r+1 = 9 exceeds both grid sides, so window offsets coincide
+            # modulo the grid and every pixel is a candidate exactly once
+            pytest.param(S2, 5, 6, [0, 8, 21, 29], (6, 1, 4), 0.8, None, 29,
+                         id="window-wider-than-grid"),
+            # targets in the first and last rows and columns: patches and
+            # windows wrap across the periodic seam
+            pytest.param(E2, 8, 9, [0, 8, 9, 17, 63, 71], (4, 2, 2), 0.8, None, 30,
+                         id="seam"),
+        ],
+    )
+    def test_matches_brute_force_selection(
+        self, desc, rows, cols, targets, kpr, known_share, cand_share, seed
+    ):
+        rng = np.random.default_rng(seed)
+        img = random_image(desc, rows, cols, rng)
+        mask = mv.Mask(rng.random((rows, cols)) < known_share)
+        cand_mask = None
+        if cand_share is not None:
+            cand_mask = mv.Mask(mask.known & (rng.random((rows, cols)) < cand_share))
+        k, p, r = kpr
+        g = mv.build_graph(img, mask, cfg(k=k, p=p, r=r), targets, candidate_mask=cand_mask)
+        eligible = (cand_mask or mask).known_flat
         selected = {}
         pooled = []
         for t in targets:
-            pt = mv.extract_patch(img, mask, divmod(t, 7), 1)
+            pt = mv.extract_patch(img, mask, divmod(t, cols), p)
             cand = []
-            for cid in brute_candidates(7, 7, t, 2):
-                pc = mv.extract_patch(img, mask, divmod(cid, 7), 1)
-                cand.append((mv.patch_distance(pt, pc, E2), cid))
+            for cid in brute_candidates(rows, cols, t, r):
+                if not eligible[cid]:
+                    continue
+                pc = mv.extract_patch(img, mask, divmod(cid, cols), p)
+                d = mv.patch_distance(pt, pc, desc)
+                if np.isfinite(d):
+                    cand.append((d, cid))
             cand.sort()
-            selected[t] = cand[:4]
-            pooled.extend(d for d, _ in cand[:4])
-            assert g.neighbor_ids[t].tolist() == [cid for _, cid in cand[:4]]
+            assert len(cand) > 0
+            selected[t] = cand[:k]
+            pooled.extend(d for d, _ in cand[:k])
+            assert g.neighbor_ids[t].tolist() == [cid for _, cid in cand[:k]]
         sigma = float(np.mean(pooled))
         assert abs(g.sigma - sigma) < 1e-12
         for t in targets:
@@ -233,6 +268,24 @@ class TestBuildGraph:
         for t in targets:
             assert np.array_equal(g1.neighbor_ids[t], g4.neighbor_ids[t])
             assert np.array_equal(g1.weights[t], g4.weights[t])
+
+    def test_peak_memory_is_bounded(self):
+        # 128x128 sphere2 with ~2% scattered targets: a per-target gather
+        # of all patches would alone hold 16384 * 169 * 3 * 8 B = 66 MB
+        rng = np.random.default_rng(31)
+        img = random_image(S2, 128, 128, rng)
+        targets = rng.choice(128 * 128, size=328, replace=False)
+        known = np.ones(128 * 128, dtype=bool)
+        known[targets] = False
+        mask = mv.Mask(known.reshape(128, 128))
+        tracemalloc.start()
+        try:
+            g = mv.build_graph(img, mask, cfg(k=10, p=6, r=8, threads=1), targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(g.degree(int(t)) == 10 for t in targets)
+        assert peak < 32 * 2**20
 
     def test_random_graph_invariants(self):
         rng = np.random.default_rng(25)
