@@ -39,15 +39,24 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
-_DATA_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                FileFormatError, DimensionMismatch)
-_NUMERICAL_ERRORS = (SolverError, GraphBuildError, CutLocusError,
-                     NotPositiveDefinite, EigenConvergenceError,
-                     TangentBaseMismatch)
-
 
 class _UsageError(Exception):
     pass
+
+
+# exception class -> (stderr label, exit code); an exception is looked up by
+# the first class of its MRO listed here
+_EXITS = {
+    _UsageError: ("usage error", USAGE_ERROR),
+    **dict.fromkeys(
+        (FileNotFoundError, IsADirectoryError, PermissionError,
+         FileFormatError, DimensionMismatch),
+        ("data error", DATA_ERROR)),
+    **dict.fromkeys(
+        (SolverError, GraphBuildError, CutLocusError, NotPositiveDefinite,
+         EigenConvergenceError, TangentBaseMismatch),
+        ("numerical error", NUMERICAL_ERROR)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,11 +209,29 @@ def _cmd_inpaint(args, summary):
             "residual": rec.residual,
             "converged": rec.converged,
             "sigma": rec.sigma,
+            "graph_s": rec.graph_s,
+            "solve_s": rec.solve_s,
         }
         for rec in front.log
     ]
     summary["timings"]["solve_s"] = solve_s
+    summary["threads"] = cfg.resolved_threads()
+    summary["versions"] = {
+        "python": ".".join(str(v) for v in sys.version_info[:3]),
+        "numpy": np.__version__,
+    }
+    summary["peak_rss_kb"] = _peak_rss_kb()
     return 0
+
+
+def _peak_rss_kb():
+    """Peak resident set size of this process in KiB, None without getrusage."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss // 1024 if sys.platform == "darwin" else rss
 
 
 def _cmd_render(args, summary):
@@ -278,34 +305,17 @@ def run(argv) -> int:
         "status": "ok",
     }
     t0 = time.perf_counter()
+    failure = None
     try:
         code = _COMMANDS[args.command](args, summary)
-    except _UsageError as e:
-        summary["status"] = "error"
-        summary["error"] = str(e)
-        summary["exit_code"] = USAGE_ERROR
-        summary["timings"]["total_s"] = time.perf_counter() - t0
-        _emit_summary(summary, args.log)
-        sys.stderr.write(f"usage error: {e}\n")
-        return USAGE_ERROR
-    except _DATA_ERRORS as e:
-        summary["status"] = "error"
-        summary["error"] = str(e)
-        summary["exit_code"] = DATA_ERROR
-        summary["timings"]["total_s"] = time.perf_counter() - t0
-        _emit_summary(summary, args.log)
-        sys.stderr.write(f"data error: {e}\n")
-        return DATA_ERROR
-    except _NUMERICAL_ERRORS as e:
-        summary["status"] = "error"
-        summary["error"] = str(e)
-        summary["exit_code"] = NUMERICAL_ERROR
-        summary["timings"]["total_s"] = time.perf_counter() - t0
-        _emit_summary(summary, args.log)
-        sys.stderr.write(f"numerical error: {e}\n")
-        return NUMERICAL_ERROR
+    except tuple(_EXITS) as e:
+        label, code = next(_EXITS[c] for c in type(e).__mro__ if c in _EXITS)
+        summary.update(status="error", error=str(e), exit_code=code)
+        failure = f"{label}: {e}\n"
     summary["timings"]["total_s"] = time.perf_counter() - t0
     _emit_summary(summary, args.log)
+    if failure:
+        sys.stderr.write(failure)
     return code
 
 

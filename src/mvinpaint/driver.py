@@ -10,6 +10,7 @@ later solve instead of freezing.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,8 @@ class LayerRecord:
 
     residual is the last relative change of the solve; converged says
     whether it fell below cfg.eps before max_iter ran out.  sigma is the
-    weight scale of the layer's graph.
+    weight scale of the layer's graph; graph_s and solve_s are the seconds
+    spent building that graph and solving the layer.
     """
 
     index: int
@@ -37,6 +39,8 @@ class LayerRecord:
     residual: float
     converged: bool
     sigma: float
+    graph_s: float
+    solve_s: float
 
 
 @dataclass
@@ -147,8 +151,11 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
         else:
             solve_mask = mask_now
         try:
+            t0 = time.perf_counter()
             graph = build_graph(work, valued, cfg, active, candidate_mask=mask_now)
+            t1 = time.perf_counter()
             work, iters, trace = solve_dirichlet(graph, work, solve_mask, active, cfg)
+            t2 = time.perf_counter()
         except (SolverError, CutLocusError, GraphBuildError) as e:
             if getattr(e, "layer", None) is None:
                 e.layer = layer
@@ -164,6 +171,8 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
                 residual=residual,
                 converged=residual < cfg.eps,
                 sigma=graph.sigma,
+                graph_s=t1 - t0,
+                solve_s=t2 - t1,
             )
         )
 

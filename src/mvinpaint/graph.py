@@ -50,24 +50,85 @@ class Patch:
 
 @dataclass
 class NonlocalGraph:
-    """Directed adjacency lists of a nonlocal graph; non-targets stay empty."""
+    """Directed adjacency of the target vertices as one dense table.
+
+    targets (T,) holds the target ids in ascending order.  Row t of ids
+    (T, kmax) lists the neighbors of targets[t] by ascending id, and past
+    its degrees[t] real slots repeats the row's first slot; weights holds
+    the matching edge weights, padded the same way.  Vertices that are not
+    targets have no neighbors.
+    """
 
     vertex_count: int
-    neighbor_ids: list
-    weights: list
+    targets: np.ndarray
+    ids: np.ndarray
+    weights: np.ndarray
+    degrees: np.ndarray
     sigma: float = 0.0
 
+    def rows(self, vertices) -> np.ndarray:
+        """Row of each vertex in the table, -1 where it is not a target."""
+        v = np.asarray(vertices, dtype=np.int64)
+        if self.targets.size == 0:
+            return np.full(v.shape, -1, dtype=np.int64)
+        r = np.minimum(np.searchsorted(self.targets, v), self.targets.size - 1)
+        return np.where(self.targets[r] == v, r, -1)
+
     def degree(self, u: int) -> int:
-        return len(self.neighbor_ids[u])
+        r = int(self.rows(u))
+        return int(self.degrees[r]) if r >= 0 else 0
 
     def neighbors(self, u: int):
-        return self.neighbor_ids[u], self.weights[u]
+        """(ids, weights) of u without padding, ids ascending; empty for non-targets."""
+        r = int(self.rows(u))
+        if r < 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        d = int(self.degrees[r])
+        return self.ids[r, :d], self.weights[r, :d]
 
     @classmethod
     def empty(cls, vertex_count: int) -> "NonlocalGraph":
-        ids = [np.empty(0, dtype=np.int64) for _ in range(vertex_count)]
-        w = [np.empty(0, dtype=np.float64) for _ in range(vertex_count)]
-        return cls(vertex_count, ids, w)
+        return cls.from_adjacency(vertex_count, {})
+
+    @classmethod
+    def from_adjacency(cls, vertex_count: int, adjacency):
+        """Graph from {u: (ids, weights)}, neighbor lists in any order.
+
+        Vertices with an empty list are not targets.  Raises GraphBuildError
+        naming the first vertex whose list has mismatched lengths,
+        out-of-range or repeated ids.
+        """
+        items = []
+        for u, (ids, w) in sorted(adjacency.items()):
+            u = int(u)
+            ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+            w = np.asarray(w, dtype=np.float64).reshape(-1)
+            if ids.size == w.size == 0:
+                continue
+            if not (ids.size == w.size and 0 <= u < vertex_count
+                    and 0 <= ids.min() and ids.max() < vertex_count
+                    and np.unique(ids).size == ids.size):
+                raise GraphBuildError(f"vertex {u}: invalid adjacency list", vertex=u)
+            items.append((u, ids, w))
+        degrees = np.array([ids.size for _, ids, _ in items], dtype=np.int64)
+        ids = np.zeros((len(items), degrees.max(initial=0)), dtype=np.int64)
+        weights = np.zeros(ids.shape)
+        for t, (_, i, w) in enumerate(items):
+            ids[t, : i.size] = i
+            weights[t, : w.size] = w
+        targets = np.array([u for u, _, _ in items], dtype=np.int64)
+        return cls._from_rows(vertex_count, targets, ids, weights, degrees)
+
+    @classmethod
+    def _from_rows(cls, vertex_count, targets, ids, weights, degrees, sigma=0.0):
+        """Sort the first degrees[t] slots of each row by id, then pad with slot 0."""
+        real = np.arange(ids.shape[1]) < degrees[:, None]
+        order = np.argsort(np.where(real, ids, vertex_count), axis=1)
+        ids = np.take_along_axis(ids, order, axis=1)
+        weights = np.take_along_axis(weights, order, axis=1)
+        ids = np.where(real, ids, ids[:, :1])
+        weights = np.where(real, weights, weights[:, :1])
+        return cls(vertex_count, targets, ids, weights, degrees, sigma)
 
 
 def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
@@ -251,35 +312,28 @@ def build_graph(
             vertex=t,
         )
     d = np.where(finite, d, np.inf)
-    order = np.lexsort((ids, d))
-    sel_ids = []
-    sel_d = []
-    for ti in range(targets.size):
-        keep = order[ti, : min(int(cfg.k), int(nfin[ti]))]
-        sel_ids.append(ids[ti, keep])
-        sel_d.append(d[ti, keep])
+    degrees = np.minimum(nfin, int(cfg.k))
+    order = np.lexsort((ids, d))[:, : int(degrees.max())]
+    sel_ids = np.take_along_axis(ids, order, axis=1)
+    sel_d = np.take_along_axis(d, order, axis=1)
+    real = np.arange(order.shape[1]) < degrees[:, None]
 
     if isinstance(cfg.sigma, str):
-        all_d = np.concatenate(sel_d)
-        sigma = float(all_d.mean())
+        sigma = float(sel_d[real].mean())
         if sigma <= 0.0:
             sigma = 1.0
     else:
         sigma = float(cfg.sigma)
 
-    graph = NonlocalGraph.empty(V)
-    graph.sigma = sigma
-    for ti in range(targets.size):
-        t = int(targets[ti])
-        with np.errstate(over="ignore"):
-            w = np.exp(-((sel_d[ti] / sigma) ** 2))
-        if (w == 0.0).any():
-            # keeps weights inside (0, 1]; zero weights would poison the solve
-            raise GraphBuildError(
-                f"vertex {t}: weight underflow, sigma {sigma:g} is too small "
-                "for the selected patch distances",
-                vertex=t,
-            )
-        graph.neighbor_ids[t] = sel_ids[ti]
-        graph.weights[t] = w
-    return graph
+    with np.errstate(over="ignore"):
+        w = np.exp(-((sel_d / sigma) ** 2))
+    under = np.flatnonzero(((w == 0.0) & real).any(axis=1))
+    if under.size:
+        # keeps weights inside (0, 1]; zero weights would poison the solve
+        t = int(targets[under[0]])
+        raise GraphBuildError(
+            f"vertex {t}: weight underflow, sigma {sigma:g} is too small "
+            "for the selected patch distances",
+            vertex=t,
+        )
+    return NonlocalGraph._from_rows(V, targets, sel_ids, w, degrees, sigma)

@@ -32,9 +32,6 @@ from .manifolds import Tangent
 
 ZERO_OP_TOL = 1e-15
 
-# sentinel larger than any id-pair key (ids < 2**31, keys < 2**62)
-_BIG_KEY = np.int64(2**62)
-
 
 def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> float:
     """Max/min-difference form of the operator for real vertex functions.
@@ -53,74 +50,52 @@ def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> flo
     return float(up - down)
 
 
-def _padded_neighborhoods(graph: NonlocalGraph, active: np.ndarray):
-    """Dense (A, kmax) neighbor/weight tables, padded by repeating slot 0.
-
-    Repeating a real neighbor leaves the extremal-pair objective unchanged:
-    duplicated slots only replicate already-present ordered pairs.
-    """
-    degs = np.array([len(graph.neighbor_ids[u]) for u in active], dtype=np.int64)
-    if (degs == 0).any():
-        u = int(active[int(np.argmax(degs == 0))])
-        raise SolverError(f"vertex {u} has an empty neighborhood", vertex=u)
-    kmax = int(degs.max())
-    A = active.size
-    nbr = np.empty((A, kmax), dtype=np.int64)
-    wts = np.empty((A, kmax), dtype=np.float64)
-    for a, u in enumerate(active):
-        ids = graph.neighbor_ids[u]
-        w = graph.weights[u]
-        d = len(ids)
-        nbr[a, :d] = ids
-        wts[a, :d] = w
-        if d < kmax:
-            nbr[a, d:] = ids[0]
-            wts[a, d:] = w[0]
-    return nbr, wts
-
-
-def _extremal_batch(kernel, x, nbr_vals, sqw, nbr_ids, vertex_count):
+def _extremal_batch(kernel, x, nbr_vals, sqw):
     """Extremal pairs and operator values for a batch of vertices.
 
     Args:
-        x: (A, L) base points; nbr_vals: (A, k, L) neighbor points;
-        sqw: (A, k) root weights; nbr_ids: (A, k) neighbor vertex ids.
+        x: (A, L) base points; nbr_vals: (A, k, L) neighbor points in
+        ascending id order, padded by repeating slot 0; sqw: (A, k) root
+        weights.
 
     Returns:
-        (pair_ids (A, 2), delta (A, L)) with delta in ortho coordinates;
-        operator norms below 1e-15 are returned as exact zeros.
+        (i_slot (A,), j_slot (A,), delta (A, L)): the slots of the extremal
+        pair and delta in ortho coordinates; operator norms below 1e-15 are
+        returned as exact zeros.
+
+    The first maximum of the row-major (k, k) objective is the pair with the
+    smallest (v1, v2) ids, since slots ascend by id and a padded slot, an
+    exact copy of slot 0, only ever ties with an earlier one.
     """
-    logs = kernel.log_ortho(x[:, None, :], nbr_vals)          # (A, k, L)
-    s = sqw[..., None] * logs
-    g = np.einsum("ail,ajl->aij", s, s)
-    k = s.shape[1]
-    diag = g[:, np.arange(k), np.arange(k)]
-    obj = diag[:, :, None] + diag[:, None, :] - 2.0 * g       # (A, k, k)
-    best = obj.max(axis=(1, 2), keepdims=True)
-    tie = obj >= best
-    key = nbr_ids[:, :, None] * np.int64(vertex_count) + nbr_ids[:, None, :]
-    key = np.where(tie, key, _BIG_KEY)
-    flat = key.reshape(key.shape[0], -1).argmin(axis=1)
-    i_slot, j_slot = np.divmod(flat, k)
-    ar = np.arange(x.shape[0])
-    pair_ids = np.stack([nbr_ids[ar, i_slot], nbr_ids[ar, j_slot]], axis=1)
-    sw1 = sqw[ar, i_slot]
-    sw2 = sqw[ar, j_slot]
-    delta = (s[ar, i_slot] + s[ar, j_slot]) / (sw1 + sw2)[:, None]
+    s = kernel.log_ortho(x[:, None, :], nbr_vals)              # (A, k, L)
+    s *= sqw[..., None]
+    # einsum, not BLAS: every entry comes from the same loop, so g is exactly
+    # symmetric and bitwise-equal slots give bitwise-equal objective rows
+    g = np.einsum("ail,ajl->aij", s, s)                        # (A, k, k)
+    diag = np.diagonal(g, axis1=1, axis2=2)
+    obj = diag[:, :, None] + diag[:, None, :]
+    g *= 2.0
+    obj -= g
+    A, k = sqw.shape
+    i_slot, j_slot = np.divmod(obj.reshape(A, -1).argmax(axis=1), k)
+    ar = np.arange(A)
+    delta = (s[ar, i_slot] + s[ar, j_slot]) / (sqw[ar, i_slot] + sqw[ar, j_slot])[:, None]
     nrm2 = np.einsum("al,al->a", delta, delta)
-    delta = np.where((nrm2 < ZERO_OP_TOL * ZERO_OP_TOL)[:, None], 0.0, delta)
-    return pair_ids, delta
+    delta[nrm2 < ZERO_OP_TOL * ZERO_OP_TOL] = 0.0
+    return i_slot, j_slot, delta
 
 
 def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
-    kernel = img.descriptor.kernel
-    nbr, wts = _padded_neighborhoods(graph, active)
+    """Base points (A, L), extremal id pairs (A, 2) and deltas (A, L) of active."""
+    rows = graph.rows(active)
+    if (rows < 0).any():
+        u = int(active[np.argmax(rows < 0)])
+        raise SolverError(f"vertex {u} has an empty neighborhood", vertex=u)
+    nbr = graph.ids[rows]
     x = img.flat[active]
-    nbr_vals = img.flat[nbr]
-    sqw = np.sqrt(wts)
     try:
-        return x, _extremal_batch(
-            kernel, x, nbr_vals, sqw, nbr, img.vertex_count
+        i_slot, j_slot, delta = _extremal_batch(
+            img.descriptor.kernel, x, img.flat[nbr], np.sqrt(graph.weights[rows])
         )
     except CutLocusError as e:
         if e.bad_index is not None and len(e.bad_index) == 2:
@@ -132,6 +107,13 @@ def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
                 neighbor=int(nbr[a, slot]),
             ) from e
         raise
+    ar = np.arange(active.size)
+    return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta
+
+
+def _vertex_ids(active) -> np.ndarray:
+    """active as an ascending id array without repeats."""
+    return np.unique(np.asarray(active, dtype=np.int64).reshape(-1))
 
 
 def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
@@ -141,14 +123,14 @@ def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
     yields (v, v); ties go to the lexicographically smallest id pair.
     """
     active = np.array([int(u)], dtype=np.int64)
-    _, (pair_ids, _) = _batch_at(graph, img, active)
+    _, pair_ids, _ = _batch_at(graph, img, active)
     return int(pair_ids[0, 0]), int(pair_ids[0, 1])
 
 
 def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
     """Graph infinity-Laplacian of the image at vertex u as a Tangent there."""
     active = np.array([int(u)], dtype=np.int64)
-    x, (_, delta) = _batch_at(graph, img, active)
+    x, _, delta = _batch_at(graph, img, active)
     kernel = img.descriptor.kernel
     vec = kernel.tangent_from_ortho(x, delta)[0]
     return Tangent(base=img.flat[int(u)].copy(), vec=vec)
@@ -156,10 +138,10 @@ def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
 
 def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
     """Operator tangents for every active vertex, keyed by vertex id."""
-    active = np.unique(np.asarray(list(active), dtype=np.int64))
+    active = _vertex_ids(active)
     if active.size == 0:
         return {}
-    x, (_, delta) = _batch_at(graph, img, active)
+    x, _, delta = _batch_at(graph, img, active)
     kernel = img.descriptor.kernel
     vecs = kernel.tangent_from_ortho(x, delta)
     return {
@@ -177,13 +159,13 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
     """
     if not (0.0 < tau <= 1.0):
         raise SolverError(f"tau must lie in (0, 1], got {tau}")
-    active = np.unique(np.asarray(list(active), dtype=np.int64))
+    active = _vertex_ids(active)
     out = img.copy()
     if active.size == 0:
         return out
     if active.min() < 0 or active.max() >= img.vertex_count:
         raise SolverError("active ids outside the grid")
-    x, (_, delta) = _batch_at(graph, img, active)
+    x, _, delta = _batch_at(graph, img, active)
     moving = np.einsum("al,al->a", delta, delta) > 0.0
     if moving.any():
         kernel = img.descriptor.kernel
@@ -212,7 +194,7 @@ def solve_dirichlet(
     cfg.validate()
     if mask.known.shape != (f0.rows, f0.cols):
         raise SolverError("mask shape does not match image")
-    active = np.unique(np.asarray(list(active), dtype=np.int64))
+    active = _vertex_ids(active)
     if active.size == 0:
         return f0.copy(), 0, []
     if mask.known_flat[active].any():

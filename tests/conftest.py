@@ -31,11 +31,7 @@ def descriptor(request):
 
 def make_graph(vertex_count, edges):
     """Build a graph from {u: (ids, weights)} adjacency dictionaries."""
-    g = mv.NonlocalGraph.empty(vertex_count)
-    for u, (ids, w) in edges.items():
-        g.neighbor_ids[u] = np.asarray(ids, dtype=np.int64)
-        g.weights[u] = np.asarray(w, dtype=np.float64)
-    return g
+    return mv.NonlocalGraph.from_adjacency(vertex_count, edges)
 
 
 def path_graph(n, weight=1.0):

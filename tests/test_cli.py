@@ -98,8 +98,17 @@ class TestPipeline:
         assert len(summary["layers"]) >= 1
         for rec in summary["layers"]:
             assert set(rec) == {"index", "border_size", "active_size",
-                                "iterations", "residual", "converged", "sigma"}
+                                "iterations", "residual", "converged", "sigma",
+                                "graph_s", "solve_s"}
             assert rec["sigma"] > 0.0
+            assert rec["graph_s"] >= 0.0 and rec["solve_s"] >= 0.0
+        layer_s = sum(rec["graph_s"] + rec["solve_s"] for rec in summary["layers"])
+        assert layer_s <= summary["timings"]["solve_s"]
+        assert 1 <= summary["threads"] <= (os.cpu_count() or 1)
+        assert set(summary["versions"]) == {"python", "numpy"}
+        assert summary["versions"]["numpy"] == np.__version__
+        assert summary["versions"]["python"].count(".") == 2
+        assert summary["peak_rss_kb"] > 0
 
         truth = read_mvi(img_p)
         filled = read_mvi(out_p)

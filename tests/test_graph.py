@@ -116,6 +116,39 @@ class TestPatchDistance:
             mv.patch_distance(a, b, E1)
 
 
+class TestNonlocalGraph:
+    def test_from_adjacency_sorts_and_pads_rows(self):
+        g = mv.NonlocalGraph.from_adjacency(
+            8, {5: ([7, 2, 4], [0.1, 0.2, 0.3]), 1: ([6], [0.5]), 3: ([], [])}
+        )
+        assert g.targets.tolist() == [1, 5]
+        assert g.degrees.tolist() == [1, 3]
+        assert g.ids.tolist() == [[6, 6, 6], [2, 4, 7]]
+        assert g.weights.tolist() == [[0.5, 0.5, 0.5], [0.2, 0.3, 0.1]]
+        ids, w = g.neighbors(5)
+        assert ids.tolist() == [2, 4, 7] and w.tolist() == [0.2, 0.3, 0.1]
+        assert g.neighbors(1)[0].tolist() == [6]
+        assert g.degree(5) == 3 and g.degree(3) == 0 and g.degree(0) == 0
+        assert g.neighbors(3)[0].size == 0
+        assert g.rows([0, 1, 5, 7]).tolist() == [-1, 0, 1, -1]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [{0: ([1, 2], [1.0])}, {0: ([1, 4], [1.0, 1.0])}, {0: ([1, 1], [1.0, 1.0])},
+         {4: ([1], [1.0])}],
+        ids=["lengths", "id-range", "repeated-id", "vertex-range"],
+    )
+    def test_from_adjacency_rejects_bad_lists(self, edges):
+        with pytest.raises(GraphBuildError):
+            mv.NonlocalGraph.from_adjacency(4, edges)
+
+    def test_empty_graph(self):
+        g = mv.NonlocalGraph.empty(4)
+        assert g.ids.shape == (0, 0)
+        assert g.rows([0, 3]).tolist() == [-1, -1]
+        assert all(g.degree(u) == 0 for u in range(4))
+
+
 class TestBuildGraph:
     def test_window_covers_whole_small_grid(self):
         img = mv.MvImage.constant(E1, 3, 3, [7.0])
@@ -127,10 +160,10 @@ class TestBuildGraph:
     def test_constant_image_ties_break_by_id(self):
         img = mv.MvImage.constant(E1, 8, 8, [1.5])
         g = mv.build_graph(img, mv.Mask.all_known(8, 8), cfg(k=3, r=3), [0, 27])
-        assert g.neighbor_ids[0].tolist() == [1, 2, 3]
+        assert g.neighbors(0)[0].tolist() == [1, 2, 3]
         # (3, 3) with r=3 reaches back to the top-left corner, so the
         # all-tied distances resolve to the smallest ids of that window
-        assert g.neighbor_ids[27].tolist() == [0, 1, 2]
+        assert g.neighbors(27)[0].tolist() == [0, 1, 2]
         # all distances are zero, so the auto scale falls back to 1
         assert g.sigma == 1.0
         assert g.degree(5) == 0  # non-target rows stay empty
@@ -140,15 +173,31 @@ class TestBuildGraph:
         g = mv.build_graph(img, mv.Mask.all_known(3, 3), cfg(k=50, r=1), [0])
         assert g.degree(0) == 8
 
+    def test_short_rows_are_padded_with_their_first_slot(self):
+        # candidates 1, 2, 5, 6, 7 and 8 for target 0, the same but 8 for 8
+        img = scalar_image(np.arange(9.0).reshape(3, 3))
+        cand = np.ones((3, 3), dtype=bool)
+        cand[0, 0] = cand[1, 0] = cand[1, 1] = False
+        g = mv.build_graph(img, mv.Mask.all_known(3, 3), cfg(k=8, p=0, r=1),
+                           [8, 0], candidate_mask=mv.Mask(cand))
+        assert g.targets.tolist() == [0, 8]
+        assert g.degrees.tolist() == [6, 5]
+        assert g.ids.shape == (2, 6)
+        assert g.neighbors(8)[0].tolist() == [1, 2, 5, 6, 7]
+        for row, deg in enumerate(g.degrees):
+            ids, w = g.ids[row], g.weights[row]
+            assert (np.diff(ids[:deg]) > 0).all()
+            assert (ids[deg:] == ids[0]).all() and (w[deg:] == w[0]).all()
+
     def test_prefers_smaller_patch_distance(self):
         img = scalar_image([[0.0, 1.0, 2.0, 4.0, 9.0]])
         g = mv.build_graph(img, mv.Mask.all_known(1, 5), cfg(k=1, p=0, r=2), [0])
-        assert g.neighbor_ids[0].tolist() == [1]
+        assert g.neighbors(0)[0].tolist() == [1]
 
     def test_equal_distances_tie_by_id(self):
         img = scalar_image([[5.0, 3.0, 7.0, 3.0, 1.0]])
         g = mv.build_graph(img, mv.Mask.all_known(1, 5), cfg(k=2, p=0, r=2), [2])
-        assert g.neighbor_ids[2].tolist() == [0, 1]
+        assert g.neighbors(2)[0].tolist() == [0, 1]
 
     def test_weights_decay_with_distance(self):
         vals = np.zeros((8, 8))
@@ -194,8 +243,9 @@ class TestBuildGraph:
         )
         ids, _ = g.neighbors(5)
         assert 5 not in ids.tolist()
-        # nearest by value difference: 4 and 6 (diff 1), then 2 (diff 3)
-        assert ids.tolist() == [4, 6, 2]
+        # nearest by value difference: 4 and 6 (diff 1), then 2 (diff 3,
+        # tied with 8 and kept for its smaller id); rows list ids ascending
+        assert ids.tolist() == [2, 4, 6]
 
     @pytest.mark.parametrize(
         "desc, rows, cols, targets, kpr, known_share, cand_share, seed",
@@ -245,15 +295,16 @@ class TestBuildGraph:
                     cand.append((d, cid))
             cand.sort()
             assert len(cand) > 0
-            selected[t] = cand[:k]
+            selected[t] = {cid: d for d, cid in cand[:k]}
             pooled.extend(d for d, _ in cand[:k])
-            assert g.neighbor_ids[t].tolist() == [cid for _, cid in cand[:k]]
+            assert g.neighbors(t)[0].tolist() == sorted(selected[t])
         sigma = float(np.mean(pooled))
         assert abs(g.sigma - sigma) < 1e-12
         for t in targets:
-            _, w = g.neighbors(t)
-            ref = np.exp(-((np.array([d for d, _ in selected[t]]) / sigma) ** 2))
-            assert np.abs(w - ref).max() < 1e-12
+            ids, w = g.neighbors(t)
+            for cid, wc in zip(ids.tolist(), w):
+                ref = np.exp(-((selected[t][cid] / sigma) ** 2))
+                assert abs(wc - ref) < 1e-12
 
     def test_thread_count_does_not_change_output(self):
         rng = np.random.default_rng(24)
@@ -266,8 +317,10 @@ class TestBuildGraph:
         g4 = mv.build_graph(img, mask, cfg(k=4, p=1, r=3, threads=4), targets)
         assert g1.sigma == g4.sigma
         for t in targets:
-            assert np.array_equal(g1.neighbor_ids[t], g4.neighbor_ids[t])
-            assert np.array_equal(g1.weights[t], g4.weights[t])
+            ids1, w1 = g1.neighbors(t)
+            ids4, w4 = g4.neighbors(t)
+            assert np.array_equal(ids1, ids4)
+            assert np.array_equal(w1, w4)
 
     def test_peak_memory_is_bounded(self):
         # 128x128 sphere2 with ~2% scattered targets: a per-target gather
@@ -311,8 +364,8 @@ class TestBuildGraph:
         img = scalar_image([[0.0, 3.0, 0.0]])
         g = mv.build_graph(img, mv.Mask.all_known(1, 3), cfg(k=2, p=0, r=1, sigma=2.0), [0])
         ids, w = g.neighbors(0)
-        assert ids.tolist() == [2, 1]
-        assert np.allclose(w, [1.0, np.exp(-(3.0 / 2.0) ** 2)])
+        assert ids.tolist() == [1, 2]
+        assert np.allclose(w, [np.exp(-(3.0 / 2.0) ** 2), 1.0])
         assert g.sigma == 2.0
 
     def test_weight_underflow_rejected(self):

@@ -17,6 +17,7 @@ E1 = mv.ManifoldDescriptor.euclidean(1)
 E2 = mv.ManifoldDescriptor.euclidean(2)
 S1 = mv.ManifoldDescriptor.circle()
 S2 = mv.ManifoldDescriptor.sphere2()
+SPD2 = mv.ManifoldDescriptor.spd(2)
 
 
 def star_graph(values, weights):
@@ -108,6 +109,55 @@ class TestExtremalPair:
         with pytest.raises(SolverError) as exc:
             mv.inf_laplacian(g, img, 1)
         assert exc.value.vertex == 1
+
+
+class TestTieBreak:
+    """The chosen pair depends on neighbor ids and values only.
+
+    Adjacency lists come in shuffled order, equal values make exact
+    objective ties, and rows of unequal degree share one batch, so the
+    padded slots are read too.
+    """
+
+    def test_shuffled_star_ties_to_smallest_ids(self):
+        # +1 and -1 twice each: every (+1, -1) pair attains the maximum
+        g = make_graph(5, {0: ([4, 2, 3, 1], [1.0] * 4)})
+        img = line_image(E1, [[0.0], [1.0], [-1.0], [1.0], [-1.0]])
+        assert g.neighbors(0)[0].tolist() == [1, 2, 3, 4]
+        assert mv.select_extremal_pair(g, img, 0) == (1, 2)
+        assert brute_extremal_pair(g, img, 0) == (1, 2)
+
+    # seed 1 on spd(2) holds exact ties that an objective built from a BLAS
+    # Gram product s @ s.T (syrk) splits: it rounds the tail block of an
+    # 18-wide product differently
+    @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
+    @pytest.mark.parametrize("seed", [1, 39])
+    def test_matches_brute_force(self, desc, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        # four distinct values and two weights: neighbors sharing both give
+        # equal log vectors, hence exactly tied pairs
+        pool = mv.random_point(desc, rng, size=(4,))
+        img = line_image(desc, pool[rng.integers(0, 4, size=n)])
+        degrees = {0: 1, 1: 3, 2: 6, 3: 18, 4: 2}
+        edges = {}
+        for u, deg in degrees.items():
+            ids = rng.permutation(np.arange(len(degrees), n))[:deg]
+            if deg > 1 and (np.diff(ids) > 0).all():
+                ids = ids[::-1]
+            edges[u] = (ids.tolist(), rng.choice([0.5, 1.0], size=deg).tolist())
+        g = make_graph(n, edges)
+        active = list(degrees)
+        tau = 0.5
+        field = mv.inf_laplacian_field(g, img, active)
+        stepped = mv.euler_step(g, img, active, tau)
+        for u in active:
+            assert g.neighbors(u)[0].tolist() == sorted(edges[u][0])
+            assert mv.select_extremal_pair(g, img, u) == brute_extremal_pair(g, img, u)
+            ref = brute_inf_laplacian(g, img, u)
+            assert np.abs(field[u].vec - ref).max() < 1e-10
+            moved = mv.exp_map(desc, img.flat[u], mv.Tangent(img.flat[u], tau * ref))
+            assert mv.distance(desc, stepped.flat[u], moved) < 1e-10
 
 
 class TestOperatorProperties:
