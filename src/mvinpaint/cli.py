@@ -209,6 +209,7 @@ def _cmd_inpaint(args, summary):
             "residual": rec.residual,
             "converged": rec.converged,
             "sigma": rec.sigma,
+            "min_candidates": rec.min_candidates,
             "graph_s": rec.graph_s,
             "solve_s": rec.solve_s,
         }

@@ -28,8 +28,9 @@ class LayerRecord:
 
     residual is the last relative change of the solve; converged says
     whether it fell below cfg.eps before max_iter ran out.  sigma is the
-    weight scale of the layer's graph; graph_s and solve_s are the seconds
-    spent building that graph and solving the layer.
+    weight scale of the layer's graph and min_candidates the smallest number
+    of finite-distance candidates of its targets; graph_s and solve_s are
+    the seconds spent building that graph and solving the layer.
     """
 
     index: int
@@ -39,6 +40,7 @@ class LayerRecord:
     residual: float
     converged: bool
     sigma: float
+    min_candidates: int
     graph_s: float
     solve_s: float
 
@@ -171,6 +173,7 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
                 residual=residual,
                 converged=residual < cfg.eps,
                 sigma=graph.sigma,
+                min_candidates=graph.min_candidates,
                 graph_s=t1 - t0,
                 solve_s=t2 - t1,
             )

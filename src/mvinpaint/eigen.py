@@ -4,7 +4,9 @@ The solver sweeps all upper-triangle pivots (p, q) in fixed cyclic order and
 annihilates each with a Givens rotation, accumulating the rotations into an
 orthogonal matrix.  For the matrix sizes that occur here (n <= 16, typically
 n = 2 or 3) a handful of sweeps reaches machine precision unconditionally,
-which is why this is used instead of a general-purpose LAPACK path.
+which is why this is used instead of a general-purpose LAPACK path.  It
+serves the spd(n) matrix functions for n >= 3, spd point validation and the
+spd ellipse rendering; spd(2) kernel maps use closed forms instead.
 
 All routines are batched: an input of shape ``(..., n, n)`` yields eigenvalues
 of shape ``(..., n)`` in ascending order and eigenvectors ``(..., n, n)``

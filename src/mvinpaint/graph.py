@@ -56,7 +56,9 @@ class NonlocalGraph:
     (T, kmax) lists the neighbors of targets[t] by ascending id, and past
     its degrees[t] real slots repeats the row's first slot; weights holds
     the matching edge weights, padded the same way.  Vertices that are not
-    targets have no neighbors.
+    targets have no neighbors.  build_graph also records the weight scale
+    sigma and min_candidates, the smallest number of finite-distance
+    candidates any target had to choose its neighbors from.
     """
 
     vertex_count: int
@@ -65,6 +67,7 @@ class NonlocalGraph:
     weights: np.ndarray
     degrees: np.ndarray
     sigma: float = 0.0
+    min_candidates: int = 0
 
     def rows(self, vertices) -> np.ndarray:
         """Row of each vertex in the table, -1 where it is not a target."""
@@ -120,7 +123,8 @@ class NonlocalGraph:
         return cls._from_rows(vertex_count, targets, ids, weights, degrees)
 
     @classmethod
-    def _from_rows(cls, vertex_count, targets, ids, weights, degrees, sigma=0.0):
+    def _from_rows(cls, vertex_count, targets, ids, weights, degrees, sigma=0.0,
+                   min_candidates=0):
         """Sort the first degrees[t] slots of each row by id, then pad with slot 0."""
         real = np.arange(ids.shape[1]) < degrees[:, None]
         order = np.argsort(np.where(real, ids, vertex_count), axis=1)
@@ -128,7 +132,7 @@ class NonlocalGraph:
         weights = np.take_along_axis(weights, order, axis=1)
         ids = np.where(real, ids, ids[:, :1])
         weights = np.where(real, weights, weights[:, :1])
-        return cls(vertex_count, targets, ids, weights, degrees, sigma)
+        return cls(vertex_count, targets, ids, weights, degrees, sigma, min_candidates)
 
 
 def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
@@ -336,4 +340,6 @@ def build_graph(
             "for the selected patch distances",
             vertex=t,
         )
-    return NonlocalGraph._from_rows(V, targets, sel_ids, w, degrees, sigma)
+    return NonlocalGraph._from_rows(
+        V, targets, sel_ids, w, degrees, sigma, int(nfin.min())
+    )

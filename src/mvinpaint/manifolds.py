@@ -16,7 +16,9 @@ the manifold descriptor:
       d(X, Y)  = || logm(X^(-1/2) Y X^(-1/2)) ||_F
       <A, B>_X = trace(X^-1 A X^-1 B)
 
-  with matrix functions evaluated through the Jacobi eigensolver.
+  For n = 2 the square roots, congruences and matrix log/exp are closed
+  forms with no eigensolver; for n >= 3 the matrix functions go through the
+  Jacobi eigensolver, as does point validation for every n.
 
 Kernels additionally expose "ortho" coordinates: an isometric identification
 of the tangent space at x with R^d in which the metric is the standard dot
@@ -25,8 +27,9 @@ V -> X^(-1/2) V X^(-1/2) for spd).  The batched solver works in these
 coordinates so that norms and inner products are plain einsums.
 
 Numerical conventions: tangent norms below 1e-15 short-circuit to exact
-zeros, and log maps raise :class:`CutLocusError` within 1e-10 of the cut
-locus.  Distances have closed forms everywhere and never raise.
+zeros, the log of a point at itself is exactly zero, and log maps raise
+:class:`CutLocusError` within 1e-10 of the cut locus.  Distances have
+closed forms everywhere and never raise.
 """
 
 from __future__ import annotations
@@ -139,7 +142,44 @@ def wrap_angle(a):
     return np.where(b > np.pi, b - 2.0 * np.pi, b)
 
 
-class _EuclideanKernel:
+class _Kernel:
+    """Point validation shared by every kernel: finite entries, then _check_values."""
+
+    def validate_points(self, pts):
+        """(index, reason) of the first invalid point of pts (N, L), or None."""
+        bad = ~np.isfinite(pts).all(axis=-1)
+        if bad.any():
+            return int(np.argwhere(bad)[0][0]), "non-finite entry"
+        return self._check_values(pts)
+
+    def _check_values(self, pts):
+        return None
+
+
+class _FlatOrthoKernel(_Kernel):
+    """Kernels whose tangent metric is already the dot product.
+
+    Ortho coordinates are the tangent vectors themselves, so the ortho maps
+    are exp and log.
+    """
+
+    def inner(self, x, a, b):
+        return np.einsum("...l,...l->...", a, b)
+
+    def log_ortho(self, x, y):
+        return self.log(x, y)
+
+    def exp_ortho(self, x, w):
+        return self.exp(x, w)
+
+    def tangent_from_ortho(self, x, w):
+        return w
+
+    def ortho_from_tangent(self, x, v):
+        return v
+
+
+class _EuclideanKernel(_FlatOrthoKernel):
     def __init__(self, m):
         self.point_len = m
         self.tangent_len = m
@@ -157,24 +197,6 @@ class _EuclideanKernel:
     def dist(self, x, y):
         return np.sqrt(self.dist2(x, y))
 
-    def inner(self, x, a, b):
-        return np.einsum("...l,...l->...", a, b)
-
-    # the metric is already the dot product
-    log_ortho = log
-    exp_ortho = exp
-
-    def tangent_from_ortho(self, x, w):
-        return w
-
-    def ortho_from_tangent(self, x, v):
-        return v
-
-    def validate_points(self, pts):
-        if not np.isfinite(pts).all():
-            return int(np.argwhere(~np.isfinite(pts).all(axis=-1))[0][0]), "non-finite entry"
-        return None
-
     def random_point(self, rng, size=()):
         return rng.normal(size=tuple(size) + (self.point_len,))
 
@@ -186,7 +208,7 @@ class _EuclideanKernel:
         return v / nrm * scale
 
 
-class _CircleKernel:
+class _CircleKernel(_FlatOrthoKernel):
     point_len = 1
     tangent_len = 1
 
@@ -212,21 +234,7 @@ class _CircleKernel:
         d = wrap_angle(y - x)[..., 0]
         return d * d
 
-    def inner(self, x, a, b):
-        return np.einsum("...l,...l->...", a, b)
-
-    log_ortho = log
-    exp_ortho = exp
-
-    def tangent_from_ortho(self, x, w):
-        return w
-
-    def ortho_from_tangent(self, x, v):
-        return v
-
-    def validate_points(self, pts):
-        if not np.isfinite(pts).all():
-            return int(np.argwhere(~np.isfinite(pts).all(axis=-1))[0][0]), "non-finite entry"
+    def _check_values(self, pts):
         a = pts[..., 0]
         bad = (a <= -np.pi) | (a > np.pi)
         if bad.any():
@@ -241,7 +249,7 @@ class _CircleKernel:
         return rng.uniform(-max_norm, max_norm, size=x.shape)
 
 
-class _Sphere2Kernel:
+class _Sphere2Kernel(_FlatOrthoKernel):
     point_len = 3
     tangent_len = 3
 
@@ -287,21 +295,7 @@ class _Sphere2Kernel:
         d = self.dist(x, y)
         return d * d
 
-    def inner(self, x, a, b):
-        return np.einsum("...l,...l->...", a, b)
-
-    log_ortho = log
-    exp_ortho = exp
-
-    def tangent_from_ortho(self, x, w):
-        return w
-
-    def ortho_from_tangent(self, x, v):
-        return v
-
-    def validate_points(self, pts):
-        if not np.isfinite(pts).all():
-            return int(np.argwhere(~np.isfinite(pts).all(axis=-1))[0][0]), "non-finite entry"
+    def _check_values(self, pts):
         nrm = np.linalg.norm(pts, axis=-1)
         bad = np.abs(nrm - 1.0) > SPHERE_NORM_TOL
         if bad.any():
@@ -321,7 +315,7 @@ class _Sphere2Kernel:
         return v / nrm * scale
 
 
-class _SpdKernel:
+class _SpdKernel(_Kernel):
     def __init__(self, n):
         self.n = n
         self.point_len = n * n
@@ -342,6 +336,7 @@ class _SpdKernel:
         return sym_eig_batch(self._sym(mats), check_symmetry=False)
 
     def _apply(self, mats, fn, require_pd, what):
+        """fn(W) for symmetric W, fn being np.log or np.exp."""
         lam, Q = self._eig(mats)
         if require_pd and lam[..., 0].min(initial=np.inf) <= 0.0:
             raise NotPositiveDefinite(f"{what}: eigenvalue <= 0")
@@ -349,6 +344,7 @@ class _SpdKernel:
         return self._sym(out)
 
     def _halves(self, X):
+        """(X^(1/2), X^(-1/2)) of symmetric positive definite X."""
         lam, Q = self._eig(X)
         if lam[..., 0].min(initial=np.inf) <= 0.0:
             raise NotPositiveDefinite("base point is not positive definite")
@@ -357,88 +353,57 @@ class _SpdKernel:
         Xmh = self._sym(np.einsum("...ij,...j,...kj->...ik", Q, 1.0 / s, Q))
         return Xh, Xmh
 
+    def _congruence(self, M, Y):
+        """M Y M for symmetric M and Y, exactly symmetric."""
+        return self._sym(np.einsum("...ij,...jk,...kl->...il", M, Y, M))
+
+    @staticmethod
+    def _zero_at_base(x, y, v):
+        # log_x(x) = 0 exactly, so that equal neighbors tie exactly in the
+        # extremal-pair search instead of by rounding
+        same = (np.asarray(x) == np.asarray(y)).all(axis=-1)
+        return np.where(same[..., None], 0.0, v)
+
     def exp(self, x, v):
-        X = self._mat(x)
-        Xh, Xmh = self._halves(X)
-        W = self._sym(np.einsum("...ij,...jk,...kl->...il", Xmh, self._mat(v), Xmh))
+        Xh, Xmh = self._halves(self._mat(x))
+        W = self._congruence(Xmh, self._mat(v))
         E = self._apply(W, np.exp, require_pd=False, what="exp")
-        Y = self._sym(np.einsum("...ij,...jk,...kl->...il", Xh, E, Xh))
-        return self._buf(Y)
+        return self._buf(self._congruence(Xh, E))
 
     def log(self, x, y):
-        X = self._mat(x)
-        Xh, Xmh = self._halves(X)
-        S = self._log_whitened(Xmh, self._mat(y))
-        V = self._sym(np.einsum("...ij,...jk,...kl->...il", Xh, S, Xh))
-        return self._buf(V)
+        Xh, Xmh = self._halves(self._mat(x))
+        V = self._congruence(Xh, self._log_whitened(Xmh, self._mat(y)))
+        return self._zero_at_base(x, y, self._buf(V))
 
     def _log_whitened(self, Xmh, Y):
-        W = self._sym(np.einsum("...ij,...jk,...kl->...il", Xmh, Y, Xmh))
+        W = self._congruence(Xmh, Y)
         return self._apply(W, np.log, require_pd=True, what="log target")
 
     def log_ortho(self, x, y):
-        X = self._mat(x)
-        _, Xmh = self._halves(X)
-        return self._buf(self._log_whitened(Xmh, self._mat(y)))
+        _, Xmh = self._halves(self._mat(x))
+        S = self._log_whitened(Xmh, self._mat(y))
+        return self._zero_at_base(x, y, self._buf(S))
 
     def exp_ortho(self, x, w):
-        X = self._mat(x)
-        Xh, _ = self._halves(X)
+        Xh, _ = self._halves(self._mat(x))
         E = self._apply(self._mat(w), np.exp, require_pd=False, what="exp")
-        Y = self._sym(np.einsum("...ij,...jk,...kl->...il", Xh, E, Xh))
-        return self._buf(Y)
+        return self._buf(self._congruence(Xh, E))
 
     def tangent_from_ortho(self, x, w):
         Xh, _ = self._halves(self._mat(x))
-        V = self._sym(np.einsum("...ij,...jk,...kl->...il", Xh, self._mat(w), Xh))
-        return self._buf(V)
+        return self._buf(self._congruence(Xh, self._mat(w)))
 
     def ortho_from_tangent(self, x, v):
         _, Xmh = self._halves(self._mat(x))
-        W = self._sym(np.einsum("...ij,...jk,...kl->...il", Xmh, self._mat(v), Xmh))
-        return self._buf(W)
+        return self._buf(self._congruence(Xmh, self._mat(v)))
 
     def dist2(self, x, y):
-        if self.n == 2:
-            return self._dist2_closed2(x, y)
-        X = self._mat(x)
-        _, Xmh = self._halves(X)
-        W = self._sym(np.einsum("...ij,...jk,...kl->...il", Xmh, self._mat(y), Xmh))
-        lam, _ = self._eig(W)
+        _, Xmh = self._halves(self._mat(x))
+        lam, _ = self._eig(self._congruence(Xmh, self._mat(y)))
         if lam[..., 0].min(initial=np.inf) <= 0.0:
             raise NotPositiveDefinite("distance target is not positive definite")
         ln = np.log(lam)
         return np.einsum("...i,...i->...", ln, ln)
-
-    def _dist2_closed2(self, x, y):
-        # eigenvalues of X^-1 Y solve l^2 - tr(X^-1 Y) l + det(Y)/det(X) = 0
-        X = self._mat(x)
-        Y = self._mat(y)
-        a = X[..., 0, 0]
-        b = 0.5 * (X[..., 0, 1] + X[..., 1, 0])
-        c = X[..., 1, 1]
-        p = Y[..., 0, 0]
-        q = 0.5 * (Y[..., 0, 1] + Y[..., 1, 0])
-        s = Y[..., 1, 1]
-        det_x = a * c - b * b
-        det_y = p * s - q * q
-        if (a <= 0).any() or (det_x <= 0).any():
-            raise NotPositiveDefinite("distance base is not positive definite")
-        if (p <= 0).any() or (det_y <= 0).any():
-            raise NotPositiveDefinite("distance target is not positive definite")
-        tr = (c * p - 2.0 * b * q + a * s) / det_x
-        det = det_y / det_x
-        # discriminant as (m00 - m11)^2 + 4 m01 m10 of X^-1 Y; the tr^2 - 4 det
-        # form cancels catastrophically when the eigenvalues coincide (y == x
-        # gives exactly 0 here, so equal points come out at distance 0)
-        diff = (c * p - a * s) / det_x
-        cross = (c * q - b * s) * (a * q - b * p) / (det_x * det_x)
-        disc = np.maximum(diff * diff + 4.0 * cross, 0.0)
-        lam1 = 0.5 * (tr + np.sqrt(disc))
-        lam2 = det / lam1
-        l1 = np.log(lam1)
-        l2 = np.log(lam2)
-        return l1 * l1 + l2 * l2
 
     def dist(self, x, y):
         return np.sqrt(self.dist2(x, y))
@@ -448,9 +413,7 @@ class _SpdKernel:
         wb = self._mat(self.ortho_from_tangent(x, b))
         return np.einsum("...ij,...ij->...", wa, wb)
 
-    def validate_points(self, pts):
-        if not np.isfinite(pts).all():
-            return int(np.argwhere(~np.isfinite(pts).all(axis=-1))[0][0]), "non-finite entry"
+    def _check_values(self, pts):
         M = self._mat(pts)
         asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-1, -2))
         bad = asym > SPD_SYM_TOL
@@ -479,6 +442,99 @@ class _SpdKernel:
         return self._buf(W * (scale / nrm)[..., None, None])
 
 
+class _Spd2Kernel(_SpdKernel):
+    """spd(2) with closed-form matrix functions in place of the eigensolver.
+
+    A symmetric W = [[a, b], [b, c]] has the eigenvalues m +- r, with
+    m = (a + c) / 2 and r = hypot((a - c) / 2, b), and W - m I has the
+    eigenvalues +-r, so f(W) = f0 I + f1 (W - m I) with f0 the mean of
+    f(m + r) and f(m - r) and f1 their divided difference.  Square roots
+    and congruences are closed forms too; see Pennec, Fillard and Ayache,
+    "A Riemannian framework for tensor computing", IJCV 66 (2006).  Every
+    output is built from three entries, so it is exactly symmetric.
+    """
+
+    @staticmethod
+    def _entries(M):
+        return M[..., 0, 0], 0.5 * (M[..., 0, 1] + M[..., 1, 0]), M[..., 1, 1]
+
+    @staticmethod
+    def _matrix(a, b, c):
+        return np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))
+
+    def _halves(self, X):
+        a, b, c = self._entries(X)
+        det = a * c - b * b
+        if (a <= 0.0).any() or (det <= 0.0).any():
+            raise NotPositiveDefinite("base point is not positive definite")
+        # X^(1/2) = (X + sqrt(det) I) / sqrt(tr + 2 sqrt(det)); its inverse is
+        # its adjugate over its determinant sqrt(det)
+        sd = np.sqrt(det)
+        t = 1.0 / np.sqrt(a + c + 2.0 * sd)
+        ti = t / sd
+        Xh = self._matrix((a + sd) * t, b * t, (c + sd) * t)
+        Xmh = self._matrix((c + sd) * ti, -b * ti, (a + sd) * ti)
+        return Xh, Xmh
+
+    def _congruence(self, M, Y):
+        p, q, s = self._entries(M)
+        a, b, c = self._entries(Y)
+        pq, qs, qq = p * q, q * s, q * q
+        return self._matrix(
+            p * p * a + 2.0 * pq * b + qq * c,
+            pq * a + (p * s + qq) * b + qs * c,
+            qq * a + 2.0 * qs * b + s * s * c,
+        )
+
+    def _apply(self, mats, fn, require_pd, what):
+        a, b, c = self._entries(mats)
+        m = 0.5 * (a + c)
+        h = 0.5 * (a - c)
+        r = np.hypot(h, b)
+        hi = m + r
+        det = a * c - b * b
+        if require_pd and ((hi <= 0.0).any() or (det <= 0.0).any()):
+            raise NotPositiveDefinite(f"{what}: eigenvalue <= 0")
+        nz = r > 0.0
+        r2 = np.where(nz, 2.0 * r, 1.0)
+        if fn is np.log:
+            # the small eigenvalue from the determinant: m - r cancels, and
+            # log1p keeps the divided difference accurate as r -> 0
+            lo = det / hi
+            f0 = 0.5 * (np.log(hi) + np.log(lo))
+            f1 = np.where(nz, np.log1p(2.0 * r / lo) / r2, 1.0 / lo)
+        else:
+            em = np.exp(m)
+            f0 = em * np.cosh(r)
+            f1 = em * np.where(nz, 2.0 * np.sinh(r) / r2, 1.0)
+        fh = f1 * h
+        return self._matrix(f0 + fh, f1 * b, f0 - fh)
+
+    def dist2(self, x, y):
+        # eigenvalues of X^-1 Y solve l^2 - tr(X^-1 Y) l + det(Y)/det(X) = 0
+        a, b, c = self._entries(self._mat(x))
+        p, q, s = self._entries(self._mat(y))
+        det_x = a * c - b * b
+        det_y = p * s - q * q
+        if (a <= 0).any() or (det_x <= 0).any():
+            raise NotPositiveDefinite("distance base is not positive definite")
+        if (p <= 0).any() or (det_y <= 0).any():
+            raise NotPositiveDefinite("distance target is not positive definite")
+        tr = (c * p - 2.0 * b * q + a * s) / det_x
+        det = det_y / det_x
+        # discriminant as (m00 - m11)^2 + 4 m01 m10 of X^-1 Y; the tr^2 - 4 det
+        # form cancels catastrophically when the eigenvalues coincide (y == x
+        # gives exactly 0 here, so equal points come out at distance 0)
+        diff = (c * p - a * s) / det_x
+        cross = (c * q - b * s) * (a * q - b * p) / (det_x * det_x)
+        disc = np.maximum(diff * diff + 4.0 * cross, 0.0)
+        lam1 = 0.5 * (tr + np.sqrt(disc))
+        lam2 = det / lam1
+        l1 = np.log(lam1)
+        l2 = np.log(lam2)
+        return l1 * l1 + l2 * l2
+
+
 _KERNEL_CACHE: dict = {}
 
 
@@ -491,6 +547,8 @@ def _kernel_for(desc: ManifoldDescriptor):
             k = _CircleKernel()
         elif desc.kind == "sphere2":
             k = _Sphere2Kernel()
+        elif desc.dim == 2:
+            k = _Spd2Kernel(2)
         else:
             k = _SpdKernel(desc.dim)
         _KERNEL_CACHE[desc] = k

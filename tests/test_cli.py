@@ -99,9 +99,13 @@ class TestPipeline:
         for rec in summary["layers"]:
             assert set(rec) == {"index", "border_size", "active_size",
                                 "iterations", "residual", "converged", "sigma",
-                                "graph_s", "solve_s"}
+                                "min_candidates", "graph_s", "solve_s"}
             assert rec["sigma"] > 0.0
             assert rec["graph_s"] >= 0.0 and rec["solve_s"] >= 0.0
+        # every 13x13 search window holds the whole 4x4 hole: its known
+        # pixels are 169 - 16 in layer 1 and 169 - 4 once the outer ring of
+        # the hole is known, and each of them overlaps its target's patch
+        assert [rec["min_candidates"] for rec in summary["layers"]] == [153, 165]
         layer_s = sum(rec["graph_s"] + rec["solve_s"] for rec in summary["layers"])
         assert layer_s <= summary["timings"]["solve_s"]
         assert 1 <= summary["threads"] <= (os.cpu_count() or 1)

@@ -283,6 +283,7 @@ class TestBuildGraph:
         eligible = (cand_mask or mask).known_flat
         selected = {}
         pooled = []
+        counts = []
         for t in targets:
             pt = mv.extract_patch(img, mask, divmod(t, cols), p)
             cand = []
@@ -295,9 +296,11 @@ class TestBuildGraph:
                     cand.append((d, cid))
             cand.sort()
             assert len(cand) > 0
+            counts.append(len(cand))
             selected[t] = {cid: d for d, cid in cand[:k]}
             pooled.extend(d for d, _ in cand[:k])
             assert g.neighbors(t)[0].tolist() == sorted(selected[t])
+        assert g.min_candidates == min(counts)
         sigma = float(np.mean(pooled))
         assert abs(g.sigma - sigma) < 1e-12
         for t in targets:

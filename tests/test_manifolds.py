@@ -308,3 +308,180 @@ class TestArgumentChecking:
     def test_non_tangent_rejected(self):
         with pytest.raises(TypeError):
             mv.exp_map(E1, 0.0, np.array([1.0]))
+
+
+def eigh_fn(mats, f):
+    """f(M) for symmetric M (..., n, n) through numpy's eigh."""
+    lam, q = np.linalg.eigh(mats)
+    return np.einsum("...ij,...j,...kj->...ik", q, f(lam), q)
+
+
+def spd2_from_eig(l1, l2, theta):
+    """Points R(theta) diag(l1, l2) R(theta)^T as (N, 4) buffers."""
+    c, s = np.cos(theta), np.sin(theta)
+    q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    m = np.einsum("...ij,...j,...kj->...ik", q, np.stack([l1, l2], -1), q)
+    return (0.5 * (m + np.swapaxes(m, -1, -2))).reshape(-1, 4)
+
+
+def spd2_family(name, rng, n=200):
+    theta = rng.uniform(0.0, np.pi, n)
+    if name == "random":
+        return mv.random_point(P2, rng, size=(n,))
+    if name == "diagonal":
+        lam = np.exp(rng.uniform(-3.0, 3.0, (2, n)))
+        return spd2_from_eig(lam[0], lam[1], 0.0 * theta)
+    if name == "isotropic":
+        # exact multiples of I: the eigenvalue gap r is exactly 0
+        lam = np.exp(rng.uniform(-3.0, 3.0, n))
+        return spd2_from_eig(lam, lam, 0.0 * theta)
+    if name == "gap":
+        lam = np.full(n, 1.5)
+        return spd2_from_eig(lam, lam * (1.0 + np.logspace(-9, -1, n)), theta)
+    if name == "condition":
+        lam = np.full(n, 2.0)
+        return spd2_from_eig(lam, lam / np.logspace(0, 10, n), theta)
+    raise ValueError(name)
+
+
+SPD2_FAMILIES = ["random", "diagonal", "isotropic", "gap", "condition"]
+SPD2_MAPS = [
+    "log_ortho", "log", "exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent",
+]
+
+
+def spd2_oracle(x, y, w):
+    """Every kernel map at bases x by eigh: logs of y, exps of ortho w / tangent."""
+    X, Y, W = (a.reshape(-1, 2, 2) for a in (x, y, w))
+    xh = eigh_fn(X, np.sqrt)
+    xmh = eigh_fn(X, lambda lam: 1.0 / np.sqrt(lam))
+    log_ortho = eigh_fn(xmh @ Y @ xmh, np.log)
+    expw = xh @ eigh_fn(W, np.exp) @ xh
+    v = xh @ W @ xh
+    return v.reshape(-1, 4), {
+        "log_ortho": log_ortho,
+        "log": xh @ log_ortho @ xh,
+        "exp_ortho": expw,
+        "exp": expw,
+        "tangent_from_ortho": v,
+        "ortho_from_tangent": W,
+    }
+
+
+class TestSpd2ClosedForm:
+    """The closed-form spd(2) kernel against an oracle built on numpy's eigh alone.
+
+    A map of points with condition number kappa is accurate to about
+    eps * kappa relative to max(1, |result|) in double precision, for the
+    kernel and the oracle alike; the tolerance is 64 eps kappa.  Only one
+    side of each pair is drawn from the family: two points with condition
+    1e10 each whiten to condition 1e20, beyond double precision.
+    """
+
+    @pytest.mark.parametrize("side", ["base", "target"])
+    @pytest.mark.parametrize("family", SPD2_FAMILIES)
+    def test_maps_match_eigh_oracle(self, family, side):
+        rng = np.random.default_rng(SPD2_FAMILIES.index(family))
+        k = P2.kernel
+        fam = spd2_family(family, rng)
+        other = mv.random_point(P2, rng, size=fam.shape[:1])
+        x, y = (fam, other) if side == "base" else (other, fam)
+        w = k.random_ortho(rng, x, 2.0)
+        v, ref = spd2_oracle(x, y, w)
+        args = {"log_ortho": y, "log": y, "exp_ortho": w, "exp": v,
+                "tangent_from_ortho": w, "ortho_from_tangent": v}
+        kappa = np.maximum(np.linalg.cond(x.reshape(-1, 2, 2)),
+                           np.linalg.cond(y.reshape(-1, 2, 2)))
+        tol = 64.0 * np.finfo(np.float64).eps * kappa
+        for name in SPD2_MAPS:
+            got = getattr(k, name)(x, args[name]).reshape(-1, 2, 2)
+            scale = np.maximum(1.0, np.abs(ref[name]).max(axis=(1, 2)))
+            err = np.abs(got - ref[name]).max(axis=(1, 2)) / scale
+            assert (err < tol).all(), (name, float((err / tol).max()))
+
+    def test_diagonal_inputs_keep_full_accuracy(self):
+        # diagonal points and tangents stay diagonal, so no condition number
+        # enters: the small eigenvalue must not come from m - r, which
+        # cancels at condition 1e10
+        rng = np.random.default_rng(63)
+        k = P2.kernel
+        n = 200
+        lam = np.exp(rng.uniform(-11.5, 11.5, (4, n)))
+        x = spd2_from_eig(lam[0], lam[1], np.zeros(n))
+        y = spd2_from_eig(lam[2], lam[3], np.zeros(n))
+        w = spd2_from_eig(*rng.uniform(-2.0, 2.0, (2, n)), np.zeros(n))
+        v, ref = spd2_oracle(x, y, w)
+        args = {"log_ortho": y, "log": y, "exp_ortho": w, "exp": v,
+                "tangent_from_ortho": w, "ortho_from_tangent": v}
+        for name in SPD2_MAPS:
+            got = getattr(k, name)(x, args[name]).reshape(-1, 2, 2)
+            scale = np.abs(ref[name]).max(axis=(1, 2))
+            err = np.abs(got - ref[name]).max(axis=(1, 2)) / scale
+            assert (err < 64.0 * np.finfo(np.float64).eps).all(), name
+
+    def test_outputs_are_exactly_symmetric(self):
+        rng = np.random.default_rng(60)
+        k = P2.kernel
+        for family in SPD2_FAMILIES:
+            x = spd2_family(family, rng)
+            y = mv.random_point(P2, rng, size=x.shape[:1])
+            w = k.random_ortho(rng, x, 2.0)
+            v = k.tangent_from_ortho(x, w)
+            for out in (k.log_ortho(x, y), k.log(x, y), k.exp_ortho(x, w),
+                        k.exp(x, v), v, k.ortho_from_tangent(x, v)):
+                assert np.array_equal(out[:, 1], out[:, 2])
+
+    def test_equal_inputs_give_equal_outputs_at_any_position(self):
+        # the extremal-pair tie rule compares log vectors of equal neighbors
+        # bitwise, wherever they sit in the batch
+        rng = np.random.default_rng(61)
+        k = P2.kernel
+        x = mv.random_point(P2, rng, size=(5,))
+        y = mv.random_point(P2, rng, size=(5, 37))
+        w = k.random_ortho(rng, y, 2.0)
+        y[:, 5:] = y[:, :1]
+        w[:, 5:] = w[:, :1]
+        s = k.log_ortho(x[:, None, :], y)
+        for a in range(5):
+            single = k.log_ortho(x[a], y[a, 0])
+            assert (s[a, 5:] == single).all() and (s[a, 0] == single).all()
+        for name in ("exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent"):
+            out = getattr(k, name)(y, w)
+            assert (out[:, 5:] == out[:, :1]).all(), name
+
+    def test_non_positive_definite_points_raise(self):
+        k = P2.kernel
+        good = spd_buf([2.0, 0.5], [0.5, 1.0])
+        w = spd_buf([0.1, 0.0], [0.0, -0.1])
+        bad_points = [
+            spd_buf([1.0, 0.0], [0.0, -1.0]),
+            spd_buf([1.0, 2.0], [2.0, 1.0]),
+            spd_buf([-1.0, 0.0], [0.0, -1.0]),
+            spd_buf([1.0, 1.0], [1.0, 1.0]),
+        ]
+        for bad in bad_points:
+            x = np.stack([good, bad])
+            for name, arg in (("log_ortho", good), ("log", good), ("exp_ortho", w),
+                              ("exp", w), ("tangent_from_ortho", w),
+                              ("ortho_from_tangent", w), ("dist2", good)):
+                with pytest.raises(NotPositiveDefinite):
+                    getattr(k, name)(x, arg)
+            with pytest.raises(NotPositiveDefinite):
+                k.dist2(good, np.stack([good, bad]))
+        # a singular target whitens to a determinant at rounding level, of
+        # either sign, so only indefinite and negative targets are checked
+        for bad in bad_points[:3]:
+            for name in ("log_ortho", "log"):
+                with pytest.raises(NotPositiveDefinite, match="log target"):
+                    getattr(k, name)(good, np.stack([good, bad]))
+
+
+@pytest.mark.parametrize("desc", [P2, P3], ids=lambda d: d.label())
+def test_spd_log_at_the_base_is_exactly_zero(desc):
+    rng = np.random.default_rng(62)
+    k = desc.kernel
+    x = mv.random_point(desc, rng, size=(200,))
+    assert not k.log_ortho(x, x).any()
+    assert not k.log(x, x).any()
+    assert not k.log_ortho(x[:, None, :], np.stack([x, x], axis=1)).any()
+    assert not mv.log_map(desc, x[0], x[0]).vec.any()
