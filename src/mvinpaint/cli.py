@@ -10,6 +10,7 @@ deterministic for identical invocations, independent of --threads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -200,21 +201,7 @@ def _cmd_inpaint(args, summary):
     solve_s = time.perf_counter() - t0
     write_mvi(result, args.output)
     summary["output"] = args.output
-    summary["layers"] = [
-        {
-            "index": rec.index,
-            "border_size": rec.border_size,
-            "active_size": rec.active_size,
-            "iterations": rec.iterations,
-            "residual": rec.residual,
-            "converged": rec.converged,
-            "sigma": rec.sigma,
-            "min_candidates": rec.min_candidates,
-            "graph_s": rec.graph_s,
-            "solve_s": rec.solve_s,
-        }
-        for rec in front.log
-    ]
+    summary["layers"] = [dataclasses.asdict(rec) for rec in front.log]
     summary["timings"]["solve_s"] = solve_s
     summary["threads"] = cfg.resolved_threads()
     summary["versions"] = {

@@ -47,11 +47,9 @@ class LayerRecord:
 
 @dataclass
 class FrontState:
-    """Mask/active bookkeeping of the front between layers, plus the log."""
+    """The known mask as the front left it, plus one LayerRecord per layer."""
 
     mask_now: Mask
-    active: np.ndarray
-    layer_index: int
     log: list = field(default_factory=list)
 
 
@@ -126,7 +124,7 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
 
     work = img.copy()
     mask_now = mask.copy()
-    front = FrontState(mask_now=mask_now, active=np.empty(0, np.int64), layer_index=0)
+    front = FrontState(mask_now=mask_now)
     if mask_now.known.all():
         return work, front
 
@@ -179,7 +177,4 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
             )
         )
 
-    front.mask_now = mask_now
-    front.active = active
-    front.layer_index = layer
     return work, front

@@ -28,7 +28,7 @@ class NotPositiveDefinite(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal norm fell below tolerance."""
+    """The symmetric eigensolver failed: LAPACK did not converge or an entry is non-finite."""
 
 
 class FileFormatError(ValueError):

@@ -17,8 +17,9 @@ the manifold descriptor:
       <A, B>_X = trace(X^-1 A X^-1 B)
 
   For n = 2 the square roots, congruences and matrix log/exp are closed
-  forms with no eigensolver; for n >= 3 the matrix functions go through the
-  Jacobi eigensolver, as does point validation for every n.
+  forms with no eigensolver; for n >= 3 the matrix functions go through
+  LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``), as does point
+  validation for every n.
 
 Kernels additionally expose "ortho" coordinates: an isometric identification
 of the tangent space at x with R^d in which the metric is the standard dot
@@ -333,7 +334,7 @@ class _SpdKernel(_Kernel):
         return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
     def _eig(self, mats):
-        return sym_eig_batch(self._sym(mats), check_symmetry=False)
+        return sym_eig_batch(self._sym(mats))
 
     def _apply(self, mats, fn, require_pd, what):
         """fn(W) for symmetric W, fn being np.log or np.exp."""

@@ -82,7 +82,7 @@ def _render_spd_svg(img: MvImage, mask, path):
     n = img.descriptor.dim
     mats = img.flat.reshape(-1, n, n)
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    evals, evecs = sym_eig_batch(mats, check_symmetry=False)
+    evals, evecs = sym_eig_batch(mats)
     if evals[:, 0].min() <= 0.0:
         raise DimensionMismatch("spd image has a non positive definite pixel")
     ga = geodesic_anisotropy(evals)

@@ -292,6 +292,27 @@ class TestExitCodes:
         assert "numerical error" in err
         assert json_summary(err)["exit_code"] == 3
 
+    def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
+        run_cli("generate", "--manifold", "spd2", "--rows", 6, "--cols", 6,
+                "-o", img_p)
+        run_cli("mask", "--rows", 6, "--cols", 6, "--rect", "2,2,2,2",
+                "-o", mask_p)
+        capsys.readouterr()
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        # reading validates every spd pixel through the eigensolver
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        out = tmp_path / "o.mvi"
+        rc = run_cli("inpaint", "-i", img_p, "-m", mask_p, "-o", out)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert json_summary(err)["exit_code"] == 3
+        assert not out.exists()
+
 
 class TestDeterminism:
     def _inpaint(self, tmp_path, img_p, mask_p, out_name, *extra):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mvinpaint.eigen as eigen
 from mvinpaint import sym_eig, sym_eig_batch
 from mvinpaint.errors import DimensionMismatch, EigenConvergenceError
 
@@ -77,13 +76,6 @@ def test_rejects_asymmetric():
         sym_eig(a)
 
 
-def test_asymmetry_check_can_be_disabled():
-    a = np.eye(3)
-    a[0, 2] = 1e-12  # below the gate either way, just exercises the flag
-    lam, _ = sym_eig_batch(a, check_symmetry=False)
-    assert np.allclose(lam, 1.0)
-
-
 def test_rejects_oversized():
     with pytest.raises(DimensionMismatch):
         sym_eig(np.eye(17))
@@ -95,9 +87,20 @@ def test_rejects_non_square():
 
 
 def test_convergence_error(monkeypatch):
-    monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigenConvergenceError):
         sym_eig(np.array([[1.0, 0.5], [0.5, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_is_an_error(bad):
+    a = np.eye(3)
+    a[1, 2] = a[2, 1] = bad
+    with pytest.raises(EigenConvergenceError):
+        sym_eig_batch(np.stack([np.eye(3), a]))
 
 
 def test_deterministic():
