@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -87,19 +86,6 @@ def _parse_sigma(text):
     return value
 
 
-def _default_threads():
-    env = os.environ.get("MVG_THREADS")
-    if not env:
-        return None
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise _UsageError(f"MVG_THREADS must be a positive integer, got {env!r}")
-    return n
-
-
 def build_parser():
     top = _Parser(prog="mvinpaint",
                   description="Nonlocal inpainting of manifold-valued images.")
@@ -137,7 +123,7 @@ def build_parser():
                    help="keep earlier layers active in later solves")
     p.add_argument("--threads", type=int, default=None,
                    help="worker cap for graph building, capped at the CPU count "
-                        "(default: MVG_THREADS or the CPU count)")
+                        "(default: the CPU count)")
 
     r = sub.add_parser("render", help="render an image to .ppm or .svg")
     r.add_argument("-i", "--input", required=True, help="input .mvi image")
@@ -190,7 +176,7 @@ def _cmd_inpaint(args, summary):
         k=args.k, p=args.p, r=args.r, sigma=args.sigma, tau=args.tau,
         eps=args.eps, max_iter=args.max_iter,
         cumulative_active=args.cumulative_active,
-        threads=args.threads if args.threads is not None else _default_threads(),
+        threads=args.threads,
     )
     try:
         cfg.validate()

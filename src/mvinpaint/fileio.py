@@ -28,12 +28,6 @@ from .manifolds import ManifoldDescriptor
 MAGIC = "MVI1"
 
 
-def _descriptor_tokens(desc: ManifoldDescriptor) -> str:
-    if desc.kind in ("euclidean", "spd"):
-        return f"{desc.kind} {desc.dim}"
-    return desc.kind
-
-
 def _descriptor_from_tokens(tokens) -> ManifoldDescriptor:
     if not tokens:
         raise FileFormatError("manifold line is empty")
@@ -58,7 +52,7 @@ def write_mvi(img: MvImage, path):
     count = img.vertex_count * img.descriptor.point_len
     header = (
         f"{MAGIC}\n"
-        f"manifold {_descriptor_tokens(img.descriptor)}\n"
+        f"manifold {img.descriptor.label()}\n"
         f"rows {img.rows}\n"
         f"cols {img.cols}\n"
         "byteorder LE\n"
@@ -185,15 +179,12 @@ def read_mask(path) -> Mask:
         raise FileFormatError(
             f"PBM bit count mismatch: expected {rows * cols}, got {len(bits)}"
         )
-    arr = np.empty(rows * cols, dtype=np.uint8)
-    for n, b in enumerate(bits):
-        if b == "0":
-            arr[n] = 0
-        elif b == "1":
-            arr[n] = 1
-        else:
-            raise FileFormatError(f"bad PBM bit {b!r} at position {n}")
-    known = (arr == 0).reshape(rows, cols)
+    arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
+    stray = (arr != ord("0")) & (arr != ord("1"))
+    if stray.any():
+        n = int(np.argmax(stray))
+        raise FileFormatError(f"bad PBM bit {bits[n]!r} at position {n}")
+    known = (arr == ord("0")).reshape(rows, cols)
     if not known.any():
         raise FileFormatError("mask marks every pixel unknown")
     return Mask(known)

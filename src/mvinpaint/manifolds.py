@@ -21,11 +21,16 @@ the manifold descriptor:
   LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``), as does point
   validation for every n.
 
-Kernels additionally expose "ortho" coordinates: an isometric identification
-of the tangent space at x with R^d in which the metric is the standard dot
-product (the identity map for the first three families, the whitening
-V -> X^(-1/2) V X^(-1/2) for spd).  The batched solver works in these
-coordinates so that norms and inner products are plain einsums.
+Kernels work in "ortho" coordinates: an isometric identification of the
+tangent space at x with R^d in which the metric is the standard dot product
+(the identity map for the first three families, the whitening
+V -> X^(-1/2) V X^(-1/2) for spd; Pennec, Fillard and Ayache, IJCV 66,
+2006).  Each kernel defines only its primitives: ``log_ortho``,
+``exp_ortho``, ``dist2`` and point validation, plus the two coordinate maps
+for spd.  ``exp``, ``log``, ``inner`` and ``dist`` are derived from these
+once, in the shared base class; circle and sphere2 keep their own ``dist``,
+the exact angle.  The batched solver calls the ortho maps directly, so norms
+and inner products are plain einsums.
 
 Numerical conventions: tangent norms below 1e-15 short-circuit to exact
 zeros, the log of a point at itself is exactly zero, and log maps raise
@@ -35,12 +40,12 @@ closed forms everywhere and never raise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .eigen import sym_eig, sym_eig_batch
+from .eigen import sym_eig_batch
 from .errors import (
     CutLocusError,
     DimensionMismatch,
@@ -56,7 +61,6 @@ __all__ = [
     "distance",
     "tangent_inner",
     "tangent_norm",
-    "sym_eig",
     "random_point",
     "random_tangent",
 ]
@@ -144,7 +148,15 @@ def wrap_angle(a):
 
 
 class _Kernel:
-    """Point validation shared by every kernel: finite entries, then _check_values."""
+    """The maps every kernel derives from its primitives.
+
+    A concrete kernel defines ``log_ortho``, ``exp_ortho`` and ``dist2``
+    (and ``_check_values`` when its points have constraints beyond finite
+    entries); a kernel whose ortho coordinates are not its tangent vectors
+    also overrides ``tangent_from_ortho`` and ``ortho_from_tangent``.  In
+    ortho coordinates the metric is the dot product, so ``exp``, ``log``,
+    ``inner`` and ``dist`` follow here once for every kernel.
+    """
 
     def validate_points(self, pts):
         """(index, reason) of the first invalid point of pts (N, L), or None."""
@@ -156,47 +168,40 @@ class _Kernel:
     def _check_values(self, pts):
         return None
 
-
-class _FlatOrthoKernel(_Kernel):
-    """Kernels whose tangent metric is already the dot product.
-
-    Ortho coordinates are the tangent vectors themselves, so the ortho maps
-    are exp and log.
-    """
-
-    def inner(self, x, a, b):
-        return np.einsum("...l,...l->...", a, b)
-
-    def log_ortho(self, x, y):
-        return self.log(x, y)
-
-    def exp_ortho(self, x, w):
-        return self.exp(x, w)
-
     def tangent_from_ortho(self, x, w):
         return w
 
     def ortho_from_tangent(self, x, v):
         return v
 
-
-class _EuclideanKernel(_FlatOrthoKernel):
-    def __init__(self, m):
-        self.point_len = m
-        self.tangent_len = m
-
     def exp(self, x, v):
-        return x + v
+        return self.exp_ortho(x, self.ortho_from_tangent(x, v))
 
     def log(self, x, y):
+        return self.tangent_from_ortho(x, self.log_ortho(x, y))
+
+    def inner(self, x, a, b):
+        wa = self.ortho_from_tangent(x, a)
+        wb = self.ortho_from_tangent(x, b)
+        return np.einsum("...l,...l->...", wa, wb)
+
+    def dist(self, x, y):
+        return np.sqrt(self.dist2(x, y))
+
+
+class _EuclideanKernel(_Kernel):
+    def __init__(self, m):
+        self.point_len = m
+
+    def exp_ortho(self, x, v):
+        return x + v
+
+    def log_ortho(self, x, y):
         return y - x
 
     def dist2(self, x, y):
         d = y - x
         return np.einsum("...l,...l->...", d, d)
-
-    def dist(self, x, y):
-        return np.sqrt(self.dist2(x, y))
 
     def random_point(self, rng, size=()):
         return rng.normal(size=tuple(size) + (self.point_len,))
@@ -209,14 +214,11 @@ class _EuclideanKernel(_FlatOrthoKernel):
         return v / nrm * scale
 
 
-class _CircleKernel(_FlatOrthoKernel):
-    point_len = 1
-    tangent_len = 1
-
-    def exp(self, x, v):
+class _CircleKernel(_Kernel):
+    def exp_ortho(self, x, v):
         return wrap_angle(x + v)
 
-    def log(self, x, y):
+    def log_ortho(self, x, y):
         d = wrap_angle(y - x)
         gap = np.pi - np.abs(d)
         bad = gap < CUT_LOCUS_TOL
@@ -250,11 +252,8 @@ class _CircleKernel(_FlatOrthoKernel):
         return rng.uniform(-max_norm, max_norm, size=x.shape)
 
 
-class _Sphere2Kernel(_FlatOrthoKernel):
-    point_len = 3
-    tangent_len = 3
-
-    def exp(self, x, v):
+class _Sphere2Kernel(_Kernel):
+    def exp_ortho(self, x, v):
         nrm = np.sqrt(np.einsum("...l,...l->...", v, v))
         small = nrm < ZERO_TANGENT_TOL
         safe = np.where(small, 1.0, nrm)
@@ -274,7 +273,7 @@ class _Sphere2Kernel(_FlatOrthoKernel):
             np.sqrt(np.einsum("...l,...l->...", v, v)),
         )
 
-    def log(self, x, y):
+    def log_ortho(self, x, y):
         c = np.einsum("...l,...l->...", x, y)
         theta = self._angle(x, y)
         bad = (np.pi - theta) < CUT_LOCUS_TOL
@@ -319,8 +318,6 @@ class _Sphere2Kernel(_FlatOrthoKernel):
 class _SpdKernel(_Kernel):
     def __init__(self, n):
         self.n = n
-        self.point_len = n * n
-        self.tangent_len = n * n
 
     def _mat(self, buf):
         buf = np.asarray(buf)
@@ -365,24 +362,10 @@ class _SpdKernel(_Kernel):
         same = (np.asarray(x) == np.asarray(y)).all(axis=-1)
         return np.where(same[..., None], 0.0, v)
 
-    def exp(self, x, v):
-        Xh, Xmh = self._halves(self._mat(x))
-        W = self._congruence(Xmh, self._mat(v))
-        E = self._apply(W, np.exp, require_pd=False, what="exp")
-        return self._buf(self._congruence(Xh, E))
-
-    def log(self, x, y):
-        Xh, Xmh = self._halves(self._mat(x))
-        V = self._congruence(Xh, self._log_whitened(Xmh, self._mat(y)))
-        return self._zero_at_base(x, y, self._buf(V))
-
-    def _log_whitened(self, Xmh, Y):
-        W = self._congruence(Xmh, Y)
-        return self._apply(W, np.log, require_pd=True, what="log target")
-
     def log_ortho(self, x, y):
         _, Xmh = self._halves(self._mat(x))
-        S = self._log_whitened(Xmh, self._mat(y))
+        W = self._congruence(Xmh, self._mat(y))
+        S = self._apply(W, np.log, require_pd=True, what="log target")
         return self._zero_at_base(x, y, self._buf(S))
 
     def exp_ortho(self, x, w):
@@ -405,14 +388,6 @@ class _SpdKernel(_Kernel):
             raise NotPositiveDefinite("distance target is not positive definite")
         ln = np.log(lam)
         return np.einsum("...i,...i->...", ln, ln)
-
-    def dist(self, x, y):
-        return np.sqrt(self.dist2(x, y))
-
-    def inner(self, x, a, b):
-        wa = self._mat(self.ortho_from_tangent(x, a))
-        wb = self._mat(self.ortho_from_tangent(x, b))
-        return np.einsum("...ij,...ij->...", wa, wb)
 
     def _check_values(self, pts):
         M = self._mat(pts)
@@ -536,24 +511,17 @@ class _Spd2Kernel(_SpdKernel):
         return l1 * l1 + l2 * l2
 
 
-_KERNEL_CACHE: dict = {}
-
-
+@functools.cache
 def _kernel_for(desc: ManifoldDescriptor):
-    k = _KERNEL_CACHE.get(desc)
-    if k is None:
-        if desc.kind == "euclidean":
-            k = _EuclideanKernel(desc.dim)
-        elif desc.kind == "circle":
-            k = _CircleKernel()
-        elif desc.kind == "sphere2":
-            k = _Sphere2Kernel()
-        elif desc.dim == 2:
-            k = _Spd2Kernel(2)
-        else:
-            k = _SpdKernel(desc.dim)
-        _KERNEL_CACHE[desc] = k
-    return k
+    if desc.kind == "euclidean":
+        return _EuclideanKernel(desc.dim)
+    if desc.kind == "circle":
+        return _CircleKernel()
+    if desc.kind == "sphere2":
+        return _Sphere2Kernel()
+    if desc.dim == 2:
+        return _Spd2Kernel(2)
+    return _SpdKernel(desc.dim)
 
 
 def _as_point(desc: ManifoldDescriptor, x, name="point"):

@@ -103,8 +103,12 @@ def _render_spd_svg(img: MvImage, mask, path):
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
     ]
     known = mask.known.reshape(-1) if mask is not None else None
-    # principal axis: eigenvector of the largest eigenvalue (last column)
-    ang = np.degrees(np.arctan2(evecs[:, 1, -1], evecs[:, 0, -1]))
+    # principal axis: eigenvector of the largest eigenvalue (last column),
+    # signed so that x > 0, or y > 0 where x is +-0, which keeps the angle in
+    # [-90, 90] whatever sign the eigensolver returns
+    vx, vy = evecs[:, 0, -1], evecs[:, 1, -1]
+    sign = np.where((vx < 0.0) | ((vx == 0.0) & (vy < 0.0)), -1.0, 1.0)
+    ang = np.degrees(np.arctan2(sign * vy, sign * vx))
     for u in range(img.vertex_count):
         i, j = divmod(u, img.cols)
         cx = (j + 0.5) * CELL

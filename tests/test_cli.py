@@ -226,22 +226,6 @@ class TestExitCodes:
         layers = json_summary(capsys.readouterr().err)["layers"]
         assert layers and not any(rec["converged"] for rec in layers)
 
-    @pytest.mark.parametrize("value", ["not-a-number", "0", "-2", "1.5"])
-    def test_invalid_env_thread_count_exits_1(self, tmp_path, capsys,
-                                              monkeypatch, value):
-        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
-        run_cli("generate", "--manifold", "s2", "--rows", 6, "--cols", 6,
-                "-o", img_p)
-        run_cli("mask", "--rows", 6, "--cols", 6, "--rect", "2,2,2,2",
-                "-o", mask_p)
-        capsys.readouterr()
-        monkeypatch.setenv("MVG_THREADS", value)
-        out = tmp_path / "o.mvi"
-        rc = run_cli("inpaint", "-i", img_p, "-m", mask_p, "-o", out)
-        assert rc == 1
-        assert "usage error: MVG_THREADS" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_render_needs_known_extension(self, tmp_path, capsys):
         img_p = tmp_path / "i.mvi"
         run_cli("generate", "--manifold", "s2", "--rows", 4, "--cols", 4,
@@ -334,17 +318,6 @@ class TestDeterminism:
         pooled = self._inpaint(tmp_path, img_p, mask_p, "c.mvi", "--threads", 4)
         assert first == again
         assert first == pooled
-
-    def test_env_thread_count(self, tmp_path, capsys, monkeypatch):
-        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
-        run_cli("generate", "--manifold", "s2", "--rows", 10, "--cols", 10,
-                "-o", img_p)
-        run_cli("mask", "--rows", 10, "--cols", 10, "--rect", "4,4,3,3",
-                "-o", mask_p)
-        reference = self._inpaint(tmp_path, img_p, mask_p, "a.mvi",
-                                  "--threads", 1)
-        monkeypatch.setenv("MVG_THREADS", "2")
-        assert self._inpaint(tmp_path, img_p, mask_p, "b.mvi") == reference
 
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -161,5 +161,5 @@ class TestPbm:
     def test_rejects_stray_characters(self, tmp_path):
         path = tmp_path / "m.pbm"
         path.write_text("P1\n2 1\n0 2\n")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match="bad PBM bit '2' at position 1"):
             mv.read_mask(path)

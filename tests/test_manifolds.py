@@ -506,3 +506,24 @@ def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
     x, y = mv.random_point(P3, rng, size=(2, 6))
     P3.kernel.log(x, y)
     assert sizes[0] == 2 and sizes[1:] and set(sizes[1:]) == {3}
+
+
+@pytest.mark.parametrize("desc", [S2, P2], ids=lambda d: d.label())
+def test_solver_kernel_calls_go_through_the_class(desc, monkeypatch):
+    # the benchmark tracer counts kernel work by wrapping these methods on
+    # the kernel class; a call that bypasses them would zero those metrics
+    calls = dict.fromkeys(("dist2", "dist", "log_ortho", "exp_ortho"), 0)
+    cls = type(desc.kernel)
+    for name in calls:
+        def counting(kernel, *args, _name=name, _real=getattr(cls, name)):
+            calls[_name] += 1
+            return _real(kernel, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    if desc == S2:
+        img = mv.generate_sphere_image(8, 8)
+    else:
+        img = mv.generate_spd_image(8, 8)
+    mask = mv.cut_mask(8, 8, (3, 3, 2, 2))
+    mv.inpaint(img, mask, mv.SolverConfig(k=3, p=1, r=2, max_iter=5))
+    assert all(calls.values()), calls

@@ -1,11 +1,12 @@
 """Tests for PPM sphere rendering and SVG ellipse rendering."""
 
+import importlib
 import re
 
 import numpy as np
 import pytest
 
-from mvinpaint import ManifoldDescriptor, Mask, MvImage, render
+from mvinpaint import ManifoldDescriptor, Mask, MvImage, generate_spd_image, render
 from mvinpaint.errors import DimensionMismatch, FileFormatError
 from mvinpaint.render import geodesic_anisotropy
 
@@ -132,6 +133,22 @@ class TestSpdSvg:
         before = img.data.tobytes()
         render(img, None, tmp_path / "img.svg", "svg")
         assert img.data.tobytes() == before
+
+    def test_angles_do_not_depend_on_eigenvector_signs(self, tmp_path, monkeypatch):
+        # the package's `render` function shadows the module attribute
+        render_mod = importlib.import_module("mvinpaint.render")
+        img = generate_spd_image(16, 16)
+        render(img, None, tmp_path / "plain.svg", "svg")
+        real = render_mod.sym_eig_batch
+
+        def negated(mats):
+            lam, q = real(mats)
+            return lam, -q
+
+        monkeypatch.setattr(render_mod, "sym_eig_batch", negated)
+        render(img, None, tmp_path / "negated.svg", "svg")
+        plain = (tmp_path / "plain.svg").read_bytes()
+        assert (tmp_path / "negated.svg").read_bytes() == plain
 
 
 class TestGeodesicAnisotropy:
