@@ -31,6 +31,9 @@ from .image import Mask, MvImage
 from .manifolds import Tangent
 
 ZERO_OP_TOL = 1e-15
+# solve_dirichlet's cycle ring: at most RING steps, and at most RING_BYTES
+RING = 64
+RING_BYTES = 4 << 20
 
 
 def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> float:
@@ -174,6 +177,16 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
     return out
 
 
+def _decoupled(graph: NonlocalGraph, active: np.ndarray) -> bool:
+    """Every active vertex has a row, and no row holds an active id.
+
+    Each active vertex then steps as a function of its own value alone,
+    since its neighbors are never updated.
+    """
+    rows = graph.rows(active)
+    return bool((rows >= 0).all()) and not np.isin(graph.ids[rows], active).any()
+
+
 def solve_dirichlet(
     graph: NonlocalGraph,
     f0: MvImage,
@@ -187,6 +200,18 @@ def solve_dirichlet(
     change at step k is the mean geodesic displacement of the active
     vertices divided by the same mean at step 1 (1 if that mean is 0); the
     loop stops when it drops below cfg.eps or after cfg.max_iter steps.
+
+    On a decoupled layer (no active vertex is a neighbor of an active
+    vertex, the default front layer) each vertex's next value is a function
+    of its own value, so once its value repeats bitwise it is in an exact
+    cycle.  Brent's cycle detection (BIT 20, 1980) on the value bits finds
+    such cycles of period up to the ring length; a vertex caught in one is
+    frozen: it is no longer stepped, and its stored cycle supplies its
+    displacement at every later step and its value at the last one.  The
+    iterations, the trace and the image are bitwise those of stepping every
+    vertex to the end.  Layers that couple active vertices, as
+    cfg.cumulative_active makes every layer after the first, are never
+    frozen.
 
     Returns:
         (image, iterations, trace) with trace the per-step relative changes.
@@ -203,18 +228,68 @@ def solve_dirichlet(
 
     kernel = f0.descriptor.kernel
     f = f0.copy()
+    A, L = active.size, f.flat.shape[1]
+    # ring slots of the states and displacements of the last steps; a
+    # vertex whose period exceeds them keeps stepping
+    slots = min(RING, RING_BYTES // (8 * A * (L + 1)))
+    freeze = slots >= 2 and _decoupled(graph, active)
+    live = np.arange(A)                   # positions in active still stepped
+    frozen = np.empty(0, dtype=np.int64)  # positions caught in a cycle
+    if freeze:
+        ring_x = np.empty((slots, A, L))
+        ring_d = np.empty((slots, A))
+        tortoise = f.flat[active].view(np.uint64)
+        power = np.ones(A, dtype=np.int64)
+        lam = np.zeros(A, dtype=np.int64)
+        caught_at = np.zeros(A, dtype=np.int64)
+        period = np.zeros(A, dtype=np.int64)
+
+    def cycle_slot(step):
+        # the step in (caught_at - period, caught_at] of the same phase
+        n = caught_at[frozen]
+        return (n - (n - step) % period[frozen]) % slots
+
+    disp = np.empty(A)
     trace = []
     denom = None
     iterations = 0
-    for _ in range(int(cfg.max_iter)):
-        nxt = euler_step(graph, f, active, cfg.tau)
-        change = float(kernel.dist(f.flat[active], nxt.flat[active]).mean())
+    for step in range(1, int(cfg.max_iter) + 1):
+        if live.size:
+            ids = active[live]
+            nxt = euler_step(graph, f, ids, cfg.tau)
+            x = nxt.flat[ids]
+            disp[live] = kernel.dist(f.flat[ids], x)
+            f = nxt
+        if frozen.size:
+            disp[frozen] = ring_d[cycle_slot(step), frozen]
+        change = float(disp.mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
         rel = change / denom
         trace.append(rel)
-        f = nxt
         iterations += 1
         if rel < cfg.eps:
             break
+        if not (freeze and live.size):
+            continue
+        ring_x[step % slots, live] = x
+        ring_d[step % slots, live] = disp[live]
+        # Brent: lam counts the steps since the tortoise was saved; when it
+        # reaches power, the tortoise moves to the current value and power
+        # doubles, capped at the ring length
+        lam[live] += 1
+        bits = x.view(np.uint64)
+        hit = (bits == tortoise[live]).all(axis=1)
+        if hit.any():
+            caught_at[live[hit]] = step
+            period[live[hit]] = lam[live[hit]]
+            frozen = np.concatenate([frozen, live[hit]])
+            live, bits = live[~hit], bits[~hit]
+        reset = lam[live] == power[live]
+        moved = live[reset]
+        tortoise[moved] = bits[reset]
+        power[moved] = np.minimum(2 * power[moved], slots)
+        lam[moved] = 0
+    if frozen.size:
+        f.flat[active[frozen]] = ring_x[cycle_slot(iterations), frozen]
     return f, iterations, trace

@@ -265,6 +265,41 @@ class TestInpaint:
         assert exc.value.layer == 1
 
 
+def generic_spd2():
+    """10x10 spd(2) image of random values near the identity."""
+    rng = np.random.default_rng(1)
+    t = 0.4 * rng.normal(size=(10, 10, 3))
+    logs = np.stack([t[..., 0], t[..., 1], t[..., 1], t[..., 2]], -1)
+    lam, q = np.linalg.eigh(logs.reshape(10, 10, 2, 2))
+    data = np.einsum("...ij,...j,...kj->...ik", q, np.exp(lam), q)
+    return data.reshape(10, 10, 4)
+
+
+def generic_sphere2():
+    """10x10 sphere2 image of random values near the north pole."""
+    rng = np.random.default_rng(1)
+    v = np.array([0.0, 0.0, 1.0]) + 0.3 * rng.normal(size=(10, 10, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def assert_inpaint_commutes(desc, data, act, move_mask=lambda known: known):
+    """inpaint of (act(data), move_mask(mask)) is act of the inpainted data.
+
+    Every layer of both runs must converge; the outputs must then agree to
+    1e-9 rad.
+    """
+    mask = hole_mask(10, 10, 3, 3, 4, 4)
+    cfg = mv.SolverConfig(k=5, p=1, r=3, eps=1e-9, max_iter=3000)
+    out, front = mv.inpaint(mv.MvImage(desc, data), mask, cfg)
+    moved, front_moved = mv.inpaint(
+        mv.MvImage(desc, act(data)), mv.Mask(move_mask(mask.known)), cfg
+    )
+    assert [rec.converged for rec in front.log] == [True, True]
+    assert [rec.converged for rec in front_moved.log] == [True, True]
+    d = desc.kernel.dist(moved.flat, act(out.data).reshape(moved.flat.shape))
+    assert d.max() < 1e-9
+
+
 class TestIsometryEquivariance:
     """inpaint commutes with an isometry applied to the whole image.
 
@@ -272,40 +307,39 @@ class TestIsometryEquivariance:
     or equivariant under the isometry, so the two runs differ by rounding
     only.  The images are generic (random values near one point, so that
     every layer converges), which keeps exact patch-distance ties, whose
-    winner may legitimately flip, out of the graphs.  Every layer of both
-    runs must converge; the outputs must then agree to 1e-9 rad.
+    winner may legitimately flip, out of the graphs.
     """
 
-    TOL = 1e-9
-
-    def check(self, desc, data, act):
-        mask = hole_mask(10, 10, 3, 3, 4, 4)
-        cfg = mv.SolverConfig(k=5, p=1, r=3, eps=1e-9, max_iter=3000)
-        out, front = mv.inpaint(mv.MvImage(desc, data), mask, cfg)
-        moved, front_moved = mv.inpaint(mv.MvImage(desc, act(data)), mask, cfg)
-        assert [rec.converged for rec in front.log] == [True, True]
-        assert [rec.converged for rec in front_moved.log] == [True, True]
-        d = desc.kernel.dist(moved.flat, act(out.flat))
-        assert d.max() < self.TOL
-
     def test_spd_congruence(self):
-        desc = mv.ManifoldDescriptor.spd(2)
-        rng = np.random.default_rng(1)
-        t = 0.4 * rng.normal(size=(10, 10, 3))
-        logs = np.stack([t[..., 0], t[..., 1], t[..., 1], t[..., 2]], -1)
-        lam, q = np.linalg.eigh(logs.reshape(10, 10, 2, 2))
-        data = np.einsum("...ij,...j,...kj->...ik", q, np.exp(lam), q)
         G = np.array([[1.3, 0.4], [-0.2, 0.9]])
 
         def act(d):
             m = G @ d.reshape(d.shape[:-1] + (2, 2)) @ G.T
             return (0.5 * (m + np.swapaxes(m, -1, -2))).reshape(d.shape)
 
-        self.check(desc, data.reshape(10, 10, 4), act)
+        assert_inpaint_commutes(mv.ManifoldDescriptor.spd(2), generic_spd2(), act)
 
     def test_sphere_rotation(self):
-        rng = np.random.default_rng(1)
-        v = np.array([0.0, 0.0, 1.0]) + 0.3 * rng.normal(size=(10, 10, 3))
-        data = v / np.linalg.norm(v, axis=-1, keepdims=True)
         R, _ = np.linalg.qr(np.random.default_rng(99).normal(size=(3, 3)))
-        self.check(S2, data, lambda d: d @ R.T)
+        assert_inpaint_commutes(S2, generic_sphere2(), lambda d: d @ R.T)
+
+
+class TestPeriodicRoll:
+    """inpaint commutes with a periodic roll of image and mask.
+
+    Front layers, search windows and patches all wrap around the grid, so
+    only vertex ids, and with them the order of sums, change.  The generic
+    images of TestIsometryEquivariance keep ties out, as there.
+    """
+
+    @pytest.mark.parametrize("shift", [(3, -4), (-5, 7)])
+    @pytest.mark.parametrize(
+        "desc, data",
+        [(S2, generic_sphere2()), (mv.ManifoldDescriptor.spd(2), generic_spd2())],
+        ids=["sphere2", "spd2"],
+    )
+    def test_rolled_input_gives_rolled_output(self, desc, data, shift):
+        def roll(a):
+            return np.roll(a, shift, axis=(0, 1))
+
+        assert_inpaint_commutes(desc, data, roll, roll)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mvinpaint as mv
+from mvinpaint import operators
 from mvinpaint.errors import CutLocusError, SolverError
 
 from conftest import (
@@ -331,3 +334,206 @@ class TestSolveDirichlet:
         out, _, _ = mv.solve_dirichlet(g, img, mv.Mask(known), [1], cfg)
         mid = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         assert mv.distance(S2, out.flat[1], mid) < 1e-6
+
+
+def star_layer(desc, seed):
+    """A decoupled layer: centers 0..5, each with 4-6 neighbors of its own.
+
+    The values are generic (random points near one point), so no operator
+    objective ties; the neighbors are the known vertices.
+    """
+    rng = np.random.default_rng(seed)
+    centers = 6
+    degrees = rng.integers(4, 7, size=centers)
+    n = centers + int(degrees.sum())
+    if desc.kind == "sphere2":
+        v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(n, 3))
+        pts = v / np.linalg.norm(v, axis=1, keepdims=True)
+    else:
+        t = 0.4 * rng.normal(size=(n, 3))
+        logs = np.stack([t[:, 0], t[:, 1], t[:, 1], t[:, 2]], -1).reshape(n, 2, 2)
+        lam, q = np.linalg.eigh(logs)
+        pts = np.einsum("...ij,...j,...kj->...ik", q, np.exp(lam), q)
+    edges, first = {}, centers
+    for c, d in enumerate(degrees):
+        edges[c] = (list(range(first, first + d)), list(rng.uniform(0.2, 1.0, size=d)))
+        first += d
+    img = mv.MvImage(desc, pts.reshape(1, n, desc.point_len))
+    mask = mv.Mask(np.arange(n)[None, :] >= centers)
+    return make_graph(n, edges), img, mask, np.arange(centers)
+
+
+def stalled_layer(desc, seed):
+    """star_layer after 350 Euler steps at tau=0.1, near the cycles it stalls in."""
+    graph, img, mask, active = star_layer(desc, seed)
+    for _ in range(350):
+        img = mv.euler_step(graph, img, active, 0.1)
+    return graph, img, mask, active
+
+
+def sphere_path(n, seed):
+    """Path graph 0-...-(n-1) with sphere2 values and known ends.
+
+    Vertices 1 and 2 start at vertex 0's value, so vertex 1 repeats its
+    value at step 1 and moves only after vertex 2 has; the other values are
+    generic.
+    """
+    rng = np.random.default_rng(seed)
+    v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(n, 3))
+    v[1:3] = v[0]
+    img = line_image(S2, v / np.linalg.norm(v, axis=1, keepdims=True))
+    known = np.zeros((1, n), dtype=bool)
+    known[0, [0, n - 1]] = True
+    return path_graph(n), img, mv.Mask(known), np.arange(1, n - 1)
+
+
+def unfrozen_solve(graph, f0, active, cfg):
+    """solve_dirichlet's loop stepping every active vertex at every step.
+
+    Returns (images, trace): the image after each step and the relative
+    changes.
+    """
+    kernel = f0.descriptor.kernel
+    f, images, trace, denom = f0, [], [], None
+    for _ in range(cfg.max_iter):
+        nxt = mv.euler_step(graph, f, active, cfg.tau)
+        change = float(kernel.dist(f.flat[active], nxt.flat[active]).mean())
+        if denom is None:
+            denom = change if change > 0.0 else 1.0
+        trace.append(change / denom)
+        f = nxt
+        images.append(f)
+        if trace[-1] < cfg.eps:
+            break
+    return images, trace
+
+
+def final_period(images, u):
+    """Smallest p with vertex u's last value bitwise equal to the one p steps earlier."""
+    last = images[-1].flat[u].tobytes()
+    return next(p for p in range(1, len(images)) if images[-1 - p].flat[u].tobytes() == last)
+
+
+def record_steps(monkeypatch):
+    """Wrap operators.euler_step, as the benchmark tracer does; returns the active lists."""
+    calls = []
+    step = operators.euler_step
+
+    def euler_step(graph, img, active, tau):
+        calls.append(np.asarray(active).tolist())
+        return step(graph, img, active, tau)
+
+    monkeypatch.setattr(operators, "euler_step", euler_step)
+    return calls
+
+
+def assert_solves_alike(graph, img, mask, active, cfg):
+    """solve_dirichlet gives the unfrozen loop's image bitwise, iterations and trace exactly."""
+    images, trace = unfrozen_solve(graph, img, active, cfg)
+    out, iters, got = mv.solve_dirichlet(graph, img, mask, active, cfg)
+    assert iters == len(trace)
+    assert got == trace
+    assert out.data.tobytes() == images[-1].data.tobytes()
+    return images, trace
+
+
+class TestCycleFreeze:
+    """Frozen cycling vertices leave the solve bitwise unchanged.
+
+    The reference is the loop that steps every active vertex at every step.
+    The wrapped euler_step shows which vertices were frozen.
+    """
+
+    @pytest.mark.parametrize("desc, seed", [(S2, 1), (SPD2, 0)], ids=["sphere2", "spd2"])
+    def test_stalled_layer_stopped_at_every_cycle_phase(self, desc, seed, monkeypatch):
+        graph, img, mask, active = stalled_layer(desc, seed)
+        start = 200
+        cfg = mv.SolverConfig(tau=0.1, max_iter=start + operators.RING)
+        images, trace = unfrozen_solve(graph, img, active, cfg)
+        assert len(trace) == cfg.max_iter
+        periods = {int(u): final_period(images, u) for u in active}
+        longest = max(periods, key=periods.get)
+        assert 2 <= periods[longest] <= operators.RING
+        calls = record_steps(monkeypatch)
+        for max_iter in range(start, start + periods[longest]):
+            calls.clear()
+            cfg = mv.SolverConfig(tau=0.1, max_iter=max_iter)
+            out, iters, got = mv.solve_dirichlet(graph, img, mask, active, cfg)
+            assert iters == max_iter
+            assert got == trace[:max_iter]
+            assert out.data.tobytes() == images[max_iter - 1].data.tobytes()
+            # every vertex in a cycle of period >= 2 was replayed at some steps
+            for u in (u for u, p in periods.items() if p >= 2):
+                assert sum(u in c for c in calls) < max_iter
+
+    def test_layer_converging_by_eps(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(15, 3))
+        pts = v / np.linalg.norm(v, axis=1, keepdims=True)
+        # vertex 4 and its neighbors share one value: a fixed point from step 1
+        pts[[13, 14]] = pts[4]
+        edges = {c: ([5 + 2 * c, 6 + 2 * c], list(rng.uniform(0.2, 1.0, size=2))) for c in range(4)}
+        edges[4] = ([13, 14], [0.5, 1.0])
+        known = np.arange(15)[None, :] >= 5
+        cfg = mv.SolverConfig(tau=0.1, max_iter=2000)
+        calls = record_steps(monkeypatch)
+        _, trace = assert_solves_alike(
+            make_graph(15, edges), line_image(S2, pts), mv.Mask(known), np.arange(5), cfg
+        )
+        assert len(trace) < cfg.max_iter and trace[-1] < cfg.eps
+        assert calls[0] == [0, 1, 2, 3, 4] and calls[-1] == [0, 1, 2, 3]
+
+    def test_coupled_path_graph(self):
+        graph, img, mask, active = sphere_path(7, seed=4)
+        assert_solves_alike(graph, img, mask, active, mv.SolverConfig(tau=0.1, max_iter=400))
+
+    @pytest.mark.parametrize("slots", [1, 2, 16])
+    def test_fewer_ring_slots_change_nothing(self, slots, monkeypatch):
+        graph, img, mask, active = stalled_layer(S2, 1)
+        # a budget of `slots` ring slots for this layer: 6 vertices of 3 + 1 floats
+        monkeypatch.setattr(operators, "RING_BYTES", slots * 6 * 4 * 8)
+        calls = record_steps(monkeypatch)
+        _, trace = assert_solves_alike(graph, img, mask, active, mv.SolverConfig(max_iter=300))
+        frozen = sum(map(len, calls)) < len(active) * len(trace)
+        assert frozen == (slots >= 2)
+
+    def test_ring_stays_inside_its_byte_budget(self):
+        # 8000 targets sharing 4 known neighbors.  An uncapped 64-slot ring
+        # alone takes 64 * 8000 * 4 * 8 bytes = 16.4 MB.  Measured peaks
+        # (numpy 2.4): 6.0 MB unfrozen, 10.6 MB with the 4 MiB budget, 22.9 MB
+        # with an uncapped ring
+        A, k = 8000, 4
+        rng = np.random.default_rng(6)
+        v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(A + k, 3))
+        img = line_image(S2, v / np.linalg.norm(v, axis=1, keepdims=True))
+        nbrs = list(range(A, A + k))
+        graph = mv.NonlocalGraph.from_adjacency(A + k, {u: (nbrs, [1.0] * k) for u in range(A)})
+        mask = mv.Mask(np.arange(A + k)[None, :] >= A)
+        tracemalloc.start()
+        try:
+            mv.solve_dirichlet(graph, img, mask, np.arange(A), mv.SolverConfig(max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13_000_000
+
+
+class TestStepCalls:
+    """solve_dirichlet steps through the module-level euler_step.
+
+    The benchmark tracer wraps that name and counts Euler steps and
+    vertex-steps from its calls and their active sets.
+    """
+
+    def test_decoupled_layer_steps_live_vertices_only(self, monkeypatch):
+        graph, img, mask, active = stalled_layer(S2, 1)
+        calls = record_steps(monkeypatch)
+        _, iters, _ = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig(max_iter=300))
+        assert calls and all(set(c) <= set(active.tolist()) for c in calls)
+        assert sum(map(len, calls)) < active.size * iters
+
+    def test_coupled_layer_steps_every_vertex_every_iteration(self, monkeypatch):
+        graph, img, mask, active = sphere_path(7, seed=4)
+        calls = record_steps(monkeypatch)
+        _, iters, _ = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig(max_iter=400))
+        assert calls == [active.tolist()] * iters
