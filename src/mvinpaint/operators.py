@@ -15,7 +15,10 @@ id pair, which makes every routine here deterministic.  The explicit Euler
 step then moves each active vertex along exp_{f(u)}(tau * operator).
 
 All batched work happens in the kernels' ortho coordinates, where the
-Riemannian inner product is the plain dot product.
+Riemannian inner product is the plain dot product.  The pair objective is
+evaluated with einsum, exactly symmetric and equal for equal slots; one
+BLAS product only screens out the pairs that its rounding bound shows are
+strictly below the maximum, so the chosen pair does not depend on the BLAS.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from .image import Mask, MvImage
 from .manifolds import Tangent
 
 ZERO_OP_TOL = 1e-15
+# _extremal_batch keeps the pairs within SCREEN_SAFETY times the rounding
+# bound of a row's screened maximum
+SCREEN_SAFETY = 2.0
+_U = np.finfo(np.float64).eps / 2
+_ETA = np.finfo(np.float64).smallest_subnormal
 # solve_dirichlet's cycle ring: at most RING steps, and at most RING_BYTES
 RING = 64
 RING_BYTES = 4 << 20
@@ -62,34 +70,67 @@ def _extremal_batch(kernel, x, nbr_vals, sqw):
         weights.
 
     Returns:
-        (i_slot (A,), j_slot (A,), delta (A, L)): the slots of the extremal
-        pair and delta in ortho coordinates; operator norms below 1e-15 are
-        returned as exact zeros.
+        (i_slot (A,), j_slot (A,), delta (A, L), moving (A,)): the slots of
+        the extremal pair, delta in ortho coordinates, and whether its norm
+        is at least 1e-15; smaller operator norms are returned as exact
+        zeros.
 
-    The first maximum of the row-major (k, k) objective is the pair with the
-    smallest (v1, v2) ids, since slots ascend by id and a padded slot, an
-    exact copy of slot 0, only ever ties with an earlier one.
+    The objective of slots (i, j) is (d_i + d_j) - 2 g_ij, with d_i = s_i.s_i
+    and g_ij = s_i.s_j each an einsum over the L coordinates, so it is
+    exactly symmetric and bitwise-equal slots give bitwise-equal values.
+    The first maximum of the row-major (k, k) objective is the pair with
+    the smallest (v1, v2) ids, since slots ascend by id and a padded slot,
+    an exact copy of slot 0, only ever ties with an earlier one.
+
+    Only the near-maximal pairs are evaluated that way.  One batched BLAS
+    product screens all k*k pairs; a pair is kept when its screened value
+    is within the screen's rounding margin of the row's largest, so every
+    exact maximum is kept and every pair dropped is strictly smaller.
     """
     s = kernel.log_ortho(x[:, None, :], nbr_vals)              # (A, k, L)
     s *= sqw[..., None]
-    # einsum, not BLAS: every entry comes from the same loop, so g is exactly
-    # symmetric and bitwise-equal slots give bitwise-equal objective rows
-    g = np.einsum("ail,ajl->aij", s, s)                        # (A, k, k)
-    diag = np.diagonal(g, axis1=1, axis2=2)
-    obj = diag[:, :, None] + diag[:, None, :]
-    g *= 2.0
-    obj -= g
-    A, k = sqw.shape
-    i_slot, j_slot = np.divmod(obj.reshape(A, -1).argmax(axis=1), k)
+    A, k, L = s.shape
+    d = np.einsum("ail,ail->ai", s, s)                         # (A, k)
+    # screen: ob[a, i k + j] = (s_i . -2 s_j) + d_i + d_j, one BLAS product
+    q = np.empty((A, L, k))
+    np.multiply(s.transpose(0, 2, 1), -2.0, out=q)
+    ob = np.matmul(s, q)
+    ob += d[:, :, None]
+    ob += d[:, None, :]
+    ob = ob.reshape(A, k * k)
+    # ob is the dot product [s_i, d_i, 1] . [-2 s_j, 1, d_j] of L + 2 terms,
+    # summed in the BLAS's order.  Higham (2002), 3.1: in any order, with or
+    # without FMA, a dot product of n terms is off by at most about
+    # n u sum|x_l y_l|, plus half a subnormal per product on underflow.  So
+    # ob is within (2L + 4) u (d_i + d_j) and the objective within
+    # (L + 3) u (d_i + d_j) of the exact |s_i - s_j|^2, and keeping the
+    # pairs within 4 (3L + 7) u max d of the row's top ob keeps every exact
+    # maximum.  The bound needs 8 max d finite; where it is not, the margin
+    # is inf or NaN and the row keeps every pair.
+    dmax8 = 8.0 * d.max(axis=1)
+    margin = dmax8 * (SCREEN_SAFETY * (3 * L + 7) * _U / 2)
+    margin += SCREEN_SAFETY * 4 * (L + 2) * _ETA
+    keep = np.flatnonzero(~(ob < (ob.max(axis=1) - margin)[:, None]))
+    ai, j = np.divmod(keep, k)                                 # ai = a k + i
+    if keep.size == 2 * A:
+        # two pairs per row: every exact maximum is kept, and the maxima of
+        # a row are a pair and its mirror, or all k >= 2 diagonal zeros
+        i_slot, j_slot = ai[::2] % k, j[::2]
+    else:
+        aj = ai - ai % k + j                                   # a k + j
+        sf, df = s.reshape(-1, L), d.reshape(-1)
+        ob.fill(-np.inf)
+        ob.reshape(-1)[keep] = (df[ai] + df[aj]) - 2.0 * np.einsum("nl,nl->n", sf[ai], sf[aj])
+        i_slot, j_slot = np.divmod(ob.argmax(axis=1), k)
     ar = np.arange(A)
     delta = (s[ar, i_slot] + s[ar, j_slot]) / (sqw[ar, i_slot] + sqw[ar, j_slot])[:, None]
     nrm2 = np.einsum("al,al->a", delta, delta)
     delta[nrm2 < ZERO_OP_TOL * ZERO_OP_TOL] = 0.0
-    return i_slot, j_slot, delta
+    return i_slot, j_slot, delta, nrm2 >= ZERO_OP_TOL * ZERO_OP_TOL
 
 
 def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
-    """Base points (A, L), extremal id pairs (A, 2) and deltas (A, L) of active."""
+    """Base points (A, L), extremal id pairs (A, 2), deltas (A, L) and moving (A,)."""
     rows = graph.rows(active)
     if (rows < 0).any():
         u = int(active[np.argmax(rows < 0)])
@@ -97,7 +138,7 @@ def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
     nbr = graph.ids[rows]
     x = img.flat[active]
     try:
-        i_slot, j_slot, delta = _extremal_batch(
+        i_slot, j_slot, delta, moving = _extremal_batch(
             img.descriptor.kernel, x, img.flat[nbr], np.sqrt(graph.weights[rows])
         )
     except CutLocusError as e:
@@ -111,7 +152,7 @@ def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
             ) from e
         raise
     ar = np.arange(active.size)
-    return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta
+    return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta, moving
 
 
 def _vertex_ids(active) -> np.ndarray:
@@ -126,14 +167,14 @@ def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
     yields (v, v); ties go to the lexicographically smallest id pair.
     """
     active = np.array([int(u)], dtype=np.int64)
-    _, pair_ids, _ = _batch_at(graph, img, active)
+    _, pair_ids, _, _ = _batch_at(graph, img, active)
     return int(pair_ids[0, 0]), int(pair_ids[0, 1])
 
 
 def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
     """Graph infinity-Laplacian of the image at vertex u as a Tangent there."""
     active = np.array([int(u)], dtype=np.int64)
-    x, _, delta = _batch_at(graph, img, active)
+    x, _, delta, _ = _batch_at(graph, img, active)
     kernel = img.descriptor.kernel
     vec = kernel.tangent_from_ortho(x, delta)[0]
     return Tangent(base=img.flat[int(u)].copy(), vec=vec)
@@ -144,7 +185,7 @@ def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
     active = _vertex_ids(active)
     if active.size == 0:
         return {}
-    x, _, delta = _batch_at(graph, img, active)
+    x, _, delta, _ = _batch_at(graph, img, active)
     kernel = img.descriptor.kernel
     vecs = kernel.tangent_from_ortho(x, delta)
     return {
@@ -168,8 +209,7 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
         return out
     if active.min() < 0 or active.max() >= img.vertex_count:
         raise SolverError("active ids outside the grid")
-    x, _, delta = _batch_at(graph, img, active)
-    moving = np.einsum("al,al->a", delta, delta) > 0.0
+    x, _, delta, moving = _batch_at(graph, img, active)
     if moving.any():
         kernel = img.descriptor.kernel
         idx = active[moving]
@@ -205,7 +245,9 @@ def solve_dirichlet(
     vertex, the default front layer) each vertex's next value is a function
     of its own value, so once its value repeats bitwise it is in an exact
     cycle.  Brent's cycle detection (BIT 20, 1980) on the value bits finds
-    such cycles of period up to the ring length; a vertex caught in one is
+    such cycles of period up to the ring length, and a comparison with the
+    previous value catches a fixed point (period 1) at the step it is
+    reached rather than at the next power of two; a vertex caught in one is
     frozen: it is no longer stepped, and its stored cycle supplies its
     displacement at every later step and its value at the last one.  The
     iterations, the trace and the image are bitwise those of stepping every
@@ -256,9 +298,10 @@ def solve_dirichlet(
     for step in range(1, int(cfg.max_iter) + 1):
         if live.size:
             ids = active[live]
+            prev = f.flat[ids]
             nxt = euler_step(graph, f, ids, cfg.tau)
             x = nxt.flat[ids]
-            disp[live] = kernel.dist(f.flat[ids], x)
+            disp[live] = kernel.dist(prev, x)
             f = nxt
         if frozen.size:
             disp[frozen] = ring_d[cycle_slot(step), frozen]
@@ -276,13 +319,15 @@ def solve_dirichlet(
         ring_d[step % slots, live] = disp[live]
         # Brent: lam counts the steps since the tortoise was saved; when it
         # reaches power, the tortoise moves to the current value and power
-        # doubles, capped at the ring length
+        # doubles, capped at the ring length.  A value equal to the previous
+        # one is a fixed point, caught the step it is reached
         lam[live] += 1
         bits = x.view(np.uint64)
-        hit = (bits == tortoise[live]).all(axis=1)
+        fixed = (bits == prev.view(np.uint64)).all(axis=1)
+        hit = fixed | (bits == tortoise[live]).all(axis=1)
         if hit.any():
             caught_at[live[hit]] = step
-            period[live[hit]] = lam[live[hit]]
+            period[live[hit]] = np.where(fixed[hit], 1, lam[live[hit]])
             frozen = np.concatenate([frozen, live[hit]])
             live, bits = live[~hit], bits[~hit]
         reset = lam[live] == power[live]

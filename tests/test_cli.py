@@ -4,12 +4,15 @@ import json
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvinpaint import SolverConfig, cli
-from mvinpaint.fileio import read_mask, read_mvi
+import mvinpaint
+from mvinpaint import Mask, SolverConfig, cli
+from mvinpaint.fileio import read_mask, read_mvi, write_mask, write_mvi
 from mvinpaint.synthetic import cut_mask, generate_sphere_image
 
 
@@ -326,6 +329,41 @@ class TestDeterminism:
         assert SolverConfig().resolved_threads() == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert SolverConfig(threads=8).resolved_threads() == 1
+
+
+class TestPeakMemory:
+    # measured (numpy 2.4, Python 3.11, one thread): 55.9 MB, of which about
+    # 27.5 MB is the interpreter with numpy imported
+    BOUND_KB = 64 * 1024
+
+    def test_whole_run_on_a_256x256_dropout_image(self, tmp_path):
+        pytest.importorskip("resource")
+        image, mask, log = tmp_path / "in.mvi", tmp_path / "mask.pbm", tmp_path / "log.json"
+        write_mvi(generate_sphere_image(256, 256), image)
+        known = np.ones(256 * 256, dtype=bool)
+        rng = np.random.default_rng(0)
+        known[rng.choice(known.size, size=known.size // 50, replace=False)] = False
+        write_mask(Mask(known.reshape(256, 256)), mask)
+        # the summary's peak_rss_kb is the run's own ru_maxrss.  Linux keeps a
+        # process's peak across exec, and a forked child starts at its
+        # parent's resident size, so the run is spawned from a small launcher
+        # rather than from this process
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(mvinpaint.__file__).resolve().parents[1]))
+        launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        done = subprocess.run(
+            [sys.executable, "-c", launch,
+             sys.executable, "-c", "import sys; from mvinpaint.cli import main; sys.exit(main())",
+             "inpaint", "-i", str(image), "-m", str(mask), "-o", str(tmp_path / "out.mvi"),
+             "--k", "10", "--p", "6", "--r", "8", "--max-iter", "20", "--threads", "1",
+             "--log", str(log)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(log.read_text())
+        assert [layer["iterations"] for layer in summary["layers"]] == [20]
+        assert 0 < summary["peak_rss_kb"] < self.BOUND_KB
 
 
 @pytest.mark.skipif(shutil.which("mvinpaint") is None,

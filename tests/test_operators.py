@@ -167,6 +167,111 @@ class TestTieBreak:
             assert mv.distance(desc, stepped.flat[u], moved) < 1e-10
 
 
+def full_gram_extremal(s, sqw):
+    """Slots and delta of the first maximum of the full (k, k) einsum objective.
+
+    Every pair's objective comes from one einsum Gram product, searched with
+    one argmax and no screen.
+    """
+    A, k, _ = s.shape
+    g = np.einsum("ail,ajl->aij", s, s)
+    diag = np.diagonal(g, axis1=1, axis2=2)
+    obj = diag[:, :, None] + diag[:, None, :]
+    g *= 2.0
+    obj -= g
+    i, j = np.divmod(obj.reshape(A, -1).argmax(axis=1), k)
+    ar = np.arange(A)
+    delta = (s[ar, i] + s[ar, j]) / (sqw[ar, i] + sqw[ar, j])[:, None]
+    delta[np.einsum("al,al->a", delta, delta) < operators.ZERO_OP_TOL ** 2] = 0.0
+    return i, j, delta
+
+
+def screen_batch(rng, A, k, L, scale):
+    """Euclidean (x, nbr_vals, sqw) rows that are hard for a screened argmax.
+
+    Each row is generic, or holds exact duplicates, mirrors s_j = -s_i and
+    ulp-level near copies s_j = s_i (1 + 2u) of an extremal point, or is all
+    zeros; every row is then padded from a random degree by repeating slot 0.
+    """
+    u = np.finfo(np.float64).eps / 2
+    x = np.zeros((A, L))
+    nbr = rng.normal(size=(A, k, L)) * 10.0 ** rng.uniform(-1, 1, size=(A, k, 1))
+    sqw = rng.choice([0.5, 1.0, rng.uniform(0.1, 1.0)], size=(A, k))
+    for a in range(A):
+        kind = rng.integers(4)
+        if kind == 1:
+            top = rng.normal(size=L) * 20.0
+            copies = [top, -top, top * (1 + 2 * u), -top * (1 + 2 * u), top, -top]
+            slots = rng.permutation(k)[: len(copies)]
+            nbr[a, slots] = copies[: len(slots)]
+            sqw[a, slots] = sqw[a, slots[0]]
+        elif kind == 2:
+            i, j = rng.integers(k, size=2)
+            nbr[a, j] = nbr[a, i] * rng.choice([1.0, -1.0, 1 + 2 * u])
+            sqw[a, j] = sqw[a, i]
+        elif kind == 3:
+            nbr[a] = 0.0
+        degree = rng.integers(1, k + 1)
+        nbr[a, degree:] = nbr[a, 0]
+        sqw[a, degree:] = sqw[a, 0]
+    return x, nbr * scale, sqw
+
+
+def assert_screen_matches(kernel, x, nbr, sqw):
+    """_extremal_batch gives the full-Gram slots and delta bits, and moving."""
+    s = kernel.log_ortho(x[:, None, :], nbr) * sqw[..., None]
+    i, j, delta = full_gram_extremal(s, sqw)
+    gi, gj, gdelta, moving = operators._extremal_batch(kernel, x, nbr, sqw)
+    assert np.array_equal(gi, i) and np.array_equal(gj, j)
+    assert gdelta.tobytes() == delta.tobytes()
+    assert np.array_equal(moving, np.einsum("al,al->a", delta, delta) > 0.0)
+
+
+class TestExtremalScreen:
+    """The screened pair search returns the full einsum objective's first maximum.
+
+    The reference is the full (k, k) Gram product and argmax, written here.
+    """
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e-20, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 10, 25])
+    @pytest.mark.parametrize("L", [1, 3, 4, 9])
+    def test_matches_full_gram(self, L, k, scale):
+        rng = np.random.default_rng([L, k, round(-np.log10(scale))])
+        kernel = mv.ManifoldDescriptor.euclidean(L).kernel
+        for _ in range(12):
+            assert_screen_matches(kernel, *screen_batch(rng, 24, k, L, scale))
+
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    def test_rows_that_may_overflow_keep_every_pair(self, scale):
+        # squared norms near or past the largest double: NaN and inf
+        # objectives are searched as the full argmax searches them
+        rng = np.random.default_rng(8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(12):
+                assert_screen_matches(E2.kernel, *screen_batch(rng, 24, 10, 2, scale))
+
+    @pytest.mark.parametrize("L", [1, 3, 9])
+    def test_blas_error_at_the_assumed_bound_changes_nothing(self, L, monkeypatch):
+        # the screened value is the dot product [s_i, d_i, 1] . [-2 s_j, 1, d_j]
+        # of L + 2 terms; perturb the BLAS product by as much as the margin
+        # assumes for all of it, (2L + 4) u (d_i + d_j)
+        rng = np.random.default_rng(L)
+        u = np.finfo(np.float64).eps / 2
+        matmul = np.matmul
+
+        def noisy(a, b):
+            d = np.einsum("ail,ail->ai", a, a)
+            bound = (2 * L + 4) * u * (d[:, :, None] + d[:, None, :])
+            return matmul(a, b) + bound * rng.choice([-1.0, 1.0], size=bound.shape)
+
+        kernel = mv.ManifoldDescriptor.euclidean(L).kernel
+        batches = [screen_batch(rng, 24, 10, L, 1.0) for _ in range(30)]
+        monkeypatch.setattr(operators.np, "matmul", noisy)
+        for batch in batches:
+            assert_screen_matches(kernel, *batch)
+
+
 class TestOperatorProperties:
     def test_factor_two_against_real_operator(self):
         # manifold route on euclidean(1) with unit weights equals half the
@@ -486,6 +591,33 @@ class TestCycleFreeze:
     def test_coupled_path_graph(self):
         graph, img, mask, active = sphere_path(7, seed=4)
         assert_solves_alike(graph, img, mask, active, mv.SolverConfig(tau=0.1, max_iter=400))
+
+    def test_fixed_point_frozen_the_step_it_is_reached(self, monkeypatch):
+        # e1 stars of two neighbors: each center falls geometrically onto a
+        # floating-point fixed point, mostly between two powers of two, where
+        # Brent's tortoise alone would catch it only later
+        rng = np.random.default_rng(5)
+        centers = 6
+        vals = np.concatenate([rng.normal(size=centers), rng.normal(size=2 * centers)])
+        edges = {c: ([centers + 2 * c, centers + 2 * c + 1], list(rng.uniform(0.2, 1.0, 2)))
+                 for c in range(centers)}
+        graph, img = make_graph(3 * centers, edges), line_image(E1, vals[:, None])
+        mask = mv.Mask(np.arange(3 * centers)[None, :] >= centers)
+        active = np.arange(centers)
+        # eps below any non-zero change: the solve runs until every center is fixed
+        cfg = mv.SolverConfig(tau=0.3, eps=1e-300, max_iter=400)
+        images, trace = unfrozen_solve(graph, img, active, cfg)
+        assert trace[-1] == 0.0
+        states = [img] + images
+        reached = {
+            u: next(n for n in range(1, len(states))
+                    if states[n].flat[u].tobytes() == states[n - 1].flat[u].tobytes())
+            for u in active.tolist()
+        }
+        assert any(n & (n - 1) for n in reached.values())
+        calls = record_steps(monkeypatch)
+        assert_solves_alike(graph, img, mask, active, cfg)
+        assert {u: sum(u in c for c in calls) for u in reached} == reached
 
     @pytest.mark.parametrize("slots", [1, 2, 16])
     def test_fewer_ring_slots_change_nothing(self, slots, monkeypatch):
