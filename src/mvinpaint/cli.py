@@ -105,19 +105,20 @@ def build_parser():
                    help="unknown rectangle as i0,j0,height,width")
     m.add_argument("-o", "--output", required=True, help="output .pbm path")
 
+    cfg = SolverConfig()
     p = sub.add_parser("inpaint", help="fill the masked pixels of an image")
     p.add_argument("-i", "--input", required=True, help="input .mvi image")
     p.add_argument("-m", "--mask", required=True, help="input .pbm mask (1 = unknown)")
     p.add_argument("-o", "--output", required=True, help="output .mvi path")
-    p.add_argument("--k", type=int, default=25, help="neighbors per vertex (default: %(default)s)")
-    p.add_argument("--p", type=int, default=12, help="patch radius (default: %(default)s)")
-    p.add_argument("--r", type=int, default=32, help="search window radius (default: %(default)s)")
-    p.add_argument("--sigma", type=_parse_sigma, default="auto",
+    p.add_argument("--k", type=int, default=cfg.k, help="neighbors per vertex (default: %(default)s)")
+    p.add_argument("--p", type=int, default=cfg.p, help="patch radius (default: %(default)s)")
+    p.add_argument("--r", type=int, default=cfg.r, help="search window radius (default: %(default)s)")
+    p.add_argument("--sigma", type=_parse_sigma, default=cfg.sigma,
                    help='weight scale, positive or "auto" (default: %(default)s)')
-    p.add_argument("--tau", type=float, default=0.1, help="Euler step size (default: %(default)s)")
-    p.add_argument("--eps", type=float, default=1e-7,
+    p.add_argument("--tau", type=float, default=cfg.tau, help="Euler step size (default: %(default)s)")
+    p.add_argument("--eps", type=float, default=cfg.eps,
                    help="relative-change stopping threshold (default: %(default)s)")
-    p.add_argument("--max-iter", type=int, default=1000,
+    p.add_argument("--max-iter", type=int, default=cfg.max_iter,
                    help="iteration cap per solve (default: %(default)s)")
     p.add_argument("--cumulative-active", action="store_true",
                    help="keep earlier layers active in later solves")

@@ -73,19 +73,17 @@ def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
         return out
     if mask.known_flat[border].any():
         raise SolverError("border contains known pixels")
-    # neighbor value/flag grids aligned so position (i, j) holds its
-    # direction-neighbor's data: N=(i-1,j), E=(i,j+1), S=(i+1,j), W=(i,j-1)
-    shifts = [(1, 0), (-1, 1), (-1, 0), (1, 1)]
-    assigned = np.zeros(img.vertex_count, dtype=bool)
-    for shift, axis in shifts:
-        vals = np.roll(img.data, shift, axis=axis).reshape(img.vertex_count, -1)
-        flags = np.roll(mask.known, shift, axis=axis).reshape(-1)
-        take = border[~assigned[border] & flags[border]]
-        out.flat[take] = vals[take]
-        assigned[take] = True
-    if not assigned[border].all():
-        u = int(border[np.argmin(assigned[border])])
+    # N, E, S, W neighbor ids of each border pixel, periodic
+    i, j = np.divmod(border, img.cols)
+    up, down = (i - 1) % img.rows, (i + 1) % img.rows
+    left, right = (j - 1) % img.cols, (j + 1) % img.cols
+    nbr = np.stack([up, i, down, i]) * img.cols + np.stack([j, right, j, left])
+    known = mask.known_flat[nbr]
+    has_known = known.any(axis=0)
+    if not has_known.all():
+        u = int(border[np.argmin(has_known)])
         raise SolverError(f"border pixel {u} has no known 4-neighbor", vertex=u)
+    out.flat[border] = img.flat[nbr[known.argmax(axis=0), np.arange(border.size)]]
     return out
 
 
@@ -125,9 +123,6 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
     work = img.copy()
     mask_now = mask.copy()
     front = FrontState(mask_now=mask_now)
-    if mask_now.known.all():
-        return work, front
-
     active = np.empty(0, dtype=np.int64)
     layer = 0
     while not mask_now.known.all():
@@ -142,19 +137,13 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
         # patches may read values of the just-initialized border; candidate
         # centers stay restricted to pixels absorbed in earlier layers
         valued_flags = mask_now.known.copy()
-        valued_flags.reshape(-1)[active] = True
+        valued_flags.reshape(-1)[border] = True
         valued = Mask(valued_flags)
-        if cfg.cumulative_active:
-            solve_flags = np.ones(img.vertex_count, dtype=bool)
-            solve_flags[active] = False
-            solve_mask = Mask(solve_flags.reshape(mask_now.known.shape))
-        else:
-            solve_mask = mask_now
         try:
             t0 = time.perf_counter()
             graph = build_graph(work, valued, cfg, active, candidate_mask=mask_now)
             t1 = time.perf_counter()
-            work, iters, trace = solve_dirichlet(graph, work, solve_mask, active, cfg)
+            work, iters, trace = solve_dirichlet(graph, work, mask, active, cfg)
             t2 = time.perf_counter()
         except (SolverError, CutLocusError, GraphBuildError) as e:
             if getattr(e, "layer", None) is None:

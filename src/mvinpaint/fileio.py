@@ -65,18 +65,16 @@ def write_mvi(img: MvImage, path):
 
 
 def _read_header_line(fh, what):
-    raw = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise FileFormatError(f"truncated header while reading {what}")
-        if ch == b"\n":
-            break
-        raw.extend(ch)
-        if len(raw) > 256:
-            raise FileFormatError(f"header line for {what} too long")
+    # readline stops at 258 bytes, past the longest line allowed: 256
+    # characters and the newline
+    raw = fh.readline(258)
+    line = raw.removesuffix(b"\n")
+    if len(line) > 256:
+        raise FileFormatError(f"header line for {what} too long")
+    if line == raw:
+        raise FileFormatError(f"truncated header while reading {what}")
     try:
-        return raw.decode("ascii").strip()
+        return line.decode("ascii").strip()
     except UnicodeDecodeError as e:
         raise FileFormatError(f"non-ascii header line for {what}") from e
 

@@ -245,11 +245,14 @@ def solve_dirichlet(
     vertex, the default front layer) each vertex's next value is a function
     of its own value, so once its value repeats bitwise it is in an exact
     cycle.  Brent's cycle detection (BIT 20, 1980) on the value bits finds
-    such cycles of period up to the ring length, and a comparison with the
-    previous value catches a fixed point (period 1) at the step it is
-    reached rather than at the next power of two; a vertex caught in one is
-    frozen: it is no longer stepped, and its stored cycle supplies its
-    displacement at every later step and its value at the last one.  The
+    such cycles of period up to the ring length.  Every live vertex steps
+    in lockstep, so the tortoise is one shared step of the layer, saved at
+    steps 0, 1, 3, 7, ... (the gap doubling up to the ring length, then
+    fixed) and read from the ring.  A comparison with the previous value
+    catches a fixed point (period 1) at the step it is reached rather than
+    at the next checkpoint.  A vertex caught in a cycle is frozen: it is no
+    longer stepped, and its stored cycle supplies its displacement at every
+    later step and its value at the last one.  The
     iterations, the trace and the image are bitwise those of stepping every
     vertex to the end.  Layers that couple active vertices, as
     cfg.cumulative_active makes every layer after the first, are never
@@ -280,9 +283,8 @@ def solve_dirichlet(
     if freeze:
         ring_x = np.empty((slots, A, L))
         ring_d = np.empty((slots, A))
-        tortoise = f.flat[active].view(np.uint64)
-        power = np.ones(A, dtype=np.int64)
-        lam = np.zeros(A, dtype=np.int64)
+        ring_x[0] = f.flat[active]
+        saved, gap = 0, 1                 # tortoise's step; steps until it moves
         caught_at = np.zeros(A, dtype=np.int64)
         period = np.zeros(A, dtype=np.int64)
 
@@ -294,7 +296,6 @@ def solve_dirichlet(
     disp = np.empty(A)
     trace = []
     denom = None
-    iterations = 0
     for step in range(1, int(cfg.max_iter) + 1):
         if live.size:
             ids = active[live]
@@ -310,31 +311,25 @@ def solve_dirichlet(
             denom = change if change > 0.0 else 1.0
         rel = change / denom
         trace.append(rel)
-        iterations += 1
         if rel < cfg.eps:
             break
         if not (freeze and live.size):
             continue
-        ring_x[step % slots, live] = x
-        ring_d[step % slots, live] = disp[live]
-        # Brent: lam counts the steps since the tortoise was saved; when it
-        # reaches power, the tortoise moves to the current value and power
-        # doubles, capped at the ring length.  A value equal to the previous
-        # one is a fixed point, caught the step it is reached
-        lam[live] += 1
+        # the tortoise's slot is read before this step's write, which
+        # reuses it when the tortoise is a whole ring behind
         bits = x.view(np.uint64)
         fixed = (bits == prev.view(np.uint64)).all(axis=1)
-        hit = fixed | (bits == tortoise[live]).all(axis=1)
+        hit = fixed | (bits == ring_x[saved % slots, live].view(np.uint64)).all(axis=1)
+        ring_x[step % slots, live] = x
+        ring_d[step % slots, live] = disp[live]
         if hit.any():
             caught_at[live[hit]] = step
-            period[live[hit]] = np.where(fixed[hit], 1, lam[live[hit]])
+            period[live[hit]] = np.where(fixed[hit], 1, step - saved)
             frozen = np.concatenate([frozen, live[hit]])
-            live, bits = live[~hit], bits[~hit]
-        reset = lam[live] == power[live]
-        moved = live[reset]
-        tortoise[moved] = bits[reset]
-        power[moved] = np.minimum(2 * power[moved], slots)
-        lam[moved] = 0
+            live = live[~hit]
+        gap -= 1
+        if gap == 0:
+            saved, gap = step, min(2 * (step - saved), slots)
     if frozen.size:
-        f.flat[active[frozen]] = ring_x[cycle_slot(iterations), frozen]
-    return f, iterations, trace
+        f.flat[active[frozen]] = ring_x[cycle_slot(step), frozen]
+    return f, step, trace

@@ -1,5 +1,6 @@
 """End to end tests of the command line interface."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -203,6 +204,11 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert cli.run(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
+
+    def test_inpaint_defaults_are_solver_config_defaults(self):
+        args = cli.build_parser().parse_args(["inpaint", "-i", "a", "-m", "b", "-o", "c"])
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert {f: getattr(args, f) for f in fields} == dataclasses.asdict(SolverConfig())
 
     def test_tau_out_of_range_exits_1(self, tmp_path, capsys):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"

@@ -100,6 +100,44 @@ class TestInitializeBorder:
             mv.initialize_border(img, mv.Mask(known), [12])
         assert exc.value.vertex == 12
 
+    # 4x7, so swapped rows and cols or a dropped wrap give other neighbors
+    SEAM_KNOWN = np.array([[0, 0, 0, 0, 0, 1, 1],
+                           [0, 1, 0, 1, 0, 1, 0],
+                           [1, 0, 0, 1, 0, 0, 0],
+                           [0, 1, 1, 1, 0, 0, 0]], dtype=bool)
+
+    @staticmethod
+    def known_neighbors(known, u):
+        """u's N, E, S, W neighbor ids on the periodic grid, known ones only."""
+        rows, cols = known.shape
+        i, j = divmod(u, cols)
+        nbrs = [((i - 1) % rows, j), (i, (j + 1) % cols), ((i + 1) % rows, j), (i, (j - 1) % cols)]
+        return [a * cols + b for a, b in nbrs if known[a, b]]
+
+    def test_non_square_periodic_grid(self):
+        known = self.SEAM_KNOWN
+        rows, cols = known.shape
+        img = mv.MvImage(E1, np.arange(float(rows * cols)).reshape(rows, cols, 1))
+        border = mv.find_border(mv.Mask(known))
+        nbrs = {int(u): self.known_neighbors(known, u) for u in border}
+        # only known neighbor across each seam: 2 (N), 26 (S), 0 (W), 20 (E)
+        assert [nbrs[u] for u in (2, 26, 0, 20)] == [[23], [5], [6], [14]]
+        # several known neighbors, N first or not
+        assert nbrs[1] == [22, 8] and nbrs[15] == [8, 22, 14] and nbrs[16] == [17, 23]
+        out = mv.initialize_border(img, mv.Mask(known), border)
+        expected = img.flat[:, 0].copy()
+        expected[border] = [nbrs[int(u)][0] for u in border]
+        assert np.array_equal(out.flat[:, 0], expected)
+
+    def test_error_names_first_unfillable_pixel_in_border_order(self):
+        img = mv.MvImage(E1, np.zeros((4, 7, 1)))
+        known = np.zeros((4, 7), dtype=bool)
+        known[0, 6] = True
+        # 0 reaches 6 across the seam; 24 and 10 have no known neighbor
+        with pytest.raises(SolverError) as exc:
+            mv.initialize_border(img, mv.Mask(known), [0, 24, 10])
+        assert exc.value.vertex == 24
+
 
 class TestNearestKnownFill:
     def test_column_source(self):

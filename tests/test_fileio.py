@@ -79,7 +79,35 @@ class TestMvi:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.mvi"
         path.write_bytes(b"MVI1\nmanifold circle\n")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match="truncated header while reading rows"):
+            mv.read_mvi(path)
+
+    @pytest.mark.parametrize("width, error", [(256, None), (257, "header line for rows too long")])
+    def test_header_line_length_limit(self, width, error, tmp_path):
+        img = random_image(S1, 1, 2, np.random.default_rng(75))
+        path = tmp_path / "img.mvi"
+        mv.write_mvi(img, path)
+        # "rows", padding spaces and "1": width characters before the newline
+        rows_line = b"rows" + b" " * (width - 5) + b"1\n"
+        path.write_bytes(path.read_bytes().replace(b"rows 1\n", rows_line, 1))
+        if error is None:
+            assert mv.read_mvi(path).data.tobytes() == img.data.tobytes()
+        else:
+            with pytest.raises(FileFormatError, match=error):
+                mv.read_mvi(path)
+
+    @pytest.mark.parametrize("width, error", [(256, "truncated header"), (257, "too long")])
+    def test_file_ending_inside_a_header_line(self, width, error, tmp_path):
+        # a line over 256 characters is too long even when the file ends in it
+        path = tmp_path / "bad.mvi"
+        path.write_bytes(b"MVI1\n" + b"m" * width)
+        with pytest.raises(FileFormatError, match=error):
+            mv.read_mvi(path)
+
+    def test_rejects_non_ascii_header_line(self, tmp_path):
+        path = tmp_path / "bad.mvi"
+        path.write_bytes("MVI1\nmanifold circlé\n".encode("utf-8"))
+        with pytest.raises(FileFormatError, match="non-ascii header line for manifold"):
             mv.read_mvi(path)
 
     def test_invalid_pixel_names_location(self, tmp_path):

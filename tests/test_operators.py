@@ -619,6 +619,36 @@ class TestCycleFreeze:
         assert_solves_alike(graph, img, mask, active, cfg)
         assert {u: sum(u in c for c in calls) for u in reached} == reached
 
+    @pytest.mark.parametrize("desc, seed", [(S2, 1), (SPD2, 0)], ids=["sphere2", "spd2"])
+    def test_cycle_caught_at_brent_checkpoints(self, desc, seed, monkeypatch):
+        graph, img, mask, active = stalled_layer(desc, seed)
+        cfg = mv.SolverConfig(tau=0.1, max_iter=300)
+        images, trace = unfrozen_solve(graph, img, active, cfg)
+        states = [img] + images
+        # Brent's checkpoints: the gap doubles up to the ring length, then stays
+        checkpoints, gap = [0], 1
+        while checkpoints[-1] < len(trace):
+            checkpoints.append(checkpoints[-1] + gap)
+            gap = min(2 * gap, operators.RING)
+
+        def caught(u):
+            """First step whose value repeats the previous one or the last checkpoint's."""
+            for n in range(1, len(states)):
+                bits = states[n].flat[u].tobytes()
+                last = max(c for c in checkpoints if c < n)
+                if bits in (states[n - 1].flat[u].tobytes(), states[last].flat[u].tobytes()):
+                    return n
+            return len(trace)
+
+        expected = {u: caught(u) for u in active.tolist()}
+        # some vertex is caught at a checkpoint two or more steps back
+        assert any(n < len(trace) and final_period(states[: n + 1], u) >= 2
+                   for u, n in expected.items())
+        calls = record_steps(monkeypatch)
+        assert_solves_alike(graph, img, mask, active, cfg)
+        for u, n in expected.items():
+            assert [u in c for c in calls] == [True] * n + [False] * (len(calls) - n)
+
     @pytest.mark.parametrize("slots", [1, 2, 16])
     def test_fewer_ring_slots_change_nothing(self, slots, monkeypatch):
         graph, img, mask, active = stalled_layer(S2, 1)
