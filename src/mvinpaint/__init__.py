@@ -9,7 +9,7 @@ from .driver import (
     inpaint,
     nearest_known_fill,
 )
-from .eigen import sym_eig, sym_eig_batch
+from .eigen import sym_eig_batch
 from .fileio import read_mask, read_mvi, write_mask, write_mvi
 from .graph import NonlocalGraph, Patch, build_graph, extract_patch, patch_distance
 from .image import Mask, MvImage, image_distance
@@ -76,7 +76,6 @@ __all__ = [
     "render",
     "select_extremal_pair",
     "solve_dirichlet",
-    "sym_eig",
     "sym_eig_batch",
     "tangent_inner",
     "tangent_norm",

@@ -56,14 +56,3 @@ def sym_eig_batch(mats):
         raise EigenConvergenceError(f"symmetric eigensolver failed: {e}") from e
     return evals, evecs
 
-
-def sym_eig(mat):
-    """Eigendecomposition of one symmetric matrix, ascending eigenvalues.
-
-    Thin single-matrix wrapper around :func:`sym_eig_batch`; see there for
-    tolerances and failure modes.
-    """
-    A = np.asarray(mat, dtype=np.float64)
-    if A.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {A.shape}")
-    return sym_eig_batch(A)

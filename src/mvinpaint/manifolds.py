@@ -16,10 +16,11 @@ the manifold descriptor:
       d(X, Y)  = || logm(X^(-1/2) Y X^(-1/2)) ||_F
       <A, B>_X = trace(X^-1 A X^-1 B)
 
-  For n = 2 the square roots, congruences and matrix log/exp are closed
-  forms with no eigensolver; for n >= 3 the matrix functions go through
-  LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``), as does point
-  validation for every n.
+  For n = 2 each map reads a point once into its entries (a, b, c), runs
+  closed-form square roots, congruences and matrix log/exp on these triples
+  with no eigensolver, and writes once; for n >= 3 the matrix functions go
+  through LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``), as does
+  point validation for every n.
 
 Kernels work in "ortho" coordinates: an isometric identification of the
 tangent space at x with R^d in which the metric is the standard dot product
@@ -326,6 +327,11 @@ class _SpdKernel(_Kernel):
     def _buf(self, mat):
         return mat.reshape(mat.shape[:-2] + (self.n * self.n,))
 
+    # the form each map holds a point in between its one read and one write;
+    # _root, _congruence and _apply take and return that form
+    _read = _mat
+    _write = _buf
+
     @staticmethod
     def _sym(mat):
         return 0.5 * (mat + np.swapaxes(mat, -1, -2))
@@ -341,15 +347,15 @@ class _SpdKernel(_Kernel):
         out = np.einsum("...ij,...j,...kj->...ik", Q, fn(lam), Q)
         return self._sym(out)
 
-    def _halves(self, X):
-        """(X^(1/2), X^(-1/2)) of symmetric positive definite X."""
+    def _root(self, X, inverse=False):
+        """X^(1/2), or X^(-1/2) if inverse, of symmetric positive definite X."""
         lam, Q = self._eig(X)
         if lam[..., 0].min(initial=np.inf) <= 0.0:
             raise NotPositiveDefinite("base point is not positive definite")
         s = np.sqrt(lam)
-        Xh = self._sym(np.einsum("...ij,...j,...kj->...ik", Q, s, Q))
-        Xmh = self._sym(np.einsum("...ij,...j,...kj->...ik", Q, 1.0 / s, Q))
-        return Xh, Xmh
+        if inverse:
+            s = 1.0 / s
+        return self._sym(np.einsum("...ij,...j,...kj->...ik", Q, s, Q))
 
     def _congruence(self, M, Y):
         """M Y M for symmetric M and Y, exactly symmetric."""
@@ -363,27 +369,25 @@ class _SpdKernel(_Kernel):
         return np.where(same[..., None], 0.0, v)
 
     def log_ortho(self, x, y):
-        _, Xmh = self._halves(self._mat(x))
-        W = self._congruence(Xmh, self._mat(y))
+        W = self._congruence(self._root(self._read(x), inverse=True), self._read(y))
         S = self._apply(W, np.log, require_pd=True, what="log target")
-        return self._zero_at_base(x, y, self._buf(S))
+        return self._zero_at_base(x, y, self._write(S))
 
     def exp_ortho(self, x, w):
-        Xh, _ = self._halves(self._mat(x))
-        E = self._apply(self._mat(w), np.exp, require_pd=False, what="exp")
-        return self._buf(self._congruence(Xh, E))
+        Xh = self._root(self._read(x))
+        E = self._apply(self._read(w), np.exp, require_pd=False, what="exp")
+        return self._write(self._congruence(Xh, E))
 
     def tangent_from_ortho(self, x, w):
-        Xh, _ = self._halves(self._mat(x))
-        return self._buf(self._congruence(Xh, self._mat(w)))
+        return self._write(self._congruence(self._root(self._read(x)), self._read(w)))
 
     def ortho_from_tangent(self, x, v):
-        _, Xmh = self._halves(self._mat(x))
-        return self._buf(self._congruence(Xmh, self._mat(v)))
+        Xmh = self._root(self._read(x), inverse=True)
+        return self._write(self._congruence(Xmh, self._read(v)))
 
     def dist2(self, x, y):
-        _, Xmh = self._halves(self._mat(x))
-        lam, _ = self._eig(self._congruence(Xmh, self._mat(y)))
+        Xmh = self._root(self._read(x), inverse=True)
+        lam, _ = self._eig(self._congruence(Xmh, self._read(y)))
         if lam[..., 0].min(initial=np.inf) <= 0.0:
             raise NotPositiveDefinite("distance target is not positive definite")
         ln = np.log(lam)
@@ -419,27 +423,29 @@ class _SpdKernel(_Kernel):
 
 
 class _Spd2Kernel(_SpdKernel):
-    """spd(2) with closed-form matrix functions in place of the eigensolver.
+    """spd(2) on entry triples, with closed forms in place of the eigensolver.
 
-    A symmetric W = [[a, b], [b, c]] has the eigenvalues m +- r, with
+    Each map reads a buffer once into the triple (a, b, c) of [[a, b], [b, c]],
+    b being (M01 + M10) / 2, works on triples and writes once, so every output
+    is exactly symmetric.  W = (a, b, c) has the eigenvalues m +- r, with
     m = (a + c) / 2 and r = hypot((a - c) / 2, b), and W - m I has the
     eigenvalues +-r, so f(W) = f0 I + f1 (W - m I) with f0 the mean of
     f(m + r) and f(m - r) and f1 their divided difference.  Square roots
     and congruences are closed forms too; see Pennec, Fillard and Ayache,
-    "A Riemannian framework for tensor computing", IJCV 66 (2006).  Every
-    output is built from three entries, so it is exactly symmetric.
+    "A Riemannian framework for tensor computing", IJCV 66 (2006).
     """
 
     @staticmethod
-    def _entries(M):
-        return M[..., 0, 0], 0.5 * (M[..., 0, 1] + M[..., 1, 0]), M[..., 1, 1]
+    def _read(buf):
+        buf = np.asarray(buf)
+        return buf[..., 0], 0.5 * (buf[..., 1] + buf[..., 2]), buf[..., 3]
 
     @staticmethod
-    def _matrix(a, b, c):
-        return np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))
+    def _write(rep):
+        return np.stack([rep[0], rep[1], rep[1], rep[2]], axis=-1)
 
-    def _halves(self, X):
-        a, b, c = self._entries(X)
+    def _root(self, X, inverse=False):
+        a, b, c = X
         det = a * c - b * b
         if (a <= 0.0).any() or (det <= 0.0).any():
             raise NotPositiveDefinite("base point is not positive definite")
@@ -447,23 +453,23 @@ class _Spd2Kernel(_SpdKernel):
         # its adjugate over its determinant sqrt(det)
         sd = np.sqrt(det)
         t = 1.0 / np.sqrt(a + c + 2.0 * sd)
-        ti = t / sd
-        Xh = self._matrix((a + sd) * t, b * t, (c + sd) * t)
-        Xmh = self._matrix((c + sd) * ti, -b * ti, (a + sd) * ti)
-        return Xh, Xmh
+        if inverse:
+            ti = t / sd
+            return (c + sd) * ti, -b * ti, (a + sd) * ti
+        return (a + sd) * t, b * t, (c + sd) * t
 
     def _congruence(self, M, Y):
-        p, q, s = self._entries(M)
-        a, b, c = self._entries(Y)
+        p, q, s = M
+        a, b, c = Y
         pq, qs, qq = p * q, q * s, q * q
-        return self._matrix(
+        return (
             p * p * a + 2.0 * pq * b + qq * c,
             pq * a + (p * s + qq) * b + qs * c,
             qq * a + 2.0 * qs * b + s * s * c,
         )
 
     def _apply(self, mats, fn, require_pd, what):
-        a, b, c = self._entries(mats)
+        a, b, c = mats
         m = 0.5 * (a + c)
         h = 0.5 * (a - c)
         r = np.hypot(h, b)
@@ -484,12 +490,12 @@ class _Spd2Kernel(_SpdKernel):
             f0 = em * np.cosh(r)
             f1 = em * np.where(nz, 2.0 * np.sinh(r) / r2, 1.0)
         fh = f1 * h
-        return self._matrix(f0 + fh, f1 * b, f0 - fh)
+        return f0 + fh, f1 * b, f0 - fh
 
     def dist2(self, x, y):
         # eigenvalues of X^-1 Y solve l^2 - tr(X^-1 Y) l + det(Y)/det(X) = 0
-        a, b, c = self._entries(self._mat(x))
-        p, q, s = self._entries(self._mat(y))
+        a, b, c = self._read(x)
+        p, q, s = self._read(y)
         det_x = a * c - b * b
         det_y = p * s - q * q
         if (a <= 0).any() or (det_x <= 0).any():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvinpaint import sym_eig, sym_eig_batch
+from mvinpaint import sym_eig_batch
 from mvinpaint.errors import DimensionMismatch, EigenConvergenceError
 
 
@@ -11,14 +11,14 @@ def random_sym(rng, batch, n):
 
 
 def test_diagonal_input():
-    lam, q = sym_eig(np.diag([3.0, -1.0, 2.0]))
+    lam, q = sym_eig_batch(np.diag([3.0, -1.0, 2.0]))
     assert np.array_equal(lam, [-1.0, 2.0, 3.0])
     # eigenvectors of a diagonal matrix are a signed permutation
     assert np.allclose(np.abs(q), np.eye(3)[:, [1, 2, 0]])
 
 
 def test_one_by_one():
-    lam, q = sym_eig(np.array([[4.5]]))
+    lam, q = sym_eig_batch(np.array([[4.5]]))
     assert lam.shape == (1,) and q.shape == (1, 1)
     assert lam[0] == 4.5 and q[0, 0] == 1.0
 
@@ -58,13 +58,13 @@ def test_batch_matches_single():
     a = random_sym(rng, (8,), 3)
     lam_b, q_b = sym_eig_batch(a)
     for i in range(8):
-        lam_s, q_s = sym_eig(a[i])
+        lam_s, q_s = sym_eig_batch(a[i])
         assert np.array_equal(lam_s, lam_b[i])
         assert np.array_equal(q_s, q_b[i])
 
 
 def test_repeated_eigenvalue():
-    lam, q = sym_eig(np.eye(3) * 2.0)
+    lam, q = sym_eig_batch(np.eye(3) * 2.0)
     assert np.allclose(lam, 2.0)
     assert np.allclose(q @ q.T, np.eye(3))
 
@@ -73,17 +73,17 @@ def test_rejects_asymmetric():
     a = np.eye(3)
     a[0, 2] = 1e-6
     with pytest.raises(ValueError):
-        sym_eig(a)
+        sym_eig_batch(a)
 
 
 def test_rejects_oversized():
     with pytest.raises(DimensionMismatch):
-        sym_eig(np.eye(17))
+        sym_eig_batch(np.eye(17))
 
 
 def test_rejects_non_square():
     with pytest.raises(DimensionMismatch):
-        sym_eig(np.zeros((2, 3)))
+        sym_eig_batch(np.zeros((2, 3)))
 
 
 def test_convergence_error(monkeypatch):
@@ -92,7 +92,7 @@ def test_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigenConvergenceError):
-        sym_eig(np.array([[1.0, 0.5], [0.5, 2.0]]))
+        sym_eig_batch(np.array([[1.0, 0.5], [0.5, 2.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

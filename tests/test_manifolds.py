@@ -346,20 +346,22 @@ def spd2_family(name, rng, n=200):
 
 
 SPD2_FAMILIES = ["random", "diagonal", "isotropic", "gap", "condition"]
-SPD2_MAPS = [
+ORACLE_INPUTS = SPD2_FAMILIES + ["spd3"]
+SPD_MAPS = [
     "log_ortho", "log", "exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent",
 ]
 
 
-def spd2_oracle(x, y, w):
-    """Every kernel map at bases x by eigh: logs of y, exps of ortho w / tangent."""
-    X, Y, W = (a.reshape(-1, 2, 2) for a in (x, y, w))
+def spd_oracle(x, y, w):
+    """Every spd(n) kernel map at bases x by eigh: logs of y, exps of ortho w / tangent."""
+    n = int(round(np.sqrt(x.shape[-1])))
+    X, Y, W = (a.reshape(-1, n, n) for a in (x, y, w))
     xh = eigh_fn(X, np.sqrt)
     xmh = eigh_fn(X, lambda lam: 1.0 / np.sqrt(lam))
     log_ortho = eigh_fn(xmh @ Y @ xmh, np.log)
     expw = xh @ eigh_fn(W, np.exp) @ xh
     v = xh @ W @ xh
-    return v.reshape(-1, 4), {
+    return v.reshape(-1, n * n), {
         "log_ortho": log_ortho,
         "log": xh @ log_ortho @ xh,
         "exp_ortho": expw,
@@ -376,26 +378,31 @@ class TestSpd2ClosedForm:
     eps * kappa relative to max(1, |result|) in double precision, for the
     kernel and the oracle alike; the tolerance is 64 eps kappa.  Only one
     side of each pair is drawn from the family: two points with condition
-    1e10 each whiten to condition 1e20, beyond double precision.
+    1e10 each whiten to condition 1e20, beyond double precision.  Random
+    spd(3) points check the eigensolver route of n >= 3 against the same
+    oracle.
     """
 
     @pytest.mark.parametrize("side", ["base", "target"])
-    @pytest.mark.parametrize("family", SPD2_FAMILIES)
+    @pytest.mark.parametrize("family", ORACLE_INPUTS)
     def test_maps_match_eigh_oracle(self, family, side):
-        rng = np.random.default_rng(SPD2_FAMILIES.index(family))
-        k = P2.kernel
-        fam = spd2_family(family, rng)
-        other = mv.random_point(P2, rng, size=fam.shape[:1])
+        rng = np.random.default_rng(ORACLE_INPUTS.index(family))
+        if family == "spd3":
+            desc, fam = P3, mv.random_point(P3, rng, size=(200,))
+        else:
+            desc, fam = P2, spd2_family(family, rng)
+        n, k = desc.dim, desc.kernel
+        other = mv.random_point(desc, rng, size=fam.shape[:1])
         x, y = (fam, other) if side == "base" else (other, fam)
         w = k.random_ortho(rng, x, 2.0)
-        v, ref = spd2_oracle(x, y, w)
+        v, ref = spd_oracle(x, y, w)
         args = {"log_ortho": y, "log": y, "exp_ortho": w, "exp": v,
                 "tangent_from_ortho": w, "ortho_from_tangent": v}
-        kappa = np.maximum(np.linalg.cond(x.reshape(-1, 2, 2)),
-                           np.linalg.cond(y.reshape(-1, 2, 2)))
+        kappa = np.maximum(np.linalg.cond(x.reshape(-1, n, n)),
+                           np.linalg.cond(y.reshape(-1, n, n)))
         tol = 64.0 * np.finfo(np.float64).eps * kappa
-        for name in SPD2_MAPS:
-            got = getattr(k, name)(x, args[name]).reshape(-1, 2, 2)
+        for name in SPD_MAPS:
+            got = getattr(k, name)(x, args[name]).reshape(-1, n, n)
             scale = np.maximum(1.0, np.abs(ref[name]).max(axis=(1, 2)))
             err = np.abs(got - ref[name]).max(axis=(1, 2)) / scale
             assert (err < tol).all(), (name, float((err / tol).max()))
@@ -411,10 +418,10 @@ class TestSpd2ClosedForm:
         x = spd2_from_eig(lam[0], lam[1], np.zeros(n))
         y = spd2_from_eig(lam[2], lam[3], np.zeros(n))
         w = spd2_from_eig(*rng.uniform(-2.0, 2.0, (2, n)), np.zeros(n))
-        v, ref = spd2_oracle(x, y, w)
+        v, ref = spd_oracle(x, y, w)
         args = {"log_ortho": y, "log": y, "exp_ortho": w, "exp": v,
                 "tangent_from_ortho": w, "ortho_from_tangent": v}
-        for name in SPD2_MAPS:
+        for name in SPD_MAPS:
             got = getattr(k, name)(x, args[name]).reshape(-1, 2, 2)
             scale = np.abs(ref[name]).max(axis=(1, 2))
             err = np.abs(got - ref[name]).max(axis=(1, 2)) / scale
@@ -431,6 +438,30 @@ class TestSpd2ClosedForm:
             for out in (k.log_ortho(x, y), k.log(x, y), k.exp_ortho(x, w),
                         k.exp(x, v), v, k.ortho_from_tangent(x, v)):
                 assert np.array_equal(out[:, 1], out[:, 2])
+
+    def test_asymmetric_buffers_are_read_as_their_symmetric_part(self):
+        # each map symmetrises its input buffers once, as (M01 + M10) / 2,
+        # so off-diagonal rounding in a buffer changes no bit of any output
+        rng = np.random.default_rng(64)
+        k = P2.kernel
+        x, y = mv.random_point(P2, rng, size=(2, 200))
+        w = k.random_ortho(rng, x, 2.0)
+        v = k.tangent_from_ortho(x, w)
+        asym, sym = {}, {}
+        for name, buf in (("x", x), ("y", y), ("w", w), ("v", v)):
+            a = buf.copy()
+            a[:, 1] += rng.uniform(-5e-13, 5e-13, len(a))
+            a[:, 2] -= rng.uniform(-5e-13, 5e-13, len(a))
+            assert 0.0 < np.abs(a[:, 1] - a[:, 2]).max() <= 1e-12
+            s = a.copy()
+            s[:, 1] = s[:, 2] = 0.5 * (a[:, 1] + a[:, 2])
+            asym[name], sym[name] = a, s
+        args = {"log_ortho": "y", "log": "y", "dist2": "y", "exp_ortho": "w",
+                "exp": "v", "tangent_from_ortho": "w", "ortho_from_tangent": "v"}
+        for name, arg in args.items():
+            got = getattr(k, name)(asym["x"], asym[arg])
+            ref = getattr(k, name)(sym["x"], sym[arg])
+            assert np.array_equal(got, ref), name
 
     def test_equal_inputs_give_equal_outputs_at_any_position(self):
         # the extremal-pair tie rule compares log vectors of equal neighbors
@@ -502,6 +533,15 @@ def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
     rng = np.random.default_rng(5)
     img = mv.MvImage(P2, mv.random_point(P2, rng, size=(3, 4)))
     img.validate()
+    assert sizes == [2]
+    # the spd(2) maps are closed forms: none of them reaches the eigensolver
+    k = P2.kernel
+    x, y = mv.random_point(P2, rng, size=(2, 6))
+    w = k.random_ortho(rng, x, 1.0)
+    for name in ("log_ortho", "log", "dist2"):
+        getattr(k, name)(x, y)
+    for name in ("exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent"):
+        getattr(k, name)(x, w)
     assert sizes == [2]
     x, y = mv.random_point(P3, rng, size=(2, 6))
     P3.kernel.log(x, y)
