@@ -17,8 +17,11 @@ and the overlap field k_s(x) = K(x) K(x+s) are computed once over the
 periodic region the target patches cover, and a (2p+1) x (2p+1) box sum of
 each, read at the targets, gives every target's patch sum and overlap count
 at that offset.  A pixel pair is thus evaluated once per offset instead of
-once per overlapping target patch.  extract_patch and patch_distance are the
-direct per-pair definition.
+once per overlapping target patch.  The offsets run in chunks, and each
+chunk's candidates are merged into a running best of k per target, so the
+memory a build holds is O(T k) for T targets plus one chunk's fields, not
+O(T (2r+1)^2).  extract_patch and patch_distance are the direct per-pair
+definition.
 """
 
 from __future__ import annotations
@@ -202,6 +205,12 @@ def _box_at(field: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int) -> np
     return h[..., rows[:, None] + np.arange(w), cols[:, None]].sum(axis=-1)
 
 
+def _nearest(d: np.ndarray, ids: np.ndarray, k: int):
+    """The k smallest (d, id) entries of each row of (T, n) d and ids, ascending."""
+    order = np.lexsort((ids, d))[:, :k]
+    return np.take_along_axis(d, order, axis=1), np.take_along_axis(ids, order, axis=1)
+
+
 def build_graph(
     img: MvImage,
     mask: Mask,
@@ -221,9 +230,14 @@ def build_graph(
     The distances come from the shift table of the module docstring: the
     window offsets, one per distinct candidate, are split into fixed chunks
     that each make one kernel.dist2 call over the region the target patches
-    cover, and the chunks run on up to cfg.resolved_threads() threads.  Each
-    chunk fills its own offsets' entries, so the graph does not depend on
-    the thread count.
+    cover.  Every few chunks, their candidates are merged into a running
+    best of the k smallest (d, id) per target, with running counts of valid
+    and of finite candidates, so memory stays O(T k) plus one chunk's
+    fields.  The chunks are dealt out to up to cfg.resolved_threads()
+    threads, each with its own running best, and the bests are merged at
+    the end.  A target's candidate ids are distinct, so (d, id) orders them
+    totally, and the graph does not depend on the chunking or the thread
+    count.
 
     candidate_mask, when given, replaces the mask for candidate-center
     eligibility only; patch known flags always come from mask.  The front
@@ -254,12 +268,12 @@ def build_graph(
     t_row, t_col = np.divmod(targets, cols)
 
     # window offsets (a, b) in A x B, one per candidate; the one that is zero
-    # modulo the grid maps t to itself
+    # modulo the grid maps t to itself.  Offset o = ia * B.size + ib gives
+    # target t the candidate cand_row[t, ia] * cols + cand_col[t, ib]
     A, B = _window_offsets(r, rows), _window_offsets(r, cols)
     cand_row = (t_row[:, None] + A) % rows
     cand_col = (t_col[:, None] + B) % cols
-    ids = (cand_row[:, :, None] * cols + cand_col[:, None, :]).reshape(targets.size, -1)
-    valid = (candidate_mask or mask).known_flat[ids] & (ids != targets[:, None])
+    eligible = (candidate_mask or mask).known_flat
 
     # region: the targets' periodic row/column span widened by p, so that
     # target t's patch starts at region pixel (tr, tc); Fw[ia, ib] is the
@@ -276,37 +290,62 @@ def build_graph(
     X, KX = Fw[-A[0], -B[0]], Kw[-A[0], -B[0]]
     tr, tc = (t_row - r0) % rows, (t_col - c0) % cols
 
-    ssum = np.empty((ids.shape[1], targets.size))
-    cnt = np.empty((ids.shape[1], targets.size))
+    k = int(cfg.k)
     step = max(1, _CHUNK_PAIRS // (nR * nC))
-
-    def work(chunk):
-        ia, jb = chunk
-        je = min(jb + step, B.size)
-        both = (KX & Kw[ia, jb:je]).astype(np.float64)          # k_s, (c, nR, nC)
-        g = kernel.dist2(X, Fw[ia, jb:je]) * both
-        lo = ia * B.size + jb
-        ssum[lo : lo + je - jb] = _box_at(g, tr, tc, box)
-        cnt[lo : lo + je - jb] = _box_at(both, tr, tc, box)
-
-    chunks = [(ia, jb) for ia in range(A.size) for jb in range(0, B.size, step)]
+    chunks = [(ia, jb, min(jb + step, B.size))
+              for ia in range(A.size) for jb in range(0, B.size, step)]
     workers = min(cfg.resolved_threads(), len(chunks))
+    # chunks merged into the running best at once: about max(k, _CHUNK_PAIRS / T)
+    # offsets, so a merge sorts at least as many new entries as kept ones
+    per_merge = -(-max(k, _CHUNK_PAIRS // targets.size) // step)
+
+    def work(part):
+        """Running best (d, ids) and valid/finite counts over chunks `part`."""
+        best_d = np.empty((targets.size, 0))
+        best_ids = np.empty((targets.size, 0), dtype=np.int64)
+        nvalid = np.zeros(targets.size, dtype=np.int64)
+        nfin = np.zeros(targets.size, dtype=np.int64)
+        for m in range(0, len(part), per_merge):
+            block = part[m : m + per_merge]
+            oa = np.concatenate([np.full(je - jb, ia) for ia, jb, je in block])
+            ob = np.concatenate([np.arange(jb, je) for _, jb, je in block])
+            ssum = np.empty((oa.size, targets.size))
+            cnt = np.empty((oa.size, targets.size))
+            lo = 0
+            for ia, jb, je in block:
+                both = (KX & Kw[ia, jb:je]).astype(np.int32)          # k_s, (c, nR, nC)
+                g = kernel.dist2(X, Fw[ia, jb:je]) * both
+                ssum[lo : lo + je - jb] = _box_at(g, tr, tc, box)
+                cnt[lo : lo + je - jb] = _box_at(both, tr, tc, box)
+                lo += je - jb
+            ids = cand_row[:, oa] * cols + cand_col[:, ob]
+            valid = eligible[ids] & (ids != targets[:, None])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(cnt > 0.0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf).T
+            finite = valid & np.isfinite(d)
+            nvalid += valid.sum(axis=1)
+            nfin += finite.sum(axis=1)
+            best_d, best_ids = _nearest(
+                np.concatenate([best_d, np.where(finite, d, np.inf)], axis=1),
+                np.concatenate([best_ids, ids], axis=1), k)
+        return best_d, best_ids, nvalid, nfin
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            # consume to surface the first worker exception
-            list(pool.map(work, chunks))
+            bests = list(pool.map(work, [chunks[w::workers] for w in range(workers)]))
     else:
-        for chunk in chunks:
-            work(chunk)
+        bests = [work(chunks)]
+    # candidate ids are distinct per target, so (d, id) orders them totally
+    # and the k best of the union are the k best of the workers' bests
+    sel_d, sel_ids = _nearest(np.concatenate([b[0] for b in bests], axis=1),
+                              np.concatenate([b[1] for b in bests], axis=1), k)
+    nvalid = sum(b[2] for b in bests)
+    nfin = sum(b[3] for b in bests)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(cnt > 0.0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf).T
-    finite = valid & np.isfinite(d)
-    nfin = finite.sum(axis=1)
     empty = np.flatnonzero(nfin == 0)
     if empty.size:
         t = int(targets[empty[0]])
-        if not valid[empty[0]].any():
+        if not nvalid[empty[0]]:
             raise GraphBuildError(
                 f"vertex {t}: no known-center candidate in the search window",
                 vertex=t,
@@ -315,12 +354,10 @@ def build_graph(
             f"vertex {t}: no candidate with overlapping known pixels",
             vertex=t,
         )
-    d = np.where(finite, d, np.inf)
-    degrees = np.minimum(nfin, int(cfg.k))
-    order = np.lexsort((ids, d))[:, : int(degrees.max())]
-    sel_ids = np.take_along_axis(ids, order, axis=1)
-    sel_d = np.take_along_axis(d, order, axis=1)
-    real = np.arange(order.shape[1]) < degrees[:, None]
+    degrees = np.minimum(nfin, k)
+    sel_d = sel_d[:, : int(degrees.max())]
+    sel_ids = sel_ids[:, : int(degrees.max())]
+    real = np.arange(sel_d.shape[1]) < degrees[:, None]
 
     if isinstance(cfg.sigma, str):
         sigma = float(sel_d[real].mean())

@@ -338,7 +338,7 @@ class TestDeterminism:
 
 
 class TestPeakMemory:
-    # measured (numpy 2.4, Python 3.11, one thread): 55.9 MB, of which about
+    # measured (numpy 2.4, Python 3.11, one thread): 47.5 MB, of which about
     # 27.5 MB is the interpreter with numpy imported
     BOUND_KB = 64 * 1024
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
+from mvinpaint import graph as graph_mod
 from mvinpaint.errors import ConfigError, DimensionMismatch, GraphBuildError
 
 from conftest import random_image
@@ -211,15 +212,24 @@ class TestBuildGraph:
         assert (same == 1.0).all()
         assert cross.max() < 1.0
 
-    def test_no_candidate_in_window(self):
+    # the default, and one window offset per chunk
+    CHUNKS = pytest.mark.parametrize("chunk_pairs", [graph_mod._CHUNK_PAIRS, 1],
+                                     ids=["default-chunks", "one-offset-chunks"])
+
+    @CHUNKS
+    def test_no_candidate_in_window(self, chunk_pairs, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
         known = np.zeros((8, 8), dtype=bool)
         known[4, 4] = True
         img = mv.MvImage.constant(E1, 8, 8, [0.0])
         with pytest.raises(GraphBuildError) as exc:
             mv.build_graph(img, mv.Mask(known), cfg(k=3, r=1), [0])
         assert exc.value.vertex == 0
+        assert str(exc.value) == "vertex 0: no known-center candidate in the search window"
 
-    def test_no_finite_distance(self):
+    @CHUNKS
+    def test_no_finite_distance(self, chunk_pairs, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
         # radius-0 patch of an unknown pixel overlaps nothing
         known = np.ones((4, 4), dtype=bool)
         known[1, 1] = False
@@ -227,6 +237,24 @@ class TestBuildGraph:
         with pytest.raises(GraphBuildError) as exc:
             mv.build_graph(img, mv.Mask(known), cfg(k=3, p=0, r=2), [5])
         assert exc.value.vertex == 5
+        assert str(exc.value) == "vertex 5: no candidate with overlapping known pixels"
+
+    @pytest.mark.parametrize("chunk_pairs, threads", [(graph_mod._CHUNK_PAIRS, 1), (1, 1), (1, 2)],
+                             ids=["default-chunks", "one-offset-chunks", "two-threads"])
+    def test_valid_and_finite_candidates_must_coincide(self, chunk_pairs, threads, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
+        # target 0 of a 1 x 5 line, offsets -2..2: ids 3 and 4 overlap its
+        # known pixel but are not candidates, ids 1 and 2 are candidates with
+        # unknown pixels.  With one offset per chunk the two kinds never share
+        # a chunk, and no candidate has a finite distance
+        img = scalar_image([[0.0, 1.0, 2.0, 3.0, 4.0]])
+        mask = mv.Mask(np.array([[True, False, False, True, True]]))
+        cand = mv.Mask(np.array([[False, True, True, False, False]]))
+        with pytest.raises(GraphBuildError) as exc:
+            mv.build_graph(img, mask, cfg(k=2, p=0, r=2, threads=threads), [0],
+                           candidate_mask=cand)
+        assert exc.value.vertex == 0
+        assert str(exc.value) == "vertex 0: no candidate with overlapping known pixels"
 
     def test_candidate_mask_splits_roles(self):
         # same geometry as above, but the pixel's value is declared usable
@@ -325,6 +353,36 @@ class TestBuildGraph:
             assert np.array_equal(ids1, ids4)
             assert np.array_equal(w1, w4)
 
+    @pytest.mark.parametrize("case", ["constant", "padded"])
+    def test_chunking_changes_nothing(self, case, monkeypatch):
+        rng = np.random.default_rng(32)
+        known = rng.random((12, 12)) < 0.35
+        known[0, 0] = True
+        mask = mv.Mask(known)
+        if case == "constant":
+            # every distance is 0, so the whole selection is the id tie-break
+            img = mv.MvImage.constant(S2, 12, 12, [0.0, 0.0, 1.0])
+        else:
+            img = random_image(S2, 12, 12, rng)
+        targets = mask.unknown_ids()
+
+        def build(chunk_pairs, threads=1):
+            monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
+            return mv.build_graph(img, mask, cfg(k=12, p=1, r=3, threads=threads), targets)
+
+        ref = build(graph_mod._CHUNK_PAIRS)
+        assert (ref.degrees < 12).any() and (ref.degrees == 12).any()
+        # the targets span every row and column, so the shift region is
+        # (12 + 2p)^2 pixels: 1 gives one offset per chunk, and three offsets
+        # per chunk split each 7-offset row of the window 3 + 3 + 1
+        assert np.unique(targets // 12).size == np.unique(targets % 12).size == 12
+        for g in (build(1), build(3 * 14 * 14), build(1, threads=2)):
+            assert g.ids.tobytes() == ref.ids.tobytes()
+            assert g.weights.tobytes() == ref.weights.tobytes()
+            assert g.degrees.tobytes() == ref.degrees.tobytes()
+            assert np.float64(g.sigma).tobytes() == np.float64(ref.sigma).tobytes()
+            assert g.min_candidates == ref.min_candidates
+
     def test_peak_memory_is_bounded(self):
         # 128x128 sphere2 with ~2% scattered targets: a per-target gather
         # of all patches would alone hold 16384 * 169 * 3 * 8 B = 66 MB
@@ -342,6 +400,25 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert all(g.degree(int(t)) == 10 for t in targets)
         assert peak < 32 * 2**20
+
+    def test_peak_memory_is_bounded_for_a_wide_window(self):
+        # 1843 targets and 33 x 33 window offsets: holding every candidate
+        # of every target peaked at 85.5 MB (numpy 2.4); a running best of
+        # k per target plus one chunk's fields peaks at about 10 MB
+        img = mv.generate_sphere_image(96, 96)
+        rng = np.random.default_rng(0)
+        targets = rng.choice(96 * 96, size=1843, replace=False)
+        known = np.ones(96 * 96, dtype=bool)
+        known[targets] = False
+        mask = mv.Mask(known.reshape(96, 96))
+        tracemalloc.start()
+        try:
+            g = mv.build_graph(img, mask, cfg(k=25, p=1, r=16, threads=1), targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.degrees == 25).all()
+        assert peak < 24 * 2**20
 
     def test_random_graph_invariants(self):
         rng = np.random.default_rng(25)
