@@ -2,9 +2,10 @@
 
 Subcommands: generate, mask, inpaint, render, compare.  Exit codes: 0 on
 success, 1 for usage errors, 2 for file/format problems, 3 for numerical
-failures.  Every run writes a JSON run summary (parameters, layer log,
-timings) to stderr, or to --log PATH when given.  Outputs are bitwise
-deterministic for identical invocations, independent of --threads.
+failures; a failure inside an inpainting layer names that layer.  Every run
+writes a JSON run summary (parameters, layer log, timings) to stderr, or to
+--log PATH when given.  Outputs are bitwise deterministic for identical
+invocations, independent of --threads.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class _UsageError(Exception):
 # exception class -> (stderr label, exit code); an exception is looked up by
 # the first class of its MRO listed here
 _EXITS = {
-    _UsageError: ("usage error", USAGE_ERROR),
+    **dict.fromkeys((_UsageError, ConfigError), ("usage error", USAGE_ERROR)),
     **dict.fromkeys(
         (FileNotFoundError, IsADirectoryError, PermissionError,
          FileFormatError, DimensionMismatch),
@@ -78,12 +79,9 @@ def _parse_sigma(text):
     if text == "auto":
         return "auto"
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError('sigma must be a number or "auto"')
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("sigma must be positive")
-    return value
 
 
 def build_parser():
@@ -167,22 +165,18 @@ def _cmd_mask(args, summary):
 
 
 def _cmd_inpaint(args, summary):
-    img = read_mvi(args.input)
-    mask = read_mask(args.mask)
-    if mask.known.shape != (img.rows, img.cols):
-        raise DimensionMismatch(
-            f"mask is {mask.rows}x{mask.cols} but image is {img.rows}x{img.cols}"
-        )
     cfg = SolverConfig(
         k=args.k, p=args.p, r=args.r, sigma=args.sigma, tau=args.tau,
         eps=args.eps, max_iter=args.max_iter,
         cumulative_active=args.cumulative_active,
         threads=args.threads,
     )
-    try:
-        cfg.validate()
-    except ConfigError as e:
-        raise _UsageError(str(e))
+    img = read_mvi(args.input)
+    mask = read_mask(args.mask)
+    if mask.known.shape != (img.rows, img.cols):
+        raise DimensionMismatch(
+            f"mask is {mask.rows}x{mask.cols} but image is {img.rows}x{img.cols}"
+        )
     t0 = time.perf_counter()
     result, front = inpaint(img, mask, cfg)
     solve_s = time.perf_counter() - t0
@@ -286,6 +280,10 @@ def run(argv) -> int:
     except tuple(_EXITS) as e:
         label, code = next(_EXITS[c] for c in type(e).__mro__ if c in _EXITS)
         summary.update(status="error", error=str(e), exit_code=code)
+        layer = getattr(e, "layer", None)
+        if layer is not None:
+            summary["layer"] = layer
+            label = f"{label}: layer {layer}"
         failure = f"{label}: {e}\n"
     summary["timings"]["total_s"] = time.perf_counter() - t0
     _emit_summary(summary, args.log)

@@ -1,4 +1,7 @@
-"""Solver configuration shared by graph construction, the solver and the driver."""
+"""Solver configuration shared by graph construction, the solver and the driver.
+
+A SolverConfig is immutable and checks its values when it is made.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the nonlocal graph and of the explicit Euler solve.
 
@@ -25,6 +28,8 @@ class SolverConfig:
               freezing them.
     threads:  worker cap for graph construction, capped at the CPU count;
               None means the CPU count.
+
+    Raises ConfigError naming the first invalid value.
     """
 
     k: int = 25
@@ -37,7 +42,7 @@ class SolverConfig:
     cumulative_active: bool = False
     threads: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if int(self.k) != self.k or self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k}")
         if int(self.p) != self.p or self.p < 0:

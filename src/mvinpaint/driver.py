@@ -5,7 +5,8 @@ with at least one known 4-neighbor, periodic) is initialized by copying a
 known 4-neighbor, a fresh nonlocal graph is built for it, the Dirichlet
 problem is solved on the layer, and the layer is absorbed into the known
 set.  With cumulative_active enabled, earlier layers keep evolving in every
-later solve instead of freezing.
+later solve instead of freezing.  The config is used as given, since a
+SolverConfig is checked when it is made.
 """
 
 from __future__ import annotations
@@ -53,16 +54,18 @@ class FrontState:
     log: list = field(default_factory=list)
 
 
+def _neighbors(ids: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(4, n) ids of the N, E, S, W neighbors of each id, periodic."""
+    i, j = np.divmod(ids, cols)
+    return (np.stack([(i - 1) % rows, i, (i + 1) % rows, i]) * cols
+            + np.stack([j, (j + 1) % cols, j, (j - 1) % cols]))
+
+
 def find_border(mask: Mask) -> np.ndarray:
     """Unknown pixels with a known 4-neighbor (periodic), ascending ids."""
-    k = mask.known
-    has_known = (
-        np.roll(k, 1, axis=0)
-        | np.roll(k, -1, axis=0)
-        | np.roll(k, 1, axis=1)
-        | np.roll(k, -1, axis=1)
-    )
-    return np.flatnonzero((~k & has_known).reshape(-1))
+    unknown = mask.unknown_ids()
+    nbr = _neighbors(unknown, mask.rows, mask.cols)
+    return unknown[mask.known_flat[nbr].any(axis=0)]
 
 
 def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
@@ -73,11 +76,7 @@ def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
         return out
     if mask.known_flat[border].any():
         raise SolverError("border contains known pixels")
-    # N, E, S, W neighbor ids of each border pixel, periodic
-    i, j = np.divmod(border, img.cols)
-    up, down = (i - 1) % img.rows, (i + 1) % img.rows
-    left, right = (j - 1) % img.cols, (j + 1) % img.cols
-    nbr = np.stack([up, i, down, i]) * img.cols + np.stack([j, right, j, left])
+    nbr = _neighbors(border, img.rows, img.cols)
     known = mask.known_flat[nbr]
     has_known = known.any(axis=0)
     if not has_known.all():
@@ -116,7 +115,6 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
         SolverError / GraphBuildError / CutLocusError: numerical failures,
             annotated with the failing layer where possible.
     """
-    cfg.validate()
     if mask.known.shape != (img.rows, img.cols):
         raise DimensionMismatch("mask shape does not match image")
 

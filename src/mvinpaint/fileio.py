@@ -11,7 +11,8 @@ MVI layout: six ASCII header lines terminated by newlines,
 
 followed immediately by N raw little-endian float64 values, row-major pixel
 order, point components contiguous per pixel.  write/read round-trips are
-bit exact.
+bit exact.  The manifold line holds ManifoldDescriptor.label(), and
+ManifoldDescriptor.parse reads it back.
 
 Masks are plain PBM (P1): 1 marks an unknown pixel, 0 a known one, matching
 the usual black-on-white convention for holes.
@@ -26,24 +27,6 @@ from .image import Mask, MvImage
 from .manifolds import ManifoldDescriptor
 
 MAGIC = "MVI1"
-
-
-def _descriptor_from_tokens(tokens) -> ManifoldDescriptor:
-    if not tokens:
-        raise FileFormatError("manifold line is empty")
-    kind = tokens[0]
-    try:
-        if kind in ("euclidean", "spd"):
-            if len(tokens) != 2:
-                raise FileFormatError(f"manifold {kind} needs one size parameter")
-            return ManifoldDescriptor(kind, int(tokens[1]))
-        if kind in ("circle", "sphere2"):
-            if len(tokens) != 1:
-                raise FileFormatError(f"manifold {kind} takes no parameter")
-            return ManifoldDescriptor(kind)
-    except (ValueError, DimensionMismatch) as e:
-        raise FileFormatError(f"bad manifold declaration: {e}") from e
-    raise FileFormatError(f"unknown manifold kind {kind!r}")
 
 
 def write_mvi(img: MvImage, path):
@@ -104,10 +87,13 @@ def read_mvi(path) -> MvImage:
         if magic != MAGIC:
             raise FileFormatError(f"not an MVI file: first line {magic!r}")
         man_line = _read_header_line(fh, "manifold")
-        parts = man_line.split()
+        parts = man_line.split(maxsplit=1)
         if not parts or parts[0] != "manifold":
             raise FileFormatError(f"expected manifold line, got {man_line!r}")
-        desc = _descriptor_from_tokens(parts[1:])
+        try:
+            desc = ManifoldDescriptor.parse(parts[1] if len(parts) == 2 else "")
+        except ValueError as e:
+            raise FileFormatError(str(e)) from e
         rows = _parse_int_field(_read_header_line(fh, "rows"), "rows")
         cols = _parse_int_field(_read_header_line(fh, "cols"), "cols")
         order_line = _read_header_line(fh, "byteorder")

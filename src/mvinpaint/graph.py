@@ -231,13 +231,12 @@ def build_graph(
     window offsets, one per distinct candidate, are split into fixed chunks
     that each make one kernel.dist2 call over the region the target patches
     cover.  Every few chunks, their candidates are merged into a running
-    best of the k smallest (d, id) per target, with running counts of valid
-    and of finite candidates, so memory stays O(T k) plus one chunk's
-    fields.  The chunks are dealt out to up to cfg.resolved_threads()
-    threads, each with its own running best, and the bests are merged at
-    the end.  A target's candidate ids are distinct, so (d, id) orders them
-    totally, and the graph does not depend on the chunking or the thread
-    count.
+    best of the k smallest (d, id) per target, with a running count of
+    finite candidates, so memory stays O(T k) plus one chunk's fields.  The
+    chunks are dealt out to up to cfg.resolved_threads() threads, each with
+    its own running best, and the bests are merged at the end.  A target's
+    candidate ids are distinct, so (d, id) orders them totally, and the
+    graph does not depend on the chunking or the thread count.
 
     candidate_mask, when given, replaces the mask for candidate-center
     eligibility only; patch known flags always come from mask.  The front
@@ -248,7 +247,6 @@ def build_graph(
     Raises GraphBuildError naming the first target with no finite-distance
     candidate.
     """
-    cfg.validate()
     if mask.known.shape != (img.rows, img.cols):
         raise DimensionMismatch("mask shape does not match image")
     if candidate_mask is not None and candidate_mask.known.shape != mask.known.shape:
@@ -300,10 +298,9 @@ def build_graph(
     per_merge = -(-max(k, _CHUNK_PAIRS // targets.size) // step)
 
     def work(part):
-        """Running best (d, ids) and valid/finite counts over chunks `part`."""
+        """Running best (d, ids) and finite-candidate count over chunks `part`."""
         best_d = np.empty((targets.size, 0))
         best_ids = np.empty((targets.size, 0), dtype=np.int64)
-        nvalid = np.zeros(targets.size, dtype=np.int64)
         nfin = np.zeros(targets.size, dtype=np.int64)
         for m in range(0, len(part), per_merge):
             block = part[m : m + per_merge]
@@ -323,12 +320,11 @@ def build_graph(
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = np.where(cnt > 0.0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf).T
             finite = valid & np.isfinite(d)
-            nvalid += valid.sum(axis=1)
             nfin += finite.sum(axis=1)
             best_d, best_ids = _nearest(
                 np.concatenate([best_d, np.where(finite, d, np.inf)], axis=1),
                 np.concatenate([best_ids, ids], axis=1), k)
-        return best_d, best_ids, nvalid, nfin
+        return best_d, best_ids, nfin
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -339,13 +335,14 @@ def build_graph(
     # and the k best of the union are the k best of the workers' bests
     sel_d, sel_ids = _nearest(np.concatenate([b[0] for b in bests], axis=1),
                               np.concatenate([b[1] for b in bests], axis=1), k)
-    nvalid = sum(b[2] for b in bests)
-    nfin = sum(b[3] for b in bests)
+    nfin = sum(b[2] for b in bests)
 
     empty = np.flatnonzero(nfin == 0)
     if empty.size:
-        t = int(targets[empty[0]])
-        if not nvalid[empty[0]]:
+        first = empty[0]
+        t = int(targets[first])
+        window = (cand_row[first, :, None] * cols + cand_col[first]).reshape(-1)
+        if not (eligible[window] & (window != t)).any():
             raise GraphBuildError(
                 f"vertex {t}: no known-center candidate in the search window",
                 vertex=t,

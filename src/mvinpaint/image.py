@@ -54,9 +54,6 @@ class MvImage:
     def pixel_of(self, u: int):
         return divmod(int(u), self.cols)
 
-    def point(self, i: int, j: int) -> np.ndarray:
-        return self.data[i, j].copy()
-
     def copy(self) -> "MvImage":
         return MvImage(self.descriptor, self.data.copy())
 

@@ -71,7 +71,8 @@ CUT_LOCUS_TOL = 1e-10
 SPHERE_NORM_TOL = 1e-10
 SPD_SYM_TOL = 1e-12
 
-_KINDS = ("euclidean", "circle", "sphere2", "spd")
+# manifold kind -> number of size parameters
+_KINDS = {"euclidean": 1, "circle": 0, "sphere2": 0, "spd": 1}
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,30 @@ class ManifoldDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DimensionMismatch(f"unknown manifold kind {self.kind!r}")
-        if self.kind == "euclidean" and self.dim < 1:
-            raise DimensionMismatch("euclidean manifold needs dim >= 1")
-        if self.kind == "spd" and self.dim < 1:
-            raise DimensionMismatch("spd manifold needs dim >= 1")
-        if self.kind in ("circle", "sphere2") and self.dim != 0:
+        if _KINDS[self.kind] and self.dim < 1:
+            raise DimensionMismatch(f"{self.kind} manifold needs dim >= 1")
+        if not _KINDS[self.kind] and self.dim != 0:
             raise DimensionMismatch(f"{self.kind} takes no size parameter")
+
+    @classmethod
+    def parse(cls, text: str) -> "ManifoldDescriptor":
+        """Inverse of label(), e.g. "spd 2" or "sphere2"; tokens split on whitespace.
+
+        Raises ValueError naming what is wrong with text.
+        """
+        tokens = text.split()
+        if not tokens:
+            raise ValueError("manifold line is empty")
+        kind, params = tokens[0], tokens[1:]
+        if kind not in _KINDS:
+            raise ValueError(f"unknown manifold kind {kind!r}")
+        if len(params) != _KINDS[kind]:
+            need = "needs one size parameter" if _KINDS[kind] else "takes no parameter"
+            raise ValueError(f"manifold {kind} {need}")
+        try:
+            return cls(kind, *map(int, params))
+        except ValueError as e:
+            raise ValueError(f"bad manifold declaration: {e}") from e
 
     @classmethod
     def euclidean(cls, m: int) -> "ManifoldDescriptor":
@@ -125,7 +144,7 @@ class ManifoldDescriptor:
         return self.point_len
 
     def label(self) -> str:
-        if self.kind in ("euclidean", "spd"):
+        if _KINDS[self.kind]:
             return f"{self.kind} {self.dim}"
         return self.kind
 
@@ -339,11 +358,11 @@ class _SpdKernel(_Kernel):
     def _eig(self, mats):
         return sym_eig_batch(self._sym(mats))
 
-    def _apply(self, mats, fn, require_pd, what):
-        """fn(W) for symmetric W, fn being np.log or np.exp."""
+    def _apply(self, mats, fn):
+        """fn(W) for symmetric W, fn being np.log (W positive definite) or np.exp."""
         lam, Q = self._eig(mats)
-        if require_pd and lam[..., 0].min(initial=np.inf) <= 0.0:
-            raise NotPositiveDefinite(f"{what}: eigenvalue <= 0")
+        if fn is np.log and lam[..., 0].min(initial=np.inf) <= 0.0:
+            raise NotPositiveDefinite("log target: eigenvalue <= 0")
         out = np.einsum("...ij,...j,...kj->...ik", Q, fn(lam), Q)
         return self._sym(out)
 
@@ -370,12 +389,12 @@ class _SpdKernel(_Kernel):
 
     def log_ortho(self, x, y):
         W = self._congruence(self._root(self._read(x), inverse=True), self._read(y))
-        S = self._apply(W, np.log, require_pd=True, what="log target")
+        S = self._apply(W, np.log)
         return self._zero_at_base(x, y, self._write(S))
 
     def exp_ortho(self, x, w):
         Xh = self._root(self._read(x))
-        E = self._apply(self._read(w), np.exp, require_pd=False, what="exp")
+        E = self._apply(self._read(w), np.exp)
         return self._write(self._congruence(Xh, E))
 
     def tangent_from_ortho(self, x, w):
@@ -468,18 +487,18 @@ class _Spd2Kernel(_SpdKernel):
             qq * a + 2.0 * qs * b + s * s * c,
         )
 
-    def _apply(self, mats, fn, require_pd, what):
+    def _apply(self, mats, fn):
         a, b, c = mats
         m = 0.5 * (a + c)
         h = 0.5 * (a - c)
         r = np.hypot(h, b)
-        hi = m + r
-        det = a * c - b * b
-        if require_pd and ((hi <= 0.0).any() or (det <= 0.0).any()):
-            raise NotPositiveDefinite(f"{what}: eigenvalue <= 0")
         nz = r > 0.0
         r2 = np.where(nz, 2.0 * r, 1.0)
         if fn is np.log:
+            hi = m + r
+            det = a * c - b * b
+            if (hi <= 0.0).any() or (det <= 0.0).any():
+                raise NotPositiveDefinite("log target: eigenvalue <= 0")
             # the small eigenvalue from the determinant: m - r cancels, and
             # log1p keeps the divided difference accurate as r -> 0
             lo = det / hi

@@ -31,9 +31,8 @@ from .config import SolverConfig
 from .errors import CutLocusError, SolverError
 from .graph import NonlocalGraph
 from .image import Mask, MvImage
-from .manifolds import Tangent
+from .manifolds import ZERO_TANGENT_TOL, Tangent
 
-ZERO_OP_TOL = 1e-15
 # _extremal_batch keeps the pairs within SCREEN_SAFETY times the rounding
 # bound of a row's screened maximum
 SCREEN_SAFETY = 2.0
@@ -125,8 +124,8 @@ def _extremal_batch(kernel, x, nbr_vals, sqw):
     ar = np.arange(A)
     delta = (s[ar, i_slot] + s[ar, j_slot]) / (sqw[ar, i_slot] + sqw[ar, j_slot])[:, None]
     nrm2 = np.einsum("al,al->a", delta, delta)
-    delta[nrm2 < ZERO_OP_TOL * ZERO_OP_TOL] = 0.0
-    return i_slot, j_slot, delta, nrm2 >= ZERO_OP_TOL * ZERO_OP_TOL
+    delta[nrm2 < ZERO_TANGENT_TOL * ZERO_TANGENT_TOL] = 0.0
+    return i_slot, j_slot, delta, nrm2 >= ZERO_TANGENT_TOL * ZERO_TANGENT_TOL
 
 
 def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
@@ -261,7 +260,6 @@ def solve_dirichlet(
     Returns:
         (image, iterations, trace) with trace the per-step relative changes.
     """
-    cfg.validate()
     if mask.known.shape != (f0.rows, f0.cols):
         raise SolverError("mask shape does not match image")
     active = _vertex_ids(active)

@@ -221,6 +221,13 @@ class TestExitCodes:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_config_checked_before_reading_files(self, tmp_path, capsys):
+        rc = run_cli("inpaint", "-i", tmp_path / "nope.mvi",
+                     "-m", tmp_path / "nope.pbm", "-o", tmp_path / "o.mvi",
+                     "--tau", 2)
+        assert rc == 1
+        assert "usage error: tau must lie in (0, 1]" in capsys.readouterr().err
+
     def test_unconverged_layers_exit_0(self, tmp_path, capsys):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         run_cli("generate", "--manifold", "s2", "--rows", 8, "--cols", 8,
@@ -247,7 +254,9 @@ class TestExitCodes:
                      "-m", tmp_path / "nope.pbm", "-o", out)
         assert rc == 2
         assert not out.exists()
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "layer" not in json_summary(err)
 
     def test_directory_input_exits_2(self, tmp_path, capsys):
         rc = run_cli("render", "-i", tmp_path, "-o", tmp_path / "o.ppm")
@@ -282,8 +291,10 @@ class TestExitCodes:
                      "--k", 3, "--p", 1, "--r", 3, "--sigma", "1e-300")
         assert rc == 3
         out, err = capsys.readouterr()
-        assert "numerical error" in err
-        assert json_summary(err)["exit_code"] == 3
+        assert "numerical error: layer 1: vertex " in err
+        summary = json_summary(err)
+        assert summary["exit_code"] == 3
+        assert summary["layer"] == 1
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"

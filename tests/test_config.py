@@ -1,0 +1,33 @@
+"""SolverConfig is immutable and checks its values when it is made."""
+
+import dataclasses
+
+import pytest
+
+from mvinpaint import SolverConfig
+from mvinpaint.errors import ConfigError
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 0),
+    ("k", 1.5),
+    ("p", -1),
+    ("r", 0),
+    ("sigma", 0),
+    ("sigma", "x"),
+    ("tau", 0),
+    ("tau", 1.5),
+    ("eps", 0),
+    ("max_iter", 0),
+    ("threads", 0),
+])
+def test_invalid_value_rejected_when_made(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        SolverConfig(**{field: value})
+
+
+def test_fields_cannot_be_assigned():
+    cfg = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tau = 2.0
+    assert cfg.tau == SolverConfig().tau

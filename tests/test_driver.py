@@ -42,10 +42,14 @@ class TestFindBorder:
     def test_fully_known(self):
         assert mv.find_border(mv.Mask.all_known(3, 3)).size == 0
 
-    def test_matches_bfs_depth_one(self):
+    # on the thin and tiny grids a neighbor wraps onto the pixel itself, or
+    # N and S are the same pixel
+    @pytest.mark.parametrize("shape", [(7, 9), (1, 9), (9, 1), (2, 2), (2, 5)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_bfs_depth_one(self, shape):
         rng = np.random.default_rng(61)
         for _ in range(10):
-            known = rng.random((7, 9)) < 0.6
+            known = rng.random(shape) < 0.6
             known[0, 0] = True
             depths = bfs_peel_depths(known)
             border = mv.find_border(mv.Mask(known))

@@ -60,6 +60,41 @@ class TestMvi:
         with pytest.raises(FileFormatError):
             mv.read_mvi(path)
 
+    @pytest.mark.parametrize("line, desc", [
+        ("euclidean 3", mv.ManifoldDescriptor.euclidean(3)),
+        ("circle", S1),
+        ("sphere2", S2),
+        ("spd 2", P2),
+        ("spd 3", mv.ManifoldDescriptor.spd(3)),
+        ("spd\t2", P2),
+    ])
+    def test_manifold_line_grammar_accepts(self, line, desc, tmp_path):
+        img = random_image(desc, 2, 3, np.random.default_rng(76))
+        path = tmp_path / "img.mvi"
+        mv.write_mvi(img, path)
+        raw = path.read_bytes().replace(
+            f"manifold {desc.label()}\n".encode(), f"manifold {line}\n".encode(), 1)
+        path.write_bytes(raw)
+        back = mv.read_mvi(path)
+        assert back.descriptor == desc
+        assert back.data.tobytes() == img.data.tobytes()
+
+    @pytest.mark.parametrize("line, error", [
+        ("manifold", "manifold line is empty"),
+        ("manifold spd", "manifold spd needs one size parameter"),
+        ("manifold spd 2 3", "manifold spd needs one size parameter"),
+        ("manifold sphere2 1", "manifold sphere2 takes no parameter"),
+        ("manifold spd x", "bad manifold declaration: invalid literal for int"),
+        ("manifold spd 0", "bad manifold declaration: spd manifold needs dim >= 1"),
+        ("manifold torus", "unknown manifold kind 'torus'"),
+    ])
+    def test_manifold_line_grammar_rejects(self, line, error, tmp_path):
+        path = tmp_path / "bad.mvi"
+        path.write_bytes(f"MVI1\n{line}\nrows 1\ncols 1\nbyteorder LE\ncount 1\n".encode()
+                         + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match=error):
+            mv.read_mvi(path)
+
     def test_rejects_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.mvi"
         path.write_bytes(b"MVI1\nmanifold circle\nrows 2\ncols 2\nbyteorder LE\ncount 5\n" + b"\x00" * 40)

@@ -288,6 +288,10 @@ class TestSpd:
 
 
 class TestArgumentChecking:
+    @pytest.mark.parametrize("desc", [E1, E3, S1, S2, P2, P3], ids=lambda d: d.label())
+    def test_parse_inverts_label(self, desc):
+        assert mv.ManifoldDescriptor.parse(desc.label()) == desc
+
     def test_wrong_point_length(self):
         with pytest.raises(DimensionMismatch):
             mv.distance(E3, [1.0, 2.0], [0.0, 0.0, 0.0])

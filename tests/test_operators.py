@@ -182,7 +182,7 @@ def full_gram_extremal(s, sqw):
     i, j = np.divmod(obj.reshape(A, -1).argmax(axis=1), k)
     ar = np.arange(A)
     delta = (s[ar, i] + s[ar, j]) / (sqw[ar, i] + sqw[ar, j])[:, None]
-    delta[np.einsum("al,al->a", delta, delta) < operators.ZERO_OP_TOL ** 2] = 0.0
+    delta[np.einsum("al,al->a", delta, delta) < operators.ZERO_TANGENT_TOL ** 2] = 0.0
     return i, j, delta
 
 
