@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: generate, mask, inpaint, render, compare.  Exit codes: 0 on
-success, 1 for usage errors, 2 for file/format problems, 3 for numerical
-failures; a failure inside an inpainting layer names that layer.  Every run
+success, then one per family of errors.py: 1 usage, 2 data (any OSError
+too), 3 numerical; a numerical failure names its layer and vertex.  Every run
 writes a JSON run summary (parameters, layer log, timings) to stderr, or to
 --log PATH when given.  Outputs are bitwise deterministic for identical
 invocations, independent of --threads.
@@ -19,17 +19,7 @@ import time
 import numpy as np
 
 from .config import SolverConfig
-from .errors import (
-    ConfigError,
-    CutLocusError,
-    DimensionMismatch,
-    EigenConvergenceError,
-    FileFormatError,
-    GraphBuildError,
-    NotPositiveDefinite,
-    SolverError,
-    TangentBaseMismatch,
-)
+from .errors import ConfigError, DimensionMismatch, FileFormatError, NumericalError
 from .driver import inpaint
 from .fileio import read_mask, read_mvi, write_mask, write_mvi
 from .metrics import compare
@@ -49,14 +39,9 @@ class _UsageError(Exception):
 # the first class of its MRO listed here
 _EXITS = {
     **dict.fromkeys((_UsageError, ConfigError), ("usage error", USAGE_ERROR)),
-    **dict.fromkeys(
-        (FileNotFoundError, IsADirectoryError, PermissionError,
-         FileFormatError, DimensionMismatch),
-        ("data error", DATA_ERROR)),
-    **dict.fromkeys(
-        (SolverError, GraphBuildError, CutLocusError, NotPositiveDefinite,
-         EigenConvergenceError, TangentBaseMismatch),
-        ("numerical error", NUMERICAL_ERROR)),
+    **dict.fromkeys((OSError, FileFormatError, DimensionMismatch),
+                    ("data error", DATA_ERROR)),
+    NumericalError: ("numerical error", NUMERICAL_ERROR),
 }
 
 
@@ -173,10 +158,6 @@ def _cmd_inpaint(args, summary):
     )
     img = read_mvi(args.input)
     mask = read_mask(args.mask)
-    if mask.known.shape != (img.rows, img.cols):
-        raise DimensionMismatch(
-            f"mask is {mask.rows}x{mask.cols} but image is {img.rows}x{img.cols}"
-        )
     t0 = time.perf_counter()
     result, front = inpaint(img, mask, cfg)
     solve_s = time.perf_counter() - t0
@@ -280,6 +261,8 @@ def run(argv) -> int:
     except tuple(_EXITS) as e:
         label, code = next(_EXITS[c] for c in type(e).__mro__ if c in _EXITS)
         summary.update(status="error", error=str(e), exit_code=code)
+        if getattr(e, "vertex", None) is not None:
+            summary["vertex"] = e.vertex
         layer = getattr(e, "layer", None)
         if layer is not None:
             summary["layer"] = layer

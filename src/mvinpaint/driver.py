@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SolverConfig
-from .errors import CutLocusError, DimensionMismatch, GraphBuildError, SolverError
+from .errors import NumericalError, SolverError
 from .graph import build_graph
-from .image import Mask, MvImage
+from .image import Mask, MvImage, check_mask_shape
 from .operators import solve_dirichlet
 
 
@@ -70,6 +70,7 @@ def find_border(mask: Mask) -> np.ndarray:
 
 def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
     """Copy into each border pixel its first known 4-neighbor (N, E, S, W)."""
+    check_mask_shape(img, mask)
     border = np.asarray(list(border), dtype=np.int64).reshape(-1)
     out = img.copy()
     if border.size == 0:
@@ -91,6 +92,7 @@ def nearest_known_fill(img: MvImage, mask: Mask) -> MvImage:
 
     Baseline fill without any solving; deterministic.
     """
+    check_mask_shape(img, mask)
     out = img.copy()
     m = mask.copy()
     while not m.known.all():
@@ -112,11 +114,11 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
 
     Raises:
         DimensionMismatch: the mask shape does not match the image.
-        SolverError / GraphBuildError / CutLocusError: numerical failures,
-            annotated with the failing layer where possible.
+        NumericalError: any numerical failure of a layer (a SolverError,
+            GraphBuildError, CutLocusError, NotPositiveDefinite, ...); its
+            layer names the failing layer.
     """
-    if mask.known.shape != (img.rows, img.cols):
-        raise DimensionMismatch("mask shape does not match image")
+    check_mask_shape(img, mask)
 
     work = img.copy()
     mask_now = mask.copy()
@@ -143,9 +145,8 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
             t1 = time.perf_counter()
             work, iters, trace = solve_dirichlet(graph, work, mask, active, cfg)
             t2 = time.perf_counter()
-        except (SolverError, CutLocusError, GraphBuildError) as e:
-            if getattr(e, "layer", None) is None:
-                e.layer = layer
+        except NumericalError as e:
+            e.layer = layer
             raise
         mask_now.known_flat[border] = True
         residual = float(trace[-1]) if trace else 0.0

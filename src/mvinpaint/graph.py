@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
 from .errors import ConfigError, DimensionMismatch, GraphBuildError
-from .image import Mask, MvImage
+from .image import Mask, MvImage, check_mask_shape
 from .manifolds import ManifoldDescriptor
 
 
@@ -146,8 +146,7 @@ def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
     """
     if radius < 0:
         raise ConfigError(f"patch radius must be nonnegative, got {radius}")
-    if mask.known.shape != (img.rows, img.cols):
-        raise DimensionMismatch("mask shape does not match image")
+    check_mask_shape(img, mask)
     i, j = int(center[0]), int(center[1])
     if not (0 <= i < img.rows and 0 <= j < img.cols):
         raise DimensionMismatch(f"patch center {center} outside the grid")
@@ -247,10 +246,9 @@ def build_graph(
     Raises GraphBuildError naming the first target with no finite-distance
     candidate.
     """
-    if mask.known.shape != (img.rows, img.cols):
-        raise DimensionMismatch("mask shape does not match image")
-    if candidate_mask is not None and candidate_mask.known.shape != mask.known.shape:
-        raise DimensionMismatch("candidate mask shape does not match image")
+    check_mask_shape(img, mask)
+    if candidate_mask is not None:
+        check_mask_shape(img, candidate_mask)
 
     rows, cols = img.rows, img.cols
     V = rows * cols

@@ -110,6 +110,14 @@ class Mask:
         return cls(np.ones((rows, cols), dtype=bool))
 
 
+def check_mask_shape(img: MvImage, mask: Mask):
+    """Raise DimensionMismatch unless mask has the grid shape of img."""
+    if mask.known.shape != (img.rows, img.cols):
+        raise DimensionMismatch(
+            f"mask is {mask.rows}x{mask.cols} but image is {img.rows}x{img.cols}"
+        )
+
+
 def image_distance(f: MvImage, g: MvImage, subset=None) -> float:
     """Root of the summed squared pixel distances over a vertex subset.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .image import Mask, MvImage
+from .image import Mask, MvImage, check_mask_shape
 
 
 @dataclass
@@ -34,8 +34,7 @@ def compare(result: MvImage, truth: MvImage, mask: Mask) -> ComparisonReport:
         raise DimensionMismatch("images live on different manifolds")
     if result.data.shape != truth.data.shape:
         raise DimensionMismatch("image shapes differ")
-    if mask.known.shape != (result.rows, result.cols):
-        raise DimensionMismatch("mask shape does not match images")
+    check_mask_shape(result, mask)
     ids = mask.unknown_ids()
     if ids.size == 0:
         raise DimensionMismatch("mask has no unknown pixel to compare on")

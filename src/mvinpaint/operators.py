@@ -30,7 +30,7 @@ import numpy as np
 from .config import SolverConfig
 from .errors import CutLocusError, SolverError
 from .graph import NonlocalGraph
-from .image import Mask, MvImage
+from .image import Mask, MvImage, check_mask_shape
 from .manifolds import ZERO_TANGENT_TOL, Tangent
 
 # _extremal_batch keeps the pairs within SCREEN_SAFETY times the rounding
@@ -260,8 +260,7 @@ def solve_dirichlet(
     Returns:
         (image, iterations, trace) with trace the per-step relative changes.
     """
-    if mask.known.shape != (f0.rows, f0.cols):
-        raise SolverError("mask shape does not match image")
+    check_mask_shape(f0, mask)
     active = _vertex_ids(active)
     if active.size == 0:
         return f0.copy(), 0, []

@@ -28,7 +28,7 @@ import numpy as np
 
 from .eigen import sym_eig_batch
 from .errors import DimensionMismatch, FileFormatError
-from .image import Mask, MvImage
+from .image import MvImage, check_mask_shape
 
 GRAY = (128, 128, 128)
 CELL = 12  # svg cell size in user units
@@ -134,8 +134,8 @@ def render(img: MvImage, mask, path, style: str):
     Raises FileFormatError for unsupported style/manifold pairings and
     DimensionMismatch for a mask that does not match the image.
     """
-    if mask is not None and mask.known.shape != (img.rows, img.cols):
-        raise DimensionMismatch("mask shape does not match image")
+    if mask is not None:
+        check_mask_shape(img, mask)
     kind = img.descriptor.kind
     if style == "ppm" and kind == "sphere2":
         _render_sphere_ppm(img, mask, path)

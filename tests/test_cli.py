@@ -1,8 +1,10 @@
 """End to end tests of the command line interface."""
 
 import dataclasses
+import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,9 +14,9 @@ import numpy as np
 import pytest
 
 import mvinpaint
-from mvinpaint import Mask, SolverConfig, cli
+from mvinpaint import Mask, SolverConfig, cli, errors
 from mvinpaint.fileio import read_mask, read_mvi, write_mask, write_mvi
-from mvinpaint.synthetic import cut_mask, generate_sphere_image
+from mvinpaint.synthetic import cut_mask, generate_spd_image, generate_sphere_image
 
 
 def run_cli(*args):
@@ -256,7 +258,8 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "data error" in err
-        assert "layer" not in json_summary(err)
+        summary = json_summary(err)
+        assert "layer" not in summary and "vertex" not in summary
 
     def test_directory_input_exits_2(self, tmp_path, capsys):
         rc = run_cli("render", "-i", tmp_path, "-o", tmp_path / "o.ppm")
@@ -295,6 +298,62 @@ class TestExitCodes:
         summary = json_summary(err)
         assert summary["exit_code"] == 3
         assert summary["layer"] == 1
+        named = re.search(r"layer 1: vertex (\d+):", err).group(1)
+        assert summary["vertex"] == int(named)
+
+    def test_not_positive_definite_names_the_layer(self, tmp_path, capsys):
+        # a known pixel of 1e-200 * I passes read validation, then fails the
+        # definiteness test of a patch distance in the first layer
+        img = generate_spd_image(6, 6)
+        img.data[1, 1] = [1e-200, 0.0, 0.0, 1e-200]
+        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
+        write_mvi(img, img_p)
+        write_mask(cut_mask(6, 6, (2, 2, 2, 2)), mask_p)
+        rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
+                     "-o", tmp_path / "o.mvi", "--k", 3, "--p", 1, "--r", 2)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical error: layer 1: " in err
+        summary = json_summary(err)
+        assert summary["exit_code"] == 3
+        assert summary["layer"] == 1
+
+    @pytest.mark.parametrize("exc, label, code", [
+        (errors.ConfigError("bad setting"), "usage error", 1),
+        (errors.DimensionMismatch("bad shape"), "data error", 2),
+        (errors.FileFormatError("bad file"), "data error", 2),
+        (FileNotFoundError(errno.ENOENT, "no such file"), "data error", 2),
+        (NotADirectoryError(errno.ENOTDIR, "not a directory"), "data error", 2),
+        (OSError(errno.ENOSPC, "no space left"), "data error", 2),
+    ] + [
+        (cls("numerical trouble"), "numerical error", 3)
+        for cls in (errors.TangentBaseMismatch, errors.CutLocusError,
+                    errors.NotPositiveDefinite, errors.EigenConvergenceError,
+                    errors.GraphBuildError, errors.SolverError)
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_error_families_map_to_exit_codes(self, exc, label, code,
+                                              tmp_path, capsys, monkeypatch):
+        def fail(args, summary):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "generate", fail)
+        rc = run_cli("generate", "--manifold", "s2", "--rows", 4, "--cols", 4,
+                     "-o", tmp_path / "x.mvi")
+        assert rc == code
+        err = capsys.readouterr().err
+        assert f"{label}: " in err
+        assert json_summary(err)["exit_code"] == code
+
+    def test_output_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        log = tmp_path / "s.json"
+        rc = run_cli("generate", "--manifold", "s2", "--rows", 4, "--cols", 4,
+                     "-o", blocker / "x.mvi", "--log", log)
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+        summary = json.loads(log.read_text())
+        assert summary["status"] == "error" and summary["exit_code"] == 2
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
-from mvinpaint.errors import DimensionMismatch, GraphBuildError, SolverError
+from mvinpaint.errors import (
+    DimensionMismatch,
+    GraphBuildError,
+    NotPositiveDefinite,
+    SolverError,
+)
 
 from conftest import bfs_peel_depths, random_image
 
@@ -298,12 +303,23 @@ class TestInpaint:
         with pytest.raises(DimensionMismatch):
             mv.inpaint(img, mv.Mask.all_known(2, 2), cheap_cfg())
 
-    def test_failures_name_the_layer(self):
-        rng = np.random.default_rng(66)
-        img = random_image(E1, 6, 6, rng)
+    @pytest.mark.parametrize("error", [GraphBuildError, NotPositiveDefinite],
+                             ids=lambda e: e.__name__)
+    def test_failures_name_the_layer(self, error):
+        if error is GraphBuildError:
+            # every weight underflows
+            img = random_image(E1, 6, 6, np.random.default_rng(66))
+            cfg = cheap_cfg(sigma=1e-300)
+        else:
+            # a known pixel in the first layer's patches is 1e-200 * I, which
+            # passes point validation but not the distance's definiteness test
+            data = mv.generate_spd_image(6, 6).data.copy()
+            data[1, 1] = [1e-200, 0.0, 0.0, 1e-200]
+            img = mv.MvImage(mv.ManifoldDescriptor.spd(2), data)
+            cfg = cheap_cfg()
         mask = hole_mask(6, 6, 2, 2, 2, 2)
-        with pytest.raises(GraphBuildError) as exc:
-            mv.inpaint(img, mask, cheap_cfg(sigma=1e-300))
+        with pytest.raises(error) as exc:
+            mv.inpaint(img, mask, cfg)
         assert exc.value.layer == 1
 
 

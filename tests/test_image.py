@@ -105,3 +105,32 @@ def test_random_image_validates():
     rng = np.random.default_rng(1)
     for desc in (E2, S2, mv.ManifoldDescriptor.spd(2)):
         random_image(desc, 4, 4, rng).validate()
+
+
+
+_CFG = mv.SolverConfig(k=3, p=1, r=1)
+# every function that takes an image and a mask, called as (img, mask, dir)
+MASK_USERS = {
+    "inpaint": lambda img, m, d: mv.inpaint(img, m, _CFG),
+    "initialize_border": lambda img, m, d: mv.initialize_border(img, m, [5]),
+    "nearest_known_fill": lambda img, m, d: mv.nearest_known_fill(img, m),
+    "extract_patch": lambda img, m, d: mv.extract_patch(img, m, (1, 1), 1),
+    "build_graph": lambda img, m, d: mv.build_graph(img, m, _CFG, [5]),
+    "build_graph_candidates": lambda img, m, d: mv.build_graph(
+        img, mv.Mask.all_known(4, 4), _CFG, [5], candidate_mask=m),
+    "solve_dirichlet": lambda img, m, d: mv.solve_dirichlet(
+        mv.NonlocalGraph.empty(16), img, m, [5], _CFG),
+    "render": lambda img, m, d: mv.render(img, m, d / "o.ppm", "ppm"),
+    "compare": lambda img, m, d: mv.compare(img, img.copy(), m),
+}
+
+
+@pytest.mark.parametrize("name", list(MASK_USERS))
+def test_mask_shape_rule_everywhere(name, tmp_path):
+    # a 2x8 mask has the pixel count of the 4x4 image but not its grid
+    img = random_image(S2, 4, 4, np.random.default_rng(9))
+    known = np.ones((2, 8), dtype=bool)
+    known[0, 5] = False
+    with pytest.raises(DimensionMismatch, match="mask is 2x8 but image is 4x4"):
+        MASK_USERS[name](img, mv.Mask(known), tmp_path)
+    assert not (tmp_path / "o.ppm").exists()
