@@ -27,17 +27,26 @@ from .operators import solve_dirichlet
 class LayerRecord:
     """Per-layer log entry of one inpainting run.
 
-    residual is the last relative change of the solve; converged says
-    whether it fell below cfg.eps before max_iter ran out.  sigma is the
-    weight scale of the layer's graph and min_candidates the smallest number
-    of finite-distance candidates of its targets; graph_s and solve_s are
-    the seconds spent building that graph and solving the layer.
+    rounds counts the solve's pair-jump rounds and zero_vertices the
+    active vertices they certified at an exact zero of the operator (all
+    of them when zero_vertices == active_size).  The other vertices take
+    Euler steps: iterations counts the steps (0 when no vertex is left to
+    them), vertex_steps the vertices stepped over all steps, and residual
+    is their last relative change (0.0 when there is none).  converged
+    says whether residual fell below cfg.eps before max_iter ran out.
+    sigma is the weight scale of the layer's graph and min_candidates the
+    smallest number of finite-distance candidates of its targets; graph_s
+    and solve_s are the seconds spent building that graph and solving the
+    layer.
     """
 
     index: int
     border_size: int
     active_size: int
+    rounds: int
+    zero_vertices: int
     iterations: int
+    vertex_steps: int
     residual: float
     converged: bool
     sigma: float
@@ -143,7 +152,8 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
             t0 = time.perf_counter()
             graph = build_graph(work, valued, cfg, active, candidate_mask=mask_now)
             t1 = time.perf_counter()
-            work, iters, trace = solve_dirichlet(graph, work, mask, active, cfg)
+            work, iters, trace, rounds, zeros, vertex_steps = solve_dirichlet(
+                graph, work, mask, active, cfg)
             t2 = time.perf_counter()
         except NumericalError as e:
             e.layer = layer
@@ -155,7 +165,10 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
                 index=layer,
                 border_size=int(border.size),
                 active_size=int(active.size),
+                rounds=rounds,
+                zero_vertices=zeros,
                 iterations=iters,
+                vertex_steps=vertex_steps,
                 residual=residual,
                 converged=residual < cfg.eps,
                 sigma=graph.sigma,

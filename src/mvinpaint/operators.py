@@ -12,7 +12,10 @@ and returns
 
 Objective ties are broken by the lexicographically smallest (v1, v2) vertex
 id pair, which makes every routine here deterministic.  The explicit Euler
-step then moves each active vertex along exp_{f(u)}(tau * operator).
+step then moves each active vertex along exp_{f(u)}(tau * operator).  On a
+layer whose vertices are not each other's neighbors, solve_dirichlet first
+moves each vertex to the zero of its extremal pair, where the jumps find
+one, and steps only the others.
 
 All batched work happens in the kernels' ortho coordinates, where the
 Riemannian inner product is the plain dot product.  The pair objective is
@@ -226,55 +229,99 @@ def _decoupled(graph: NonlocalGraph, active: np.ndarray) -> bool:
     return bool((rows >= 0).all()) and not np.isin(graph.ids[rows], active).any()
 
 
-def solve_dirichlet(
-    graph: NonlocalGraph,
-    f0: MvImage,
-    mask: Mask,
-    active,
-    cfg: SolverConfig,
-):
-    """Iterate Euler steps on the active set until the relative change stalls.
+def _without_cut_locus(fn, p: np.ndarray):
+    """fn(p) on the positions p whose rows raise no CutLocusError in it.
 
-    Known (mask) vertices are Dirichlet data and never move.  The relative
-    change at step k is the mean geodesic displacement of the active
-    vertices divided by the same mean at step 1 (1 if that mean is 0); the
-    loop stops when it drops below cfg.eps or after cfg.max_iter steps.
-
-    On a decoupled layer (no active vertex is a neighbor of an active
-    vertex, the default front layer) each vertex's next value is a function
-    of its own value, so once its value repeats bitwise it is in an exact
-    cycle.  Brent's cycle detection (BIT 20, 1980) on the value bits finds
-    such cycles of period up to the ring length.  Every live vertex steps
-    in lockstep, so the tortoise is one shared step of the layer, saved at
-    steps 0, 1, 3, 7, ... (the gap doubling up to the ring length, then
-    fixed) and read from the ring.  A comparison with the previous value
-    catches a fixed point (period 1) at the step it is reached rather than
-    at the next checkpoint.  A vertex caught in a cycle is frozen: it is no
-    longer stepped, and its stored cycle supplies its displacement at every
-    later step and its value at the last one.  The
-    iterations, the trace and the image are bitwise those of stepping every
-    vertex to the end.  Layers that couple active vertices, as
-    cfg.cumulative_active makes every layer after the first, are never
-    frozen.
+    A batch that raises is split in halves until each row that raises is
+    alone and left out.  fn's rows do not depend on each other, so the rows
+    kept come out bitwise as in one call.
 
     Returns:
-        (image, iterations, trace) with trace the per-step relative changes.
+        (kept positions, fn's tuple of per-row arrays over them)
     """
-    check_mask_shape(f0, mask)
-    active = _vertex_ids(active)
-    if active.size == 0:
-        return f0.copy(), 0, []
-    if mask.known_flat[active].any():
-        u = int(active[np.argmax(mask.known_flat[active])])
-        raise SolverError(f"active vertex {u} is a known pixel", vertex=u)
+    try:
+        return p, fn(p)
+    except CutLocusError:
+        if p.size == 1:
+            return p[:0], fn(p[:0])
+    h = p.size // 2
+    (a, ra), (b, rb) = _without_cut_locus(fn, p[:h]), _without_cut_locus(fn, p[h:])
+    return np.concatenate([a, b]), tuple(np.concatenate(r) for r in zip(ra, rb))
 
+
+def _jump(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
+    """Pair jumps of a decoupled layer: each vertex moves to the zero of its pair.
+
+    The operator of a pair (i, j) vanishes at z_ij, the point at fraction
+    t = sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) on the geodesic f(v_i) -> f(v_j),
+    since the neighbors of a decoupled layer never move.  Each round picks
+    the extremal pair of every vertex still jumping, at its current value,
+    and moves it to that pair's zero.  A vertex is certified where its
+    operator is an exact zero (Euler would leave it bitwise unchanged), or
+    where the pair it jumped by is again its extremal pair: the operator
+    there is that pair's, zero but for the rounding of z_ij.  A vertex that
+    comes back to a pair it has jumped from has no zero the jumps reach and
+    is dropped, as is one whose pair search or jump raises CutLocusError.
+    Each round either certifies a vertex, drops it, or marks a new
+    unordered pair of its row, so the jumps end within k(k+1)/2 + 1 rounds.
+
+    Returns:
+        (values (A, L), certified (A,), rounds): the certified vertices'
+        values are their zeros.
+    """
     kernel = f0.descriptor.kernel
-    f = f0.copy()
+    rows = graph.rows(active)
+    nbr_vals = f0.flat[graph.ids[rows]]                      # (A, k, L)
+    sqw = np.sqrt(graph.weights[rows])
+    A, k = sqw.shape
+    x = f0.flat[active]
+    certified = np.zeros(A, dtype=bool)
+    seen = np.zeros((A, k * k), dtype=bool)   # unordered slot pairs jumped from
+    last = np.full(A, -1)                     # the pair of the last jump
+    i_slot = np.empty(A, dtype=np.int64)
+    j_slot = np.empty(A, dtype=np.int64)
+
+    def extremal(p):
+        return _extremal_batch(kernel, x[p], nbr_vals[p], sqw[p])
+
+    def zero(p):
+        fi, fj = nbr_vals[p, i_slot[p]], nbr_vals[p, j_slot[p]]
+        si, sj = sqw[p, i_slot[p]], sqw[p, j_slot[p]]
+        return (kernel.exp_ortho(fi, (sj / (si + sj))[:, None] * kernel.log_ortho(fi, fj)),)
+
+    pend = np.arange(A)
+    rounds = 0
+    while pend.size:
+        rounds += 1
+        pend, (i, j, _, moving) = _without_cut_locus(extremal, pend)
+        pair = np.minimum(i, j) * k + np.maximum(i, j)
+        done = ~moving | (pair == last[pend])
+        certified[pend[done]] = True
+        go = ~done & ~seen[pend, pair]
+        pend, pair = pend[go], pair[go]
+        seen[pend, pair] = True
+        last[pend] = pair
+        i_slot[pend], j_slot[pend] = i[go], j[go]
+        pend, (z,) = _without_cut_locus(zero, pend)
+        x[pend] = z
+    return x, certified, rounds
+
+
+def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConfig,
+           decoupled: bool):
+    """Euler steps on the active set, freezing vertices caught in a cycle.
+
+    Returns:
+        (image, iterations, trace, vertex_steps)
+    """
+    if active.size == 0:
+        return f, 0, [], 0
+    kernel = f.descriptor.kernel
     A, L = active.size, f.flat.shape[1]
     # ring slots of the states and displacements of the last steps; a
     # vertex whose period exceeds them keeps stepping
     slots = min(RING, RING_BYTES // (8 * A * (L + 1)))
-    freeze = slots >= 2 and _decoupled(graph, active)
+    freeze = slots >= 2 and decoupled
     live = np.arange(A)                   # positions in active still stepped
     frozen = np.empty(0, dtype=np.int64)  # positions caught in a cycle
     if freeze:
@@ -293,11 +340,13 @@ def solve_dirichlet(
     disp = np.empty(A)
     trace = []
     denom = None
+    vertex_steps = 0
     for step in range(1, int(cfg.max_iter) + 1):
         if live.size:
             ids = active[live]
             prev = f.flat[ids]
             nxt = euler_step(graph, f, ids, cfg.tau)
+            vertex_steps += ids.size
             x = nxt.flat[ids]
             disp[live] = kernel.dist(prev, x)
             f = nxt
@@ -329,4 +378,68 @@ def solve_dirichlet(
             saved, gap = step, min(2 * (step - saved), slots)
     if frozen.size:
         f.flat[active[frozen]] = ring_x[cycle_slot(step), frozen]
-    return f, step, trace
+    return f, step, trace, vertex_steps
+
+
+def solve_dirichlet(
+    graph: NonlocalGraph,
+    f0: MvImage,
+    mask: Mask,
+    active,
+    cfg: SolverConfig,
+):
+    """Solve the layer: pair jumps where it is decoupled, then Euler steps.
+
+    Known (mask) vertices are Dirichlet data and never move.  On a
+    decoupled layer (no active vertex is a neighbor of an active vertex,
+    the default front layer) every vertex first jumps to the zeros of its
+    extremal pairs (see _jump); a certified vertex takes its zero, which is
+    the point the Euler steps below contract to, and is not stepped.
+
+    The other vertices (all of them on a coupled layer, as
+    cfg.cumulative_active makes every layer after the first) start from
+    their values in f0 and take Euler steps, each through the module-level
+    euler_step, until the relative change stalls: the mean geodesic
+    displacement of the stepped vertices divided by the same mean at step 1
+    (1 if that mean is 0) drops below cfg.eps, or cfg.max_iter steps have
+    run.  On a decoupled layer each steps as a function of its own value
+    alone, so it follows the trajectory it would have without the jumps.
+
+    On a decoupled layer a vertex whose value repeats bitwise is in an
+    exact cycle.  Brent's cycle detection (BIT 20, 1980) on the value bits
+    finds such cycles of period up to the ring length.  Every live vertex
+    steps in lockstep, so the tortoise is one shared step of the layer,
+    saved at steps 0, 1, 3, 7, ... (the gap doubling up to the ring length,
+    then fixed) and read from the ring.  A comparison with the previous
+    value catches a fixed point (period 1) at the step it is reached rather
+    than at the next checkpoint.  A vertex caught in a cycle is frozen: it
+    is no longer stepped, and its stored cycle supplies its displacement at
+    every later step and its value at the last one.  The iterations, the
+    trace and the image are bitwise those of stepping every such vertex to
+    the end.  Coupled layers are never frozen.
+
+    Returns:
+        (image, iterations, trace, rounds, zero_vertices, vertex_steps):
+        iterations and trace (the per-step relative changes) are those of
+        the Euler steps, 0 and [] when every vertex is certified; rounds
+        counts the jump rounds, zero_vertices the certified vertices and
+        vertex_steps the vertices passed to euler_step over all steps.
+    """
+    check_mask_shape(f0, mask)
+    active = _vertex_ids(active)
+    if active.size == 0:
+        return f0.copy(), 0, [], 0, 0, 0
+    if mask.known_flat[active].any():
+        u = int(active[np.argmax(mask.known_flat[active])])
+        raise SolverError(f"active vertex {u} is a known pixel", vertex=u)
+
+    f = f0.copy()
+    rounds = 0
+    rest = active
+    decoupled = _decoupled(graph, active)
+    if decoupled:
+        x, certified, rounds = _jump(graph, f0, active)
+        f.flat[active[certified]] = x[certified]
+        rest = active[~certified]
+    f, iterations, trace, vertex_steps = _euler(graph, f, rest, cfg, decoupled)
+    return f, iterations, trace, rounds, active.size - rest.size, vertex_steps

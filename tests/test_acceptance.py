@@ -138,7 +138,7 @@ def test_criterion_3_lipschitz_extensions(capsys):
         known = np.zeros((1, 9), dtype=bool)
         known[0, 0] = known[0, 8] = True
         cfg = mv.SolverConfig(k=2, p=0, r=1, tau=0.1, eps=1e-12, max_iter=1000)
-        out, iterations, _ = mv.solve_dirichlet(
+        out, iterations, *_ = mv.solve_dirichlet(
             graph, f0, mv.Mask(known), np.arange(1, 8), cfg
         )
         assert iterations <= 1000
@@ -154,7 +154,7 @@ def test_criterion_3_lipschitz_extensions(capsys):
         graph = make_graph(3, {0: ([1, 2], [1.0, 1.0])})
         known = np.array([[False, True, True]])
         cfg = mv.SolverConfig(k=2, p=0, r=1, tau=0.1, eps=1e-12, max_iter=1000)
-        out, _, _ = mv.solve_dirichlet(graph, img, mv.Mask(known), [0], cfg)
+        out, *_ = mv.solve_dirichlet(graph, img, mv.Mask(known), [0], cfg)
         half = mv.log_map(desc, x, y)
         midpoint = mv.exp_map(desc, x, mv.Tangent(half.base, 0.5 * half.vec))
         assert mv.distance(desc, out.flat[0], midpoint) < 1e-6

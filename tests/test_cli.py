@@ -103,8 +103,9 @@ class TestPipeline:
         assert "total_s" in summary["timings"]
         assert len(summary["layers"]) >= 1
         for rec in summary["layers"]:
-            assert set(rec) == {"index", "border_size", "active_size",
-                                "iterations", "residual", "converged", "sigma",
+            assert set(rec) == {"index", "border_size", "active_size", "rounds",
+                                "zero_vertices", "iterations", "vertex_steps",
+                                "residual", "converged", "sigma",
                                 "min_candidates", "graph_s", "solve_s"}
             assert rec["sigma"] > 0.0
             assert rec["graph_s"] >= 0.0 and rec["solve_s"] >= 0.0
@@ -234,15 +235,19 @@ class TestExitCodes:
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         run_cli("generate", "--manifold", "s2", "--rows", 8, "--cols", 8,
                 "-o", img_p)
-        run_cli("mask", "--rows", 8, "--cols", 8, "--rect", "3,3,2,2",
+        # each of the two layers holds a vertex whose extremal pairs cycle,
+        # so it has no zero and is left to Euler, which max_iter stops
+        run_cli("mask", "--rows", 8, "--cols", 8, "--rect", "2,3,4,4",
                 "-o", mask_p)
         capsys.readouterr()
         rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
                      "-o", tmp_path / "o.mvi",
-                     "--k", 3, "--p", 1, "--r", 3, "--max-iter", 1)
+                     "--k", 4, "--p", 1, "--r", 3, "--max-iter", 1)
         assert rc == 0
         layers = json_summary(capsys.readouterr().err)["layers"]
-        assert layers and not any(rec["converged"] for rec in layers)
+        assert len(layers) == 2
+        assert all(rec["zero_vertices"] < rec["active_size"] for rec in layers)
+        assert not any(rec["converged"] for rec in layers)
 
     def test_render_needs_known_extension(self, tmp_path, capsys):
         img_p = tmp_path / "i.mvi"

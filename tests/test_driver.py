@@ -190,7 +190,7 @@ def replicate_inpaint(img, mask, cfg):
         graph = mv.build_graph(
             work, mv.Mask(valued_flags), cfg, border, candidate_mask=mask_now
         )
-        work, _, _ = mv.solve_dirichlet(graph, work, mask_now, border, cfg)
+        work, *_ = mv.solve_dirichlet(graph, work, mask_now, border, cfg)
         captured.append((graph, border))
         mask_now.known_flat[border] = True
     return work, captured
@@ -247,17 +247,22 @@ class TestInpaint:
         mask = hole_mask(16, 16, 6, 6, 4, 4)
         out, front = mv.inpaint(img, mask, cheap_cfg(k=5, p=2, r=4))
         assert np.array_equal(out.data, img.data)
-        assert all(rec.iterations == 1 for rec in front.log)
+        # every operator is an exact zero: no vertex is left to Euler
+        assert all(rec.zero_vertices == rec.active_size for rec in front.log)
+        assert all(rec.iterations == 0 for rec in front.log)
         assert all(rec.converged for rec in front.log)
 
     def test_layer_stopped_by_max_iter_is_not_converged(self):
-        rng = np.random.default_rng(67)
+        # each layer holds a vertex whose extremal pairs cycle, so it has
+        # no zero and is left to Euler, which max_iter stops
+        rng = np.random.default_rng(65)
         img = random_image(S2, 8, 8, rng)
         mask = hole_mask(8, 8, 2, 2, 3, 3)
         cfg = cheap_cfg(max_iter=1)
         _, front = mv.inpaint(img, mask, cfg)
         assert len(front.log) == 2
         for rec in front.log:
+            assert rec.zero_vertices < rec.active_size
             assert rec.iterations == 1
             assert rec.residual >= cfg.eps
             assert rec.converged is False

@@ -371,7 +371,7 @@ class TestSolveDirichlet:
         known[0, 0] = known[0, n - 1] = True
         mask = mv.Mask(known)
         cfg = mv.SolverConfig(tau=0.1, eps=1e-9, max_iter=2000)
-        out, iters, trace = mv.solve_dirichlet(g, img, mask, [1, 2, 3], cfg)
+        out, iters, trace, *_ = mv.solve_dirichlet(g, img, mask, [1, 2, 3], cfg)
         assert np.abs(out.flat[:, 0] - np.arange(5.0)).max() < 1e-4
         assert iters == len(trace) <= 2000
 
@@ -380,7 +380,7 @@ class TestSolveDirichlet:
         img = line_image(E1, [[float(v)] for v in range(5)])
         known = np.zeros((1, 5), dtype=bool)
         known[0, 0] = known[0, 4] = True
-        out, iters, trace = mv.solve_dirichlet(
+        out, iters, trace, *_ = mv.solve_dirichlet(
             g, img, mv.Mask(known), [1, 2, 3], mv.SolverConfig()
         )
         assert iters == 1
@@ -392,7 +392,7 @@ class TestSolveDirichlet:
         img = line_image(E1, [[0.0]] * 6 + [[6.0]])
         known = np.zeros((1, 7), dtype=bool)
         known[0, 0] = known[0, 6] = True
-        _, _, trace = mv.solve_dirichlet(
+        _, _, trace, *_ = mv.solve_dirichlet(
             g, img, mv.Mask(known), range(1, 6), mv.SolverConfig(eps=1e-10, max_iter=500)
         )
         tail = trace[10:]
@@ -404,7 +404,7 @@ class TestSolveDirichlet:
         img = random_image(E1, 1, 6, rng)
         known = np.zeros((1, 6), dtype=bool)
         known[0, 0] = known[0, 5] = True
-        out, _, _ = mv.solve_dirichlet(
+        out, *_ = mv.solve_dirichlet(
             g, img, mv.Mask(known), range(1, 5), mv.SolverConfig(max_iter=50)
         )
         assert np.array_equal(out.flat[0], img.flat[0])
@@ -413,7 +413,7 @@ class TestSolveDirichlet:
     def test_empty_active_returns_copy(self):
         g = path_graph(3)
         img = line_image(E1, [[1.0], [2.0], [3.0]])
-        out, iters, trace = mv.solve_dirichlet(
+        out, iters, trace, *_ = mv.solve_dirichlet(
             g, img, mv.Mask.all_known(1, 3), [], mv.SolverConfig()
         )
         assert iters == 0 and trace == []
@@ -436,7 +436,7 @@ class TestSolveDirichlet:
         g = make_graph(3, {1: ([0, 2], [1.0, 1.0])})
         known = np.array([[True, False, True]])
         cfg = mv.SolverConfig(tau=0.5, eps=1e-12, max_iter=500)
-        out, _, _ = mv.solve_dirichlet(g, img, mv.Mask(known), [1], cfg)
+        out, *_ = mv.solve_dirichlet(g, img, mv.Mask(known), [1], cfg)
         mid = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         assert mv.distance(S2, out.flat[1], mid) < 1e-6
 
@@ -451,7 +451,9 @@ def star_layer(desc, seed):
     centers = 6
     degrees = rng.integers(4, 7, size=centers)
     n = centers + int(degrees.sum())
-    if desc.kind == "sphere2":
+    if desc.kind == "euclidean":
+        pts = rng.normal(size=(n, 1))
+    elif desc.kind == "sphere2":
         v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(n, 3))
         pts = v / np.linalg.norm(v, axis=1, keepdims=True)
     else:
@@ -493,7 +495,7 @@ def sphere_path(n, seed):
 
 
 def unfrozen_solve(graph, f0, active, cfg):
-    """solve_dirichlet's loop stepping every active vertex at every step.
+    """solve_dirichlet's Euler loop stepping every given vertex at every step.
 
     Returns (images, trace): the image after each step and the relative
     changes.
@@ -511,6 +513,22 @@ def unfrozen_solve(graph, f0, active, cfg):
         if trace[-1] < cfg.eps:
             break
     return images, trace
+
+
+def euler_start(graph, img, active):
+    """The image the solver's Euler steps start from, and the vertices they step.
+
+    On a decoupled layer the pair jumps put each certified vertex at its
+    zero and leave only the others to Euler; a coupled layer is stepped
+    whole.
+    """
+    active = np.asarray(active)
+    if not operators._decoupled(graph, active):
+        return img, active
+    x, certified, _ = operators._jump(graph, img, active)
+    start = img.copy()
+    start.flat[active[certified]] = x[certified]
+    return start, active[~certified]
 
 
 def final_period(images, u):
@@ -533,37 +551,84 @@ def record_steps(monkeypatch):
 
 
 def assert_solves_alike(graph, img, mask, active, cfg):
-    """solve_dirichlet gives the unfrozen loop's image bitwise, iterations and trace exactly."""
-    images, trace = unfrozen_solve(graph, img, active, cfg)
-    out, iters, got = mv.solve_dirichlet(graph, img, mask, active, cfg)
+    """solve_dirichlet gives the unfrozen loop's image bitwise, iterations and trace exactly.
+
+    The loop steps the vertices that the pair jumps leave, from the image
+    the jumps make.
+    """
+    start, rest = euler_start(graph, img, active)
+    images, trace = unfrozen_solve(graph, start, rest, cfg)
+    out, iters, got, *_ = mv.solve_dirichlet(graph, img, mask, active, cfg)
     assert iters == len(trace)
     assert got == trace
     assert out.data.tobytes() == images[-1].data.tobytes()
     return images, trace
 
 
+def antipodal_layer(seed):
+    """sphere2 centers 0..4, each with two neighbors p and -p.
+
+    The zero of a pair p, -p is undefined, so the jumps leave every center
+    to Euler.  Centers 0..3 start at random points and converge to the
+    point at their weighted fraction of the half great circle from p to -p.
+    Center 4 starts 5e-15 rad past the zero of its pair (0, 0, +-1),
+    weighted 1 and 1: its operator is not zero, but its step is below
+    ZERO_TANGENT_TOL, so it is a fixed point from step 1.
+    """
+    rng = np.random.default_rng(seed)
+    poles = rng.normal(size=(5, 3))
+    poles[4] = [0.0, 0.0, 1.0]
+    poles /= np.linalg.norm(poles, axis=1, keepdims=True)
+    v = poles + rng.normal(size=(5, 3))
+    v[4] = [1.0, 0.0, -5e-15]
+    pts = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True),
+                          np.stack([poles, -poles], 1).reshape(-1, 3)])
+    edges = {c: ([5 + 2 * c, 6 + 2 * c], list(rng.uniform(0.2, 1.0, size=2))) for c in range(5)}
+    edges[4] = ([13, 14], [1.0, 1.0])
+    mask = mv.Mask(np.arange(15)[None, :] >= 5)
+    return make_graph(15, edges), line_image(S2, pts), mask, np.arange(5)
+
+
+def side_by_side(*layers):
+    """One decoupled layer holding the given ones, their ids shifted apart."""
+    edges, pts, known, active, offset = {}, [], [], [], 0
+    for graph, img, mask, act in layers:
+        for u in act.tolist():
+            ids, w = graph.neighbors(u)
+            edges[u + offset] = ((ids + offset).tolist(), w.tolist())
+        pts.append(img.flat)
+        known.append(mask.known_flat)
+        active.append(act + offset)
+        offset += img.vertex_count
+    return (make_graph(offset, edges), line_image(layers[0][1].descriptor, np.concatenate(pts)),
+            mv.Mask(np.concatenate(known)[None, :]), np.concatenate(active))
+
+
 class TestCycleFreeze:
     """Frozen cycling vertices leave the solve bitwise unchanged.
 
-    The reference is the loop that steps every active vertex at every step.
-    The wrapped euler_step shows which vertices were frozen.
+    The reference is the loop that steps, at every step, every vertex the
+    pair jumps leave to Euler.  The inputs hold such vertices: ones whose
+    extremal pairs cycle, or whose pair is antipodal.  The wrapped
+    euler_step shows which vertices were frozen.
     """
 
     @pytest.mark.parametrize("desc, seed", [(S2, 1), (SPD2, 0)], ids=["sphere2", "spd2"])
     def test_stalled_layer_stopped_at_every_cycle_phase(self, desc, seed, monkeypatch):
         graph, img, mask, active = stalled_layer(desc, seed)
-        start = 200
-        cfg = mv.SolverConfig(tau=0.1, max_iter=start + operators.RING)
-        images, trace = unfrozen_solve(graph, img, active, cfg)
+        start, rest = euler_start(graph, img, active)
+        first = 200
+        cfg = mv.SolverConfig(tau=0.1, max_iter=first + operators.RING)
+        images, trace = unfrozen_solve(graph, start, rest, cfg)
         assert len(trace) == cfg.max_iter
-        periods = {int(u): final_period(images, u) for u in active}
+        periods = {int(u): final_period(images, u) for u in rest}
         longest = max(periods, key=periods.get)
         assert 2 <= periods[longest] <= operators.RING
         calls = record_steps(monkeypatch)
-        for max_iter in range(start, start + periods[longest]):
+        for max_iter in range(first, first + periods[longest]):
             calls.clear()
             cfg = mv.SolverConfig(tau=0.1, max_iter=max_iter)
-            out, iters, got = mv.solve_dirichlet(graph, img, mask, active, cfg)
+            out, iters, got, *_ = mv.solve_dirichlet(graph, img, mask, active, cfg)
             assert iters == max_iter
             assert got == trace[:max_iter]
             assert out.data.tobytes() == images[max_iter - 1].data.tobytes()
@@ -572,20 +637,12 @@ class TestCycleFreeze:
                 assert sum(u in c for c in calls) < max_iter
 
     def test_layer_converging_by_eps(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(15, 3))
-        pts = v / np.linalg.norm(v, axis=1, keepdims=True)
-        # vertex 4 and its neighbors share one value: a fixed point from step 1
-        pts[[13, 14]] = pts[4]
-        edges = {c: ([5 + 2 * c, 6 + 2 * c], list(rng.uniform(0.2, 1.0, size=2))) for c in range(4)}
-        edges[4] = ([13, 14], [0.5, 1.0])
-        known = np.arange(15)[None, :] >= 5
+        graph, img, mask, active = antipodal_layer(3)
         cfg = mv.SolverConfig(tau=0.1, max_iter=2000)
         calls = record_steps(monkeypatch)
-        _, trace = assert_solves_alike(
-            make_graph(15, edges), line_image(S2, pts), mv.Mask(known), np.arange(5), cfg
-        )
+        _, trace = assert_solves_alike(graph, img, mask, active, cfg)
         assert len(trace) < cfg.max_iter and trace[-1] < cfg.eps
+        # vertex 4 is a fixed point from step 1
         assert calls[0] == [0, 1, 2, 3, 4] and calls[-1] == [0, 1, 2, 3]
 
     def test_coupled_path_graph(self):
@@ -593,19 +650,23 @@ class TestCycleFreeze:
         assert_solves_alike(graph, img, mask, active, mv.SolverConfig(tau=0.1, max_iter=400))
 
     def test_fixed_point_frozen_the_step_it_is_reached(self, monkeypatch):
-        # e1 stars of two neighbors: each center falls geometrically onto a
-        # floating-point fixed point, mostly between two powers of two, where
-        # Brent's tortoise alone would catch it only later
+        # circle stars of two antipodal neighbors: the jumps leave each
+        # center to Euler, and it falls geometrically onto a floating-point
+        # fixed point, mostly between two powers of two, where Brent's
+        # tortoise alone would catch it only later
         rng = np.random.default_rng(5)
         centers = 6
-        vals = np.concatenate([rng.normal(size=centers), rng.normal(size=2 * centers)])
+        a = rng.uniform(-np.pi, 0.0, size=centers)
+        vals = np.concatenate([a + rng.uniform(0.2, np.pi - 0.2, size=centers),
+                               np.stack([a, a + np.pi], 1).reshape(-1)])
         edges = {c: ([centers + 2 * c, centers + 2 * c + 1], list(rng.uniform(0.2, 1.0, 2)))
                  for c in range(centers)}
-        graph, img = make_graph(3 * centers, edges), line_image(E1, vals[:, None])
+        graph, img = make_graph(3 * centers, edges), line_image(S1, vals[:, None])
         mask = mv.Mask(np.arange(3 * centers)[None, :] >= centers)
         active = np.arange(centers)
         # eps below any non-zero change: the solve runs until every center is fixed
         cfg = mv.SolverConfig(tau=0.3, eps=1e-300, max_iter=400)
+        assert euler_start(graph, img, active)[1].tolist() == active.tolist()
         images, trace = unfrozen_solve(graph, img, active, cfg)
         assert trace[-1] == 0.0
         states = [img] + images
@@ -623,8 +684,9 @@ class TestCycleFreeze:
     def test_cycle_caught_at_brent_checkpoints(self, desc, seed, monkeypatch):
         graph, img, mask, active = stalled_layer(desc, seed)
         cfg = mv.SolverConfig(tau=0.1, max_iter=300)
-        images, trace = unfrozen_solve(graph, img, active, cfg)
-        states = [img] + images
+        start, rest = euler_start(graph, img, active)
+        images, trace = unfrozen_solve(graph, start, rest, cfg)
+        states = [start] + images
         # Brent's checkpoints: the gap doubles up to the ring length, then stays
         checkpoints, gap = [0], 1
         while checkpoints[-1] < len(trace):
@@ -640,7 +702,7 @@ class TestCycleFreeze:
                     return n
             return len(trace)
 
-        expected = {u: caught(u) for u in active.tolist()}
+        expected = {u: caught(u) for u in rest.tolist()}
         # some vertex is caught at a checkpoint two or more steps back
         assert any(n < len(trace) and final_period(states[: n + 1], u) >= 2
                    for u, n in expected.items())
@@ -651,26 +713,30 @@ class TestCycleFreeze:
 
     @pytest.mark.parametrize("slots", [1, 2, 16])
     def test_fewer_ring_slots_change_nothing(self, slots, monkeypatch):
-        graph, img, mask, active = stalled_layer(S2, 1)
-        # a budget of `slots` ring slots for this layer: 6 vertices of 3 + 1 floats
-        monkeypatch.setattr(operators, "RING_BYTES", slots * 6 * 4 * 8)
+        # a vertex whose pairs cycle with period 13, and fixed points
+        graph, img, mask, active = side_by_side(stalled_layer(S2, 1), antipodal_layer(3))
+        rest = euler_start(graph, img, active)[1]
+        # a budget of `slots` ring slots for the stepped vertices, 3 + 1 floats each
+        monkeypatch.setattr(operators, "RING_BYTES", slots * rest.size * 4 * 8)
         calls = record_steps(monkeypatch)
         _, trace = assert_solves_alike(graph, img, mask, active, mv.SolverConfig(max_iter=300))
-        frozen = sum(map(len, calls)) < len(active) * len(trace)
+        frozen = sum(map(len, calls)) < rest.size * len(trace)
         assert frozen == (slots >= 2)
 
     def test_ring_stays_inside_its_byte_budget(self):
-        # 8000 targets sharing 4 known neighbors.  An uncapped 64-slot ring
+        # 8000 targets sharing 4 known neighbors whose extremal pairs cycle,
+        # so the jumps leave every target to Euler.  An uncapped 64-slot ring
         # alone takes 64 * 8000 * 4 * 8 bytes = 16.4 MB.  Measured peaks
-        # (numpy 2.4): 6.0 MB unfrozen, 10.6 MB with the 4 MiB budget, 22.9 MB
+        # (numpy 2.4): 7.8 MB unfrozen, 11.4 MB with the 4 MiB budget, 23.6 MB
         # with an uncapped ring
         A, k = 8000, 4
-        rng = np.random.default_rng(6)
+        rng = np.random.default_rng(16)
         v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(A + k, 3))
         img = line_image(S2, v / np.linalg.norm(v, axis=1, keepdims=True))
         nbrs = list(range(A, A + k))
         graph = mv.NonlocalGraph.from_adjacency(A + k, {u: (nbrs, [1.0] * k) for u in range(A)})
         mask = mv.Mask(np.arange(A + k)[None, :] >= A)
+        assert euler_start(graph, img, np.arange(A))[1].size == A
         tracemalloc.start()
         try:
             mv.solve_dirichlet(graph, img, mask, np.arange(A), mv.SolverConfig(max_iter=3))
@@ -684,18 +750,110 @@ class TestStepCalls:
     """solve_dirichlet steps through the module-level euler_step.
 
     The benchmark tracer wraps that name and counts Euler steps and
-    vertex-steps from its calls and their active sets.
+    vertex-steps from its calls and their active sets; the solver's own
+    vertex_steps count agrees with it.
     """
 
     def test_decoupled_layer_steps_live_vertices_only(self, monkeypatch):
         graph, img, mask, active = stalled_layer(S2, 1)
+        rest = euler_start(graph, img, active)[1]
         calls = record_steps(monkeypatch)
-        _, iters, _ = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig(max_iter=300))
-        assert calls and all(set(c) <= set(active.tolist()) for c in calls)
-        assert sum(map(len, calls)) < active.size * iters
+        _, iters, _, rounds, zeros, steps = mv.solve_dirichlet(
+            graph, img, mask, active, mv.SolverConfig(max_iter=300))
+        assert calls and all(set(c) <= set(rest.tolist()) for c in calls)
+        assert sum(map(len, calls)) < rest.size * iters
+        assert steps == sum(map(len, calls))
+        assert zeros == active.size - rest.size and rounds > 0
 
     def test_coupled_layer_steps_every_vertex_every_iteration(self, monkeypatch):
         graph, img, mask, active = sphere_path(7, seed=4)
         calls = record_steps(monkeypatch)
-        _, iters, _ = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig(max_iter=400))
+        _, iters, _, rounds, zeros, steps = mv.solve_dirichlet(
+            graph, img, mask, active, mv.SolverConfig(max_iter=400))
         assert calls == [active.tolist()] * iters
+        assert (rounds, zeros, steps) == (0, 0, active.size * iters)
+
+
+def geodesic_point(desc, a, b, t):
+    """The point at fraction t on the geodesic a -> b, written out per manifold.
+
+    euclidean: the affine point; sphere2: slerp; spd(2): the affine-invariant
+    geodesic A^1/2 (A^-1/2 B A^-1/2)^t A^1/2 through eigh.
+    """
+    if desc.kind == "euclidean":
+        return a + t * (b - a)
+    if desc.kind == "sphere2":
+        theta = np.arctan2(np.linalg.norm(np.cross(a, b)), a @ b)
+        if theta == 0.0:
+            return a
+        return (np.sin((1 - t) * theta) * a + np.sin(t * theta) * b) / np.sin(theta)
+    lam, q = np.linalg.eigh(a.reshape(2, 2))
+    root, inv = (q * np.sqrt(lam)) @ q.T, (q / np.sqrt(lam)) @ q.T
+    mu, r = np.linalg.eigh(inv @ b.reshape(2, 2) @ inv)
+    return (root @ ((r * mu ** t) @ r.T) @ root).reshape(-1)
+
+
+class TestJumpCertificate:
+    """A decoupled layer's certified vertices sit at the zeros of their pairs.
+
+    For every vertex the solver does not step, the extremal pair (i, j) at
+    its output is found by brute force, and the output must be the zero of
+    that pair: the point at t = sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) on the
+    geodesic f(v_i) -> f(v_j).  The vertices it steps must come out as the
+    Euler loop stepping them alone gives them.
+    """
+
+    @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
+    @pytest.mark.parametrize("seed", range(8))
+    def test_certified_vertices_sit_at_their_pair_zero(self, desc, seed, monkeypatch):
+        graph, img, mask, active = star_layer(desc, seed)
+        cfg = mv.SolverConfig(tau=0.1, max_iter=300)
+        calls = record_steps(monkeypatch)
+        out, iters, trace, rounds, zeros, steps = mv.solve_dirichlet(graph, img, mask, active, cfg)
+        rest = calls[0] if calls else []
+        certified = [u for u in active.tolist() if u not in rest]
+        assert certified and zeros == len(certified) and rounds >= 1
+        assert steps == sum(map(len, calls))
+        for u in certified:
+            i, j = brute_extremal_pair(graph, out, u)
+            ids, w = graph.neighbors(u)
+            si, sj = np.sqrt(w[ids.tolist().index(i)]), np.sqrt(w[ids.tolist().index(j)])
+            zero = geodesic_point(desc, img.flat[i], img.flat[j], sj / (si + sj))
+            assert mv.distance(desc, out.flat[u], zero) < 1e-12
+            if desc == E1:
+                assert abs(mv.real_graph_inf_laplacian(graph, out.flat[:, 0], u)) < 1e-13
+        if rest:
+            images, ref = unfrozen_solve(graph, img, np.array(rest), cfg)
+            assert (iters, trace) == (len(ref), ref)
+            assert out.flat[rest].tobytes() == images[-1].flat[rest].tobytes()
+        else:
+            assert (iters, trace, steps) == (0, [], 0)
+
+    def test_antipodal_pair_goes_to_euler(self, monkeypatch):
+        # stars that all certify, beside centers whose extremal neighbors
+        # are antipodal, so that the geodesic to their zero is undefined
+        graph, img, mask, active = side_by_side(star_layer(S2, 0), antipodal_layer(3))
+        antipodal = active[6:].tolist()
+        # eps below any non-zero change: both solves run max_iter steps
+        cfg = mv.SolverConfig(tau=0.1, eps=1e-300, max_iter=200)
+        images, _ = unfrozen_solve(graph, img, active, cfg)
+        calls = record_steps(monkeypatch)
+        out, iters, *_ = mv.solve_dirichlet(graph, img, mask, active, cfg)
+        assert calls[0] == antipodal and iters == len(images)
+        assert out.flat[antipodal].tobytes() == images[-1].flat[antipodal].tobytes()
+
+    def test_zero_at_a_neighbors_cut_locus_goes_to_euler(self, monkeypatch):
+        # circle centers 0 and 1 both have the zero 0 of the pair (-1, 1); the
+        # light third neighbor pi of center 0 is antipodal to it, so its pair
+        # cannot be picked there.  Euler only nears 0, and 100 steps at
+        # tau = 0.1 stay far outside the 1e-10 cut-locus band
+        vals = [0.5, 0.3, -1.0, 1.0, np.pi, -1.0, 1.0]
+        graph = make_graph(7, {0: ([2, 3, 4], [1.0, 1.0, 0.01]), 1: ([5, 6], [1.0, 1.0])})
+        img, mask = line_image(S1, [[v] for v in vals]), mv.Mask(np.arange(7)[None, :] >= 2)
+        cfg = mv.SolverConfig(tau=0.1, max_iter=100)
+        images, _ = unfrozen_solve(graph, img, [0], cfg)
+        calls = record_steps(monkeypatch)
+        out, iters, _, _, zeros, _ = mv.solve_dirichlet(graph, img, mask, [0, 1], cfg)
+        assert calls[0] == [0] and zeros == 1 and out.flat[1, 0] == 0.0
+        assert iters == len(images)
+        assert out.flat[0].tobytes() == images[-1].flat[0].tobytes()
