@@ -11,7 +11,7 @@ from .driver import (
 )
 from .eigen import sym_eig_batch
 from .fileio import read_mask, read_mvi, write_mask, write_mvi
-from .graph import NonlocalGraph, Patch, build_graph, extract_patch, patch_distance
+from .graph import NonlocalGraph, build_graph
 from .image import Mask, MvImage, image_distance
 from .manifolds import (
     ManifoldDescriptor,
@@ -46,7 +46,6 @@ __all__ = [
     "Mask",
     "MvImage",
     "NonlocalGraph",
-    "Patch",
     "SolverConfig",
     "Tangent",
     "build_graph",
@@ -55,7 +54,6 @@ __all__ = [
     "distance",
     "euler_step",
     "exp_map",
-    "extract_patch",
     "find_border",
     "generate_spd_image",
     "generate_sphere_image",
@@ -67,7 +65,6 @@ __all__ = [
     "inpaint",
     "log_map",
     "nearest_known_fill",
-    "patch_distance",
     "random_point",
     "random_tangent",
     "read_mask",

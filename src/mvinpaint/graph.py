@@ -19,9 +19,11 @@ each, read at the targets, gives every target's patch sum and overlap count
 at that offset.  A pixel pair is thus evaluated once per offset instead of
 once per overlapping target patch.  The offsets run in chunks, and each
 chunk's candidates are merged into a running best of k per target, so the
-memory a build holds is O(T k) for T targets plus one chunk's fields, not
-O(T (2r+1)^2).  extract_patch and patch_distance are the direct per-pair
-definition.
+memory a build holds is O(T k) for T targets plus one set of chunk fields
+per worker thread, not O(T (2r+1)^2).  Each worker makes its set once per
+build and reuses it for every chunk it runs, so a build does not allocate,
+free and fault in chunk-sized memory over and over.  The tests check the
+build against the direct per-pair definition of the patch distance.
 """
 
 from __future__ import annotations
@@ -33,22 +35,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
-from .errors import ConfigError, DimensionMismatch, GraphBuildError
+from .errors import DimensionMismatch, GraphBuildError
 from .image import Mask, MvImage, check_mask_shape
-from .manifolds import ManifoldDescriptor
-
-
-@dataclass
-class Patch:
-    """A (2p+1) x (2p+1) pixel neighborhood read with periodic wrap.
-
-    values holds the pixel points row-major, known the matching mask flags.
-    """
-
-    center: tuple
-    radius: int
-    values: np.ndarray
-    known: np.ndarray
 
 
 @dataclass
@@ -138,42 +126,7 @@ class NonlocalGraph:
         return cls(vertex_count, targets, ids, weights, degrees, sigma, min_candidates)
 
 
-def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
-    """Copy the periodic patch of the given radius around center.
-
-    known flags are copied from the mask; values are copied regardless of
-    the flags so callers must consult known before trusting a pixel.
-    """
-    if radius < 0:
-        raise ConfigError(f"patch radius must be nonnegative, got {radius}")
-    check_mask_shape(img, mask)
-    i, j = int(center[0]), int(center[1])
-    if not (0 <= i < img.rows and 0 <= j < img.cols):
-        raise DimensionMismatch(f"patch center {center} outside the grid")
-    offsets = np.arange(-radius, radius + 1)
-    ri = (i + offsets) % img.rows
-    cj = (j + offsets) % img.cols
-    values = img.data[np.ix_(ri, cj)].reshape(-1, img.descriptor.point_len).copy()
-    known = mask.known[np.ix_(ri, cj)].reshape(-1).copy()
-    return Patch(center=(i, j), radius=radius, values=values, known=known)
-
-
-def patch_distance(a: Patch, b: Patch, desc: ManifoldDescriptor) -> float:
-    """Masked mean patch distance (1/|I|) * sqrt(sum_I d^2), inf when |I| = 0.
-
-    I is the set of patch positions known in both patches.
-    """
-    if a.radius != b.radius or a.values.shape != b.values.shape:
-        raise DimensionMismatch("patches have different sizes")
-    both = a.known & b.known
-    cnt = int(both.sum())
-    if cnt == 0:
-        return float("inf")
-    d2 = desc.kernel.dist2(a.values[both], b.values[both])
-    return float(np.sqrt(d2.sum()) / cnt)
-
-
-# pixel pairs per kernel.dist2 call; bounds the per-chunk temporaries
+# pixel pairs per kernel.dist2 call; sets the size of the chunk buffers
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -191,14 +144,16 @@ def _periodic_span(coords: np.ndarray, n: int):
     return int(u[(g + 1) % u.size]), n - int(gaps[g]) + 1
 
 
-def _box_at(field: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int) -> np.ndarray:
+def _box_at(field: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int,
+            h: np.ndarray) -> np.ndarray:
     """w x w window sums of field (..., R, C) at top-left corners (rows, cols).
 
     Each window is summed term by term, w columns then w rows, so its
-    rounding is relative to its own sum and not to the whole field's.
+    rounding is relative to its own sum and not to the whole field's.  The
+    column sums go to h, a float64 buffer of shape (..., R, C - w + 1).
     """
     n = field.shape[-1] - w + 1
-    h = field[..., :n].copy()
+    np.copyto(h, field[..., :n])
     for k in range(1, w):
         h += field[..., k : k + n]
     return h[..., rows[:, None] + np.arange(w), cols[:, None]].sum(axis=-1)
@@ -231,9 +186,12 @@ def build_graph(
     that each make one kernel.dist2 call over the region the target patches
     cover.  Every few chunks, their candidates are merged into a running
     best of the k smallest (d, id) per target, with a running count of
-    finite candidates, so memory stays O(T k) plus one chunk's fields.  The
-    chunks are dealt out to up to cfg.resolved_threads() threads, each with
-    its own running best, and the bests are merged at the end.  A target's
+    finite candidates.  The chunks are dealt out to up to
+    cfg.resolved_threads() threads, each with its own running best and one
+    set of chunk-sized buffers (the overlap flags, the masked field, which
+    kernel.dist2 writes into, and the box sums' column sums), made once per
+    build and reused for every chunk; the bests are merged at the end.  So
+    memory stays O(T k) plus one set of chunk buffers per worker.  A target's
     candidate ids are distinct, so (d, id) orders them totally, and the
     graph does not depend on the chunking or the thread count.
 
@@ -297,6 +255,12 @@ def build_graph(
 
     def work(part):
         """Running best (d, ids) and finite-candidate count over chunks `part`."""
+        # one set of chunk fields, reused by every chunk: the overlap flags
+        # k_s, the masked field g_s and the column sums of the box
+        width = min(step, B.size)
+        both = np.empty((width, nR, nC), dtype=bool)
+        g = np.empty((width, nR, nC))
+        h = np.empty((width, nR, nC - box + 1))
         best_d = np.empty((targets.size, 0))
         best_ids = np.empty((targets.size, 0), dtype=np.int64)
         nfin = np.zeros(targets.size, dtype=np.int64)
@@ -308,11 +272,13 @@ def build_graph(
             cnt = np.empty((oa.size, targets.size))
             lo = 0
             for ia, jb, je in block:
-                both = (KX & Kw[ia, jb:je]).astype(np.int32)          # k_s, (c, nR, nC)
-                g = kernel.dist2(X, Fw[ia, jb:je]) * both
-                ssum[lo : lo + je - jb] = _box_at(g, tr, tc, box)
-                cnt[lo : lo + je - jb] = _box_at(both, tr, tc, box)
-                lo += je - jb
+                c = je - jb
+                np.logical_and(KX, Kw[ia, jb:je], out=both[:c])
+                kernel.dist2(X, Fw[ia, jb:je], g[:c])
+                g[:c] *= both[:c]
+                ssum[lo : lo + c] = _box_at(g[:c], tr, tc, box, h[:c])
+                cnt[lo : lo + c] = _box_at(both[:c], tr, tc, box, h[:c])
+                lo += c
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
             valid = eligible[ids] & (ids != targets[:, None])
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -27,10 +27,11 @@ tangent space at x with R^d in which the metric is the standard dot product
 (the identity map for the first three families, the whitening
 V -> X^(-1/2) V X^(-1/2) for spd; Pennec, Fillard and Ayache, IJCV 66,
 2006).  Each kernel defines only its primitives: ``log_ortho``,
-``exp_ortho``, ``dist2`` and point validation, plus the two coordinate maps
-for spd.  ``exp``, ``log``, ``inner`` and ``dist`` are derived from these
-once, in the shared base class; circle and sphere2 keep their own ``dist``,
-the exact angle.  The batched solver calls the ortho maps directly, so norms
+``exp_ortho``, ``_dist2`` (squared distances written into a given array)
+and point validation, plus the two coordinate maps for spd.  ``exp``,
+``log``, ``inner``, ``dist2`` and ``dist`` are derived from these once, in
+the shared base class; circle and sphere2 keep their own ``dist``, the
+exact angle.  The batched solver calls the ortho maps directly, so norms
 and inner products are plain einsums.
 
 Numerical conventions: tangent norms below 1e-15 short-circuit to exact
@@ -170,13 +171,31 @@ def wrap_angle(a):
 class _Kernel:
     """The maps every kernel derives from its primitives.
 
-    A concrete kernel defines ``log_ortho``, ``exp_ortho`` and ``dist2``
+    A concrete kernel defines ``log_ortho``, ``exp_ortho`` and ``_dist2``
     (and ``_check_values`` when its points have constraints beyond finite
     entries); a kernel whose ortho coordinates are not its tangent vectors
     also overrides ``tangent_from_ortho`` and ``ortho_from_tangent``.  In
     ortho coordinates the metric is the dot product, so ``exp``, ``log``,
     ``inner`` and ``dist`` follow here once for every kernel.
     """
+
+    @staticmethod
+    def _pairs(x, y):
+        """A new array with one entry per point pair of x against y, broadcast."""
+        return np.empty(np.broadcast(np.asarray(x)[..., 0], np.asarray(y)[..., 0]).shape)
+
+    def dist2(self, x, y, out=None):
+        """Squared geodesic distance of each point pair of x and y (..., L), broadcast.
+
+        out, when given, is a float64 array of the broadcast pair shape: the
+        distances are written into it, bitwise those of the call without
+        out, and out is returned.  The graph build passes one buffer as out
+        for every chunk, positionally, since the benchmark's kernel wrapper
+        forwards positional arguments only.
+        """
+        d2 = self._pairs(x, y) if out is None else out
+        self._dist2(x, y, d2)
+        return d2[()] if out is None else out
 
     def validate_points(self, pts):
         """(index, reason) of the first invalid point of pts (N, L), or None."""
@@ -219,9 +238,9 @@ class _EuclideanKernel(_Kernel):
     def log_ortho(self, x, y):
         return y - x
 
-    def dist2(self, x, y):
+    def _dist2(self, x, y, out):
         d = y - x
-        return np.einsum("...l,...l->...", d, d)
+        np.einsum("...l,...l->...", d, d, out=out)
 
     def random_point(self, rng, size=()):
         return rng.normal(size=tuple(size) + (self.point_len,))
@@ -253,9 +272,9 @@ class _CircleKernel(_Kernel):
     def dist(self, x, y):
         return np.abs(wrap_angle(y - x))[..., 0]
 
-    def dist2(self, x, y):
+    def _dist2(self, x, y, out):
         d = wrap_angle(y - x)[..., 0]
-        return d * d
+        np.multiply(d, d, out=out)
 
     def _check_values(self, pts):
         a = pts[..., 0]
@@ -282,20 +301,22 @@ class _Sphere2Kernel(_Kernel):
         # renormalize against drift; |y| is already 1 to machine precision
         return y / np.sqrt(np.einsum("...l,...l->...", y, y))[..., None]
 
-    def _angle(self, x, y):
+    def _angle(self, x, y, out):
         # Kahan's 2 atan2(|x - y|, |x + y|) keeps full precision at tiny
         # angles, where arccos of the dot product loses half the mantissa,
-        # and near the antipode
-        u = x - y
-        v = x + y
-        return 2.0 * np.arctan2(
-            np.sqrt(np.einsum("...l,...l->...", u, u)),
-            np.sqrt(np.einsum("...l,...l->...", v, v)),
-        )
+        # and near the antipode.  Written into out and returned; |x - y|^2
+        # is formed in out, and x + y in the buffer of x - y
+        u = np.subtract(x, y)
+        np.einsum("...l,...l->...", u, u, out=out)
+        v = np.add(x, y, out=u)
+        sv = np.einsum("...l,...l->...", v, v, out=np.empty(out.shape))
+        np.arctan2(np.sqrt(out, out=out), np.sqrt(sv, out=sv), out=out)
+        out *= 2.0
+        return out
 
     def log_ortho(self, x, y):
         c = np.einsum("...l,...l->...", x, y)
-        theta = self._angle(x, y)
+        theta = self._angle(x, y, self._pairs(x, y))
         bad = (np.pi - theta) < CUT_LOCUS_TOL
         if bad.any():
             idx = tuple(np.argwhere(bad)[0])
@@ -309,11 +330,11 @@ class _Sphere2Kernel(_Kernel):
         return np.where(small[..., None], 0.0, v)
 
     def dist(self, x, y):
-        return self._angle(x, y)
+        return self._angle(x, y, self._pairs(x, y))[()]
 
-    def dist2(self, x, y):
-        d = self.dist(x, y)
-        return d * d
+    def _dist2(self, x, y, out):
+        d = self._angle(x, y, out)
+        np.multiply(d, d, out=out)
 
     def _check_values(self, pts):
         nrm = np.linalg.norm(pts, axis=-1)
@@ -404,13 +425,13 @@ class _SpdKernel(_Kernel):
         Xmh = self._root(self._read(x), inverse=True)
         return self._write(self._congruence(Xmh, self._read(v)))
 
-    def dist2(self, x, y):
+    def _dist2(self, x, y, out):
         Xmh = self._root(self._read(x), inverse=True)
         lam, _ = self._eig(self._congruence(Xmh, self._read(y)))
         if lam[..., 0].min(initial=np.inf) <= 0.0:
             raise NotPositiveDefinite("distance target is not positive definite")
         ln = np.log(lam)
-        return np.einsum("...i,...i->...", ln, ln)
+        np.einsum("...i,...i->...", ln, ln, out=out)
 
     def _check_values(self, pts):
         M = self._mat(pts)
@@ -511,29 +532,59 @@ class _Spd2Kernel(_SpdKernel):
         fh = f1 * h
         return f0 + fh, f1 * b, f0 - fh
 
-    def dist2(self, x, y):
-        # eigenvalues of X^-1 Y solve l^2 - tr(X^-1 Y) l + det(Y)/det(X) = 0
+    def _dist2(self, x, y, out):
+        # eigenvalues of X^-1 Y solve l^2 - tr(X^-1 Y) l + det(Y)/det(X) = 0.
+        # The terms of y's shape are formed in place, in out and four
+        # scratch fields of one block, by the operations of
+        #   q = (y01 + y10) / 2,  det = (p s - q q) / det_x,
+        #   tr = (c p - 2 b q + a s) / det_x,  diff = (c p - a s) / det_x,
+        #   cross = (c q - b s) (a q - b p) / det_x^2,
+        #   lam1 = (tr + sqrt(max(diff^2 + 4 cross, 0))) / 2,  lam2 = det / lam1,
+        # so the bits are those of these formulas
         a, b, c = self._read(x)
-        p, q, s = self._read(y)
+        y = np.asarray(y)
+        p, s = y[..., 0], y[..., 3]
         det_x = a * c - b * b
-        det_y = p * s - q * q
+        scratch = np.empty((4,) + out.shape)
+        q, s1, s2, s3 = (scratch[i, ...] for i in range(4))
+        np.add(y[..., 1], y[..., 2], out=q)
+        q *= 0.5
+        np.multiply(p, s, out=s1)
+        s1 -= np.multiply(q, q, out=s2)                        # s1: det_y
         if (a <= 0).any() or (det_x <= 0).any():
             raise NotPositiveDefinite("distance base is not positive definite")
-        if (p <= 0).any() or (det_y <= 0).any():
+        if (p <= 0).any() or (s1 <= 0).any():
             raise NotPositiveDefinite("distance target is not positive definite")
-        tr = (c * p - 2.0 * b * q + a * s) / det_x
-        det = det_y / det_x
+        s1 /= det_x                                            # s1: det
         # discriminant as (m00 - m11)^2 + 4 m01 m10 of X^-1 Y; the tr^2 - 4 det
         # form cancels catastrophically when the eigenvalues coincide (y == x
         # gives exactly 0 here, so equal points come out at distance 0)
-        diff = (c * p - a * s) / det_x
-        cross = (c * q - b * s) * (a * q - b * p) / (det_x * det_x)
-        disc = np.maximum(diff * diff + 4.0 * cross, 0.0)
-        lam1 = 0.5 * (tr + np.sqrt(disc))
-        lam2 = det / lam1
-        l1 = np.log(lam1)
-        l2 = np.log(lam2)
-        return l1 * l1 + l2 * l2
+        np.multiply(c, q, out=s2)
+        s2 -= np.multiply(b, s, out=s3)
+        np.multiply(a, q, out=s3)
+        s3 -= np.multiply(b, p, out=out)
+        s2 *= s3
+        s2 /= det_x * det_x                                    # s2: cross
+        np.multiply(2.0 * b, q, out=s3)
+        np.multiply(c, p, out=q)                               # q: c p
+        np.multiply(a, s, out=out)                             # out: a s
+        np.subtract(q, s3, out=s3)
+        s3 += out
+        s3 /= det_x                                            # s3: tr
+        q -= out
+        q /= det_x                                             # q: diff
+        q *= q
+        s2 *= 4.0
+        q += s2
+        np.sqrt(np.maximum(q, 0.0, out=q), out=q)              # q: sqrt(disc)
+        s3 += q
+        s3 *= 0.5                                              # s3: lam1
+        s1 /= s3                                               # s1: lam2
+        np.log(s3, out=s3)
+        np.log(s1, out=s1)
+        np.multiply(s3, s3, out=out)
+        s1 *= s1
+        out += s1
 
 
 @functools.cache

@@ -196,17 +196,23 @@ def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
     }
 
 
-def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImage:
+def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float,
+               out: MvImage | None = None) -> MvImage:
     """One explicit Euler update of all active vertices (Jacobi semantics).
 
     Every read comes from the input image; non-active vertices are copied
     bitwise.  Where the operator vanishes the vertex is left bitwise
     unchanged.
+
+    out, when given, is an image of the same shape that already holds img's
+    values at every non-active vertex: only the active vertices are written,
+    and out is returned, bitwise the image the call without out returns.
     """
     if not (0.0 < tau <= 1.0):
         raise SolverError(f"tau must lie in (0, 1], got {tau}")
     active = _vertex_ids(active)
-    out = img.copy()
+    if out is None:
+        out = img.copy()
     if active.size == 0:
         return out
     if active.min() < 0 or active.max() >= img.vertex_count:
@@ -214,8 +220,8 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
     x, _, delta, moving = _batch_at(graph, img, active)
     if moving.any():
         kernel = img.descriptor.kernel
-        idx = active[moving]
-        out.flat[idx] = kernel.exp_ortho(x[moving], tau * delta[moving])
+        x[moving] = kernel.exp_ortho(x[moving], tau * delta[moving])
+    out.flat[active] = x
     return out
 
 
@@ -341,15 +347,19 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
     trace = []
     denom = None
     vertex_steps = 0
+    # each step reads one image and writes its live vertices into the other.
+    # The two then differ only at stepped vertices; a vertex leaves the live
+    # set only by freezing, on a decoupled layer no vertex reads a frozen one,
+    # and the frozen values are written at the end
+    spare = f.copy()
     for step in range(1, int(cfg.max_iter) + 1):
         if live.size:
             ids = active[live]
             prev = f.flat[ids]
-            nxt = euler_step(graph, f, ids, cfg.tau)
+            f, spare = euler_step(graph, f, ids, cfg.tau, out=spare), f
             vertex_steps += ids.size
-            x = nxt.flat[ids]
+            x = f.flat[ids]
             disp[live] = kernel.dist(prev, x)
-            f = nxt
         if frozen.size:
             disp[frozen] = ring_d[cycle_slot(step), frozen]
         change = float(disp.mean())

@@ -6,11 +6,15 @@ vectorized implementations they check.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import mvinpaint as mv
+from mvinpaint.errors import ConfigError, DimensionMismatch
+from mvinpaint.image import Mask, MvImage, check_mask_shape
+from mvinpaint.manifolds import ManifoldDescriptor
 
 
 def all_descriptors():
@@ -108,3 +112,54 @@ def bfs_peel_depths(known):
 def random_image(desc, rows, cols, rng):
     pts = mv.random_point(desc, rng, size=(rows * cols,))
     return mv.MvImage(desc, pts.reshape(rows, cols, desc.point_len))
+
+
+# The direct per-pair definition of the patch distance, the oracle that
+# build_graph's shift table is checked against.
+
+@dataclass
+class Patch:
+    """A (2p+1) x (2p+1) pixel neighborhood read with periodic wrap.
+
+    values holds the pixel points row-major, known the matching mask flags.
+    """
+
+    center: tuple
+    radius: int
+    values: np.ndarray
+    known: np.ndarray
+
+
+def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
+    """Copy the periodic patch of the given radius around center.
+
+    known flags are copied from the mask; values are copied regardless of
+    the flags so callers must consult known before trusting a pixel.
+    """
+    if radius < 0:
+        raise ConfigError(f"patch radius must be nonnegative, got {radius}")
+    check_mask_shape(img, mask)
+    i, j = int(center[0]), int(center[1])
+    if not (0 <= i < img.rows and 0 <= j < img.cols):
+        raise DimensionMismatch(f"patch center {center} outside the grid")
+    offsets = np.arange(-radius, radius + 1)
+    ri = (i + offsets) % img.rows
+    cj = (j + offsets) % img.cols
+    values = img.data[np.ix_(ri, cj)].reshape(-1, img.descriptor.point_len).copy()
+    known = mask.known[np.ix_(ri, cj)].reshape(-1).copy()
+    return Patch(center=(i, j), radius=radius, values=values, known=known)
+
+
+def patch_distance(a: Patch, b: Patch, desc: ManifoldDescriptor) -> float:
+    """Masked mean patch distance (1/|I|) * sqrt(sum_I d^2), inf when |I| = 0.
+
+    I is the set of patch positions known in both patches.
+    """
+    if a.radius != b.radius or a.values.shape != b.values.shape:
+        raise DimensionMismatch("patches have different sizes")
+    both = a.known & b.known
+    cnt = int(both.sum())
+    if cnt == 0:
+        return float("inf")
+    d2 = desc.kernel.dist2(a.values[both], b.values[both])
+    return float(np.sqrt(d2.sum()) / cnt)

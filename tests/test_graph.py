@@ -8,7 +8,7 @@ import mvinpaint as mv
 from mvinpaint import graph as graph_mod
 from mvinpaint.errors import ConfigError, DimensionMismatch, GraphBuildError
 
-from conftest import random_image
+from conftest import extract_patch, patch_distance, random_image
 
 E1 = mv.ManifoldDescriptor.euclidean(1)
 E2 = mv.ManifoldDescriptor.euclidean(2)
@@ -41,7 +41,7 @@ class TestExtractPatch:
     def test_radius_zero(self):
         img = scalar_image([[1.0, 2.0], [3.0, 4.0]])
         mask = mv.Mask(np.array([[True, False], [True, True]]))
-        p = mv.extract_patch(img, mask, (0, 1), 0)
+        p = extract_patch(img, mask, (0, 1), 0)
         assert p.values.shape == (1, 1)
         assert p.values[0, 0] == 2.0
         assert p.known.tolist() == [False]
@@ -49,56 +49,56 @@ class TestExtractPatch:
     def test_periodic_wrap(self):
         img = scalar_image(np.arange(9.0).reshape(3, 3))
         mask = mv.Mask.all_known(3, 3)
-        p = mv.extract_patch(img, mask, (0, 0), 1)
+        p = extract_patch(img, mask, (0, 0), 1)
         # scan order of rows (2,0,1) x cols (2,0,1)
         assert p.values[:, 0].tolist() == [8.0, 6.0, 7.0, 2.0, 0.0, 1.0, 5.0, 3.0, 4.0]
         assert p.known.all()
 
     def test_patch_is_a_copy(self):
         img = scalar_image([[1.0, 2.0], [3.0, 4.0]])
-        p = mv.extract_patch(img, mv.Mask.all_known(2, 2), (0, 0), 0)
+        p = extract_patch(img, mv.Mask.all_known(2, 2), (0, 0), 0)
         img.data[0, 0, 0] = 9.0
         assert p.values[0, 0] == 1.0
 
     def test_bad_arguments(self):
         img = scalar_image([[1.0, 2.0]])
         with pytest.raises(DimensionMismatch):
-            mv.extract_patch(img, mv.Mask.all_known(1, 2), (0, 5), 0)
+            extract_patch(img, mv.Mask.all_known(1, 2), (0, 5), 0)
         with pytest.raises(ConfigError):
-            mv.extract_patch(img, mv.Mask.all_known(1, 2), (0, 0), -1)
+            extract_patch(img, mv.Mask.all_known(1, 2), (0, 0), -1)
 
 
 class TestPatchDistance:
     def test_single_pixel_values(self):
         img = scalar_image([[2.0, 6.0]])
         mask = mv.Mask.all_known(1, 2)
-        a = mv.extract_patch(img, mask, (0, 0), 0)
-        b = mv.extract_patch(img, mask, (0, 1), 0)
-        assert mv.patch_distance(a, b, E1) == 4.0
-        assert mv.patch_distance(a, a, E1) == 0.0
+        a = extract_patch(img, mask, (0, 0), 0)
+        b = extract_patch(img, mask, (0, 1), 0)
+        assert patch_distance(a, b, E1) == 4.0
+        assert patch_distance(a, a, E1) == 0.0
 
     def test_empty_overlap_is_infinite(self):
         img = scalar_image([[2.0, 6.0]])
         mask = mv.Mask(np.array([[True, False]]))
-        a = mv.extract_patch(img, mask, (0, 0), 0)
-        b = mv.extract_patch(img, mask, (0, 1), 0)
-        assert mv.patch_distance(a, b, E1) == float("inf")
-        assert mv.patch_distance(b, b, E1) == float("inf")
+        a = extract_patch(img, mask, (0, 0), 0)
+        b = extract_patch(img, mask, (0, 1), 0)
+        assert patch_distance(a, b, E1) == float("inf")
+        assert patch_distance(b, b, E1) == float("inf")
 
     def test_symmetry(self):
         rng = np.random.default_rng(21)
         img = random_image(E2, 5, 5, rng)
         mask = mv.Mask(rng.random((5, 5)) < 0.7)
-        a = mv.extract_patch(img, mask, (1, 2), 1)
-        b = mv.extract_patch(img, mask, (3, 4), 1)
-        assert mv.patch_distance(a, b, E2) == mv.patch_distance(b, a, E2)
+        a = extract_patch(img, mask, (1, 2), 1)
+        b = extract_patch(img, mask, (3, 4), 1)
+        assert patch_distance(a, b, E2) == patch_distance(b, a, E2)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(22)
         img = random_image(S2, 6, 6, rng)
         mask = mv.Mask(rng.random((6, 6)) < 0.6)
-        a = mv.extract_patch(img, mask, (2, 3), 1)
-        b = mv.extract_patch(img, mask, (5, 0), 1)
+        a = extract_patch(img, mask, (2, 3), 1)
+        b = extract_patch(img, mask, (5, 0), 1)
         acc = 0.0
         cnt = 0
         for o in range(a.values.shape[0]):
@@ -106,15 +106,15 @@ class TestPatchDistance:
                 acc += mv.distance(S2, a.values[o], b.values[o]) ** 2
                 cnt += 1
         assert cnt > 0
-        assert abs(mv.patch_distance(a, b, S2) - np.sqrt(acc) / cnt) < 1e-12
+        assert abs(patch_distance(a, b, S2) - np.sqrt(acc) / cnt) < 1e-12
 
     def test_size_mismatch(self):
         img = scalar_image([[1.0, 2.0], [3.0, 4.0]])
         mask = mv.Mask.all_known(2, 2)
-        a = mv.extract_patch(img, mask, (0, 0), 0)
-        b = mv.extract_patch(img, mask, (0, 1), 1)
+        a = extract_patch(img, mask, (0, 0), 0)
+        b = extract_patch(img, mask, (0, 1), 1)
         with pytest.raises(DimensionMismatch):
-            mv.patch_distance(a, b, E1)
+            patch_distance(a, b, E1)
 
 
 class TestNonlocalGraph:
@@ -313,13 +313,13 @@ class TestBuildGraph:
         pooled = []
         counts = []
         for t in targets:
-            pt = mv.extract_patch(img, mask, divmod(t, cols), p)
+            pt = extract_patch(img, mask, divmod(t, cols), p)
             cand = []
             for cid in brute_candidates(rows, cols, t, r):
                 if not eligible[cid]:
                     continue
-                pc = mv.extract_patch(img, mask, divmod(cid, cols), p)
-                d = mv.patch_distance(pt, pc, desc)
+                pc = extract_patch(img, mask, divmod(cid, cols), p)
+                d = patch_distance(pt, pc, desc)
                 if np.isfinite(d):
                     cand.append((d, cid))
             cand.sort()

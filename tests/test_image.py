@@ -4,7 +4,7 @@ import pytest
 import mvinpaint as mv
 from mvinpaint.errors import DimensionMismatch
 
-from conftest import random_image
+from conftest import extract_patch, random_image
 
 S2 = mv.ManifoldDescriptor.sphere2()
 E2 = mv.ManifoldDescriptor.euclidean(2)
@@ -114,7 +114,7 @@ MASK_USERS = {
     "inpaint": lambda img, m, d: mv.inpaint(img, m, _CFG),
     "initialize_border": lambda img, m, d: mv.initialize_border(img, m, [5]),
     "nearest_known_fill": lambda img, m, d: mv.nearest_known_fill(img, m),
-    "extract_patch": lambda img, m, d: mv.extract_patch(img, m, (1, 1), 1),
+    "extract_patch": lambda img, m, d: extract_patch(img, m, (1, 1), 1),
     "build_graph": lambda img, m, d: mv.build_graph(img, m, _CFG, [5]),
     "build_graph_candidates": lambda img, m, d: mv.build_graph(
         img, mv.Mask.all_known(4, 4), _CFG, [5], candidate_mask=m),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import mvinpaint as mv
 import mvinpaint.manifolds as manifolds
@@ -572,3 +573,30 @@ def test_solver_kernel_calls_go_through_the_class(desc, monkeypatch):
     mask = mv.cut_mask(8, 8, (3, 1, 3, 3))
     mv.inpaint(img, mask, mv.SolverConfig(k=3, p=1, r=2, max_iter=5))
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("desc", [E3, S1, S2, P2, P3], ids=lambda d: d.label())
+def test_dist2_into_out_keeps_the_bits(desc):
+    # the graph build reuses one buffer as dist2's out for every chunk, so
+    # writing into out must give the bits of the copying call
+    rng = np.random.default_rng(12)
+    k = desc.kernel
+    field = mv.random_point(desc, rng, size=(5, 6))
+    big = mv.random_point(desc, rng, size=(7, 8))
+    # the build's operands: a (nR, nC, L) field against a strided
+    # (c, nR, nC, L) stack of its shifted windows
+    stack = np.moveaxis(sliding_window_view(big, (5, 6), axis=(0, 1)), 2, -1)[1, :3]
+    near = k.exp_ortho(field, k.random_ortho(rng, field, 1e-9))
+    cases = {
+        "single points": (field[0, 0], big[0, 0]),
+        "equal single points": (field[0, 0], field[0, 0].copy()),
+        "batch": (field[0], big[0, :6]),
+        "nearly equal batch": (field[1], near[1]),
+        "field against stack": (field, stack),
+        "equal and nearly equal stack": (field, np.stack([field, near])),
+    }
+    for name, (x, y) in cases.items():
+        ref = k.dist2(x, y)
+        out = np.full(np.shape(ref), np.nan)
+        assert k.dist2(x, y, out) is out, name
+        assert out.tobytes() == np.asarray(ref).tobytes(), name

@@ -353,6 +353,22 @@ class TestEulerStep:
             with pytest.raises(SolverError):
                 mv.euler_step(g, img, [0], tau)
 
+    @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
+    def test_out_gets_the_bits_of_the_copying_step(self, desc):
+        # solve_dirichlet steps into a spare image that holds the input's
+        # values everywhere but at the active vertices
+        graph, img, _, active = star_layer(desc, 4)
+        # center 2's neighbors all carry its value, so its operator is zero
+        ids, _ = graph.neighbors(2)
+        img.flat[ids] = img.flat[2]
+        ref = mv.euler_step(graph, img, active, 0.1)
+        moved = (ref.flat[active] != img.flat[active]).any(axis=1)
+        assert moved.tolist() == [True, True, False, True, True, True]
+        spare = img.copy()
+        spare.flat[active] = np.nan
+        assert mv.euler_step(graph, img, active, 0.1, out=spare) is spare
+        assert spare.data.tobytes() == ref.data.tobytes()
+
     def test_cut_locus_error_names_vertex(self):
         img = line_image(S1, [[0.0], [np.pi]])
         g = make_graph(2, {0: ([1], [1.0])})
@@ -542,9 +558,9 @@ def record_steps(monkeypatch):
     calls = []
     step = operators.euler_step
 
-    def euler_step(graph, img, active, tau):
+    def euler_step(graph, img, active, *args, **kwargs):
         calls.append(np.asarray(active).tolist())
-        return step(graph, img, active, tau)
+        return step(graph, img, active, *args, **kwargs)
 
     monkeypatch.setattr(operators, "euler_step", euler_step)
     return calls
