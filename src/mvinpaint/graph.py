@@ -17,7 +17,17 @@ and the overlap field k_s(x) = K(x) K(x+s) are computed once over the
 periodic region the target patches cover, and a (2p+1) x (2p+1) box sum of
 each, read at the targets, gives every target's patch sum and overlap count
 at that offset.  A pixel pair is thus evaluated once per offset instead of
-once per overlapping target patch.  The offsets run in chunks, and each
+once per overlapping target patch.  Where the patches reach round the grid
+in an axis, the region is cut to one period in that axis, and the box sums
+wrap across the seam, so no pixel pair is evaluated twice for one offset.
+When they cover the whole torus and d^2 is bitwise symmetric, the fields of
+s also give those of -s, shifted,
+
+    g_{-s}(x) = g_s(x - s),    k_{-s}(x) = k_s(x - s),
+
+so one field serves each pair {s, -s}, read at the targets' corners for s
+and at the corners shifted by -s for -s, and each pixel pair is evaluated
+once per build.  The offsets run in chunks, and each
 chunk's candidates are merged into a running best of k per target, so the
 memory a build holds is O(T k) for T targets plus one set of chunk fields
 per worker thread, not O(T (2r+1)^2).  Each worker makes its set once per
@@ -144,19 +154,53 @@ def _periodic_span(coords: np.ndarray, n: int):
     return int(u[(g + 1) % u.size]), n - int(gaps[g]) + 1
 
 
-def _box_at(field: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int,
-            h: np.ndarray) -> np.ndarray:
-    """w x w window sums of field (..., R, C) at top-left corners (rows, cols).
+def _wrap_columns(field: np.ndarray, n: int) -> None:
+    """Fill field[..., n:] with the periodic continuation of field[..., :n]."""
+    for lo in range(n, field.shape[-1], n):
+        hi = min(lo + n, field.shape[-1])
+        field[..., lo:hi] = field[..., : hi - lo]
 
-    Each window is summed term by term, w columns then w rows, so its
-    rounding is relative to its own sum and not to the whole field's.  The
-    column sums go to h, a float64 buffer of shape (..., R, C - w + 1).
+
+def _column_sums(field: np.ndarray, w: int, h: np.ndarray) -> None:
+    """Sums of w consecutive columns of field (..., R, C), term by term, into h.
+
+    h has the shape (..., R, C - w + 1).
     """
-    n = field.shape[-1] - w + 1
+    n = h.shape[-1]
     np.copyto(h, field[..., :n])
     for k in range(1, w):
         h += field[..., k : k + n]
-    return h[..., rows[:, None] + np.arange(w), cols[:, None]].sum(axis=-1)
+
+
+def _box_at(h: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int,
+            pairwise: np.ndarray, fields: np.ndarray | None = None) -> np.ndarray:
+    """w x w window sums (F, T) of F fields at top-left corners (rows, cols).
+
+    h holds the fields' column sums (_column_sums), and a window's w rows
+    wrap modulo h's row count.  rows (T,) gives one corner row per target.
+    cols gives one corner column per target (T,) for the fields h, or per
+    field and target (F, T) for the fields h[fields].  Each window is summed
+    term by term, w columns then w rows, so its rounding is relative to its
+    own sum and not to the whole field's.  The w rows are added pairwise,
+    as np.sum adds a contiguous axis, for the fields where pairwise (F,) is
+    true, and one by one from the top for the others.
+    """
+    i = (rows[:, None] + np.arange(w)) % h.shape[-2]
+    f = np.arange(len(h)) if fields is None else fields
+
+    def windows(f, cols):
+        return np.ascontiguousarray(h[f[:, None, None], i, cols[..., None]])
+
+    if pairwise.all():
+        return windows(f, cols).sum(axis=-1)
+    at = (Ellipsis,) if fields is None else (fields[:, None],)
+    sums = h[at + (i[:, 0], cols)]
+    for k in range(1, w):
+        sums += h[at + (i[:, k], cols)]
+    if pairwise.any():
+        c = np.broadcast_to(cols, sums.shape)[pairwise]
+        sums[pairwise] = windows(f[pairwise], c).sum(axis=-1)
+    return sums
 
 
 def _nearest(d: np.ndarray, ids: np.ndarray, k: int):
@@ -184,16 +228,22 @@ def build_graph(
     The distances come from the shift table of the module docstring: the
     window offsets, one per distinct candidate, are split into fixed chunks
     that each make one kernel.dist2 call over the region the target patches
-    cover.  Every few chunks, their candidates are merged into a running
-    best of the k smallest (d, id) per target, with a running count of
-    finite candidates.  The chunks are dealt out to up to
-    cfg.resolved_threads() threads, each with its own running best and one
-    set of chunk-sized buffers (the overlap flags, the masked field, which
-    kernel.dist2 writes into, and the box sums' column sums), made once per
-    build and reused for every chunk; the bests are merged at the end.  So
-    memory stays O(T k) plus one set of chunk buffers per worker.  A target's
-    candidate ids are distinct, so (d, id) orders them totally, and the
-    graph does not depend on the chunking or the thread count.
+    cover, cut to one period in an axis where the patches reach round the
+    grid.  When the region is the whole torus and kernel.symmetric_dist2
+    holds, only one offset of each pair {s, -s} gets a field, and a chunk's
+    box sums are read twice, for s and, shifted, for -s.  Every few chunks,
+    their candidates are merged into a running best of the k smallest
+    (d, id) per target, with a running count of finite candidates.  The
+    chunks are dealt out to up to cfg.resolved_threads() threads, each with
+    its own running best and one set of chunk-sized buffers (the overlap
+    flags, the masked field, which kernel.dist2 writes into, and the box
+    sums' column sums), made once per build and reused for every chunk; the
+    bests are merged at the end.  So memory stays O(T k) plus one set of
+    chunk buffers per worker.  A target's candidate ids are distinct, so
+    (d, id) orders them totally, and the graph does not depend on the
+    thread count, on the cut or on the pairing.  It does depend on the
+    chunk size for boxes wider than 8, through the order in which _box_at
+    adds a window's rows.
 
     candidate_mask, when given, replaces the mask for candidate-center
     eligibility only; patch known flags always come from mask.  The front
@@ -231,12 +281,17 @@ def build_graph(
 
     # region: the targets' periodic row/column span widened by p, so that
     # target t's patch starts at region pixel (tr, tc); Fw[ia, ib] is the
-    # region shifted by the offset (A[ia], B[ib])
+    # region shifted by the offset (A[ia], B[ib]).  An axis where the widened
+    # span reaches round the grid is cut to one period, so that no pixel pair
+    # is evaluated twice: box windows then wrap across the seam, rows modulo
+    # the grid (_box_at) and columns through copies of the first box - 1
+    # columns after the last (_wrap_columns), wC columns in all
     r0, nr = _periodic_span(t_row, rows)
     c0, nc = _periodic_span(t_col, cols)
-    nR, nC = nr + 2 * p, nc + 2 * p
-    fr = np.arange(r0 - p + A[0], r0 + nr + p + A[-1]) % rows
-    fc = np.arange(c0 - p + B[0], c0 + nc + p + B[-1]) % cols
+    nR, nC = min(nr + 2 * p, rows), min(nc + 2 * p, cols)
+    wC = nC + box - 1 if nC == cols else nC
+    fr = np.arange(r0 - p + A[0], r0 - p + nR + A[-1]) % rows
+    fc = np.arange(c0 - p + B[0], c0 - p + nC + B[-1]) % cols
     F = img.data[np.ix_(fr, fc)]
     KF = mask.known[np.ix_(fr, fc)]
     Fw = np.moveaxis(sliding_window_view(F, (nR, nC), axis=(0, 1)), 2, -1)
@@ -244,45 +299,88 @@ def build_graph(
     X, KX = Fw[-A[0], -B[0]], Kw[-A[0], -B[0]]
     tr, tc = (t_row - r0) % rows, (t_col - c0) % cols
 
+    # on the whole torus, a bitwise-symmetric dist2 gives g_-s(x) = g_s(x - s)
+    # and k_-s(x) = k_s(x - s), so the fields of s serve its partner -s too:
+    # their box sums at the target corners shifted by -s are those of -s.
+    # pa[ia] and pb[ib] index -A[ia] and -B[ib] modulo the grid.  Fields are
+    # then made for the rows ia <= pa[ia] only, and in a self-paired row
+    # (pa[ia] == ia) for the columns ib <= pb[ib]; an offset that is its own
+    # partner modulo the grid gets its field alone
+    paired = nR == rows and nC == cols and kernel.symmetric_dist2
+    pa, pb = (-A - A[0]) % rows, (-B - B[0]) % cols
+    ib = np.arange(B.size)
+    if paired:
+        spans = [(ia, B.size if ia < pa[ia] else int((ib <= pb).sum()))
+                 for ia in range(A.size) if ia <= pa[ia]]
+    else:
+        spans = [(ia, B.size) for ia in range(A.size)]
+
     k = int(cfg.k)
-    step = max(1, _CHUNK_PAIRS // (nR * nC))
-    chunks = [(ia, jb, min(jb + step, B.size))
-              for ia in range(A.size) for jb in range(0, B.size, step)]
+    # offsets per chunk, sized on the region before the cut, so that the cut
+    # changes no chunk, and through lone no bit of the box sums
+    step = max(1, _CHUNK_PAIRS // ((nr + 2 * p) * (nc + 2 * p)))
+    # _box_at adds the w rows of an offset's windows pairwise when the chunks
+    # of a whole row leave the offset alone in its chunk, and one by one when
+    # they do not: the orders np.sum takes over a gather of one offset's
+    # windows and of several offsets'.  Fixed per offset, they keep the bits
+    # of its distances whichever field serves it, paired or not
+    lone = np.minimum(step, B.size - ib // step * step) == 1
+    # chunk (ia, jb, je, mir): the fields of the offsets (ia, jb:je), and
+    # mir, the positions among them whose partner is another offset
+    chunks = []
+    for ia, n in spans:
+        for jb in range(0, n, step):
+            je = min(jb + step, n)
+            other = (pa[ia] != ia) | (pb[jb:je] != ib[jb:je])
+            chunks.append((ia, jb, je, np.flatnonzero(other & paired)))
     workers = min(cfg.resolved_threads(), len(chunks))
     # chunks merged into the running best at once: about max(k, _CHUNK_PAIRS / T)
     # offsets, so a merge sorts at least as many new entries as kept ones
-    per_merge = -(-max(k, _CHUNK_PAIRS // targets.size) // step)
+    per_merge = -(-max(k, _CHUNK_PAIRS // targets.size) // (step * (1 + paired)))
 
     def work(part):
         """Running best (d, ids) and finite-candidate count over chunks `part`."""
         # one set of chunk fields, reused by every chunk: the overlap flags
-        # k_s, the masked field g_s and the column sums of the box
+        # k_s, the masked field g_s and the column sums of the box.  Those of
+        # g_s are float; those of k_s are int32, exact in any order, in the
+        # same memory, as a chunk reads its float sums before it makes its
+        # counts
         width = min(step, B.size)
-        both = np.empty((width, nR, nC), dtype=bool)
-        g = np.empty((width, nR, nC))
-        h = np.empty((width, nR, nC - box + 1))
+        both = np.empty((width, nR, wC), dtype=bool)
+        g = np.empty((width, nR, wC))
+        h = np.empty((width, nR, wC - box + 1))
+        hk = h.reshape(-1).view(np.int32)[: h.size].reshape(h.shape)
         best_d = np.empty((targets.size, 0))
         best_ids = np.empty((targets.size, 0), dtype=np.int64)
         nfin = np.zeros(targets.size, dtype=np.int64)
         for m in range(0, len(part), per_merge):
             block = part[m : m + per_merge]
-            oa = np.concatenate([np.full(je - jb, ia) for ia, jb, je in block])
-            ob = np.concatenate([np.arange(jb, je) for _, jb, je in block])
+            oa = np.concatenate([np.repeat([ia, pa[ia]], [je - jb, mir.size])
+                                 for ia, jb, je, mir in block])
+            ob = np.concatenate([np.concatenate([ib[jb:je], pb[jb + mir]])
+                                 for _, jb, je, mir in block])
             ssum = np.empty((oa.size, targets.size))
-            cnt = np.empty((oa.size, targets.size))
+            cnt = np.empty((oa.size, targets.size), dtype=np.int64)
             lo = 0
-            for ia, jb, je in block:
+            for ia, jb, je, mir in block:
                 c = je - jb
-                np.logical_and(KX, Kw[ia, jb:je], out=both[:c])
-                kernel.dist2(X, Fw[ia, jb:je], g[:c])
-                g[:c] *= both[:c]
-                ssum[lo : lo + c] = _box_at(g[:c], tr, tc, box, h[:c])
-                cnt[lo : lo + c] = _box_at(both[:c], tr, tc, box, h[:c])
-                lo += c
+                np.logical_and(KX, Kw[ia, jb:je], out=both[:c, :, :nC])
+                kernel.dist2(X, Fw[ia, jb:je], g[:c, :, :nC])
+                g[:c, :, :nC] *= both[:c, :, :nC]
+                # the partners' corners: t - s modulo the grid
+                mr, mc = (tr - A[ia]) % rows, (tc - B[jb + mir, None]) % cols
+                for field, sums, out in ((g, h, ssum), (both, hk, cnt)):
+                    _wrap_columns(field[:c], nC)
+                    _column_sums(field[:c], box, sums[:c])
+                    out[lo : lo + c] = _box_at(sums[:c], tr, tc, box, lone[jb:je])
+                    if mir.size:
+                        out[lo + c : lo + c + mir.size] = _box_at(
+                            sums, mr, mc, box, lone[pb[jb + mir]], mir)
+                lo += c + mir.size
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
             valid = eligible[ids] & (ids != targets[:, None])
             with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(cnt > 0.0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf).T
+                d = np.where(cnt > 0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf).T
             finite = valid & np.isfinite(d)
             nfin += finite.sum(axis=1)
             best_d, best_ids = _nearest(

@@ -177,7 +177,13 @@ class _Kernel:
     also overrides ``tangent_from_ortho`` and ``ortho_from_tangent``.  In
     ortho coordinates the metric is the dot product, so ``exp``, ``log``,
     ``inner`` and ``dist`` follow here once for every kernel.
+
+    ``symmetric_dist2`` is true when ``dist2(x, y)`` has the bits of
+    ``dist2(y, x)`` for every pair, which lets the graph build serve the
+    window offsets s and -s from one field.
     """
+
+    symmetric_dist2 = False
 
     @staticmethod
     def _pairs(x, y):
@@ -229,6 +235,9 @@ class _Kernel:
 
 
 class _EuclideanKernel(_Kernel):
+    # (y - x)^2 and (x - y)^2 agree term by term
+    symmetric_dist2 = True
+
     def __init__(self, m):
         self.point_len = m
 
@@ -292,6 +301,9 @@ class _CircleKernel(_Kernel):
 
 
 class _Sphere2Kernel(_Kernel):
+    # |x - y| and |x + y| do not depend on the order of x and y
+    symmetric_dist2 = True
+
     def exp_ortho(self, x, v):
         nrm = np.sqrt(np.einsum("...l,...l->...", v, v))
         small = nrm < ZERO_TANGENT_TOL
@@ -557,8 +569,10 @@ class _Spd2Kernel(_SpdKernel):
             raise NotPositiveDefinite("distance target is not positive definite")
         s1 /= det_x                                            # s1: det
         # discriminant as (m00 - m11)^2 + 4 m01 m10 of X^-1 Y; the tr^2 - 4 det
-        # form cancels catastrophically when the eigenvalues coincide (y == x
-        # gives exactly 0 here, so equal points come out at distance 0)
+        # form cancels catastrophically when the eigenvalues coincide.  y == x
+        # gives a discriminant of exactly 0 and det of exactly 1 here, but
+        # tr / 2 can round off 1, so dist2(x, x) is not always 0: on about a
+        # fifth of random points it is a rounding residue of up to ~1e-31
         np.multiply(c, q, out=s2)
         s2 -= np.multiply(b, s, out=s3)
         np.multiply(a, q, out=s3)

@@ -295,6 +295,15 @@ class TestBuildGraph:
             # windows wrap across the periodic seam
             pytest.param(E2, 8, 9, [0, 8, 9, 17, 63, 71], (4, 2, 2), 0.8, None, 30,
                          id="seam"),
+            # targets on every row and column: the region is the whole torus,
+            # cut to one period, and the offsets s and -s share one field
+            pytest.param(S2, 7, 8, [0, 9, 18, 27, 36, 45, 54, 15], (4, 1, 2), 0.75, None, 34,
+                         id="sphere2-torus"),
+            pytest.param(S2, 9, 10, [0, 11, 22, 33, 44, 55, 66, 77, 88, 29], (5, 4, 2), 0.8,
+                         None, 35, id="sphere2-torus-9x9-patches"),
+            # targets on two rows but every column: the region is cut in columns only
+            pytest.param(E2, 9, 8, [24, 26, 28, 30, 33, 35, 37, 39], (4, 1, 2), 0.8, None, 36,
+                         id="column-period"),
         ],
     )
     def test_matches_brute_force_selection(
@@ -336,6 +345,99 @@ class TestBuildGraph:
             for cid, wc in zip(ids.tolist(), w):
                 ref = np.exp(-((selected[t][cid] / sigma) ** 2))
                 assert abs(wc - ref) < 1e-12
+
+    @pytest.mark.parametrize(
+        "desc, rows, cols, kpr",
+        [
+            pytest.param(S2, 9, 11, (5, 1, 3), id="sphere2-odd"),
+            pytest.param(S2, 10, 12, (5, 1, 3), id="sphere2-even"),
+            pytest.param(E2, 9, 12, (5, 1, 3), id="e2-odd-even"),
+            # 2r + 1 exceeds both sides, so the offsets rows/2 and cols/2 are
+            # their own partners modulo the grid
+            pytest.param(S2, 6, 8, (6, 1, 5), id="sphere2-window-wider-than-grid"),
+            pytest.param(E2, 5, 7, (6, 1, 4), id="e2-odd-window-wider-than-grid"),
+            # 9 x 9 patches: _box_at adds a window's 9 rows in an order that
+            # depends on the chunk the offset has without pairing
+            pytest.param(S2, 14, 13, (6, 4, 3), id="sphere2-9x9-patches"),
+        ],
+    )
+    @pytest.mark.parametrize("chunks, threads", [("default", 1), ("one-offset", 1),
+                                                 ("three-offset", 1), ("three-offset", 2)])
+    def test_pairing_changes_nothing(self, desc, rows, cols, kpr, chunks, threads,
+                                     monkeypatch):
+        rng = np.random.default_rng(33)
+        img = random_image(desc, rows, cols, rng)
+        # targets on every row and column, so the patches cover the torus
+        targets = sorted({(i % rows) * cols + i % cols for i in range(max(rows, cols))}
+                         | set(rng.choice(rows * cols, size=4).tolist()))
+        known = rng.random(rows * cols) < 0.8
+        known[targets] = False
+        known[(targets[0] + 1) % (rows * cols)] = True
+        mask = mv.Mask(known.reshape(rows, cols))
+        k, p, r = kpr
+        # three offsets per chunk split a 7-offset row 3 + 3 + 1
+        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", {
+            "default": graph_mod._CHUNK_PAIRS, "one-offset": 1,
+            "three-offset": 3 * (rows + 2 * p) * (cols + 2 * p)}[chunks])
+        cls = type(desc.kernel)
+        real = cls.dist2
+        pairs = []
+
+        def counting(kernel, x, y, out=None):
+            pairs.append(np.size(real(kernel, x, y, out)))
+            return out
+
+        monkeypatch.setattr(cls, "dist2", counting)
+        config = cfg(k=k, p=p, r=r, threads=threads)
+        assert cls.symmetric_dist2
+        g = mv.build_graph(img, mask, config, targets)
+        paired_pairs = sum(pairs)
+        pairs.clear()
+        monkeypatch.setattr(cls, "symmetric_dist2", False)
+        ref = mv.build_graph(img, mask, config, targets)
+        assert g.ids.tobytes() == ref.ids.tobytes()
+        assert g.weights.tobytes() == ref.weights.tobytes()
+        assert g.degrees.tobytes() == ref.degrees.tobytes()
+        assert np.float64(g.sigma).tobytes() == np.float64(ref.sigma).tobytes()
+        assert g.min_candidates == ref.min_candidates
+        # one period per field: one field per distinct offset without pairing,
+        # and one per pair {s, -s} modulo the grid with it
+        offsets = {(a % rows, b % cols) for a in range(-r, r + 1) for b in range(-r, r + 1)}
+        partners = {frozenset({(a, b), (-a % rows, -b % cols)}) for a, b in offsets}
+        assert sum(pairs) == len(offsets) * rows * cols
+        assert paired_pairs == len(partners) * rows * cols
+
+    @pytest.mark.parametrize("chunks", ["default", "three-offset"])
+    def test_cut_to_one_period_changes_nothing(self, chunks, monkeypatch):
+        # the same targets on the image tiled 2 x 2: there their patches span
+        # only half of each axis, so the region is not cut and no offsets are
+        # paired, and every patch and window holds the same values
+        rows, cols, k, p, r = 14, 13, 6, 4, 3
+        rng = np.random.default_rng(37)
+        img = random_image(S2, rows, cols, rng)
+        targets = sorted({(i % rows) * cols + i % cols for i in range(rows)}
+                         | set(rng.choice(rows * cols, size=4).tolist()))
+        known = rng.random(rows * cols) < 0.8
+        known[targets] = False
+        known[(targets[0] + 1) % (rows * cols)] = True
+        known = known.reshape(rows, cols)
+        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", {
+            "default": graph_mod._CHUNK_PAIRS,
+            "three-offset": 3 * (rows + 2 * p) * (cols + 2 * p)}[chunks])
+        config = cfg(k=k, p=p, r=r)
+        g = mv.build_graph(img, mv.Mask(known), config, targets)
+        t_row, t_col = np.divmod(targets, cols)
+        tiled = mv.build_graph(mv.MvImage(S2, np.tile(img.data, (2, 2, 1))),
+                               mv.Mask(np.tile(known, (2, 2))), config,
+                               t_row * 2 * cols + t_col)
+        i, j = np.divmod(tiled.ids, 2 * cols)
+        ids = (i % rows) * cols + j % cols
+        order = np.argsort(ids, axis=1, kind="stable")
+        assert np.take_along_axis(ids, order, axis=1).tobytes() == g.ids.tobytes()
+        assert np.take_along_axis(tiled.weights, order, axis=1).tobytes() == g.weights.tobytes()
+        assert tiled.degrees.tobytes() == g.degrees.tobytes()
+        assert np.float64(tiled.sigma).tobytes() == np.float64(g.sigma).tobytes()
+        assert tiled.min_candidates == g.min_candidates
 
     def test_thread_count_does_not_change_output(self):
         rng = np.random.default_rng(24)

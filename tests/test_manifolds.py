@@ -600,3 +600,34 @@ def test_dist2_into_out_keeps_the_bits(desc):
         out = np.full(np.shape(ref), np.nan)
         assert k.dist2(x, y, out) is out, name
         assert out.tobytes() == np.asarray(ref).tobytes(), name
+    # on a torus-wide region the build writes into the leading columns of a
+    # wider buffer, so out can be a strided view
+    x, y = cases["field against stack"]
+    ref = k.dist2(x, y)
+    wide = np.full(ref.shape[:-1] + (ref.shape[-1] + 4,), np.nan)
+    view = wide[..., : ref.shape[-1]]
+    assert k.dist2(x, y, view) is view
+    assert view.tobytes() == ref.tobytes()
+    assert np.isnan(wide[..., ref.shape[-1] :]).all()
+
+
+@pytest.mark.parametrize("desc", [E3, S1, S2, P2, P3], ids=lambda d: d.label())
+def test_symmetric_dist2_says_whether_dist2_is_bitwise_symmetric(desc):
+    # the graph build serves the window offsets s and -s from one field only
+    # when symmetric_dist2 is true, so it must hold exactly when dist2(x, y)
+    # has the bits of dist2(y, x)
+    rng = np.random.default_rng(18)
+    k = desc.kernel
+    field = mv.random_point(desc, rng, size=(6, 7))
+    big = mv.random_point(desc, rng, size=(8, 9))
+    stack = np.moveaxis(sliding_window_view(big, (6, 7), axis=(0, 1)), 2, -1)[1, :3]
+    batch = mv.random_point(desc, rng, size=(500,))
+    near = k.exp_ortho(batch, k.random_ortho(rng, batch, 1e-9))
+    cases = {
+        "random batch": (batch, mv.random_point(desc, rng, size=(500,))),
+        "nearly equal batch": (batch, near),
+        "field against stack": (field, stack),
+    }
+    same = {name: k.dist2(x, y).tobytes() == k.dist2(y, x).tobytes()
+            for name, (x, y) in cases.items()}
+    assert type(k).symmetric_dist2 is all(same.values()), same
