@@ -173,33 +173,21 @@ def _column_sums(field: np.ndarray, w: int, h: np.ndarray) -> None:
 
 
 def _box_at(h: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int,
-            pairwise: np.ndarray, fields: np.ndarray | None = None) -> np.ndarray:
+            fields: np.ndarray | None = None) -> np.ndarray:
     """w x w window sums (F, T) of F fields at top-left corners (rows, cols).
 
     h holds the fields' column sums (_column_sums), and a window's w rows
     wrap modulo h's row count.  rows (T,) gives one corner row per target.
     cols gives one corner column per target (T,) for the fields h, or per
     field and target (F, T) for the fields h[fields].  Each window is summed
-    term by term, w columns then w rows, so its rounding is relative to its
-    own sum and not to the whole field's.  The w rows are added pairwise,
-    as np.sum adds a contiguous axis, for the fields where pairwise (F,) is
-    true, and one by one from the top for the others.
+    term by term, w columns then w rows one by one from the top, so its
+    rounding is relative to its own sum and not to the whole field's.
     """
     i = (rows[:, None] + np.arange(w)) % h.shape[-2]
-    f = np.arange(len(h)) if fields is None else fields
-
-    def windows(f, cols):
-        return np.ascontiguousarray(h[f[:, None, None], i, cols[..., None]])
-
-    if pairwise.all():
-        return windows(f, cols).sum(axis=-1)
     at = (Ellipsis,) if fields is None else (fields[:, None],)
     sums = h[at + (i[:, 0], cols)]
     for k in range(1, w):
         sums += h[at + (i[:, k], cols)]
-    if pairwise.any():
-        c = np.broadcast_to(cols, sums.shape)[pairwise]
-        sums[pairwise] = windows(f[pairwise], c).sum(axis=-1)
     return sums
 
 
@@ -241,9 +229,7 @@ def build_graph(
     bests are merged at the end.  So memory stays O(T k) plus one set of
     chunk buffers per worker.  A target's candidate ids are distinct, so
     (d, id) orders them totally, and the graph does not depend on the
-    thread count, on the cut or on the pairing.  It does depend on the
-    chunk size for boxes wider than 8, through the order in which _box_at
-    adds a window's rows.
+    thread count, on the chunk size, on the cut or on the pairing.
 
     candidate_mask, when given, replaces the mask for candidate-center
     eligibility only; patch known flags always come from mask.  The front
@@ -316,15 +302,7 @@ def build_graph(
         spans = [(ia, B.size) for ia in range(A.size)]
 
     k = int(cfg.k)
-    # offsets per chunk, sized on the region before the cut, so that the cut
-    # changes no chunk, and through lone no bit of the box sums
-    step = max(1, _CHUNK_PAIRS // ((nr + 2 * p) * (nc + 2 * p)))
-    # _box_at adds the w rows of an offset's windows pairwise when the chunks
-    # of a whole row leave the offset alone in its chunk, and one by one when
-    # they do not: the orders np.sum takes over a gather of one offset's
-    # windows and of several offsets'.  Fixed per offset, they keep the bits
-    # of its distances whichever field serves it, paired or not
-    lone = np.minimum(step, B.size - ib // step * step) == 1
+    step = max(1, _CHUNK_PAIRS // (nR * nC))    # offsets per chunk
     # chunk (ia, jb, je, mir): the fields of the offsets (ia, jb:je), and
     # mir, the positions among them whose partner is another offset
     chunks = []
@@ -372,10 +350,9 @@ def build_graph(
                 for field, sums, out in ((g, h, ssum), (both, hk, cnt)):
                     _wrap_columns(field[:c], nC)
                     _column_sums(field[:c], box, sums[:c])
-                    out[lo : lo + c] = _box_at(sums[:c], tr, tc, box, lone[jb:je])
+                    out[lo : lo + c] = _box_at(sums[:c], tr, tc, box)
                     if mir.size:
-                        out[lo + c : lo + c + mir.size] = _box_at(
-                            sums, mr, mc, box, lone[pb[jb + mir]], mir)
+                        out[lo + c : lo + c + mir.size] = _box_at(sums, mr, mc, box, mir)
                 lo += c + mir.size
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
             valid = eligible[ids] & (ids != targets[:, None])

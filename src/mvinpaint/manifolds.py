@@ -451,11 +451,14 @@ class _SpdKernel(_Kernel):
         bad = asym > SPD_SYM_TOL
         if bad.any():
             return int(np.argwhere(bad)[0][0]), "not symmetric"
-        lam, _ = self._eig(M)
-        bad = lam[..., 0] <= 0.0
+        bad = self._indefinite(pts)
         if bad.any():
             return int(np.argwhere(bad)[0][0]), "not positive definite"
         return None
+
+    def _indefinite(self, pts):
+        """Whether each point fails the positive-definite test of _root."""
+        return self._eig(self._mat(pts))[0][..., 0] <= 0.0
 
     def random_point(self, rng, size=()):
         size = tuple(size)
@@ -495,6 +498,10 @@ class _Spd2Kernel(_SpdKernel):
     @staticmethod
     def _write(rep):
         return np.stack([rep[0], rep[1], rep[1], rep[2]], axis=-1)
+
+    def _indefinite(self, pts):
+        a, b, c = self._read(pts)
+        return (a <= 0.0) | (a * c - b * b <= 0.0)
 
     def _root(self, X, inverse=False):
         a, b, c = X

@@ -331,10 +331,10 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
     live = np.arange(A)                   # positions in active still stepped
     frozen = np.empty(0, dtype=np.int64)  # positions caught in a cycle
     if freeze:
-        ring_x = np.empty((slots, A, L))
-        ring_d = np.empty((slots, A))
-        ring_x[0] = f.flat[active]
-        saved, gap = 0, 1                 # tortoise's step; steps until it moves
+        # vertex-major, so that a live vertex's stored values are contiguous
+        ring_x = np.empty((A, slots, L))
+        ring_d = np.empty((A, slots))
+        ring_x[:, 0] = f.flat[active]
         caught_at = np.zeros(A, dtype=np.int64)
         period = np.zeros(A, dtype=np.int64)
 
@@ -361,7 +361,7 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
             x = f.flat[ids]
             disp[live] = kernel.dist(prev, x)
         if frozen.size:
-            disp[frozen] = ring_d[cycle_slot(step), frozen]
+            disp[frozen] = ring_d[frozen, cycle_slot(step)]
         change = float(disp.mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
@@ -371,23 +371,22 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
             break
         if not (freeze and live.size):
             continue
-        # the tortoise's slot is read before this step's write, which
-        # reuses it when the tortoise is a whole ring behind
-        bits = x.view(np.uint64)
-        fixed = (bits == prev.view(np.uint64)).all(axis=1)
-        hit = fixed | (bits == ring_x[saved % slots, live].view(np.uint64)).all(axis=1)
-        ring_x[step % slots, live] = x
-        ring_d[step % slots, live] = disp[live]
+        # the last n stored values, compared before this step's write, which
+        # reuses the slot of the oldest when the ring is full; slot j holds
+        # the value of lag[j] steps ago, and the latest match is the period
+        n = min(step, slots)
+        lag = (step - 1 - np.arange(n)) % slots + 1
+        same = (ring_x[live, :n].view(np.uint64) == x.view(np.uint64)[:, None]).all(axis=2)
+        hit = same.any(axis=1)
+        ring_x[live, step % slots] = x
+        ring_d[live, step % slots] = disp[live]
         if hit.any():
             caught_at[live[hit]] = step
-            period[live[hit]] = np.where(fixed[hit], 1, step - saved)
+            period[live[hit]] = np.where(same[hit], lag, slots).min(axis=1)
             frozen = np.concatenate([frozen, live[hit]])
             live = live[~hit]
-        gap -= 1
-        if gap == 0:
-            saved, gap = step, min(2 * (step - saved), slots)
     if frozen.size:
-        f.flat[active[frozen]] = ring_x[cycle_slot(step), frozen]
+        f.flat[active[frozen]] = ring_x[frozen, cycle_slot(step)]
     return f, step, trace, vertex_steps
 
 
@@ -416,17 +415,14 @@ def solve_dirichlet(
     alone, so it follows the trajectory it would have without the jumps.
 
     On a decoupled layer a vertex whose value repeats bitwise is in an
-    exact cycle.  Brent's cycle detection (BIT 20, 1980) on the value bits
-    finds such cycles of period up to the ring length.  Every live vertex
-    steps in lockstep, so the tortoise is one shared step of the layer,
-    saved at steps 0, 1, 3, 7, ... (the gap doubling up to the ring length,
-    then fixed) and read from the ring.  A comparison with the previous
-    value catches a fixed point (period 1) at the step it is reached rather
-    than at the next checkpoint.  A vertex caught in a cycle is frozen: it
-    is no longer stepped, and its stored cycle supplies its displacement at
-    every later step and its value at the last one.  The iterations, the
-    trace and the image are bitwise those of stepping every such vertex to
-    the end.  Coupled layers are never frozen.
+    exact cycle.  A ring keeps each stepped vertex's last values (RING of
+    them, fewer where they would pass RING_BYTES), and a vertex is frozen
+    at the first step whose value bits equal one of them; the period is
+    how far back the latest match lies, 1 for a fixed point.  A frozen
+    vertex is no longer stepped, and its stored cycle supplies its
+    displacement at every later step and its value at the last one.  The
+    iterations, the trace and the image are bitwise those of stepping
+    every such vertex to the end.  Coupled layers are never frozen.
 
     Returns:
         (image, iterations, trace, rounds, zero_vertices, vertex_steps):

@@ -306,9 +306,11 @@ class TestExitCodes:
         named = re.search(r"layer 1: vertex (\d+):", err).group(1)
         assert summary["vertex"] == int(named)
 
-    def test_not_positive_definite_names_the_layer(self, tmp_path, capsys):
-        # a known pixel of 1e-200 * I passes read validation, then fails the
-        # definiteness test of a patch distance in the first layer
+    def test_not_positive_definite_names_the_layer(self, tmp_path, capsys, monkeypatch):
+        # validation rejects a pixel of 1e-200 * I by the kernel's own test;
+        # with it switched off, the pixel fails the definiteness test of a
+        # patch distance in the first layer
+        monkeypatch.setattr(mvinpaint.MvImage, "validate", lambda self: None)
         img = generate_spd_image(6, 6)
         img.data[1, 1] = [1e-200, 0.0, 0.0, 1e-200]
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
@@ -362,16 +364,15 @@ class TestExitCodes:
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
-        run_cli("generate", "--manifold", "spd2", "--rows", 6, "--cols", 6,
-                "-o", img_p)
-        run_cli("mask", "--rows", 6, "--cols", 6, "--rect", "2,2,2,2",
-                "-o", mask_p)
-        capsys.readouterr()
+        desc = mvinpaint.ManifoldDescriptor.spd(3)
+        pts = mvinpaint.random_point(desc, np.random.default_rng(3), size=(36,))
+        write_mvi(mvinpaint.MvImage(desc, pts.reshape(6, 6, 9)), img_p)
+        write_mask(cut_mask(6, 6, (2, 2, 2, 2)), mask_p)
 
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        # reading validates every spd pixel through the eigensolver
+        # reading validates every spd(3) pixel through the eigensolver
         monkeypatch.setattr(np.linalg, "eigh", fail)
         out = tmp_path / "o.mvi"
         rc = run_cli("inpaint", "-i", img_p, "-m", mask_p, "-o", out)

@@ -356,8 +356,8 @@ class TestBuildGraph:
             # their own partners modulo the grid
             pytest.param(S2, 6, 8, (6, 1, 5), id="sphere2-window-wider-than-grid"),
             pytest.param(E2, 5, 7, (6, 1, 4), id="e2-odd-window-wider-than-grid"),
-            # 9 x 9 patches: _box_at adds a window's 9 rows in an order that
-            # depends on the chunk the offset has without pairing
+            # 9 x 9 patches: windows of more than 8 rows, which numpy's
+            # pairwise sum would add in another order than one by one
             pytest.param(S2, 14, 13, (6, 4, 3), id="sphere2-9x9-patches"),
         ],
     )
@@ -375,10 +375,11 @@ class TestBuildGraph:
         known[(targets[0] + 1) % (rows * cols)] = True
         mask = mv.Mask(known.reshape(rows, cols))
         k, p, r = kpr
-        # three offsets per chunk split a 7-offset row 3 + 3 + 1
+        # the region is the whole torus, so three offsets per chunk split a
+        # 7-offset row 3 + 3 + 1
         monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", {
             "default": graph_mod._CHUNK_PAIRS, "one-offset": 1,
-            "three-offset": 3 * (rows + 2 * p) * (cols + 2 * p)}[chunks])
+            "three-offset": 3 * rows * cols}[chunks])
         cls = type(desc.kernel)
         real = cls.dist2
         pairs = []
@@ -421,12 +422,16 @@ class TestBuildGraph:
         known[targets] = False
         known[(targets[0] + 1) % (rows * cols)] = True
         known = known.reshape(rows, cols)
-        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", {
-            "default": graph_mod._CHUNK_PAIRS,
-            "three-offset": 3 * (rows + 2 * p) * (cols + 2 * p)}[chunks])
+        # three offsets per chunk: the region is the whole 14 x 13 torus here
+        # and 22 x 21 pixels of the tiled image
+        plain_pairs, tiled_pairs = {"default": (graph_mod._CHUNK_PAIRS,) * 2,
+                                     "three-offset": (3 * rows * cols,
+                                                      3 * (rows + 2 * p) * (cols + 2 * p))}[chunks]
         config = cfg(k=k, p=p, r=r)
+        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", plain_pairs)
         g = mv.build_graph(img, mv.Mask(known), config, targets)
         t_row, t_col = np.divmod(targets, cols)
+        monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", tiled_pairs)
         tiled = mv.build_graph(mv.MvImage(S2, np.tile(img.data, (2, 2, 1))),
                                mv.Mask(np.tile(known, (2, 2))), config,
                                t_row * 2 * cols + t_col)
@@ -455,30 +460,43 @@ class TestBuildGraph:
             assert np.array_equal(ids1, ids4)
             assert np.array_equal(w1, w4)
 
-    @pytest.mark.parametrize("case", ["constant", "padded"])
+    @pytest.mark.parametrize("case", ["constant", "padded", "11x11-patches"])
     def test_chunking_changes_nothing(self, case, monkeypatch):
         rng = np.random.default_rng(32)
-        known = rng.random((12, 12)) < 0.35
-        known[0, 0] = True
-        mask = mv.Mask(known)
-        if case == "constant":
-            # every distance is 0, so the whole selection is the id tie-break
-            img = mv.MvImage.constant(S2, 12, 12, [0.0, 0.0, 1.0])
+        if case == "11x11-patches":
+            # windows of 11 rows: numpy's pairwise sum would add them in
+            # another order than one by one.  Three targets, whose patches
+            # span rows 5..19 and columns 5..21, a region of 15 x 17 pixels
+            img = random_image(S2, 40, 40, rng)
+            known = np.ones((40, 40), dtype=bool)
+            known[[10, 12, 14], [10, 13, 16]] = False
+            kpr, region = (10, 5, 4), 15 * 17
         else:
-            img = random_image(S2, 12, 12, rng)
+            known = rng.random((12, 12)) < 0.35
+            known[0, 0] = True
+            if case == "constant":
+                # every distance is 0, so the whole selection is the id tie-break
+                img = mv.MvImage.constant(S2, 12, 12, [0.0, 0.0, 1.0])
+            else:
+                img = random_image(S2, 12, 12, rng)
+            # the targets span every row and column, so the shift region is
+            # the whole 12 x 12 torus
+            kpr, region = (12, 1, 3), 12 * 12
+        mask = mv.Mask(known)
         targets = mask.unknown_ids()
+        k, p, r = kpr
 
         def build(chunk_pairs, threads=1):
             monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
-            return mv.build_graph(img, mask, cfg(k=12, p=1, r=3, threads=threads), targets)
+            return mv.build_graph(img, mask, cfg(k=k, p=p, r=r, threads=threads), targets)
 
         ref = build(graph_mod._CHUNK_PAIRS)
-        assert (ref.degrees < 12).any() and (ref.degrees == 12).any()
-        # the targets span every row and column, so the shift region is
-        # (12 + 2p)^2 pixels: 1 gives one offset per chunk, and three offsets
-        # per chunk split each 7-offset row of the window 3 + 3 + 1
-        assert np.unique(targets // 12).size == np.unique(targets % 12).size == 12
-        for g in (build(1), build(3 * 14 * 14), build(1, threads=2)):
+        if case != "11x11-patches":
+            assert (ref.degrees < 12).any() and (ref.degrees == 12).any()
+            assert np.unique(targets // 12).size == np.unique(targets % 12).size == 12
+        # 1 gives one offset per chunk, and three offsets per chunk split
+        # each row of the window 3 + 3 + 1 (r = 3) or 3 + 3 + 3 (r = 4)
+        for g in (build(1), build(3 * region), build(1, threads=2)):
             assert g.ids.tobytes() == ref.ids.tobytes()
             assert g.weights.tobytes() == ref.weights.tobytes()
             assert g.degrees.tobytes() == ref.degrees.tobytes()

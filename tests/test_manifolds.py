@@ -512,6 +512,47 @@ class TestSpd2ClosedForm:
                 with pytest.raises(NotPositiveDefinite, match="log target"):
                     getattr(k, name)(good, np.stack([good, bad]))
 
+    def test_validation_accepts_exactly_what_the_maps_accept(self):
+        # near-singular points on both sides of positive definite: entries
+        # from 1e-170 to 1e5, |b| within a relative 1e-17..1 of sqrt(a c),
+        # a tenth with a < 0, and a I from 1e-200 to 1e-155, where det
+        # underflows to 0 below about 1e-162
+        k = P2.kernel
+        rng = np.random.default_rng(63)
+        n = 2000
+        a, c = 10.0 ** rng.uniform(-170, 5, (2, n))
+        gap = rng.choice([-1.0, 1.0], n) * 10.0 ** -rng.uniform(0, 17, n)
+        b = rng.choice([-1.0, 1.0], n) * np.sqrt(a * c) * (1.0 - gap)
+        a[rng.random(n) < 0.1] *= -1.0
+        scaled = 10.0 ** np.array([-200.0, -163.0, -162.0, -161.0, -160.0, -155.0])
+        pts = np.concatenate([np.stack([a, b, b, c], axis=1),
+                              scaled[:, None] * spd_buf([1.0, 0.0], [0.0, 1.0])])
+        eye, zero = spd_buf([1.0, 0.0], [0.0, 1.0]), np.zeros(4)
+
+        def accepted(fn, *args):
+            try:
+                with np.errstate(all="ignore"):
+                    fn(*args)
+            except NotPositiveDefinite:
+                return False
+            return True
+
+        valid = []
+        for x in pts:
+            valid.append(k.validate_points(x[None]) is None)
+            # x as a base and as a target.  log_ortho takes x as its target
+            # against I, whose whitening leaves x's bits: x against a base
+            # other than I whitens to a determinant at rounding level
+            for fn, args in ((k.dist2, (x, x)), (k.dist2, (eye, x)), (k.dist2, (x, eye)),
+                             (k.log_ortho, (eye, x)), (k.exp_ortho, (x, zero))):
+                assert accepted(fn, *args) == valid[-1], (x, fn.__name__, args)
+        assert valid[-6:] == [False, False, False, True, True, True]
+        assert 0.3 < np.mean(valid) < 0.7
+        # determinants that underflow to 0, and valid ones that are subnormal
+        det = a * c - b * b
+        assert ((a > 0.0) & (a * c == 0.0)).any()
+        assert (np.array(valid[:n]) & (det < np.finfo(np.float64).tiny)).any()
+
 
 @pytest.mark.parametrize("desc", [P2, P3], ids=lambda d: d.label())
 def test_spd_log_at_the_base_is_exactly_zero(desc):
@@ -536,9 +577,10 @@ def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
 
     monkeypatch.setattr(manifolds, "sym_eig_batch", counting)
     rng = np.random.default_rng(5)
-    img = mv.MvImage(P2, mv.random_point(P2, rng, size=(3, 4)))
-    img.validate()
-    assert sizes == [2]
+    # spd(3) validation asks the eigensolver; spd(2)'s tests the triples
+    mv.MvImage(P3, mv.random_point(P3, rng, size=(3, 4))).validate()
+    mv.MvImage(P2, mv.random_point(P2, rng, size=(3, 4))).validate()
+    assert sizes == [3]
     # the spd(2) maps are closed forms: none of them reaches the eigensolver
     k = P2.kernel
     x, y = mv.random_point(P2, rng, size=(2, 6))
@@ -547,10 +589,10 @@ def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
         getattr(k, name)(x, y)
     for name in ("exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent"):
         getattr(k, name)(x, w)
-    assert sizes == [2]
+    assert sizes == [3]
     x, y = mv.random_point(P3, rng, size=(2, 6))
     P3.kernel.log(x, y)
-    assert sizes[0] == 2 and sizes[1:] and set(sizes[1:]) == {3}
+    assert len(sizes) > 1 and set(sizes) == {3}
 
 
 @pytest.mark.parametrize("desc", [S2, P2], ids=lambda d: d.label())

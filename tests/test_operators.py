@@ -668,8 +668,9 @@ class TestCycleFreeze:
     def test_fixed_point_frozen_the_step_it_is_reached(self, monkeypatch):
         # circle stars of two antipodal neighbors: the jumps leave each
         # center to Euler, and it falls geometrically onto a floating-point
-        # fixed point, mostly between two powers of two, where Brent's
-        # tortoise alone would catch it only later
+        # fixed point, mostly at a step that is not a power of two, so a
+        # schedule that compares only with values saved at steps 2^j - 1
+        # would catch it later
         rng = np.random.default_rng(5)
         centers = 6
         a = rng.uniform(-np.pi, 0.0, size=centers)
@@ -696,30 +697,31 @@ class TestCycleFreeze:
         assert_solves_alike(graph, img, mask, active, cfg)
         assert {u: sum(u in c for c in calls) for u in reached} == reached
 
+    @pytest.mark.parametrize("ring", ["default", "longest-period"])
     @pytest.mark.parametrize("desc, seed", [(S2, 1), (SPD2, 0)], ids=["sphere2", "spd2"])
-    def test_cycle_caught_at_brent_checkpoints(self, desc, seed, monkeypatch):
+    def test_cycle_caught_at_first_repeat(self, desc, seed, ring, monkeypatch):
         graph, img, mask, active = stalled_layer(desc, seed)
         cfg = mv.SolverConfig(tau=0.1, max_iter=300)
         start, rest = euler_start(graph, img, active)
         images, trace = unfrozen_solve(graph, start, rest, cfg)
         states = [start] + images
-        # Brent's checkpoints: the gap doubles up to the ring length, then stays
-        checkpoints, gap = [0], 1
-        while checkpoints[-1] < len(trace):
-            checkpoints.append(checkpoints[-1] + gap)
-            gap = min(2 * gap, operators.RING)
+        if ring == "longest-period":
+            # a ring just as long as the longest cycle, which only a
+            # comparison with every stored value catches
+            longest = max(final_period(states, u) for u in rest.tolist())
+            assert 2 <= longest < operators.RING
+            monkeypatch.setattr(operators, "RING", longest)
 
         def caught(u):
-            """First step whose value repeats the previous one or the last checkpoint's."""
+            """First step whose value repeats one of the RING values before it."""
             for n in range(1, len(states)):
-                bits = states[n].flat[u].tobytes()
-                last = max(c for c in checkpoints if c < n)
-                if bits in (states[n - 1].flat[u].tobytes(), states[last].flat[u].tobytes()):
+                earlier = {s.flat[u].tobytes() for s in states[max(0, n - operators.RING) : n]}
+                if states[n].flat[u].tobytes() in earlier:
                     return n
             return len(trace)
 
         expected = {u: caught(u) for u in rest.tolist()}
-        # some vertex is caught at a checkpoint two or more steps back
+        # some vertex is caught in a cycle of period two or more
         assert any(n < len(trace) and final_period(states[: n + 1], u) >= 2
                    for u, n in expected.items())
         calls = record_steps(monkeypatch)
