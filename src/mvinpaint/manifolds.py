@@ -32,7 +32,9 @@ and point validation, plus the two coordinate maps for spd.  ``exp``,
 ``log``, ``inner``, ``dist2`` and ``dist`` are derived from these once, in
 the shared base class; circle and sphere2 keep their own ``dist``, the
 exact angle.  The batched solver calls the ortho maps directly, so norms
-and inner products are plain einsums.
+and inner products are plain einsums.  The sphere2 angle sums its squares
+with ufuncs in an order it writes out, so that its bits do not depend on
+how einsum lays out its sums for a given shape or numpy version.
 
 Numerical conventions: tangent norms below 1e-15 short-circuit to exact
 zeros, the log of a point at itself is exactly zero, and log maps raise
@@ -316,12 +318,20 @@ class _Sphere2Kernel(_Kernel):
     def _angle(self, x, y, out):
         # Kahan's 2 atan2(|x - y|, |x + y|) keeps full precision at tiny
         # angles, where arccos of the dot product loses half the mantissa,
-        # and near the antipode.  Written into out and returned; |x - y|^2
-        # is formed in out, and x + y in the buffer of x - y
-        u = np.subtract(x, y)
-        np.einsum("...l,...l->...", u, u, out=out)
-        v = np.add(x, y, out=u)
-        sv = np.einsum("...l,...l->...", v, v, out=np.empty(out.shape))
+        # and near the antipode.  Each squared norm adds the coordinates'
+        # squares as (c0 + c2) + c1 with plain ufuncs, so its bits do not
+        # depend on how x and y are laid out in memory; numpy 2.4's einsum
+        # adds three terms in the same order.  Written into out and
+        # returned; |x - y|^2 is formed in out
+        t = np.empty(out.shape)
+        sv = np.empty(out.shape)
+        for op, acc in ((np.subtract, out), (np.add, sv)):
+            for l in (0, 2, 1):
+                c = acc if l == 0 else t
+                op(x[..., l], y[..., l], out=c)
+                np.multiply(c, c, out=c)
+                if l:
+                    acc += c
         np.arctan2(np.sqrt(out, out=out), np.sqrt(sv, out=sv), out=out)
         out *= 2.0
         return out
@@ -413,17 +423,18 @@ class _SpdKernel(_Kernel):
         """M Y M for symmetric M and Y, exactly symmetric."""
         return self._sym(np.einsum("...ij,...jk,...kl->...il", M, Y, M))
 
-    @staticmethod
-    def _zero_at_base(x, y, v):
-        # log_x(x) = 0 exactly, so that equal neighbors tie exactly in the
-        # extremal-pair search instead of by rounding
-        same = (np.asarray(x) == np.asarray(y)).all(axis=-1)
-        return np.where(same[..., None], 0.0, v)
+    def _eye_where(self, same, W):
+        """W with the identity in place where same."""
+        return np.where(same[..., None, None], np.eye(self.n), W)
 
     def log_ortho(self, x, y):
+        # log_x(x) = 0 exactly, so that equal neighbors tie exactly in the
+        # extremal-pair search instead of by rounding: where y is x, the
+        # whitened W is the identity, not the rounded congruence, which
+        # near the singular boundary need not even be positive definite
         W = self._congruence(self._root(self._read(x), inverse=True), self._read(y))
-        S = self._apply(W, np.log)
-        return self._zero_at_base(x, y, self._write(S))
+        same = (np.asarray(x) == np.asarray(y)).all(axis=-1)
+        return self._write(self._apply(self._eye_where(same, W), np.log))
 
     def exp_ortho(self, x, w):
         Xh = self._root(self._read(x))
@@ -498,6 +509,11 @@ class _Spd2Kernel(_SpdKernel):
     @staticmethod
     def _write(rep):
         return np.stack([rep[0], rep[1], rep[1], rep[2]], axis=-1)
+
+    @staticmethod
+    def _eye_where(same, W):
+        a, b, c = W
+        return np.where(same, 1.0, a), np.where(same, 0.0, b), np.where(same, 1.0, c)
 
     def _indefinite(self, pts):
         a, b, c = self._read(pts)

@@ -41,8 +41,7 @@ from .manifolds import ZERO_TANGENT_TOL, Tangent
 SCREEN_SAFETY = 2.0
 _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
-# solve_dirichlet's cycle ring: at most RING steps, and at most RING_BYTES
-RING = 64
+# solve_dirichlet's cycle ring: every step of a solve, up to RING_BYTES
 RING_BYTES = 4 << 20
 
 
@@ -324,9 +323,10 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
         return f, 0, [], 0
     kernel = f.descriptor.kernel
     A, L = active.size, f.flat.shape[1]
-    # ring slots of the states and displacements of the last steps; a
-    # vertex whose period exceeds them keeps stepping
-    slots = min(RING, RING_BYTES // (8 * A * (L + 1)))
+    # ring slots of the states and displacements of the steps so far, as
+    # many as the solve can take within RING_BYTES; a vertex whose period
+    # exceeds them keeps stepping
+    slots = min(int(cfg.max_iter), RING_BYTES // (8 * A * (L + 1)))
     freeze = slots >= 2 and decoupled
     live = np.arange(A)                   # positions in active still stepped
     frozen = np.empty(0, dtype=np.int64)  # positions caught in a cycle
@@ -335,6 +335,7 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
         ring_x = np.empty((A, slots, L))
         ring_d = np.empty((A, slots))
         ring_x[:, 0] = f.flat[active]
+        ring_bits = ring_x.view(np.uint64)
         caught_at = np.zeros(A, dtype=np.int64)
         period = np.zeros(A, dtype=np.int64)
 
@@ -372,19 +373,25 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
         if not (freeze and live.size):
             continue
         # the last n stored values, compared before this step's write, which
-        # reuses the slot of the oldest when the ring is full; slot j holds
-        # the value of lag[j] steps ago, and the latest match is the period
+        # reuses the slot of the oldest when the ring is full.  The bits of
+        # the first coordinates pick the rows with a candidate match, and
+        # only those compare whole values
         n = min(step, slots)
-        lag = (step - 1 - np.arange(n)) % slots + 1
-        same = (ring_x[live, :n].view(np.uint64) == x.view(np.uint64)[:, None]).all(axis=2)
+        bits = x.view(np.uint64)
+        rows = np.flatnonzero((ring_bits[live, :n, 0] == bits[:, None, 0]).any(axis=1))
+        same = (ring_bits[live[rows], :n] == bits[rows, None]).all(axis=2)
         hit = same.any(axis=1)
         ring_x[live, step % slots] = x
         ring_d[live, step % slots] = disp[live]
         if hit.any():
-            caught_at[live[hit]] = step
-            period[live[hit]] = np.where(same[hit], lag, slots).min(axis=1)
-            frozen = np.concatenate([frozen, live[hit]])
-            live = live[~hit]
+            # slot j holds the value of lag[j] steps ago, and the latest
+            # match is the period
+            lag = (step - 1 - np.arange(n)) % slots + 1
+            caught = live[rows[hit]]
+            caught_at[caught] = step
+            period[caught] = np.where(same[hit], lag, slots).min(axis=1)
+            frozen = np.concatenate([frozen, caught])
+            live = np.delete(live, rows[hit])
     if frozen.size:
         f.flat[active[frozen]] = ring_x[frozen, cycle_slot(step)]
     return f, step, trace, vertex_steps
@@ -415,11 +422,12 @@ def solve_dirichlet(
     alone, so it follows the trajectory it would have without the jumps.
 
     On a decoupled layer a vertex whose value repeats bitwise is in an
-    exact cycle.  A ring keeps each stepped vertex's last values (RING of
-    them, fewer where they would pass RING_BYTES), and a vertex is frozen
-    at the first step whose value bits equal one of them; the period is
-    how far back the latest match lies, 1 for a fixed point.  A frozen
-    vertex is no longer stepped, and its stored cycle supplies its
+    exact cycle.  A ring keeps each stepped vertex's value at every step
+    (the last ones only, where the solve's cfg.max_iter steps would pass
+    RING_BYTES), and a vertex is frozen at the first step whose value bits
+    equal one of them, so a cycle is caught at its first repeat; the
+    period is how far back the latest match lies, 1 for a fixed point.  A
+    frozen vertex is no longer stepped, and its stored cycle supplies its
     displacement at every later step and its value at the last one.  The
     iterations, the trace and the image are bitwise those of stepping
     every such vertex to the end.  Coupled layers are never frozen.

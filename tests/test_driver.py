@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
+from mvinpaint import driver, operators
 from mvinpaint.errors import (
     DimensionMismatch,
     GraphBuildError,
@@ -267,6 +268,33 @@ class TestInpaint:
             assert rec.residual >= cfg.eps
             assert rec.converged is False
             assert rec.sigma > 0.0
+
+    def test_long_cycle_of_the_readme_example_is_frozen(self, monkeypatch):
+        # the README's 64x64 example with r=16, whose truth is that of the
+        # s2-hole64 benchmark input: layer 2 runs to max_iter, and the last
+        # of the pixels it leaves to Euler ends in an exact cycle of period
+        # 69.  A ring of each pixel's last 64 values never catches that one,
+        # and it is then stepped alone up to the max_iter-th step
+        layers = []
+        solve, step = driver.solve_dirichlet, operators.euler_step
+
+        def solve_dirichlet(*args, **kwargs):
+            layers.append(0)
+            return solve(*args, **kwargs)
+
+        def euler_step(*args, **kwargs):
+            layers[-1] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_dirichlet", solve_dirichlet)
+        monkeypatch.setattr(operators, "euler_step", euler_step)
+        truth = mv.generate_sphere_image(64, 64)
+        hole = mv.cut_mask(64, 64, (24, 24, 16, 16))
+        cfg = mv.SolverConfig(k=25, p=12, r=16)
+        _, front = mv.inpaint(truth, hole, cfg)
+        rec = front.log[1]
+        assert rec.iterations == cfg.max_iter and not rec.converged
+        assert layers[1] < cfg.max_iter
 
     def test_known_pixels_bitwise_preserved(self):
         rng = np.random.default_rng(64)

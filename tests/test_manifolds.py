@@ -240,6 +240,42 @@ class TestSphere:
         lg = mv.log_map(S2, x, y)
         assert abs(mv.tangent_norm(S2, x, lg) - t) < 1e-8
 
+    def test_dist2_bits_do_not_depend_on_the_layout(self):
+        # dist2 adds each squared norm's terms in one written-out order, so
+        # the graph build's strided window fields, contiguous copies and
+        # single pairs all give the bits of the closed form below.  The
+        # windows of F = [P | P nearly | -P nearly] pair P with random,
+        # nearly equal (and equal) and nearly antipodal points
+        rng = np.random.default_rng(20)
+        k = S2.kernel
+        P = mv.random_point(S2, rng, size=(6, 7))
+
+        def nearly(x):
+            scale = 10.0 ** rng.uniform(-15, -3, size=x.shape[:-1] + (1,))
+            return k.exp_ortho(x, scale * k.random_ortho(rng, x, 1.0))
+
+        F = np.concatenate([P, nearly(P), -nearly(P)], axis=1)
+        windows = np.moveaxis(sliding_window_view(F, (6, 7), axis=(0, 1)), 2, -1)[0]
+        x, y = windows[0], windows
+        got = k.dist2(x, y)
+        assert got.shape == (15, 6, 7)
+        xc, yc = np.ascontiguousarray(np.broadcast_to(x, y.shape)), np.ascontiguousarray(y)
+        assert k.dist2(xc, yc).tobytes() == got.tobytes()
+        pairs = [k.dist2(a, b) for a, b in zip(xc.reshape(-1, 3), yc.reshape(-1, 3))]
+        assert np.array(pairs).tobytes() == got.tobytes()
+
+        def closed_form(first, last):
+            d, s = xc - yc, xc + yc
+            sd = (d[..., 0] * d[..., 0] + d[..., first] * d[..., first]) + d[..., last] * d[..., last]
+            ss = (s[..., 0] * s[..., 0] + s[..., first] * s[..., first]) + s[..., last] * s[..., last]
+            angle = 2.0 * np.arctan2(np.sqrt(sd), np.sqrt(ss))
+            return angle * angle
+
+        assert closed_form(2, 1).tobytes() == got.tobytes()
+        # the pairs tell the orders apart
+        assert closed_form(1, 2).tobytes() != got.tobytes()
+        assert not got[0].any() and (got[7] < 1e-5).all() and (got[14] > 9.8).all()
+
 
 class TestSpd:
     def test_outputs_stay_spd(self):
@@ -541,11 +577,15 @@ class TestSpd2ClosedForm:
         for x in pts:
             valid.append(k.validate_points(x[None]) is None)
             # x as a base and as a target.  log_ortho takes x as its target
-            # against I, whose whitening leaves x's bits: x against a base
-            # other than I whitens to a determinant at rounding level
+            # against I, whose whitening leaves x's bits, and against x
+            # itself, whose log is exactly zero: x against any other base
+            # whitens to a determinant at rounding level
             for fn, args in ((k.dist2, (x, x)), (k.dist2, (eye, x)), (k.dist2, (x, eye)),
-                             (k.log_ortho, (eye, x)), (k.exp_ortho, (x, zero))):
+                             (k.log_ortho, (eye, x)), (k.log_ortho, (x, x)),
+                             (k.exp_ortho, (x, zero))):
                 assert accepted(fn, *args) == valid[-1], (x, fn.__name__, args)
+            if valid[-1]:
+                assert not k.log_ortho(x, x).any()
         assert valid[-6:] == [False, False, False, True, True, True]
         assert 0.3 < np.mean(valid) < 0.7
         # determinants that underflow to 0, and valid ones that are subnormal

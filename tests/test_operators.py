@@ -633,13 +633,13 @@ class TestCycleFreeze:
     def test_stalled_layer_stopped_at_every_cycle_phase(self, desc, seed, monkeypatch):
         graph, img, mask, active = stalled_layer(desc, seed)
         start, rest = euler_start(graph, img, active)
-        first = 200
-        cfg = mv.SolverConfig(tau=0.1, max_iter=first + operators.RING)
+        first, tail = 200, 64
+        cfg = mv.SolverConfig(tau=0.1, max_iter=first + tail)
         images, trace = unfrozen_solve(graph, start, rest, cfg)
         assert len(trace) == cfg.max_iter
         periods = {int(u): final_period(images, u) for u in rest}
         longest = max(periods, key=periods.get)
-        assert 2 <= periods[longest] <= operators.RING
+        assert 2 <= periods[longest] <= tail
         calls = record_steps(monkeypatch)
         for max_iter in range(first, first + periods[longest]):
             calls.clear()
@@ -705,17 +705,19 @@ class TestCycleFreeze:
         start, rest = euler_start(graph, img, active)
         images, trace = unfrozen_solve(graph, start, rest, cfg)
         states = [start] + images
+        slots = cfg.max_iter
         if ring == "longest-period":
-            # a ring just as long as the longest cycle, which only a
-            # comparison with every stored value catches
-            longest = max(final_period(states, u) for u in rest.tolist())
-            assert 2 <= longest < operators.RING
-            monkeypatch.setattr(operators, "RING", longest)
+            # a byte budget of just as many ring slots as the longest cycle,
+            # which only a comparison with every stored value catches
+            slots = max(final_period(states, u) for u in rest.tolist())
+            assert 2 <= slots < cfg.max_iter
+            floats = rest.size * (img.flat.shape[1] + 1)
+            monkeypatch.setattr(operators, "RING_BYTES", slots * floats * 8)
 
         def caught(u):
-            """First step whose value repeats one of the RING values before it."""
+            """First step whose value repeats one of the `slots` values before it."""
             for n in range(1, len(states)):
-                earlier = {s.flat[u].tobytes() for s in states[max(0, n - operators.RING) : n]}
+                earlier = {s.flat[u].tobytes() for s in states[max(0, n - slots) : n]}
                 if states[n].flat[u].tobytes() in earlier:
                     return n
             return len(trace)
@@ -743,9 +745,9 @@ class TestCycleFreeze:
 
     def test_ring_stays_inside_its_byte_budget(self):
         # 8000 targets sharing 4 known neighbors whose extremal pairs cycle,
-        # so the jumps leave every target to Euler.  An uncapped 64-slot ring
-        # alone takes 64 * 8000 * 4 * 8 bytes = 16.4 MB.  Measured peaks
-        # (numpy 2.4): 7.8 MB unfrozen, 11.4 MB with the 4 MiB budget, 23.6 MB
+        # so the jumps leave every target to Euler.  A ring of all 32 steps
+        # alone takes 32 * 8000 * 4 * 8 bytes = 8.2 MB.  Measured peaks
+        # (numpy 2.4): 7.8 MB unfrozen, 11.2 MB with the 4 MiB budget, 15.2 MB
         # with an uncapped ring
         A, k = 8000, 4
         rng = np.random.default_rng(16)
@@ -757,7 +759,7 @@ class TestCycleFreeze:
         assert euler_start(graph, img, np.arange(A))[1].size == A
         tracemalloc.start()
         try:
-            mv.solve_dirichlet(graph, img, mask, np.arange(A), mv.SolverConfig(max_iter=3))
+            mv.solve_dirichlet(graph, img, mask, np.arange(A), mv.SolverConfig(max_iter=32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
