@@ -27,13 +27,19 @@ from .operators import solve_dirichlet
 class LayerRecord:
     """Per-layer log entry of one inpainting run.
 
-    rounds counts the solve's pair-jump rounds and zero_vertices the
-    active vertices they certified at an exact zero of the operator (all
-    of them when zero_vertices == active_size).  The other vertices take
-    Euler steps: iterations counts the steps (0 when no vertex is left to
-    them), vertex_steps the vertices stepped over all steps, and residual
-    is their last relative change (0.0 when there is none).  converged
-    says whether residual fell below cfg.eps before max_iter ran out.
+    On a decoupled layer (the default) every active vertex takes its
+    weighted 1-centre: zero_vertices counts those left at the zero of a
+    neighbor pair, multi_support those whose 1-centre has three supports
+    or more, so the two add up to active_size, and rounds counts the
+    rounds of the pair jumps and of the support search.  A coupled layer
+    (cumulative_active, after the first) takes Euler steps instead, and
+    reports 0 for all three.  iterations counts the Euler steps,
+    vertex_steps the vertices stepped over all steps (both 0 on a
+    decoupled layer), and residual is their last relative change (0.0 when
+    there is none); converged says whether residual fell below cfg.eps
+    before max_iter ran out.  lipschitz is the largest
+    sqrt(w_uv) d(f(u), f(v)) over the layer's active vertices u and their
+    neighbors v after the solve, the quantity the 1-centres minimize.
     sigma is the weight scale of the layer's graph and min_candidates the
     smallest number of finite-distance candidates of its targets; graph_s
     and solve_s are the seconds spent building that graph and solving the
@@ -45,10 +51,12 @@ class LayerRecord:
     active_size: int
     rounds: int
     zero_vertices: int
+    multi_support: int
     iterations: int
     vertex_steps: int
     residual: float
     converged: bool
+    lipschitz: float
     sigma: float
     min_candidates: int
     graph_s: float
@@ -152,8 +160,8 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
             t0 = time.perf_counter()
             graph = build_graph(work, valued, cfg, active, candidate_mask=mask_now)
             t1 = time.perf_counter()
-            work, iters, trace, rounds, zeros, vertex_steps = solve_dirichlet(
-                graph, work, mask, active, cfg)
+            (work, iters, trace, rounds, zeros, vertex_steps, multi,
+             lipschitz) = solve_dirichlet(graph, work, mask, active, cfg)
             t2 = time.perf_counter()
         except NumericalError as e:
             e.layer = layer
@@ -167,10 +175,12 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
                 active_size=int(active.size),
                 rounds=rounds,
                 zero_vertices=zeros,
+                multi_support=multi,
                 iterations=iters,
                 vertex_steps=vertex_steps,
                 residual=residual,
                 converged=residual < cfg.eps,
+                lipschitz=lipschitz,
                 sigma=graph.sigma,
                 min_candidates=graph.min_candidates,
                 graph_s=t1 - t0,

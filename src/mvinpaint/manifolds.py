@@ -519,6 +519,22 @@ class _Spd2Kernel(_SpdKernel):
         a, b, c = self._read(pts)
         return (a <= 0.0) | (a * c - b * b <= 0.0)
 
+    def _check_values(self, pts):
+        bad = super()._check_values(pts)
+        if bad is not None:
+            return bad
+        # _dist2 divides by the base's squared determinant and squares
+        # ratios to it, so near-singular points give NaN or inf distances
+        # (1e-160 I does) long before they stop being positive definite:
+        # a point must have finite distances to itself and to I, both ways
+        eye = np.array([1.0, 0.0, 0.0, 1.0])
+        with np.errstate(all="ignore"):
+            d2 = self.dist2(pts, pts) + self.dist2(pts, eye) + self.dist2(eye, pts)
+        bad = ~np.isfinite(d2)
+        if bad.any():
+            return int(np.argwhere(bad)[0][0]), "distance not finite"
+        return None
+
     def _root(self, X, inverse=False):
         a, b, c = X
         det = a * c - b * b

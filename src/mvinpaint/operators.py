@@ -12,21 +12,26 @@ and returns
 
 Objective ties are broken by the lexicographically smallest (v1, v2) vertex
 id pair, which makes every routine here deterministic.  The explicit Euler
-step then moves each active vertex along exp_{f(u)}(tau * operator).  On a
-layer whose vertices are not each other's neighbors, solve_dirichlet first
-moves each vertex to the zero of its extremal pair, where the jumps find
-one, and steps only the others.
+step moves each active vertex along exp_{f(u)}(tau * operator).
+
+solve_dirichlet takes those steps only on a layer whose vertices are each
+other's neighbors.  On a decoupled layer every neighbor value is fixed, and
+each vertex takes its weighted 1-centre argmin_x max_v sqrt(w(u, v))
+d(x, f(v)), the discrete minimizing Lipschitz extension that the operator
+is built on: pair jumps reach it where it has two supports, and a batched
+search of its support set, in the manner of Welzl, everywhere else.
 
 All batched work happens in the kernels' ortho coordinates, where the
 Riemannian inner product is the plain dot product.  The pair objective is
 evaluated with einsum, exactly symmetric and equal for equal slots; one
 BLAS product only screens out the pairs that its rounding bound shows are
 strictly below the maximum, so the chosen pair does not depend on the BLAS.
+The support search solves its small linear systems by its own elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
@@ -41,8 +46,18 @@ from .manifolds import ZERO_TANGENT_TOL, Tangent
 SCREEN_SAFETY = 2.0
 _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
-# solve_dirichlet's cycle ring: every step of a solve, up to RING_BYTES
-RING_BYTES = 4 << 20
+# the 1-centres of a decoupled layer (_centres).  A pair zero is kept where
+# no neighbor is farther than the pair by more than the relative _CERTIFY.
+# The support search counts a neighbor as covered within the relative
+# _SLACK, and a multiplier as nonnegative down to -_SLACK; both comparisons
+# of distances also allow ZERO_TANGENT_TOL, the norm below which a tangent
+# is zero.  Its Newton solves stop at a step below _NEWTON_TOL, or below
+# _NEWTON_FLOOR once the step no longer halves, within _NEWTON_ITER steps
+_CERTIFY = 1e-12
+_SLACK = 1e-9
+_NEWTON_TOL = 1e-15
+_NEWTON_FLOOR = 1e-12
+_NEWTON_ITER = 50
 
 
 def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> float:
@@ -227,8 +242,7 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float,
 def _decoupled(graph: NonlocalGraph, active: np.ndarray) -> bool:
     """Every active vertex has a row, and no row holds an active id.
 
-    Each active vertex then steps as a function of its own value alone,
-    since its neighbors are never updated.
+    The neighbors of every active vertex then stay fixed through the solve.
     """
     rows = graph.rows(active)
     return bool((rows >= 0).all()) and not np.isin(graph.ids[rows], active).any()
@@ -254,35 +268,36 @@ def _without_cut_locus(fn, p: np.ndarray):
     return np.concatenate([a, b]), tuple(np.concatenate(r) for r in zip(ra, rb))
 
 
-def _jump(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
+def _pair_zero(kernel, fi, fj, si, sj):
+    """z_ij: the point at fraction sj / (si + sj) of the geodesic fi -> fj, per row."""
+    return kernel.exp_ortho(fi, (sj / (si + sj))[:, None] * kernel.log_ortho(fi, fj))
+
+
+def _jump(kernel, x, nbr_vals, sqw):
     """Pair jumps of a decoupled layer: each vertex moves to the zero of its pair.
 
     The operator of a pair (i, j) vanishes at z_ij, the point at fraction
     t = sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) on the geodesic f(v_i) -> f(v_j),
     since the neighbors of a decoupled layer never move.  Each round picks
     the extremal pair of every vertex still jumping, at its current value,
-    and moves it to that pair's zero.  A vertex is certified where its
-    operator is an exact zero (Euler would leave it bitwise unchanged), or
-    where the pair it jumped by is again its extremal pair: the operator
-    there is that pair's, zero but for the rounding of z_ij.  A vertex that
-    comes back to a pair it has jumped from has no zero the jumps reach and
-    is dropped, as is one whose pair search or jump raises CutLocusError.
-    Each round either certifies a vertex, drops it, or marks a new
-    unordered pair of its row, so the jumps end within k(k+1)/2 + 1 rounds.
+    and moves it to that pair's zero.  A vertex stops where its operator is
+    an exact zero, or where the pair it jumped by is again its extremal
+    pair; it is also dropped where it comes back to a pair it has jumped
+    from, or where its pair search or jump raises CutLocusError.  Each round
+    either stops a vertex or marks a new unordered pair of its row, so the
+    jumps end within k(k+1)/2 + 1 rounds.
+
+    Args:
+        x: (A, L) start values, overwritten; nbr_vals: (A, k, L) neighbor
+        values and sqw: (A, k) root weights, as _extremal_batch takes them.
 
     Returns:
-        (values (A, L), certified (A,), rounds): the certified vertices'
-        values are their zeros.
+        (x, last, rounds): last holds i k + j for the slots i < j of the
+        pair whose zero x is, -1 where a vertex never jumped.
     """
-    kernel = f0.descriptor.kernel
-    rows = graph.rows(active)
-    nbr_vals = f0.flat[graph.ids[rows]]                      # (A, k, L)
-    sqw = np.sqrt(graph.weights[rows])
     A, k = sqw.shape
-    x = f0.flat[active]
-    certified = np.zeros(A, dtype=bool)
     seen = np.zeros((A, k * k), dtype=bool)   # unordered slot pairs jumped from
-    last = np.full(A, -1)                     # the pair of the last jump
+    last = np.full(A, -1)
     i_slot = np.empty(A, dtype=np.int64)
     j_slot = np.empty(A, dtype=np.int64)
 
@@ -290,9 +305,8 @@ def _jump(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
         return _extremal_batch(kernel, x[p], nbr_vals[p], sqw[p])
 
     def zero(p):
-        fi, fj = nbr_vals[p, i_slot[p]], nbr_vals[p, j_slot[p]]
-        si, sj = sqw[p, i_slot[p]], sqw[p, j_slot[p]]
-        return (kernel.exp_ortho(fi, (sj / (si + sj))[:, None] * kernel.log_ortho(fi, fj)),)
+        i, j = i_slot[p], j_slot[p]
+        return (_pair_zero(kernel, nbr_vals[p, i], nbr_vals[p, j], sqw[p, i], sqw[p, j]),)
 
     pend = np.arange(A)
     rounds = 0
@@ -300,101 +314,258 @@ def _jump(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
         rounds += 1
         pend, (i, j, _, moving) = _without_cut_locus(extremal, pend)
         pair = np.minimum(i, j) * k + np.maximum(i, j)
-        done = ~moving | (pair == last[pend])
-        certified[pend[done]] = True
-        go = ~done & ~seen[pend, pair]
-        pend, pair = pend[go], pair[go]
-        seen[pend, pair] = True
-        last[pend] = pair
+        go = moving & (pair != last[pend]) & ~seen[pend, pair]
+        pend = pend[go]
         i_slot[pend], j_slot[pend] = i[go], j[go]
         pend, (z,) = _without_cut_locus(zero, pend)
         x[pend] = z
-    return x, certified, rounds
+        last[pend] = np.minimum(i_slot[pend], j_slot[pend]) * k + np.maximum(i_slot[pend], j_slot[pend])
+        seen[pend, last[pend]] = True
+    return x, last, rounds
 
 
-def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConfig,
-           decoupled: bool):
-    """Euler steps on the active set, freezing vertices caught in a cycle.
+def _dimension(desc) -> int:
+    """The manifold's dimension d: a weighted 1-centre has at most d + 1 supports."""
+    if desc.kind == "euclidean":
+        return desc.dim
+    if desc.kind == "spd":
+        return desc.dim * (desc.dim + 1) // 2
+    return 1 if desc.kind == "circle" else 2
+
+
+def _solve_small(M, b):
+    """x with M x = b for a batch of small systems, M (n, q, q) and b (n, q).
+
+    Gaussian elimination with partial pivoting, in place on M and b.  A
+    singular system gives non-finite entries, not an error.
+    """
+    n, q = b.shape
+    ar = np.arange(n)
+    x = np.empty_like(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(q):
+            piv = c + np.abs(M[:, c:, c]).argmax(axis=1)
+            for a in (M, b):
+                row = a[ar, piv].copy()
+                a[ar, piv] = a[:, c]
+                a[:, c] = row
+            f = M[:, c + 1:, c] / M[:, c, c][:, None]
+            M[:, c + 1:] -= f[..., None] * M[:, c, None]
+            b[:, c + 1:] -= f * b[:, c, None]
+        for c in range(q - 1, -1, -1):
+            rest = np.einsum("nj,nj->n", M[:, c, c + 1:], x[:, c + 1:])
+            x[:, c] = (b[:, c] - rest) / M[:, c, c]
+    return x
+
+
+def _hull_holds_zero(e):
+    """Whether 0 lies in the convex hull of each row's unit directions e (n, m, L).
+
+    The multipliers are the barycentric coordinates of 0 among the e_b,
+    from the normal equations of sum_b l_b e_b = 0, sum_b l_b = 1; each
+    must be at least -_SLACK.
+    """
+    de = e[:, 1:] - e[:, :1]
+    mu = _solve_small(np.einsum("nbl,ncl->nbc", de, de), -np.einsum("nbl,nl->nb", de, e[:, 0]))
+    return (mu >= -_SLACK).all(axis=1) & (1.0 - mu.sum(axis=1) >= -_SLACK)
+
+
+def _circumcentre(kernel, y, f, w):
+    """Newton for the weighted circumcentre of each row's m >= 3 supports.
+
+    y (n, L) are the start points, f (n, m, L) the supports and w (n, m)
+    their root weights.  At a point y with p_b = log_y f_b, d_b = |p_b| and
+    e_b = p_b / d_b, the step h = p_0 + sum_c a_c (p_c - p_0) lies in the
+    affine hull of the p_b, and a solves the (m-1) x (m-1) linearised
+    equalities (w_b e_b - w_0 e_0) . h = w_b d_b - w_0 d_0.  A row stops at
+    |h| < _NEWTON_TOL, or at |h| < _NEWTON_FLOOR once the step no longer
+    halves (the rounding of p_0 + sum a_c (p_c - p_0)), without taking h.
+    It fails where h is not finite or |h| > 4 max_b d_b, or after
+    _NEWTON_ITER steps.
+
+    Returns:
+        (centres (n, L), ok (n,)): ok where Newton stopped and 0 lies in
+        the convex hull of the e_b, so the centre is its supports' 1-centre.
+    Raises:
+        CutLocusError whose bad_index starts with the failing row.
+    """
+    y = y.copy()
+    ok = np.zeros(y.shape[0], dtype=bool)
+    prev = np.full(y.shape[0], np.inf)
+    live = np.arange(y.shape[0])
+    for _ in range(_NEWTON_ITER):
+        fl, wl = f[live], w[live]
+        try:
+            p = kernel.log_ortho(y[live, None], fl)                # (n, m, L)
+        except CutLocusError as err:
+            raise CutLocusError(str(err), bad_index=(live[err.bad_index[0]],)) from err
+        d = np.sqrt(np.einsum("nbl,nbl->nb", p, p))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = p / d[..., None]
+        a = wl[..., None] * e
+        da, dp = a[:, 1:] - a[:, :1], p[:, 1:] - p[:, :1]
+        rhs = (wl[:, 1:] * d[:, 1:] - wl[:, :1] * d[:, :1]) - np.einsum("nbl,nl->nb", da, p[:, 0])
+        alpha = _solve_small(np.einsum("nbl,ncl->nbc", da, dp), rhs)
+        h = p[:, 0] + np.einsum("nbl,nb->nl", dp, alpha)
+        step = np.sqrt(np.einsum("nl,nl->n", h, h))
+        stop = (step < _NEWTON_TOL) | ((step < _NEWTON_FLOOR) & (step > 0.5 * prev[live]))
+        if stop.any():
+            ok[live[stop]] = _hull_holds_zero(e[stop])
+        go = ~stop & (step <= 4.0 * d.max(axis=1))
+        prev[live[go]] = step[go]
+        live = live[go]
+        if not live.size:
+            break
+        y[live] = kernel.exp_ortho(y[live], h[go])
+    return y, ok
+
+
+def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
+    """The weighted 1-centre of every vertex of a decoupled layer.
+
+    The 1-centre c(u) = argmin_x max_v sqrt(w_uv) d(x, f(v)) is the
+    discrete minimizing Lipschitz extension at u with its neighbors fixed
+    (Oberman, Math. Comp. 74, 2005).  The pair jumps (_jump) go first.  A
+    vertex at the zero z_ij of pair (i, j) keeps it, bitwise, when no
+    neighbor is farther than the pair: sqrt(w_v) d(z, f_v) <=
+    max(sqrt(w_i) d_i, sqrt(w_j) d_j) (1 + _CERTIFY).  With i and j equally
+    far and opposite, that is the KKT condition, so z_ij is c(u).
+
+    Every other vertex searches its support set, in the manner of Welzl
+    (LNCS 555, 1991), from the basis S = {i, j} at z_ij, or from S = {its
+    first neighbor} at that neighbor's value if it never jumped.  In each
+    round the farthest neighbor v not covered (sqrt(w_v) d > r (1 + _SLACK)
+    for the value r of S) joins: the new basis is a feasible subset of
+    S + {v} that holds v, of 2 to d + 1 members for the manifold dimension
+    d.  A subset is feasible where its circumcentre (_pair_zero for two
+    members, _circumcentre for more) has multipliers >= -_SLACK and covers
+    S + {v} within _SLACK; its value is the largest sqrt(w) d over S + {v}.
+    A feasible subset's circumcentre is the 1-centre of S + {v}, which is
+    unique, so the sizes are tried from 2 up and the first size with a
+    feasible subset gives the basis, its subset of least value.  All
+    vertices and subsets of a size are solved in one batch.  A search ends
+    when every neighbor is covered.
+
+    Returns:
+        (values (A, L), supports (A,), rounds): supports counts the members
+        of each vertex's final basis (2 at a kept pair zero), rounds those
+        of the jumps plus the support rounds.
+    Raises:
+        SolverError naming a vertex left with no feasible basis, or still
+        searching after k (d + 1) rounds; CutLocusError naming a vertex
+        one of whose trial centres meets a support's cut locus.
+    """
+    kernel = f0.descriptor.kernel
+    rows = graph.rows(active)
+    nbr_vals = f0.flat[graph.ids[rows]]                      # (A, k, L)
+    sqw = np.sqrt(graph.weights[rows])
+    A, k = sqw.shape
+    x, last, rounds = _jump(kernel, f0.flat[active], nbr_vals, sqw)
+    ar = np.arange(A)
+    dist = sqw * kernel.dist(x[:, None], nbr_vals)
+    i, j = np.divmod(np.maximum(last, 0), k)
+    r = np.maximum(dist[ar, i], dist[ar, j])
+    kept = (last >= 0) & (dist.max(axis=1) <= r * (1.0 + _CERTIFY) + ZERO_TANGENT_TOL)
+    supports = np.where(kept, 2, 0)
+
+    # the search state of each vertex that is not kept: its basis S (the
+    # first `size` slots), their centre c and value r
+    todo = np.flatnonzero(~kept)
+    dim = _dimension(f0.descriptor)
+    fresh = last[todo] < 0
+    basis = np.zeros((todo.size, dim + 1), dtype=np.int64)
+    basis[:, 0], basis[:, 1] = i[todo], j[todo]
+    size = np.where(fresh, 1, 2)
+    c = np.where(fresh[:, None], nbr_vals[todo, 0], x[todo])
+    r = np.where(fresh, 0.0, r[todo])
+    # per trial size m, the positions in S of the members that join v
+    combos = [np.array(list(itertools.combinations(range(dim + 1), m - 1)), dtype=np.int64)
+              for m in range(2, dim + 2)]
+    pend = np.arange(todo.size)
+    for search in itertools.count(1):
+        q = todo[pend]
+        far = sqw[q] * kernel.dist(c[pend, None], nbr_vals[q])
+        v = far.argmax(axis=1)
+        done = far[np.arange(pend.size), v] <= r[pend] * (1.0 + _SLACK) + ZERO_TANGENT_TOL
+        x[q[done]], supports[q[done]] = c[pend[done]], size[pend[done]]
+        pend, q, v = pend[~done], q[~done], v[~done]
+        if not pend.size:
+            break
+        rounds += 1
+        if search > k * (dim + 1):
+            u = int(active[q[0]])
+            raise SolverError(f"vertex {u}: no weighted 1-centre within {search - 1} "
+                              "support rounds", vertex=u)
+        S = basis[pend]
+        # the members of S + {v}, unused basis slots standing in as v
+        cover = np.concatenate([np.where(np.arange(dim + 1) < size[pend, None], S, v[:, None]),
+                                v[:, None]], axis=1)
+        need = np.arange(pend.size)           # vertices with no feasible subset yet
+        for m, pos in enumerate(combos, start=2):
+            n, t = np.nonzero(pos.max(axis=1) < size[pend[need], None])
+            n = need[n]
+            T = np.concatenate([S[n[:, None], pos[t]], v[n, None]], axis=1)   # (N, m)
+            qn = q[n]
+            fT, wT = nbr_vals[qn[:, None], T], sqw[qn[:, None], T]
+            try:
+                if m == 2:
+                    y = _pair_zero(kernel, fT[:, 0], fT[:, 1], wT[:, 0], wT[:, 1])
+                    ok = np.ones(n.size, dtype=bool)
+                else:
+                    y, ok = _circumcentre(kernel, c[pend[n]], fT, wT)
+            except CutLocusError as err:
+                u = int(active[qn[err.bad_index[0]]])
+                raise CutLocusError(f"vertex {u}: a trial centre of its support search is "
+                                    "numerically at the cut locus of a neighbor",
+                                    vertex=u) from err
+            on = sqw[qn[:, None], cover[n]] * kernel.dist(y[:, None], nbr_vals[qn[:, None], cover[n]])
+            value = on.max(axis=1)
+            value[~(ok & (value <= on[:, -1] * (1.0 + _SLACK) + ZERO_TANGENT_TOL))] = np.inf
+            # each vertex's first subset of least value, where one is feasible
+            order = np.lexsort((value, n))
+            best = order[np.r_[True, n[order][1:] != n[order][:-1]]]
+            best = best[np.isfinite(value[best])]
+            won = pend[n[best]]
+            basis[won, :m], size[won], c[won], r[won] = T[best], m, y[best], value[best]
+            need = np.setdiff1d(need, n[best], assume_unique=True)
+            if not need.size:
+                break
+        if need.size:
+            u = int(active[q[need[0]]])
+            raise SolverError(f"vertex {u}: no feasible support set for its weighted "
+                              "1-centre", vertex=u)
+    return x, supports, rounds
+
+
+def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConfig):
+    """Euler steps of every active vertex, until cfg.eps or cfg.max_iter.
 
     Returns:
         (image, iterations, trace, vertex_steps)
     """
-    if active.size == 0:
-        return f, 0, [], 0
     kernel = f.descriptor.kernel
-    A, L = active.size, f.flat.shape[1]
-    # ring slots of the states and displacements of the steps so far, as
-    # many as the solve can take within RING_BYTES; a vertex whose period
-    # exceeds them keeps stepping
-    slots = min(int(cfg.max_iter), RING_BYTES // (8 * A * (L + 1)))
-    freeze = slots >= 2 and decoupled
-    live = np.arange(A)                   # positions in active still stepped
-    frozen = np.empty(0, dtype=np.int64)  # positions caught in a cycle
-    if freeze:
-        # vertex-major, so that a live vertex's stored values are contiguous
-        ring_x = np.empty((A, slots, L))
-        ring_d = np.empty((A, slots))
-        ring_x[:, 0] = f.flat[active]
-        ring_bits = ring_x.view(np.uint64)
-        caught_at = np.zeros(A, dtype=np.int64)
-        period = np.zeros(A, dtype=np.int64)
-
-    def cycle_slot(step):
-        # the step in (caught_at - period, caught_at] of the same phase
-        n = caught_at[frozen]
-        return (n - (n - step) % period[frozen]) % slots
-
-    disp = np.empty(A)
     trace = []
     denom = None
-    vertex_steps = 0
-    # each step reads one image and writes its live vertices into the other.
-    # The two then differ only at stepped vertices; a vertex leaves the live
-    # set only by freezing, on a decoupled layer no vertex reads a frozen one,
-    # and the frozen values are written at the end
+    # each step reads one image and writes the active vertices into the
+    # other, so the two differ only there
     spare = f.copy()
     for step in range(1, int(cfg.max_iter) + 1):
-        if live.size:
-            ids = active[live]
-            prev = f.flat[ids]
-            f, spare = euler_step(graph, f, ids, cfg.tau, out=spare), f
-            vertex_steps += ids.size
-            x = f.flat[ids]
-            disp[live] = kernel.dist(prev, x)
-        if frozen.size:
-            disp[frozen] = ring_d[frozen, cycle_slot(step)]
-        change = float(disp.mean())
+        prev = f.flat[active]
+        f, spare = euler_step(graph, f, active, cfg.tau, out=spare), f
+        change = float(kernel.dist(prev, f.flat[active]).mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
-        rel = change / denom
-        trace.append(rel)
-        if rel < cfg.eps:
+        trace.append(change / denom)
+        if trace[-1] < cfg.eps:
             break
-        if not (freeze and live.size):
-            continue
-        # the last n stored values, compared before this step's write, which
-        # reuses the slot of the oldest when the ring is full.  The bits of
-        # the first coordinates pick the rows with a candidate match, and
-        # only those compare whole values
-        n = min(step, slots)
-        bits = x.view(np.uint64)
-        rows = np.flatnonzero((ring_bits[live, :n, 0] == bits[:, None, 0]).any(axis=1))
-        same = (ring_bits[live[rows], :n] == bits[rows, None]).all(axis=2)
-        hit = same.any(axis=1)
-        ring_x[live, step % slots] = x
-        ring_d[live, step % slots] = disp[live]
-        if hit.any():
-            # slot j holds the value of lag[j] steps ago, and the latest
-            # match is the period
-            lag = (step - 1 - np.arange(n)) % slots + 1
-            caught = live[rows[hit]]
-            caught_at[caught] = step
-            period[caught] = np.where(same[hit], lag, slots).min(axis=1)
-            frozen = np.concatenate([frozen, caught])
-            live = np.delete(live, rows[hit])
-    if frozen.size:
-        f.flat[active[frozen]] = ring_x[frozen, cycle_slot(step)]
-    return f, step, trace, vertex_steps
+    return f, step, trace, step * active.size
+
+
+def _lipschitz(graph: NonlocalGraph, img: MvImage, active: np.ndarray) -> float:
+    """max over the active u and their neighbors v of sqrt(w_uv) d(f(u), f(v))."""
+    rows = graph.rows(active)
+    d = img.descriptor.kernel.dist(img.flat[active][:, None], img.flat[graph.ids[rows]])
+    return float((np.sqrt(graph.weights[rows]) * d).max())
 
 
 def solve_dirichlet(
@@ -404,56 +575,51 @@ def solve_dirichlet(
     active,
     cfg: SolverConfig,
 ):
-    """Solve the layer: pair jumps where it is decoupled, then Euler steps.
+    """Solve the layer: 1-centres where it is decoupled, Euler steps otherwise.
 
     Known (mask) vertices are Dirichlet data and never move.  On a
     decoupled layer (no active vertex is a neighbor of an active vertex,
-    the default front layer) every vertex first jumps to the zeros of its
-    extremal pairs (see _jump); a certified vertex takes its zero, which is
-    the point the Euler steps below contract to, and is not stepped.
+    the default front layer) every vertex takes its weighted 1-centre, the
+    minimizing Lipschitz extension at it given its fixed neighbors (see
+    _centres): where that has two supports it is the zero of the extremal
+    pair that the pair jumps reach, and its bits are the jumps'.  No Euler
+    step runs there, and cfg.tau, cfg.eps and cfg.max_iter do not matter.
 
-    The other vertices (all of them on a coupled layer, as
-    cfg.cumulative_active makes every layer after the first) start from
-    their values in f0 and take Euler steps, each through the module-level
-    euler_step, until the relative change stalls: the mean geodesic
-    displacement of the stepped vertices divided by the same mean at step 1
-    (1 if that mean is 0) drops below cfg.eps, or cfg.max_iter steps have
-    run.  On a decoupled layer each steps as a function of its own value
-    alone, so it follows the trajectory it would have without the jumps.
-
-    On a decoupled layer a vertex whose value repeats bitwise is in an
-    exact cycle.  A ring keeps each stepped vertex's value at every step
-    (the last ones only, where the solve's cfg.max_iter steps would pass
-    RING_BYTES), and a vertex is frozen at the first step whose value bits
-    equal one of them, so a cycle is caught at its first repeat; the
-    period is how far back the latest match lies, 1 for a fixed point.  A
-    frozen vertex is no longer stepped, and its stored cycle supplies its
-    displacement at every later step and its value at the last one.  The
-    iterations, the trace and the image are bitwise those of stepping
-    every such vertex to the end.  Coupled layers are never frozen.
+    On a coupled layer, as cfg.cumulative_active makes every layer after
+    the first, every active vertex starts from its value in f0 and takes
+    Euler steps, each through the module-level euler_step, until the
+    relative change stalls: the mean geodesic displacement of the active
+    vertices divided by the same mean at step 1 (1 if that mean is 0)
+    drops below cfg.eps, or cfg.max_iter steps have run.
 
     Returns:
-        (image, iterations, trace, rounds, zero_vertices, vertex_steps):
-        iterations and trace (the per-step relative changes) are those of
-        the Euler steps, 0 and [] when every vertex is certified; rounds
-        counts the jump rounds, zero_vertices the certified vertices and
-        vertex_steps the vertices passed to euler_step over all steps.
+        (image, iterations, trace, rounds, zero_vertices, vertex_steps,
+        multi_support, lipschitz): iterations and trace (the per-step
+        relative changes) are those of the Euler steps and vertex_steps
+        their vertices, summed over the steps: 0, [] and 0 on a decoupled
+        layer.  rounds counts the rounds of the pair jumps and of the
+        support search, zero_vertices the vertices left at a pair zero and
+        multi_support those whose 1-centre has three supports or more
+        (zero_vertices + multi_support is the active count on a decoupled
+        layer; all three are 0 on a coupled one).  lipschitz is the largest
+        sqrt(w_uv) d(f(u), f(v)) over the active u and their neighbors v
+        in the image returned.
     """
     check_mask_shape(f0, mask)
     active = _vertex_ids(active)
     if active.size == 0:
-        return f0.copy(), 0, [], 0, 0, 0
+        return f0.copy(), 0, [], 0, 0, 0, 0, 0.0
     if mask.known_flat[active].any():
         u = int(active[np.argmax(mask.known_flat[active])])
         raise SolverError(f"active vertex {u} is a known pixel", vertex=u)
 
     f = f0.copy()
-    rounds = 0
-    rest = active
-    decoupled = _decoupled(graph, active)
-    if decoupled:
-        x, certified, rounds = _jump(graph, f0, active)
-        f.flat[active[certified]] = x[certified]
-        rest = active[~certified]
-    f, iterations, trace, vertex_steps = _euler(graph, f, rest, cfg, decoupled)
-    return f, iterations, trace, rounds, active.size - rest.size, vertex_steps
+    if _decoupled(graph, active):
+        x, supports, rounds = _centres(graph, f0, active)
+        f.flat[active] = x
+        multi = int((supports >= 3).sum())
+        iterations, trace, steps, zeros = 0, [], 0, active.size - multi
+    else:
+        f, iterations, trace, steps = _euler(graph, f, active, cfg)
+        rounds = zeros = multi = 0
+    return f, iterations, trace, rounds, zeros, steps, multi, _lipschitz(graph, f, active)

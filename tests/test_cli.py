@@ -104,9 +104,11 @@ class TestPipeline:
         assert len(summary["layers"]) >= 1
         for rec in summary["layers"]:
             assert set(rec) == {"index", "border_size", "active_size", "rounds",
-                                "zero_vertices", "iterations", "vertex_steps",
-                                "residual", "converged", "sigma",
-                                "min_candidates", "graph_s", "solve_s"}
+                                "zero_vertices", "multi_support", "iterations",
+                                "vertex_steps", "residual", "converged", "lipschitz",
+                                "sigma", "min_candidates", "graph_s", "solve_s"}
+            assert rec["zero_vertices"] + rec["multi_support"] == rec["active_size"]
+            assert rec["lipschitz"] > 0.0
             assert rec["sigma"] > 0.0
             assert rec["graph_s"] >= 0.0 and rec["solve_s"] >= 0.0
         # every 13x13 search window holds the whole 4x4 hole: its known
@@ -235,19 +237,21 @@ class TestExitCodes:
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         run_cli("generate", "--manifold", "s2", "--rows", 8, "--cols", 8,
                 "-o", img_p)
-        # each of the two layers holds a vertex whose extremal pairs cycle,
-        # so it has no zero and is left to Euler, which max_iter stops
+        # with --cumulative-active the second layer is coupled: it takes
+        # Euler steps, which max_iter stops.  The first is decoupled and
+        # solved by its 1-centres, which never stop early
         run_cli("mask", "--rows", 8, "--cols", 8, "--rect", "2,3,4,4",
                 "-o", mask_p)
         capsys.readouterr()
         rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
                      "-o", tmp_path / "o.mvi",
-                     "--k", 4, "--p", 1, "--r", 3, "--max-iter", 1)
+                     "--k", 4, "--p", 1, "--r", 3, "--max-iter", 1,
+                     "--cumulative-active")
         assert rc == 0
         layers = json_summary(capsys.readouterr().err)["layers"]
         assert len(layers) == 2
-        assert all(rec["zero_vertices"] < rec["active_size"] for rec in layers)
-        assert not any(rec["converged"] for rec in layers)
+        assert [rec["iterations"] for rec in layers] == [0, 1]
+        assert [rec["converged"] for rec in layers] == [True, False]
 
     def test_render_needs_known_extension(self, tmp_path, capsys):
         img_p = tmp_path / "i.mvi"
@@ -444,7 +448,9 @@ class TestPeakMemory:
         )
         assert done.returncode == 0, done.stderr
         summary = json.loads(log.read_text())
-        assert [layer["iterations"] for layer in summary["layers"]] == [20]
+        # one decoupled layer, solved by its 1-centres without Euler steps
+        assert [layer["iterations"] for layer in summary["layers"]] == [0]
+        assert summary["layers"][0]["multi_support"] > 0
         assert 0 < summary["peak_rss_kb"] < self.BOUND_KB
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
-from mvinpaint import driver, operators
+from mvinpaint import operators
 from mvinpaint.errors import (
     DimensionMismatch,
     GraphBuildError,
@@ -254,47 +254,40 @@ class TestInpaint:
         assert all(rec.converged for rec in front.log)
 
     def test_layer_stopped_by_max_iter_is_not_converged(self):
-        # each layer holds a vertex whose extremal pairs cycle, so it has
-        # no zero and is left to Euler, which max_iter stops
+        # with cumulative_active the second layer is coupled: it takes Euler
+        # steps, which max_iter stops.  The decoupled first layer is solved
+        # by its 1-centres, which max_iter does not limit
         rng = np.random.default_rng(65)
         img = random_image(S2, 8, 8, rng)
         mask = hole_mask(8, 8, 2, 2, 3, 3)
-        cfg = cheap_cfg(max_iter=1)
+        cfg = cheap_cfg(max_iter=1, cumulative_active=True)
         _, front = mv.inpaint(img, mask, cfg)
         assert len(front.log) == 2
-        for rec in front.log:
-            assert rec.zero_vertices < rec.active_size
-            assert rec.iterations == 1
-            assert rec.residual >= cfg.eps
-            assert rec.converged is False
-            assert rec.sigma > 0.0
+        first, second = front.log
+        assert (first.iterations, first.residual, first.converged) == (0, 0.0, True)
+        assert second.iterations == 1
+        assert second.residual >= cfg.eps
+        assert second.converged is False
+        assert (second.rounds, second.zero_vertices, second.multi_support) == (0, 0, 0)
+        assert all(rec.sigma > 0.0 for rec in front.log)
 
-    def test_long_cycle_of_the_readme_example_is_frozen(self, monkeypatch):
+    def test_readme_example_takes_no_euler_step(self, monkeypatch):
         # the README's 64x64 example with r=16, whose truth is that of the
-        # s2-hole64 benchmark input: layer 2 runs to max_iter, and the last
-        # of the pixels it leaves to Euler ends in an exact cycle of period
-        # 69.  A ring of each pixel's last 64 values never catches that one,
-        # and it is then stepped alone up to the max_iter-th step
-        layers = []
-        solve, step = driver.solve_dirichlet, operators.euler_step
-
-        def solve_dirichlet(*args, **kwargs):
-            layers.append(0)
-            return solve(*args, **kwargs)
-
-        def euler_step(*args, **kwargs):
-            layers[-1] += 1
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(driver, "solve_dirichlet", solve_dirichlet)
-        monkeypatch.setattr(operators, "euler_step", euler_step)
+        # s2-hole64 benchmark input: every layer is decoupled, so each pixel
+        # takes its weighted 1-centre and no Euler step runs.  Layers 1 and
+        # 2 used to run to max_iter on pixels whose extremal pairs cycle
+        steps = []
+        monkeypatch.setattr(operators, "euler_step", lambda *a, **kw: steps.append(a))
         truth = mv.generate_sphere_image(64, 64)
         hole = mv.cut_mask(64, 64, (24, 24, 16, 16))
         cfg = mv.SolverConfig(k=25, p=12, r=16)
         _, front = mv.inpaint(truth, hole, cfg)
-        rec = front.log[1]
-        assert rec.iterations == cfg.max_iter and not rec.converged
-        assert layers[1] < cfg.max_iter
+        assert not steps
+        assert len(front.log) == 8
+        for rec in front.log:
+            assert rec.converged and (rec.iterations, rec.vertex_steps) == (0, 0)
+            assert rec.zero_vertices + rec.multi_support == rec.active_size
+        assert front.log[0].multi_support > 0
 
     def test_known_pixels_bitwise_preserved(self):
         rng = np.random.default_rng(64)

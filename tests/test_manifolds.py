@@ -551,8 +551,9 @@ class TestSpd2ClosedForm:
     def test_validation_accepts_exactly_what_the_maps_accept(self):
         # near-singular points on both sides of positive definite: entries
         # from 1e-170 to 1e5, |b| within a relative 1e-17..1 of sqrt(a c),
-        # a tenth with a < 0, and a I from 1e-200 to 1e-155, where det
-        # underflows to 0 below about 1e-162
+        # a tenth with a < 0, and a I from 1e-200 to 1e-77, where det
+        # underflows to 0 below about 1e-162 and det^2, which dist2 divides
+        # by, below about 1.5e-81
         k = P2.kernel
         rng = np.random.default_rng(63)
         n = 2000
@@ -560,38 +561,50 @@ class TestSpd2ClosedForm:
         gap = rng.choice([-1.0, 1.0], n) * 10.0 ** -rng.uniform(0, 17, n)
         b = rng.choice([-1.0, 1.0], n) * np.sqrt(a * c) * (1.0 - gap)
         a[rng.random(n) < 0.1] *= -1.0
-        scaled = 10.0 ** np.array([-200.0, -163.0, -162.0, -161.0, -160.0, -155.0])
+        scaled = 10.0 ** np.array([-200.0, -163.0, -162.0, -161.0, -160.0, -155.0,
+                                   -100.0, -81.0, -80.0, -77.0])
         pts = np.concatenate([np.stack([a, b, b, c], axis=1),
                               scaled[:, None] * spd_buf([1.0, 0.0], [0.0, 1.0])])
         eye, zero = spd_buf([1.0, 0.0], [0.0, 1.0]), np.zeros(4)
 
         def accepted(fn, *args):
+            """fn raises no NotPositiveDefinite and returns finite values."""
             try:
                 with np.errstate(all="ignore"):
-                    fn(*args)
+                    return bool(np.isfinite(fn(*args)).all())
             except NotPositiveDefinite:
                 return False
-            return True
 
-        valid = []
+        valid, reasons = [], []
         for x in pts:
-            valid.append(k.validate_points(x[None]) is None)
+            bad = k.validate_points(x[None])
+            valid.append(bad is None)
+            reasons.append(None if bad is None else bad[1])
             # x as a base and as a target.  log_ortho takes x as its target
             # against I, whose whitening leaves x's bits, and against x
             # itself, whose log is exactly zero: x against any other base
             # whitens to a determinant at rounding level
-            for fn, args in ((k.dist2, (x, x)), (k.dist2, (eye, x)), (k.dist2, (x, eye)),
-                             (k.log_ortho, (eye, x)), (k.log_ortho, (x, x)),
-                             (k.exp_ortho, (x, zero))):
-                assert accepted(fn, *args) == valid[-1], (x, fn.__name__, args)
+            calls = ((k.dist2, (x, x)), (k.dist2, (eye, x)), (k.dist2, (x, eye)),
+                     (k.log_ortho, (eye, x)), (k.log_ortho, (x, x)), (k.exp_ortho, (x, zero)))
+            if bad is None or bad[1] == "not positive definite":
+                for fn, args in calls:
+                    assert accepted(fn, *args) == valid[-1], (x, fn.__name__, args)
+            else:
+                # positive definite, but a distance from it is NaN or inf
+                assert bad[1] == "distance not finite"
+                assert not all(accepted(fn, *args) for fn, args in calls[:3])
             if valid[-1]:
                 assert not k.log_ortho(x, x).any()
-        assert valid[-6:] == [False, False, False, True, True, True]
-        assert 0.3 < np.mean(valid) < 0.7
-        # determinants that underflow to 0, and valid ones that are subnormal
+        assert reasons[-10:] == ["not positive definite"] * 3 + [
+            "distance not finite"] * 5 + [None] * 2
+        # about a fifth valid, and a fifth positive definite but with a
+        # distance that overflows or divides by an underflowed det^2
+        assert 0.15 < np.mean(valid) < 0.7
+        assert np.mean([r == "distance not finite" for r in reasons]) > 0.15
+        # determinants that underflow to 0, and valid ones whose square is subnormal
         det = a * c - b * b
         assert ((a > 0.0) & (a * c == 0.0)).any()
-        assert (np.array(valid[:n]) & (det < np.finfo(np.float64).tiny)).any()
+        assert (np.array(valid[:n]) & (det * det < np.finfo(np.float64).tiny)).any()
 
 
 @pytest.mark.parametrize("desc", [P2, P3], ids=lambda d: d.label())

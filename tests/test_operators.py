@@ -1,4 +1,4 @@
-import tracemalloc
+import itertools
 
 import numpy as np
 import pytest
@@ -457,18 +457,18 @@ class TestSolveDirichlet:
         assert mv.distance(S2, out.flat[1], mid) < 1e-6
 
 
-def star_layer(desc, seed):
-    """A decoupled layer: centers 0..5, each with 4-6 neighbors of its own.
+def star_layer(desc, seed, degrees=(4, 7)):
+    """A decoupled layer: centers 0..5, each with its own known neighbors.
 
-    The values are generic (random points near one point), so no operator
-    objective ties; the neighbors are the known vertices.
+    Each center has degrees[0] to degrees[1] - 1 neighbors.  The values are
+    generic (random points near one point), so no distances tie.
     """
     rng = np.random.default_rng(seed)
     centers = 6
-    degrees = rng.integers(4, 7, size=centers)
+    degrees = rng.integers(*degrees, size=centers)
     n = centers + int(degrees.sum())
     if desc.kind == "euclidean":
-        pts = rng.normal(size=(n, 1))
+        pts = rng.normal(size=(n, desc.dim))
     elif desc.kind == "sphere2":
         v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(n, 3))
         pts = v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -486,38 +486,21 @@ def star_layer(desc, seed):
     return make_graph(n, edges), img, mask, np.arange(centers)
 
 
-def stalled_layer(desc, seed):
-    """star_layer after 350 Euler steps at tau=0.1, near the cycles it stalls in."""
-    graph, img, mask, active = star_layer(desc, seed)
-    for _ in range(350):
-        img = mv.euler_step(graph, img, active, 0.1)
-    return graph, img, mask, active
-
-
 def sphere_path(n, seed):
-    """Path graph 0-...-(n-1) with sphere2 values and known ends.
-
-    Vertices 1 and 2 start at vertex 0's value, so vertex 1 repeats its
-    value at step 1 and moves only after vertex 2 has; the other values are
-    generic.
-    """
+    """Path graph 0-...-(n-1) with generic sphere2 values and known ends."""
     rng = np.random.default_rng(seed)
     v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(n, 3))
-    v[1:3] = v[0]
     img = line_image(S2, v / np.linalg.norm(v, axis=1, keepdims=True))
     known = np.zeros((1, n), dtype=bool)
     known[0, [0, n - 1]] = True
     return path_graph(n), img, mv.Mask(known), np.arange(1, n - 1)
 
 
-def unfrozen_solve(graph, f0, active, cfg):
-    """solve_dirichlet's Euler loop stepping every given vertex at every step.
-
-    Returns (images, trace): the image after each step and the relative
-    changes.
-    """
+def euler_loop(graph, f0, active, cfg):
+    """The paper's Euler loop written out: (image, trace) after every active vertex
+    steps at every step until the relative change drops below cfg.eps."""
     kernel = f0.descriptor.kernel
-    f, images, trace, denom = f0, [], [], None
+    f, trace, denom = f0, [], None
     for _ in range(cfg.max_iter):
         nxt = mv.euler_step(graph, f, active, cfg.tau)
         change = float(kernel.dist(f.flat[active], nxt.flat[active]).mean())
@@ -525,32 +508,9 @@ def unfrozen_solve(graph, f0, active, cfg):
             denom = change if change > 0.0 else 1.0
         trace.append(change / denom)
         f = nxt
-        images.append(f)
         if trace[-1] < cfg.eps:
             break
-    return images, trace
-
-
-def euler_start(graph, img, active):
-    """The image the solver's Euler steps start from, and the vertices they step.
-
-    On a decoupled layer the pair jumps put each certified vertex at its
-    zero and leave only the others to Euler; a coupled layer is stepped
-    whole.
-    """
-    active = np.asarray(active)
-    if not operators._decoupled(graph, active):
-        return img, active
-    x, certified, _ = operators._jump(graph, img, active)
-    start = img.copy()
-    start.flat[active[certified]] = x[certified]
-    return start, active[~certified]
-
-
-def final_period(images, u):
-    """Smallest p with vertex u's last value bitwise equal to the one p steps earlier."""
-    last = images[-1].flat[u].tobytes()
-    return next(p for p in range(1, len(images)) if images[-1 - p].flat[u].tobytes() == last)
+    return f, trace
 
 
 def record_steps(monkeypatch):
@@ -566,43 +526,21 @@ def record_steps(monkeypatch):
     return calls
 
 
-def assert_solves_alike(graph, img, mask, active, cfg):
-    """solve_dirichlet gives the unfrozen loop's image bitwise, iterations and trace exactly.
-
-    The loop steps the vertices that the pair jumps leave, from the image
-    the jumps make.
-    """
-    start, rest = euler_start(graph, img, active)
-    images, trace = unfrozen_solve(graph, start, rest, cfg)
-    out, iters, got, *_ = mv.solve_dirichlet(graph, img, mask, active, cfg)
-    assert iters == len(trace)
-    assert got == trace
-    assert out.data.tobytes() == images[-1].data.tobytes()
-    return images, trace
-
-
 def antipodal_layer(seed):
-    """sphere2 centers 0..4, each with two neighbors p and -p.
+    """sphere2 centers 0..2, each with two neighbors p and -p.
 
-    The zero of a pair p, -p is undefined, so the jumps leave every center
-    to Euler.  Centers 0..3 start at random points and converge to the
-    point at their weighted fraction of the half great circle from p to -p.
-    Center 4 starts 5e-15 rad past the zero of its pair (0, 0, +-1),
-    weighted 1 and 1: its operator is not zero, but its step is below
-    ZERO_TANGENT_TOL, so it is a fixed point from step 1.
+    The geodesic from p to -p, on which the pair's zero lies, is undefined,
+    and every point halfway between them (by weight) is a 1-centre.
     """
     rng = np.random.default_rng(seed)
-    poles = rng.normal(size=(5, 3))
-    poles[4] = [0.0, 0.0, 1.0]
+    poles = rng.normal(size=(3, 3))
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
-    v = poles + rng.normal(size=(5, 3))
-    v[4] = [1.0, 0.0, -5e-15]
+    v = poles + rng.normal(size=(3, 3))
     pts = np.concatenate([v / np.linalg.norm(v, axis=1, keepdims=True),
                           np.stack([poles, -poles], 1).reshape(-1, 3)])
-    edges = {c: ([5 + 2 * c, 6 + 2 * c], list(rng.uniform(0.2, 1.0, size=2))) for c in range(5)}
-    edges[4] = ([13, 14], [1.0, 1.0])
-    mask = mv.Mask(np.arange(15)[None, :] >= 5)
-    return make_graph(15, edges), line_image(S2, pts), mask, np.arange(5)
+    edges = {c: ([3 + 2 * c, 4 + 2 * c], list(rng.uniform(0.2, 1.0, size=2))) for c in range(3)}
+    mask = mv.Mask(np.arange(9)[None, :] >= 3)
+    return make_graph(9, edges), line_image(S2, pts), mask, np.arange(3)
 
 
 def side_by_side(*layers):
@@ -620,178 +558,42 @@ def side_by_side(*layers):
             mv.Mask(np.concatenate(known)[None, :]), np.concatenate(active))
 
 
-class TestCycleFreeze:
-    """Frozen cycling vertices leave the solve bitwise unchanged.
-
-    The reference is the loop that steps, at every step, every vertex the
-    pair jumps leave to Euler.  The inputs hold such vertices: ones whose
-    extremal pairs cycle, or whose pair is antipodal.  The wrapped
-    euler_step shows which vertices were frozen.
-    """
-
-    @pytest.mark.parametrize("desc, seed", [(S2, 1), (SPD2, 0)], ids=["sphere2", "spd2"])
-    def test_stalled_layer_stopped_at_every_cycle_phase(self, desc, seed, monkeypatch):
-        graph, img, mask, active = stalled_layer(desc, seed)
-        start, rest = euler_start(graph, img, active)
-        first, tail = 200, 64
-        cfg = mv.SolverConfig(tau=0.1, max_iter=first + tail)
-        images, trace = unfrozen_solve(graph, start, rest, cfg)
-        assert len(trace) == cfg.max_iter
-        periods = {int(u): final_period(images, u) for u in rest}
-        longest = max(periods, key=periods.get)
-        assert 2 <= periods[longest] <= tail
-        calls = record_steps(monkeypatch)
-        for max_iter in range(first, first + periods[longest]):
-            calls.clear()
-            cfg = mv.SolverConfig(tau=0.1, max_iter=max_iter)
-            out, iters, got, *_ = mv.solve_dirichlet(graph, img, mask, active, cfg)
-            assert iters == max_iter
-            assert got == trace[:max_iter]
-            assert out.data.tobytes() == images[max_iter - 1].data.tobytes()
-            # every vertex in a cycle of period >= 2 was replayed at some steps
-            for u in (u for u, p in periods.items() if p >= 2):
-                assert sum(u in c for c in calls) < max_iter
-
-    def test_layer_converging_by_eps(self, monkeypatch):
-        graph, img, mask, active = antipodal_layer(3)
-        cfg = mv.SolverConfig(tau=0.1, max_iter=2000)
-        calls = record_steps(monkeypatch)
-        _, trace = assert_solves_alike(graph, img, mask, active, cfg)
-        assert len(trace) < cfg.max_iter and trace[-1] < cfg.eps
-        # vertex 4 is a fixed point from step 1
-        assert calls[0] == [0, 1, 2, 3, 4] and calls[-1] == [0, 1, 2, 3]
-
-    def test_coupled_path_graph(self):
-        graph, img, mask, active = sphere_path(7, seed=4)
-        assert_solves_alike(graph, img, mask, active, mv.SolverConfig(tau=0.1, max_iter=400))
-
-    def test_fixed_point_frozen_the_step_it_is_reached(self, monkeypatch):
-        # circle stars of two antipodal neighbors: the jumps leave each
-        # center to Euler, and it falls geometrically onto a floating-point
-        # fixed point, mostly at a step that is not a power of two, so a
-        # schedule that compares only with values saved at steps 2^j - 1
-        # would catch it later
-        rng = np.random.default_rng(5)
-        centers = 6
-        a = rng.uniform(-np.pi, 0.0, size=centers)
-        vals = np.concatenate([a + rng.uniform(0.2, np.pi - 0.2, size=centers),
-                               np.stack([a, a + np.pi], 1).reshape(-1)])
-        edges = {c: ([centers + 2 * c, centers + 2 * c + 1], list(rng.uniform(0.2, 1.0, 2)))
-                 for c in range(centers)}
-        graph, img = make_graph(3 * centers, edges), line_image(S1, vals[:, None])
-        mask = mv.Mask(np.arange(3 * centers)[None, :] >= centers)
-        active = np.arange(centers)
-        # eps below any non-zero change: the solve runs until every center is fixed
-        cfg = mv.SolverConfig(tau=0.3, eps=1e-300, max_iter=400)
-        assert euler_start(graph, img, active)[1].tolist() == active.tolist()
-        images, trace = unfrozen_solve(graph, img, active, cfg)
-        assert trace[-1] == 0.0
-        states = [img] + images
-        reached = {
-            u: next(n for n in range(1, len(states))
-                    if states[n].flat[u].tobytes() == states[n - 1].flat[u].tobytes())
-            for u in active.tolist()
-        }
-        assert any(n & (n - 1) for n in reached.values())
-        calls = record_steps(monkeypatch)
-        assert_solves_alike(graph, img, mask, active, cfg)
-        assert {u: sum(u in c for c in calls) for u in reached} == reached
-
-    @pytest.mark.parametrize("ring", ["default", "longest-period"])
-    @pytest.mark.parametrize("desc, seed", [(S2, 1), (SPD2, 0)], ids=["sphere2", "spd2"])
-    def test_cycle_caught_at_first_repeat(self, desc, seed, ring, monkeypatch):
-        graph, img, mask, active = stalled_layer(desc, seed)
-        cfg = mv.SolverConfig(tau=0.1, max_iter=300)
-        start, rest = euler_start(graph, img, active)
-        images, trace = unfrozen_solve(graph, start, rest, cfg)
-        states = [start] + images
-        slots = cfg.max_iter
-        if ring == "longest-period":
-            # a byte budget of just as many ring slots as the longest cycle,
-            # which only a comparison with every stored value catches
-            slots = max(final_period(states, u) for u in rest.tolist())
-            assert 2 <= slots < cfg.max_iter
-            floats = rest.size * (img.flat.shape[1] + 1)
-            monkeypatch.setattr(operators, "RING_BYTES", slots * floats * 8)
-
-        def caught(u):
-            """First step whose value repeats one of the `slots` values before it."""
-            for n in range(1, len(states)):
-                earlier = {s.flat[u].tobytes() for s in states[max(0, n - slots) : n]}
-                if states[n].flat[u].tobytes() in earlier:
-                    return n
-            return len(trace)
-
-        expected = {u: caught(u) for u in rest.tolist()}
-        # some vertex is caught in a cycle of period two or more
-        assert any(n < len(trace) and final_period(states[: n + 1], u) >= 2
-                   for u, n in expected.items())
-        calls = record_steps(monkeypatch)
-        assert_solves_alike(graph, img, mask, active, cfg)
-        for u, n in expected.items():
-            assert [u in c for c in calls] == [True] * n + [False] * (len(calls) - n)
-
-    @pytest.mark.parametrize("slots", [1, 2, 16])
-    def test_fewer_ring_slots_change_nothing(self, slots, monkeypatch):
-        # a vertex whose pairs cycle with period 13, and fixed points
-        graph, img, mask, active = side_by_side(stalled_layer(S2, 1), antipodal_layer(3))
-        rest = euler_start(graph, img, active)[1]
-        # a budget of `slots` ring slots for the stepped vertices, 3 + 1 floats each
-        monkeypatch.setattr(operators, "RING_BYTES", slots * rest.size * 4 * 8)
-        calls = record_steps(monkeypatch)
-        _, trace = assert_solves_alike(graph, img, mask, active, mv.SolverConfig(max_iter=300))
-        frozen = sum(map(len, calls)) < rest.size * len(trace)
-        assert frozen == (slots >= 2)
-
-    def test_ring_stays_inside_its_byte_budget(self):
-        # 8000 targets sharing 4 known neighbors whose extremal pairs cycle,
-        # so the jumps leave every target to Euler.  A ring of all 32 steps
-        # alone takes 32 * 8000 * 4 * 8 bytes = 8.2 MB.  Measured peaks
-        # (numpy 2.4): 7.8 MB unfrozen, 11.2 MB with the 4 MiB budget, 15.2 MB
-        # with an uncapped ring
-        A, k = 8000, 4
-        rng = np.random.default_rng(16)
-        v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(A + k, 3))
-        img = line_image(S2, v / np.linalg.norm(v, axis=1, keepdims=True))
-        nbrs = list(range(A, A + k))
-        graph = mv.NonlocalGraph.from_adjacency(A + k, {u: (nbrs, [1.0] * k) for u in range(A)})
-        mask = mv.Mask(np.arange(A + k)[None, :] >= A)
-        assert euler_start(graph, img, np.arange(A))[1].size == A
-        tracemalloc.start()
-        try:
-            mv.solve_dirichlet(graph, img, mask, np.arange(A), mv.SolverConfig(max_iter=32))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 13_000_000
-
-
 class TestStepCalls:
-    """solve_dirichlet steps through the module-level euler_step.
+    """solve_dirichlet steps through the module-level euler_step, on coupled layers only.
 
     The benchmark tracer wraps that name and counts Euler steps and
     vertex-steps from its calls and their active sets; the solver's own
     vertex_steps count agrees with it.
     """
 
-    def test_decoupled_layer_steps_live_vertices_only(self, monkeypatch):
-        graph, img, mask, active = stalled_layer(S2, 1)
-        rest = euler_start(graph, img, active)[1]
+    @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
+    def test_decoupled_layer_takes_no_step(self, desc, monkeypatch):
+        graph, img, mask, active = star_layer(desc, 1)
         calls = record_steps(monkeypatch)
-        _, iters, _, rounds, zeros, steps = mv.solve_dirichlet(
+        _, iters, trace, rounds, zeros, steps, multi, _ = mv.solve_dirichlet(
             graph, img, mask, active, mv.SolverConfig(max_iter=300))
-        assert calls and all(set(c) <= set(rest.tolist()) for c in calls)
-        assert sum(map(len, calls)) < rest.size * iters
-        assert steps == sum(map(len, calls))
-        assert zeros == active.size - rest.size and rounds > 0
+        assert calls == [] and (iters, trace, steps) == (0, [], 0)
+        assert zeros + multi == active.size and rounds > 0
 
     def test_coupled_layer_steps_every_vertex_every_iteration(self, monkeypatch):
         graph, img, mask, active = sphere_path(7, seed=4)
         calls = record_steps(monkeypatch)
-        _, iters, _, rounds, zeros, steps = mv.solve_dirichlet(
+        _, iters, _, rounds, zeros, steps, multi, _ = mv.solve_dirichlet(
             graph, img, mask, active, mv.SolverConfig(max_iter=400))
         assert calls == [active.tolist()] * iters
-        assert (rounds, zeros, steps) == (0, 0, active.size * iters)
+        assert (rounds, zeros, multi, steps) == (0, 0, 0, active.size * iters)
+
+    def test_coupled_layer_is_the_plain_euler_loop(self):
+        graph, img, mask, active = sphere_path(7, seed=4)
+        cfg = mv.SolverConfig(tau=0.1, max_iter=400)
+        ref, trace = euler_loop(graph, img, active, cfg)
+        out, iters, got, *_, lipschitz = mv.solve_dirichlet(graph, img, mask, active, cfg)
+        assert (iters, got) == (len(trace), trace)
+        assert out.data.tobytes() == ref.data.tobytes()
+        # the largest weighted distance between an active vertex and a neighbor
+        far = [np.sqrt(w) * mv.distance(S2, out.flat[u], out.flat[v])
+               for u in active.tolist() for v, w in zip(*graph.neighbors(u))]
+        assert lipschitz == pytest.approx(max(far), rel=1e-12)
 
 
 def geodesic_point(desc, a, b, t):
@@ -813,67 +615,250 @@ def geodesic_point(desc, a, b, t):
     return (root @ ((r * mu ** t) @ r.T) @ root).reshape(-1)
 
 
-class TestJumpCertificate:
-    """A decoupled layer's certified vertices sit at the zeros of their pairs.
+def sym_fn(m, fn):
+    """fn of a symmetric matrix through eigh."""
+    lam, q = np.linalg.eigh(m)
+    return (q * fn(lam)) @ q.T
 
-    For every vertex the solver does not step, the extremal pair (i, j) at
-    its output is found by brute force, and the output must be the zero of
-    that pair: the point at t = sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) on the
-    geodesic f(v_i) -> f(v_j).  The vertices it steps must come out as the
-    Euler loop stepping them alone gives them.
+
+def ortho_log(desc, x, y):
+    """log_x y in coordinates where the metric at x is the dot product.
+
+    euclidean: y - x; sphere2: the tangent vector in R^3; spd(2): the
+    whitened log(X^-1/2 Y X^-1/2), flattened, under the Frobenius product.
+    """
+    if desc.kind == "euclidean":
+        return y - x
+    if desc.kind == "sphere2":
+        theta = np.arctan2(np.linalg.norm(np.cross(x, y)), x @ y)
+        v = y - (x @ y) * x
+        return v * (theta / np.linalg.norm(v)) if theta > 0.0 else 0.0 * v
+    inv = sym_fn(x.reshape(2, 2), lambda lam: lam ** -0.5)
+    return sym_fn(inv @ y.reshape(2, 2) @ inv, np.log).reshape(-1)
+
+
+def chart(desc, x0):
+    """(exp, coords): exp maps R^d onto the manifold near x0, with exp(0) = x0,
+    and coords maps an ortho_log vector at x0 to the t that exp takes to it."""
+    if desc.kind == "euclidean":
+        return (lambda t: x0 + t), (lambda v: v)
+    if desc.kind == "sphere2":
+        basis = np.linalg.svd(x0[None, :])[2][1:]              # two unit vectors normal to x0
+
+        def exp(t):
+            v = t @ basis
+            n = np.linalg.norm(v)
+            return x0 if n == 0.0 else np.cos(n) * x0 + np.sin(n) * v / n
+        return exp, (lambda v: basis @ v)
+    root = sym_fn(x0.reshape(2, 2), np.sqrt)
+    return ((lambda t: (root @ sym_fn(np.array([[t[0], t[1]], [t[1], t[2]]]), np.exp)
+                        @ root).reshape(-1)),
+            (lambda v: np.array([v[0], 0.5 * (v[1] + v[2]), v[3]])))
+
+
+def circumcentre(desc, f, w):
+    """The point equally far, by root weights w, from the points f, in their hull.
+
+    Two points: the pair's zero.  More: Gauss-Newton in a chart at f[0],
+    from the mean of the logs from f[0], with a central-difference
+    Jacobian, on the equalities w_b d_b = w_0 d_0 together with the
+    min-norm point of the affine hull of the logs p_b at x, which is 0
+    when x lies in it.
+    Returns (x, multipliers), or None where Gauss-Newton does not converge.
+    """
+    if len(f) == 2:
+        return geodesic_point(desc, f[0], f[1], w[1] / (w[0] + w[1])), np.array([0.5, 0.5])
+
+    def residual(x):
+        p = np.array([ortho_log(desc, x, y) for y in f])
+        d = np.linalg.norm(p, axis=1)
+        dp = (p[1:] - p[0]).T
+        alpha = np.linalg.lstsq(dp, -p[0], rcond=None)[0]
+        return np.concatenate([w[1:] * d[1:] - w[0] * d[0], p[0] + dp @ alpha]), p / d[:, None]
+
+    exp, coords = chart(desc, f[0])
+    t = coords(np.mean([ortho_log(desc, f[0], y) for y in f], axis=0))
+    for _ in range(60):
+        r = residual(exp(t))[0]
+        jac = np.array([(residual(exp(t + h))[0] - residual(exp(t - h))[0]) / 2e-7
+                        for h in np.eye(t.size) * 1e-7]).T
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        t = t + step
+        if not np.isfinite(t).all() or np.linalg.norm(t) > 10.0:
+            return None
+        if np.linalg.norm(step) < 1e-15:
+            break
+    x = exp(t)
+    r, e = residual(x)
+    if np.abs(r).max() > 1e-13:
+        return None
+    # the barycentric coordinates of 0 among the unit directions e_b
+    lam = np.linalg.lstsq(np.vstack([e.T, np.ones(len(f))]),
+                          np.r_[np.zeros(e.shape[1]), 1.0], rcond=None)[0]
+    return x, lam
+
+
+def oracle_centre(desc, nbrs, w):
+    """The weighted 1-centre by enumeration, and its number of supports.
+
+    Every subset of 2 to d + 1 neighbors (d the manifold dimension) gets
+    its circumcentre; a subset is feasible where its multipliers are >= 0
+    and it covers every neighbor within 1e-9, and the feasible one of least
+    value wins.
+    """
+    dim = {"euclidean": desc.dim, "sphere2": 2, "spd": 3}[desc.kind]
+    best = (np.inf, None, 0)
+    for m in range(2, dim + 2):
+        for sub in itertools.combinations(range(len(nbrs)), m):
+            got = circumcentre(desc, nbrs[list(sub)], w[list(sub)])
+            if got is None or (got[1] < -1e-9).any():
+                continue
+            far = w * np.array([np.linalg.norm(ortho_log(desc, got[0], y)) for y in nbrs])
+            value = far[list(sub)].max()
+            if far.max() <= value * (1.0 + 1e-9) and value < best[0]:
+                best = (value, got[0], m)
+    return best[1], best[2]
+
+
+def hull_gap(desc, x, nbrs, w):
+    """Distance from 0 to the convex hull of the unit directions at x toward the
+    neighbors within a relative 1e-7 of the farthest: 0 exactly where x
+    meets the KKT condition of the 1-centre."""
+    p = np.array([ortho_log(desc, x, y) for y in nbrs])
+    far = w * np.linalg.norm(p, axis=1)
+    e = p[far >= far.max() * (1.0 - 1e-7)]
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    gap = np.inf
+    for m in range(1, len(e) + 1):
+        for sub in itertools.combinations(range(len(e)), m):
+            lam = np.linalg.lstsq(np.vstack([e[list(sub)].T, np.ones(m)]),
+                                  np.r_[np.zeros(e.shape[1]), 1.0], rcond=None)[0]
+            if (lam >= -1e-12).all():
+                gap = min(gap, np.linalg.norm(lam @ e[list(sub)]))
+    return gap
+
+
+class TestJumpCertificate:
+    """A decoupled layer keeps its pair zeros where they are 1-centres.
+
+    The jumps (operators._jump) leave a vertex at the zero z_ij of a pair
+    (i, j).  Where no neighbor is farther than the pair, z_ij is the
+    vertex's weighted 1-centre, and the solver returns it bitwise.  Every
+    other vertex comes out at a point meeting the KKT condition of the
+    1-centre: its farthest neighbors' unit directions hold 0 in their
+    convex hull.  No Euler step runs.
     """
 
     @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
     @pytest.mark.parametrize("seed", range(8))
     def test_certified_vertices_sit_at_their_pair_zero(self, desc, seed, monkeypatch):
         graph, img, mask, active = star_layer(desc, seed)
-        cfg = mv.SolverConfig(tau=0.1, max_iter=300)
         calls = record_steps(monkeypatch)
-        out, iters, trace, rounds, zeros, steps = mv.solve_dirichlet(graph, img, mask, active, cfg)
-        rest = calls[0] if calls else []
-        certified = [u for u in active.tolist() if u not in rest]
-        assert certified and zeros == len(certified) and rounds >= 1
-        assert steps == sum(map(len, calls))
-        for u in certified:
-            i, j = brute_extremal_pair(graph, out, u)
+        out, iters, trace, rounds, zeros, steps, multi, lipschitz = mv.solve_dirichlet(
+            graph, img, mask, active, mv.SolverConfig(max_iter=300))
+        assert calls == [] and (iters, trace, steps) == (0, [], 0)
+        assert zeros + multi == active.size and rounds >= 1
+        rows = graph.rows(active)
+        k = graph.ids.shape[1]
+        x, last, _ = operators._jump(desc.kernel, img.flat[active].copy(),
+                                     img.flat[graph.ids[rows]], np.sqrt(graph.weights[rows]))
+        kept, largest = 0, 0.0
+        for a, u in enumerate(active.tolist()):
             ids, w = graph.neighbors(u)
-            si, sj = np.sqrt(w[ids.tolist().index(i)]), np.sqrt(w[ids.tolist().index(j)])
-            zero = geodesic_point(desc, img.flat[i], img.flat[j], sj / (si + sj))
-            assert mv.distance(desc, out.flat[u], zero) < 1e-12
+            nbrs, sqw = img.flat[ids], np.sqrt(w)
+            if last[a] >= 0:
+                i, j = divmod(int(last[a]), k)
+                zero = geodesic_point(desc, nbrs[i], nbrs[j], sqw[j] / (sqw[i] + sqw[j]))
+                assert mv.distance(desc, x[a], zero) < 1e-12
+                far = sqw * np.array([mv.distance(desc, x[a], y) for y in nbrs])
+                if far.max() <= max(far[i], far[j]) * (1.0 + 1e-12):
+                    assert out.flat[u].tobytes() == x[a].tobytes()
+                    kept += 1
+            assert hull_gap(desc, out.flat[u], nbrs, sqw) < 1e-8
             if desc == E1:
+                # in 1-D the 1-centre is the weighted midrange, the zero of the operator
                 assert abs(mv.real_graph_inf_laplacian(graph, out.flat[:, 0], u)) < 1e-13
-        if rest:
-            images, ref = unfrozen_solve(graph, img, np.array(rest), cfg)
-            assert (iters, trace) == (len(ref), ref)
-            assert out.flat[rest].tobytes() == images[-1].flat[rest].tobytes()
-        else:
-            assert (iters, trace, steps) == (0, [], 0)
+            far = sqw * np.array([mv.distance(desc, out.flat[u], y) for y in nbrs])
+            largest = max(largest, far.max())
+        assert kept <= zeros
+        assert lipschitz == pytest.approx(largest, rel=1e-12)
+        if desc == E1:
+            assert (kept, multi) == (active.size, 0)
 
-    def test_antipodal_pair_goes_to_euler(self, monkeypatch):
-        # stars that all certify, beside centers whose extremal neighbors
-        # are antipodal, so that the geodesic to their zero is undefined
+    def test_antipodal_pair_raises_naming_its_vertex(self):
+        # stars that solve, beside centers whose neighbors are antipodal:
+        # their 1-centre is not unique, and the search for it meets the cut
+        # locus instead of returning some point silently
         graph, img, mask, active = side_by_side(star_layer(S2, 0), antipodal_layer(3))
-        antipodal = active[6:].tolist()
-        # eps below any non-zero change: both solves run max_iter steps
-        cfg = mv.SolverConfig(tau=0.1, eps=1e-300, max_iter=200)
-        images, _ = unfrozen_solve(graph, img, active, cfg)
-        calls = record_steps(monkeypatch)
-        out, iters, *_ = mv.solve_dirichlet(graph, img, mask, active, cfg)
-        assert calls[0] == antipodal and iters == len(images)
-        assert out.flat[antipodal].tobytes() == images[-1].flat[antipodal].tobytes()
+        with pytest.raises(CutLocusError) as exc:
+            mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
+        assert exc.value.vertex in active[6:].tolist()
+        assert f"vertex {exc.value.vertex}" in str(exc.value)
 
-    def test_zero_at_a_neighbors_cut_locus_goes_to_euler(self, monkeypatch):
+    def test_zero_at_a_neighbors_cut_locus_is_kept(self, monkeypatch):
         # circle centers 0 and 1 both have the zero 0 of the pair (-1, 1); the
-        # light third neighbor pi of center 0 is antipodal to it, so its pair
-        # cannot be picked there.  Euler only nears 0, and 100 steps at
-        # tau = 0.1 stay far outside the 1e-10 cut-locus band
+        # light third neighbor pi of center 0 is antipodal to it, so no pair
+        # can be picked there.  Distances are defined everywhere, and no
+        # neighbor is farther than the pair, so 0 is kept
         vals = [0.5, 0.3, -1.0, 1.0, np.pi, -1.0, 1.0]
         graph = make_graph(7, {0: ([2, 3, 4], [1.0, 1.0, 0.01]), 1: ([5, 6], [1.0, 1.0])})
         img, mask = line_image(S1, [[v] for v in vals]), mv.Mask(np.arange(7)[None, :] >= 2)
-        cfg = mv.SolverConfig(tau=0.1, max_iter=100)
-        images, _ = unfrozen_solve(graph, img, [0], cfg)
         calls = record_steps(monkeypatch)
-        out, iters, _, _, zeros, _ = mv.solve_dirichlet(graph, img, mask, [0, 1], cfg)
-        assert calls[0] == [0] and zeros == 1 and out.flat[1, 0] == 0.0
-        assert iters == len(images)
-        assert out.flat[0].tobytes() == images[-1].flat[0].tobytes()
+        out, iters, _, _, zeros, _, multi, lipschitz = mv.solve_dirichlet(
+            graph, img, mask, [0, 1], mv.SolverConfig())
+        assert calls == [] and iters == 0
+        assert out.flat[:2, 0].tolist() == [0.0, 0.0]
+        assert (zeros, multi, lipschitz) == (2, 0, 1.0)
+
+
+class TestOneCentreOracle:
+    """Each vertex of a decoupled layer gets its weighted 1-centre.
+
+    The oracle enumerates every support subset of a small star and keeps
+    the feasible circumcentre of least value (oracle_centre); it is
+    written here with numpy alone and shares no code with the solver.
+    """
+
+    @pytest.mark.parametrize("desc", [E2, S2, SPD2], ids=lambda d: d.label())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_subset_enumeration(self, desc, seed):
+        graph, img, mask, active = star_layer(desc, seed, degrees=(3, 6))
+        out, *_, multi, _ = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
+        sizes = []
+        for u in active.tolist():
+            ids, w = graph.neighbors(u)
+            centre, m = oracle_centre(desc, img.flat[ids], np.sqrt(w))
+            assert np.linalg.norm(ortho_log(desc, centre, out.flat[u])) < 1e-10
+            sizes.append(m)
+        assert multi == sum(m >= 3 for m in sizes)
+
+    def test_stars_need_the_support_search(self):
+        # the stars of the oracle test include 1-centres of three and more
+        # supports, on every manifold
+        for desc in (E2, S2, SPD2):
+            counts = [mv.solve_dirichlet(*star_layer(desc, seed, degrees=(3, 6)),
+                                         mv.SolverConfig())[6] for seed in range(3)]
+            assert min(counts) >= 1, (desc, counts)
+
+    def test_no_feasible_support_set_raises_naming_the_vertex(self, monkeypatch):
+        graph, img, mask, active = star_layer(S2, 0)
+
+        def diverges(kernel, y, f, w):
+            return y, np.zeros(y.shape[0], dtype=bool)
+
+        monkeypatch.setattr(operators, "_circumcentre", diverges)
+        with pytest.raises(SolverError, match="no feasible support set") as exc:
+            mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
+        assert exc.value.vertex in active.tolist()
+
+
+def test_small_systems_match_lapack():
+    rng = np.random.default_rng(21)
+    for q in (1, 2, 3, 5):
+        M = rng.normal(size=(50, q, q))
+        M[:10, 0, 0] = 0.0 if q > 1 else 1.0   # rows that need a pivot swap
+        b = rng.normal(size=(50, q))
+        got = operators._solve_small(M.copy(), b.copy())
+        assert np.allclose(got, np.linalg.solve(M, b[..., None])[..., 0], rtol=1e-10, atol=1e-12)
+    singular = np.zeros((1, 2, 2))
+    assert not np.isfinite(operators._solve_small(singular, np.ones((1, 2)))).all()

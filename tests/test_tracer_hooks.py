@@ -31,9 +31,10 @@ def wrap(module, name, monkeypatch):
 def test_solve_and_step_hooks(monkeypatch):
     solves = wrap(driver, "solve_dirichlet", monkeypatch)
     steps = wrap(operators, "euler_step", monkeypatch)
-    # layer 1 holds a vertex whose extremal pairs cycle, so Euler runs
+    # layer 2 is coupled (cumulative_active), so Euler runs there; the
+    # decoupled layer 1 takes no step
     img = mv.generate_sphere_image(8, 8)
-    cfg = mv.SolverConfig(k=3, p=1, r=2, max_iter=5)
+    cfg = mv.SolverConfig(k=3, p=1, r=2, max_iter=5, cumulative_active=True)
     _, front = mv.inpaint(img, mv.cut_mask(8, 8, (3, 1, 3, 3)), cfg)
     assert len(solves) == len(front.log) == 2
     for (args, out), rec in zip(solves, front.log):
@@ -45,4 +46,5 @@ def test_solve_and_step_hooks(monkeypatch):
         assert at_max_iter == (not rec.converged)
     counted = sum(len(args["active"]) for args, _ in steps)
     assert counted == sum(rec.vertex_steps for rec in front.log) > 0
-    assert len(steps) == front.log[0].iterations
+    assert front.log[0].iterations == 0
+    assert len(steps) == front.log[1].iterations
