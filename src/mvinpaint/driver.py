@@ -28,13 +28,13 @@ class LayerRecord:
     """Per-layer log entry of one inpainting run.
 
     On a decoupled layer (the default) every active vertex takes its
-    weighted 1-centre: zero_vertices counts those left at the zero of a
-    neighbor pair, multi_support those whose 1-centre has three supports
-    or more, so the two add up to active_size, and rounds counts the
-    rounds of the pair jumps and of the support search.  A coupled layer
-    (cumulative_active, after the first) takes Euler steps instead, and
-    reports 0 for all three.  iterations counts the Euler steps,
-    vertex_steps the vertices stepped over all steps (both 0 on a
+    weighted 1-centre: zero_vertices counts those whose 1-centre is the
+    zero of a neighbor pair (at most two supports), multi_support those
+    whose 1-centre has three supports or more, so the two add up to
+    active_size, and rounds counts the rounds of the support search.  A
+    coupled layer (cumulative_active, after the first) takes Euler steps
+    instead, and reports 0 for all three.  iterations counts the Euler
+    steps, vertex_steps the vertices stepped over all steps (both 0 on a
     decoupled layer), and residual is their last relative change (0.0 when
     there is none); converged says whether residual fell below cfg.eps
     before max_iter ran out.  lipschitz is the largest

@@ -146,6 +146,13 @@ class ManifoldDescriptor:
     def tangent_len(self) -> int:
         return self.point_len
 
+    @property
+    def manifold_dim(self) -> int:
+        """The manifold's dimension: m for euclidean m, n(n+1)/2 for spd n."""
+        if self.kind == "spd":
+            return self.dim * (self.dim + 1) // 2
+        return {"circle": 1, "sphere2": 2}.get(self.kind, self.dim)
+
     def label(self) -> str:
         if _KINDS[self.kind]:
             return f"{self.kind} {self.dim}"

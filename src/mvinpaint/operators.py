@@ -18,8 +18,9 @@ solve_dirichlet takes those steps only on a layer whose vertices are each
 other's neighbors.  On a decoupled layer every neighbor value is fixed, and
 each vertex takes its weighted 1-centre argmin_x max_v sqrt(w(u, v))
 d(x, f(v)), the discrete minimizing Lipschitz extension that the operator
-is built on: pair jumps reach it where it has two supports, and a batched
-search of its support set, in the manner of Welzl, everywhere else.
+is built on, found by a batched search of its support set in the manner
+of Welzl.  Where it has two supports it is the operator's zero on their
+geodesic.
 
 All batched work happens in the kernels' ortho coordinates, where the
 Riemannian inner product is the plain dot product.  The pair objective is
@@ -46,18 +47,18 @@ from .manifolds import ZERO_TANGENT_TOL, Tangent
 SCREEN_SAFETY = 2.0
 _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
-# the 1-centres of a decoupled layer (_centres).  A pair zero is kept where
-# no neighbor is farther than the pair by more than the relative _CERTIFY.
-# The support search counts a neighbor as covered within the relative
-# _SLACK, and a multiplier as nonnegative down to -_SLACK; both comparisons
-# of distances also allow ZERO_TANGENT_TOL, the norm below which a tangent
-# is zero.  Its Newton solves stop at a step below _NEWTON_TOL, or below
-# _NEWTON_FLOOR once the step no longer halves, within _NEWTON_ITER steps
-_CERTIFY = 1e-12
+# the 1-centres of a decoupled layer (_centres).  The support search counts
+# a neighbor as covered within the relative _SLACK, plus ZERO_TANGENT_TOL,
+# the norm below which a tangent is zero, and a dual weight as nonnegative
+# down to -_SLACK.  Its Newton solves stop at a step below _NEWTON_TOL, or
+# below _NEWTON_FLOOR once the step no longer halves, within _NEWTON_ITER
+# steps, and give up on a row whose step has not fallen by a tenth over
+# _NEWTON_LAG steps
 _SLACK = 1e-9
 _NEWTON_TOL = 1e-15
 _NEWTON_FLOOR = 1e-12
-_NEWTON_ITER = 50
+_NEWTON_ITER = 100
+_NEWTON_LAG = 4
 
 
 def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> float:
@@ -273,66 +274,6 @@ def _pair_zero(kernel, fi, fj, si, sj):
     return kernel.exp_ortho(fi, (sj / (si + sj))[:, None] * kernel.log_ortho(fi, fj))
 
 
-def _jump(kernel, x, nbr_vals, sqw):
-    """Pair jumps of a decoupled layer: each vertex moves to the zero of its pair.
-
-    The operator of a pair (i, j) vanishes at z_ij, the point at fraction
-    t = sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) on the geodesic f(v_i) -> f(v_j),
-    since the neighbors of a decoupled layer never move.  Each round picks
-    the extremal pair of every vertex still jumping, at its current value,
-    and moves it to that pair's zero.  A vertex stops where its operator is
-    an exact zero, or where the pair it jumped by is again its extremal
-    pair; it is also dropped where it comes back to a pair it has jumped
-    from, or where its pair search or jump raises CutLocusError.  Each round
-    either stops a vertex or marks a new unordered pair of its row, so the
-    jumps end within k(k+1)/2 + 1 rounds.
-
-    Args:
-        x: (A, L) start values, overwritten; nbr_vals: (A, k, L) neighbor
-        values and sqw: (A, k) root weights, as _extremal_batch takes them.
-
-    Returns:
-        (x, last, rounds): last holds i k + j for the slots i < j of the
-        pair whose zero x is, -1 where a vertex never jumped.
-    """
-    A, k = sqw.shape
-    seen = np.zeros((A, k * k), dtype=bool)   # unordered slot pairs jumped from
-    last = np.full(A, -1)
-    i_slot = np.empty(A, dtype=np.int64)
-    j_slot = np.empty(A, dtype=np.int64)
-
-    def extremal(p):
-        return _extremal_batch(kernel, x[p], nbr_vals[p], sqw[p])
-
-    def zero(p):
-        i, j = i_slot[p], j_slot[p]
-        return (_pair_zero(kernel, nbr_vals[p, i], nbr_vals[p, j], sqw[p, i], sqw[p, j]),)
-
-    pend = np.arange(A)
-    rounds = 0
-    while pend.size:
-        rounds += 1
-        pend, (i, j, _, moving) = _without_cut_locus(extremal, pend)
-        pair = np.minimum(i, j) * k + np.maximum(i, j)
-        go = moving & (pair != last[pend]) & ~seen[pend, pair]
-        pend = pend[go]
-        i_slot[pend], j_slot[pend] = i[go], j[go]
-        pend, (z,) = _without_cut_locus(zero, pend)
-        x[pend] = z
-        last[pend] = np.minimum(i_slot[pend], j_slot[pend]) * k + np.maximum(i_slot[pend], j_slot[pend])
-        seen[pend, last[pend]] = True
-    return x, last, rounds
-
-
-def _dimension(desc) -> int:
-    """The manifold's dimension d: a weighted 1-centre has at most d + 1 supports."""
-    if desc.kind == "euclidean":
-        return desc.dim
-    if desc.kind == "spd":
-        return desc.dim * (desc.dim + 1) // 2
-    return 1 if desc.kind == "circle" else 2
-
-
 def _solve_small(M, b):
     """x with M x = b for a batch of small systems, M (n, q, q) and b (n, q).
 
@@ -358,16 +299,16 @@ def _solve_small(M, b):
     return x
 
 
-def _hull_holds_zero(e):
-    """Whether 0 lies in the convex hull of each row's unit directions e (n, m, L).
+def _barycentric(a):
+    """nu (n, m) with sum_b nu_b a_b = 0 and sum_b nu_b = 1, per row of a (n, m, L).
 
-    The multipliers are the barycentric coordinates of 0 among the e_b,
-    from the normal equations of sum_b l_b e_b = 0, sum_b l_b = 1; each
-    must be at least -_SLACK.
+    The barycentric coordinates of 0 in the affine hull of each row's m
+    points, from the normal equations of their differences from a_0.
+    Where the points are affinely dependent the entries are not finite.
     """
-    de = e[:, 1:] - e[:, :1]
-    mu = _solve_small(np.einsum("nbl,ncl->nbc", de, de), -np.einsum("nbl,nl->nb", de, e[:, 0]))
-    return (mu >= -_SLACK).all(axis=1) & (1.0 - mu.sum(axis=1) >= -_SLACK)
+    da = a[:, 1:] - a[:, :1]
+    mu = _solve_small(np.einsum("nbl,ncl->nbc", da, da), -np.einsum("nbl,nl->nb", da, a[:, 0]))
+    return np.concatenate([1.0 - mu.sum(axis=1, keepdims=True), mu], axis=1)
 
 
 def _circumcentre(kernel, y, f, w):
@@ -380,26 +321,29 @@ def _circumcentre(kernel, y, f, w):
     equalities (w_b e_b - w_0 e_0) . h = w_b d_b - w_0 d_0.  A row stops at
     |h| < _NEWTON_TOL, or at |h| < _NEWTON_FLOOR once the step no longer
     halves (the rounding of p_0 + sum a_c (p_c - p_0)), without taking h.
-    It fails where h is not finite or |h| > 4 max_b d_b, or after
-    _NEWTON_ITER steps.
+    It fails where h is not finite or |h| > 4 max_b d_b, where max_b w_b d_b
+    exceeds 4 times its value at the start (no 1-centre of the supports is
+    farther than the start), where |h| is above 0.9 times the step
+    _NEWTON_LAG steps before (Newton that does not converge wanders at a
+    steady step), or after _NEWTON_ITER steps.
 
     Returns:
-        (centres (n, L), ok (n,)): ok where Newton stopped and 0 lies in
-        the convex hull of the e_b, so the centre is its supports' 1-centre.
+        (centres (n, L), nu (n, m)): nu holds the barycentric coordinates
+        of 0 among the e_b at the centre, NaN where Newton failed.
     Raises:
-        CutLocusError whose bad_index starts with the failing row.
+        CutLocusError where a start point or step meets a support's cut locus.
     """
     y = y.copy()
-    ok = np.zeros(y.shape[0], dtype=bool)
-    prev = np.full(y.shape[0], np.inf)
+    nu = np.full(w.shape, np.nan)
+    steps = np.full((y.shape[0], _NEWTON_LAG), np.inf)     # the last steps, by i % lag
     live = np.arange(y.shape[0])
-    for _ in range(_NEWTON_ITER):
-        fl, wl = f[live], w[live]
-        try:
-            p = kernel.log_ortho(y[live, None], fl)                # (n, m, L)
-        except CutLocusError as err:
-            raise CutLocusError(str(err), bad_index=(live[err.bad_index[0]],)) from err
+    for i in range(_NEWTON_ITER):
+        wl = w[live]
+        p = kernel.log_ortho(y[live, None], f[live])                # (n, m, L)
         d = np.sqrt(np.einsum("nbl,nbl->nb", p, p))
+        far = (wl * d).max(axis=1)
+        if i == 0:
+            reach = 4.0 * far
         with np.errstate(divide="ignore", invalid="ignore"):
             e = p / d[..., None]
         a = wl[..., None] * e
@@ -408,16 +352,26 @@ def _circumcentre(kernel, y, f, w):
         alpha = _solve_small(np.einsum("nbl,ncl->nbc", da, dp), rhs)
         h = p[:, 0] + np.einsum("nbl,nb->nl", dp, alpha)
         step = np.sqrt(np.einsum("nl,nl->n", h, h))
-        stop = (step < _NEWTON_TOL) | ((step < _NEWTON_FLOOR) & (step > 0.5 * prev[live]))
+        prev = steps[live, (i - 1) % _NEWTON_LAG]
+        stop = (step < _NEWTON_TOL) | ((step < _NEWTON_FLOOR) & (step > 0.5 * prev))
         if stop.any():
-            ok[live[stop]] = _hull_holds_zero(e[stop])
-        go = ~stop & (step <= 4.0 * d.max(axis=1))
-        prev[live[go]] = step[go]
+            nu[live[stop]] = _barycentric(e[stop])
+        go = ~stop & (step <= 4.0 * d.max(axis=1)) & (far <= reach[live])
+        go &= ~(step > 0.9 * steps[live, i % _NEWTON_LAG])
+        steps[live[go], i % _NEWTON_LAG] = step[go]
         live = live[go]
         if not live.size:
             break
         y[live] = kernel.exp_ortho(y[live], h[go])
-    return y, ok
+    return y, nu
+
+
+def _drop(state, rows, col):
+    """Remove column col[i] of row rows[i] from each (A, cols) array of state."""
+    n = state[0].shape[1]
+    src = np.arange(n - 1) + (np.arange(n - 1) >= col[:, None])
+    for s in state:
+        s[rows[:, None], np.arange(n - 1)] = s[rows[:, None], src]
 
 
 def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
@@ -425,116 +379,243 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
 
     The 1-centre c(u) = argmin_x max_v sqrt(w_uv) d(x, f(v)) is the
     discrete minimizing Lipschitz extension at u with its neighbors fixed
-    (Oberman, Math. Comp. 74, 2005).  The pair jumps (_jump) go first.  A
-    vertex at the zero z_ij of pair (i, j) keeps it, bitwise, when no
-    neighbor is farther than the pair: sqrt(w_v) d(z, f_v) <=
-    max(sqrt(w_i) d_i, sqrt(w_j) d_j) (1 + _CERTIFY).  With i and j equally
-    far and opposite, that is the KKT condition, so z_ij is c(u).
+    (Oberman, Math. Comp. 74, 2005).  Each vertex searches its support set
+    in the manner of Welzl (LNCS 555, 1991).  In the first round it takes
+    the basis S = {i, j} of its extremal pair at f0, at that pair's zero
+    z_ij, where the operator of the pair vanishes; where that pair does not
+    move it or has no zero, it takes S = {its first neighbor}, at that
+    neighbor's value, with value r = 0.  In each later round the farthest
+    neighbor v not covered (sqrt(w_v) d > r (1 + _SLACK))
+    joins S, and a pivot (_pivot) finds the new basis in the way of Wolfe's
+    nearest-point algorithm (Math. Programming 11, 1976), applied to the
+    dual of the 1-centre problem: maximize g(l) = min_x sum_b l_b w_b
+    d(x, f_b)^2 over the weights l >= 0, sum l = 1, of the members.
 
-    Every other vertex searches its support set, in the manner of Welzl
-    (LNCS 555, 1991), from the basis S = {i, j} at z_ij, or from S = {its
-    first neighbor} at that neighbor's value if it never jumped.  In each
-    round the farthest neighbor v not covered (sqrt(w_v) d > r (1 + _SLACK)
-    for the value r of S) joins: the new basis is a feasible subset of
-    S + {v} that holds v, of 2 to d + 1 members for the manifold dimension
-    d.  A subset is feasible where its circumcentre (_pair_zero for two
-    members, _circumcentre for more) has multipliers >= -_SLACK and covers
-    S + {v} within _SLACK; its value is the largest sqrt(w) d over S + {v}.
-    A feasible subset's circumcentre is the 1-centre of S + {v}, which is
-    unique, so the sizes are tried from 2 up and the first size with a
-    feasible subset gives the basis, its subset of least value.  All
-    vertices and subsets of a size are solved in one batch.  A search ends
-    when every neighbor is covered.
+    Each basis carries its dual weights l.  The weighted circumcentre of a
+    set T (_pair_zero for two members, _circumcentre for more) maximizes g
+    over the affine span of T's weights, at l*_b proportional to nu_b /
+    sqrt(w_b) for the barycentric coordinates nu of 0 among the unit
+    directions to T.  Where l* >= -_SLACK, T is the new basis, at its
+    circumcentre.  Otherwise l moves toward l* until a weight meets 0, and
+    that member leaves T.  Before v joins a basis of d + 1 members (d the
+    manifold dimension), one member leaves by the same rule along the
+    affine dependence of the points w_b log_c f_b, which keeps the centre
+    c fixed (_make_room).  g does not fall on the way, so in exact
+    arithmetic on a manifold without positive curvature each round raises
+    the value r = sqrt(g) and no basis comes back.  Where T has no
+    circumcentre (weights can leave none, and Newton may not reach one),
+    T is not its own support, so its 1-centre is the one of largest value
+    among T without one member other than v: each of those m - 1 sets
+    pivots the same way from l restricted to it, and inside them a set
+    with no circumcentre gives way to the pair of v and another member of
+    largest value.  So a round takes at most d steps of one circumcentre
+    per vertex, and at most one of them a set with no circumcentre, which
+    costs at most d^3 more: polynomial in d, where trying every subset
+    would not be.
+
+    All vertices with the same trial size are solved in one batch.  A
+    search ends when every neighbor is covered.
 
     Returns:
         (values (A, L), supports (A,), rounds): supports counts the members
-        of each vertex's final basis (2 at a kept pair zero), rounds those
-        of the jumps plus the support rounds.
+        of each vertex's final basis, rounds the rounds of the search.
     Raises:
-        SolverError naming a vertex left with no feasible basis, or still
-        searching after k (d + 1) rounds; CutLocusError naming a vertex
-        one of whose trial centres meets a support's cut locus.
+        CutLocusError naming a vertex two of whose supports have no
+        geodesic between them; SolverError naming a vertex whose round does
+        not raise its value, as rounding at a degenerate basis, or a
+        circumcentre that Newton does not reach, can make it.
     """
     kernel = f0.descriptor.kernel
     rows = graph.rows(active)
     nbr_vals = f0.flat[graph.ids[rows]]                      # (A, k, L)
     sqw = np.sqrt(graph.weights[rows])
     A, k = sqw.shape
-    x, last, rounds = _jump(kernel, f0.flat[active], nbr_vals, sqw)
-    ar = np.arange(A)
-    dist = sqw * kernel.dist(x[:, None], nbr_vals)
-    i, j = np.divmod(np.maximum(last, 0), k)
-    r = np.maximum(dist[ar, i], dist[ar, j])
-    kept = (last >= 0) & (dist.max(axis=1) <= r * (1.0 + _CERTIFY) + ZERO_TANGENT_TOL)
-    supports = np.where(kept, 2, 0)
-
-    # the search state of each vertex that is not kept: its basis S (the
-    # first `size` slots), their centre c and value r
-    todo = np.flatnonzero(~kept)
-    dim = _dimension(f0.descriptor)
-    fresh = last[todo] < 0
-    basis = np.zeros((todo.size, dim + 1), dtype=np.int64)
-    basis[:, 0], basis[:, 1] = i[todo], j[todo]
-    size = np.where(fresh, 1, 2)
-    c = np.where(fresh[:, None], nbr_vals[todo, 0], x[todo])
-    r = np.where(fresh, 0.0, r[todo])
-    # per trial size m, the positions in S of the members that join v
-    combos = [np.array(list(itertools.combinations(range(dim + 1), m - 1)), dtype=np.int64)
-              for m in range(2, dim + 2)]
-    pend = np.arange(todo.size)
-    for search in itertools.count(1):
-        q = todo[pend]
-        far = sqw[q] * kernel.dist(c[pend, None], nbr_vals[q])
+    dim = f0.descriptor.manifold_dim
+    # each vertex's basis (its first `size` slots), their dual weights, its
+    # centre c and value r
+    basis = np.zeros((A, min(dim + 1, k)), dtype=np.int64)
+    lam = np.zeros(basis.shape)
+    lam[:, 0] = 1.0
+    size = np.ones(A, dtype=np.int64)
+    c = nbr_vals[:, 0].copy()
+    r = np.zeros(A)
+    # round 1: a vertex whose extremal pair at f0 is defined and moves it
+    # starts at that pair's zero instead
+    g, (i, j, _, moving) = _without_cut_locus(
+        lambda p: _extremal_batch(kernel, f0.flat[active[p]], nbr_vals[p], sqw[p]), np.arange(A))
+    g, pair = g[moving], np.stack([i, j], axis=1)[moving]
+    T, y, target, value = _trials(kernel, nbr_vals, sqw, g, pair, c[g])
+    got = np.isfinite(target).all(axis=1)
+    g = g[got]
+    basis[g, :2], lam[g, :2], c[g], r[g], size[g] = T[got], target[got], y[got], value[got], 2
+    supports = np.empty(A, dtype=np.int64)
+    pend = np.arange(A)
+    for rounds in itertools.count(1):
+        far = sqw[pend] * kernel.dist(c[pend, None], nbr_vals[pend])
         v = far.argmax(axis=1)
         done = far[np.arange(pend.size), v] <= r[pend] * (1.0 + _SLACK) + ZERO_TANGENT_TOL
-        x[q[done]], supports[q[done]] = c[pend[done]], size[pend[done]]
-        pend, q, v = pend[~done], q[~done], v[~done]
+        supports[pend[done]] = size[pend[done]]
+        pend, v = pend[~done], v[~done]
         if not pend.size:
-            break
-        rounds += 1
-        if search > k * (dim + 1):
-            u = int(active[q[0]])
-            raise SolverError(f"vertex {u}: no weighted 1-centre within {search - 1} "
-                              "support rounds", vertex=u)
-        S = basis[pend]
-        # the members of S + {v}, unused basis slots standing in as v
-        cover = np.concatenate([np.where(np.arange(dim + 1) < size[pend, None], S, v[:, None]),
-                                v[:, None]], axis=1)
-        need = np.arange(pend.size)           # vertices with no feasible subset yet
-        for m, pos in enumerate(combos, start=2):
-            n, t = np.nonzero(pos.max(axis=1) < size[pend[need], None])
-            n = need[n]
-            T = np.concatenate([S[n[:, None], pos[t]], v[n, None]], axis=1)   # (N, m)
-            qn = q[n]
-            fT, wT = nbr_vals[qn[:, None], T], sqw[qn[:, None], T]
-            try:
-                if m == 2:
-                    y = _pair_zero(kernel, fT[:, 0], fT[:, 1], wT[:, 0], wT[:, 1])
-                    ok = np.ones(n.size, dtype=bool)
-                else:
-                    y, ok = _circumcentre(kernel, c[pend[n]], fT, wT)
-            except CutLocusError as err:
-                u = int(active[qn[err.bad_index[0]]])
-                raise CutLocusError(f"vertex {u}: a trial centre of its support search is "
-                                    "numerically at the cut locus of a neighbor",
-                                    vertex=u) from err
-            on = sqw[qn[:, None], cover[n]] * kernel.dist(y[:, None], nbr_vals[qn[:, None], cover[n]])
-            value = on.max(axis=1)
-            value[~(ok & (value <= on[:, -1] * (1.0 + _SLACK) + ZERO_TANGENT_TOL))] = np.inf
-            # each vertex's first subset of least value, where one is feasible
-            order = np.lexsort((value, n))
-            best = order[np.r_[True, n[order][1:] != n[order][:-1]]]
-            best = best[np.isfinite(value[best])]
-            won = pend[n[best]]
-            basis[won, :m], size[won], c[won], r[won] = T[best], m, y[best], value[best]
-            need = np.setdiff1d(need, n[best], assume_unique=True)
-            if not need.size:
-                break
-        if need.size:
-            u = int(active[q[need[0]]])
-            raise SolverError(f"vertex {u}: no feasible support set for its weighted "
-                              "1-centre", vertex=u)
-    return x, supports, rounds
+            return c, supports, rounds
+        lam_v = np.zeros(pend.size)
+        full = np.flatnonzero(size[pend] == dim + 1)
+        if full.size:
+            lam_v[full] = _make_room(kernel, nbr_vals, sqw, c, (basis, lam), pend[full], v[full])
+            size[pend[full]] -= 1
+        basis[pend, size[pend]], lam[pend, size[pend]] = v, lam_v
+        size[pend] += 1
+        rise = r[pend]
+        _pivot(kernel, nbr_vals, sqw, active, (basis, lam), size, c, r, pend)
+        if not (r[pend] > rise).all():
+            u = int(active[pend[np.argmin(r[pend] > rise)]])
+            raise SolverError(f"vertex {u}: round {rounds + 1} of the support search for its "
+                              "weighted 1-centre does not raise its value", vertex=u)
+
+
+def _make_room(kernel, nbr_vals, sqw, c, state, g, v):
+    """Drop one member of each full basis g before v joins it; returns v's weights.
+
+    With a_b = w_b log_c f_b, the d + 1 members' a_b reach a_v by the
+    barycentric coordinates beta.  Moving the dual weights l by -t beta,
+    and v's weight from 0 to t, keeps the centre at c and raises g, up to
+    the first member whose weight meets 0.  That member leaves.  Where the
+    logs meet a cut locus or beta is not finite, the member of least
+    weight leaves, and v joins with weight 0.
+    """
+    basis, lam = state
+    T = np.concatenate([basis[g], v[:, None]], axis=1)        # (n, d + 2)
+
+    def coords(p):
+        a = sqw[g[p, None], T[p], None] ** 2 * kernel.log_ortho(c[g[p], None], nbr_vals[g[p, None], T[p]])
+        return (_barycentric(a[:, :-1] - a[:, -1:]),)
+
+    beta = np.full(basis[g].shape, np.nan)
+    kept, (bk,) = _without_cut_locus(coords, np.arange(g.size))
+    beta[kept] = bk
+    ok = np.isfinite(beta).all(axis=1)
+    cur = lam[g]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(beta > 0.0, cur / beta, np.inf)
+    t = np.where(ok, ratio.min(axis=1), 0.0)
+    col = np.where(ok, ratio.argmin(axis=1), cur.argmin(axis=1))
+    new = cur - t[:, None] * np.where(ok[:, None], beta, 0.0)
+    new[np.arange(g.size), col] = 0.0
+    total = new.sum(axis=1) + t
+    lam[g] = new / total[:, None]
+    _drop(state, g, col)
+    return t / total
+
+
+def _trials(kernel, nbr_vals, sqw, rows, T, start):
+    """Weighted circumcentres of the member sets T (n, m >= 2) of rows.
+
+    Two members take _pair_zero, the lower slot first; more take
+    _circumcentre from start (n, L).  Returns (T, centres (n, L), target
+    (n, m), value (n,)): T with each pair sorted, target the dual weights
+    l*_b, proportional to nu_b / sqrt(w_b) and summing to 1, NaN where
+    the circumcentre was not reached, met a cut locus, or has nonnegative
+    weights but a value above that of the start or of a zero of the last
+    member with another; value is the largest
+    sqrt(w) d over T at the centre.
+    """
+    if T.shape[1] == 2:
+        T = np.sort(T, axis=1)
+    fT, wT = nbr_vals[rows[:, None], T], sqw[rows[:, None], T]
+
+    def trial(p):
+        if T.shape[1] == 2:
+            return (_pair_zero(kernel, fT[p, 0], fT[p, 1], wT[p, 0], wT[p, 1]),
+                    np.full((p.size, 2), 0.5))
+        return _circumcentre(kernel, start[p], fT[p], wT[p])
+
+    y, nu = start.copy(), np.full(T.shape, np.nan)
+    kept, (yk, nuk) = _without_cut_locus(trial, np.arange(rows.size))
+    y[kept], nu[kept] = yk, nuk
+    target = nu / wT
+    target /= target.sum(axis=1, keepdims=True)
+    value = (wT * kernel.dist(y[:, None], fT)).max(axis=1)
+    # a 1-centre of T is no farther from T than any point, such as the
+    # start or the zero of v, the last member, with another: a centre with
+    # nonnegative weights beyond one of them (a far solution on the sphere)
+    # is not one, and counts as none
+    bound = (wT * kernel.dist(start[:, None], fT)).max(axis=1)
+    if T.shape[1] > 2:
+        n, m1, L = rows.size, T.shape[1] - 1, fT.shape[2]
+
+        def zeros(p):
+            fv, wv = np.repeat(fT[p, -1:], m1, axis=1), np.repeat(wT[p, -1:], m1, axis=1)
+            z = _pair_zero(kernel, fT[p, :-1].reshape(-1, L), fv.reshape(-1, L),
+                           wT[p, :-1].reshape(-1), wv.reshape(-1))
+            return (z.reshape(p.size, m1, L),)
+
+        kept, (z,) = _without_cut_locus(zeros, np.arange(n))
+        at_zeros = (wT[kept, None] * kernel.dist(z[:, :, None], fT[kept, None])).max(axis=2)
+        bound[kept] = np.minimum(bound[kept], at_zeros.min(axis=1))
+    worse = value > bound * (1.0 + _SLACK) + ZERO_TANGENT_TOL
+    target[worse & (target >= -_SLACK).all(axis=1)] = np.nan
+    return T, y, target, value
+
+
+def _pivot(kernel, nbr_vals, sqw, active, state, size, c, r, chain, nested=False):
+    """Pivot each vertex of chain from its basis plus v to a new basis (see _centres).
+
+    v is the last member.  Updates state (basis, dual weights), size, c and
+    r in place.  nested marks the pivots that a set with no circumcentre
+    starts for its subsets; inside them such a set gives way to the pair of
+    v and another member of largest value.
+    """
+    basis, lam = state
+    while chain.size:
+        m = int(size[chain].max())
+        g = chain[size[chain] == m]
+        T, y, target, value = _trials(kernel, nbr_vals, sqw, g, basis[g, :m], c[g])
+        # v, not covered at c, has a positive weight at the maximum of g on
+        # T's span; a centre that gives it none is not that maximum
+        ok = np.isfinite(target).all(axis=1) & ~(target[:, -1] < -_SLACK)
+        if m == 2 and not ok.all():
+            u = int(active[g[np.argmin(ok)]])
+            raise CutLocusError(f"vertex {u}: two supports of its weighted 1-centre have "
+                                "no geodesic between them", vertex=u)
+        win = ok & (target >= -_SLACK).all(axis=1)
+        a = g[win]
+        basis[a, :m], lam[a, :m] = T[win], np.maximum(target[win], 0.0)
+        c[a], r[a] = y[win], value[win]
+        lost = g[~ok]
+        if lost.size:
+            # T has no circumcentre, so its 1-centre is the one of largest
+            # value among the sets T without one member other than v: each
+            # pivots from the weights l restricted to it
+            n, j = np.divmod(np.arange(lost.size * (m - 1)), m - 1)
+            if nested:
+                cols = np.stack([j, np.full(j.size, m - 1)], axis=1)
+            else:
+                cols = np.arange(m - 1) + (np.arange(m - 1) >= j[:, None])
+            at = lost[n]
+            sub = (np.zeros((at.size, basis.shape[1]), dtype=np.int64), np.zeros((at.size, basis.shape[1])))
+            sub[0][:, :cols.shape[1]] = np.take_along_axis(basis[at], cols, axis=1)
+            w = np.take_along_axis(lam[at], cols, axis=1)
+            total = w.sum(axis=1, keepdims=True)
+            sub[1][:, :cols.shape[1]] = np.where(total > 0.0, w / total, 1.0 / cols.shape[1])
+            sub_size, sub_c, sub_r = np.full(at.size, cols.shape[1]), c[at], r[at]
+            _pivot(kernel, nbr_vals[at], sqw[at], active[at], sub, sub_size, sub_c, sub_r,
+                   np.arange(at.size), nested=True)
+            pick = np.arange(lost.size) * (m - 1) + sub_r.reshape(lost.size, m - 1).argmax(axis=1)
+            basis[lost], lam[lost], size[lost] = sub[0][pick], sub[1][pick], sub_size[pick]
+            c[lost], r[lost] = sub_c[pick], sub_r[pick]
+        # the others lose one member: the first whose dual weight meets 0 on
+        # the way to the target
+        lose = ok & ~win
+        cur = lam[g[lose], :m]
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(target[lose] < 0.0, cur / (cur - target[lose]), np.inf)
+        col = ratio.argmin(axis=1)
+        new = cur + ratio.min(axis=1)[:, None] * (target[lose] - cur)
+        new[np.arange(col.size), col] = 0.0
+        lam[g[lose], :m] = new / new.sum(axis=1, keepdims=True)
+        _drop(state, g[lose], col)
+        size[g[lose]] -= 1
+        chain = np.setdiff1d(chain, g[~lose], assume_unique=True)
 
 
 def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConfig):
@@ -581,9 +662,10 @@ def solve_dirichlet(
     decoupled layer (no active vertex is a neighbor of an active vertex,
     the default front layer) every vertex takes its weighted 1-centre, the
     minimizing Lipschitz extension at it given its fixed neighbors (see
-    _centres): where that has two supports it is the zero of the extremal
-    pair that the pair jumps reach, and its bits are the jumps'.  No Euler
-    step runs there, and cfg.tau, cfg.eps and cfg.max_iter do not matter.
+    _centres): where that has two supports i < j it is, bitwise, the point
+    at fraction sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) of the geodesic f(v_i)
+    -> f(v_j), where the operator of that pair vanishes.  No Euler step
+    runs there, and cfg.tau, cfg.eps and cfg.max_iter do not matter.
 
     On a coupled layer, as cfg.cumulative_active makes every layer after
     the first, every active vertex starts from its value in f0 and takes
@@ -597,9 +679,9 @@ def solve_dirichlet(
         multi_support, lipschitz): iterations and trace (the per-step
         relative changes) are those of the Euler steps and vertex_steps
         their vertices, summed over the steps: 0, [] and 0 on a decoupled
-        layer.  rounds counts the rounds of the pair jumps and of the
-        support search, zero_vertices the vertices left at a pair zero and
-        multi_support those whose 1-centre has three supports or more
+        layer.  rounds counts the rounds of the support search,
+        zero_vertices the vertices whose 1-centre has at most two supports
+        and multi_support those whose 1-centre has three supports or more
         (zero_vertices + multi_support is the active count on a decoupled
         layer; all three are 0 on a coupled one).  lipschitz is the largest
         sqrt(w_uv) d(f(u), f(v)) over the active u and their neighbors v

@@ -117,6 +117,12 @@ class TestFixedValues:
                 ref = np.trace(xi @ a.vec.reshape(n, n) @ xi @ b.vec.reshape(n, n))
                 assert abs(mv.tangent_inner(desc, x, a, b) - ref) < 1e-10
 
+    def test_manifold_dim(self):
+        dims = {"euclidean 1": 1, "euclidean 7": 7, "circle": 1, "sphere2": 2,
+                "spd 2": 3, "spd 3": 6, "spd 16": 136}
+        for text, d in dims.items():
+            assert mv.ManifoldDescriptor.parse(text).manifold_dim == d
+
 
 class TestProperties:
     def test_exp_log_roundtrip(self, descriptor):

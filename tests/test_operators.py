@@ -472,10 +472,14 @@ def star_layer(desc, seed, degrees=(4, 7)):
     elif desc.kind == "sphere2":
         v = np.array([0.0, 0.0, 1.0]) + 0.4 * rng.normal(size=(n, 3))
         pts = v / np.linalg.norm(v, axis=1, keepdims=True)
-    else:
+    elif desc.dim == 2:
         t = 0.4 * rng.normal(size=(n, 3))
         logs = np.stack([t[:, 0], t[:, 1], t[:, 1], t[:, 2]], -1).reshape(n, 2, 2)
         lam, q = np.linalg.eigh(logs)
+        pts = np.einsum("...ij,...j,...kj->...ik", q, np.exp(lam), q)
+    else:
+        t = 0.3 * rng.normal(size=(n, desc.dim, desc.dim))
+        lam, q = np.linalg.eigh(t + t.transpose(0, 2, 1))
         pts = np.einsum("...ij,...j,...kj->...ik", q, np.exp(lam), q)
     edges, first = {}, centers
     for c, d in enumerate(degrees):
@@ -739,14 +743,16 @@ def hull_gap(desc, x, nbrs, w):
 
 
 class TestJumpCertificate:
-    """A decoupled layer keeps its pair zeros where they are 1-centres.
+    """A decoupled layer returns the operator's pair zeros where they are 1-centres.
 
-    The jumps (operators._jump) leave a vertex at the zero z_ij of a pair
-    (i, j).  Where no neighbor is farther than the pair, z_ij is the
-    vertex's weighted 1-centre, and the solver returns it bitwise.  Every
-    other vertex comes out at a point meeting the KKT condition of the
-    1-centre: its farthest neighbors' unit directions hold 0 in their
-    convex hull.  No Euler step runs.
+    Where a vertex's two farthest neighbors i < j are equally far and
+    opposite, no neighbor is farther, which is the KKT condition of the
+    1-centre at the zero z_ij of the pair: the point at fraction sqrt(w_j) /
+    (sqrt(w_i) + sqrt(w_j)) of the geodesic f(v_i) -> f(v_j).  The solver
+    returns it bitwise as the kernel's exp and log give it from f(v_i), the
+    bits an operator jump to z_ij gives.  Every other vertex comes out at a
+    point meeting the KKT condition: its farthest neighbors' unit
+    directions hold 0 in their convex hull.  No Euler step runs.
     """
 
     @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
@@ -758,29 +764,24 @@ class TestJumpCertificate:
             graph, img, mask, active, mv.SolverConfig(max_iter=300))
         assert calls == [] and (iters, trace, steps) == (0, [], 0)
         assert zeros + multi == active.size and rounds >= 1
-        rows = graph.rows(active)
-        k = graph.ids.shape[1]
-        x, last, _ = operators._jump(desc.kernel, img.flat[active].copy(),
-                                     img.flat[graph.ids[rows]], np.sqrt(graph.weights[rows]))
+        kernel = desc.kernel
         kept, largest = 0, 0.0
-        for a, u in enumerate(active.tolist()):
+        for u in active.tolist():
             ids, w = graph.neighbors(u)
             nbrs, sqw = img.flat[ids], np.sqrt(w)
-            if last[a] >= 0:
-                i, j = divmod(int(last[a]), k)
-                zero = geodesic_point(desc, nbrs[i], nbrs[j], sqw[j] / (sqw[i] + sqw[j]))
-                assert mv.distance(desc, x[a], zero) < 1e-12
-                far = sqw * np.array([mv.distance(desc, x[a], y) for y in nbrs])
-                if far.max() <= max(far[i], far[j]) * (1.0 + 1e-12):
-                    assert out.flat[u].tobytes() == x[a].tobytes()
-                    kept += 1
+            far = sqw * np.array([mv.distance(desc, out.flat[u], y) for y in nbrs])
+            i, j = sorted(np.argsort(far)[-2:].tolist())
+            t = sqw[j] / (sqw[i] + sqw[j])
+            if mv.distance(desc, out.flat[u], geodesic_point(desc, nbrs[i], nbrs[j], t)) < 1e-12:
+                jump = kernel.exp_ortho(nbrs[i][None], t * kernel.log_ortho(nbrs[i][None], nbrs[j][None]))
+                assert out.flat[u].tobytes() == jump[0].tobytes()
+                kept += 1
             assert hull_gap(desc, out.flat[u], nbrs, sqw) < 1e-8
             if desc == E1:
                 # in 1-D the 1-centre is the weighted midrange, the zero of the operator
                 assert abs(mv.real_graph_inf_laplacian(graph, out.flat[:, 0], u)) < 1e-13
-            far = sqw * np.array([mv.distance(desc, out.flat[u], y) for y in nbrs])
             largest = max(largest, far.max())
-        assert kept <= zeros
+        assert kept == zeros
         assert lipschitz == pytest.approx(largest, rel=1e-12)
         if desc == E1:
             assert (kept, multi) == (active.size, 0)
@@ -840,16 +841,93 @@ class TestOneCentreOracle:
                                          mv.SolverConfig())[6] for seed in range(3)]
             assert min(counts) >= 1, (desc, counts)
 
-    def test_no_feasible_support_set_raises_naming_the_vertex(self, monkeypatch):
+    def test_stalled_search_raises_naming_the_vertex(self, monkeypatch):
+        # with no circumcentre of three or more supports, a vertex whose
+        # 1-centre needs three can only move between pairs, and a round
+        # comes that finds no pair of larger value
         graph, img, mask, active = star_layer(S2, 0)
 
         def diverges(kernel, y, f, w):
-            return y, np.zeros(y.shape[0], dtype=bool)
+            return y, np.full(w.shape, np.nan)
 
         monkeypatch.setattr(operators, "_circumcentre", diverges)
-        with pytest.raises(SolverError, match="no feasible support set") as exc:
+        with pytest.raises(SolverError, match="does not raise its value") as exc:
             mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
         assert exc.value.vertex in active.tolist()
+
+    def test_a_trial_at_a_cut_locus_fails_only_its_row(self):
+        # row 1 starts antipodal to a support, so its log raises; the other
+        # rows come out as they do without it, and row 1 has no target
+        graph, img, _, active = star_layer(S2, 3, degrees=(5, 6))
+        rows = graph.rows(active)
+        nbr, sqw = img.flat[graph.ids[rows]], np.sqrt(graph.weights[rows])
+        T = np.tile([0, 1, 2], (active.size, 1))
+        start = nbr[:, 3].copy()
+        start[1] = -nbr[1, 0]
+        with pytest.raises(CutLocusError):
+            operators._circumcentre(S2.kernel, start, nbr[np.arange(6)[:, None], T], sqw[:, :3])
+        _, y, target, _ = operators._trials(S2.kernel, nbr, sqw, np.arange(6), T, start)
+        others = np.array([0, 2, 3, 4, 5])
+        _, y2, target2, _ = operators._trials(S2.kernel, nbr, sqw, others, T[others], start[others])
+        assert np.isnan(target[1]).all()
+        assert y[others].tobytes() == y2.tobytes()
+        assert np.array_equal(target[others], target2, equal_nan=True)
+        assert np.isfinite(target2).any()
+
+
+def kernel_hull_gap(desc, x, nbrs, w):
+    """hull_gap through the kernel's own logs, for any manifold."""
+    p = desc.kernel.log_ortho(x[None, None], nbrs[None])[0]
+    far = w * np.linalg.norm(p, axis=1)
+    e = p[far >= far.max() * (1.0 - 1e-7)]
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    gap = np.inf
+    for m in range(1, len(e) + 1):
+        for sub in itertools.combinations(range(len(e)), m):
+            lam = np.linalg.lstsq(np.vstack([e[list(sub)].T, np.ones(m)]),
+                                  np.r_[np.zeros(e.shape[1]), 1.0], rcond=None)[0]
+            if (lam >= -1e-12).all():
+                gap = min(gap, np.linalg.norm(lam @ e[list(sub)]))
+    return gap
+
+
+class TestHighDimension:
+    """The support search stays polynomial in the manifold dimension d.
+
+    Each round solves at most d steps of one circumcentre per vertex, and a
+    set with no circumcentre costs at most d^3 more.
+    """
+
+    @pytest.mark.parametrize("desc", [SPD3, mv.ManifoldDescriptor.euclidean(6),
+                                      mv.ManifoldDescriptor.euclidean(24)],
+                             ids=lambda d: d.label())
+    def test_stars_finish_at_their_1_centres(self, desc, monkeypatch):
+        graph, img, mask, active = star_layer(desc, 5, degrees=(8, 15))
+        trials = []
+        real = operators._trials
+
+        def counted(kernel, nbr_vals, sqw, rows, T, start):
+            trials.append(rows.size)
+            return real(kernel, nbr_vals, sqw, rows, T, start)
+
+        monkeypatch.setattr(operators, "_trials", counted)
+        out, _, _, rounds, zeros, _, multi, _ = mv.solve_dirichlet(
+            graph, img, mask, active, mv.SolverConfig())
+        assert zeros + multi == active.size and multi >= 1
+        d = desc.manifold_dim
+        assert sum(trials) <= rounds * active.size * (d + d ** 3)
+        for u in active.tolist():
+            ids, w = graph.neighbors(u)
+            nbrs, sqw = img.flat[ids], np.sqrt(w)
+            if d <= 6:
+                assert kernel_hull_gap(desc, out.flat[u], nbrs, sqw) < 1e-8
+            else:
+                # no point near the centre is closer to its farthest neighbor
+                rng = np.random.default_rng(u)
+                far = (sqw * desc.kernel.dist(out.flat[u][None], nbrs)).max()
+                near = out.flat[u] + 1e-6 * rng.normal(size=(200, desc.point_len))
+                moved = (sqw * desc.kernel.dist(near[:, None], nbrs[None])).max(axis=1)
+                assert (moved >= far * (1.0 - 1e-12)).all()
 
 
 def test_small_systems_match_lapack():
