@@ -855,6 +855,17 @@ class TestOneCentreOracle:
             mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
         assert exc.value.vertex in active.tolist()
 
+    def test_start_at_a_neighbors_cut_locus_changes_nothing(self):
+        # vertex 3 starts antipodal to a neighbor, so its extremal pair is
+        # undefined there; it starts from its first neighbor instead
+        graph, img, mask, active = star_layer(S2, 2)
+        ref, *_ = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
+        data = img.flat.copy()
+        data[3] = -data[graph.neighbors(3)[0][1]]
+        moved = mv.MvImage(S2, data.reshape(img.data.shape))
+        out, *_ = mv.solve_dirichlet(graph, moved, mask, active, mv.SolverConfig())
+        assert np.abs(out.flat[active] - ref.flat[active]).max() < 1e-12
+
     def test_a_trial_at_a_cut_locus_fails_only_its_row(self):
         # row 1 starts antipodal to a support, so its log raises; the other
         # rows come out as they do without it, and row 1 has no target
