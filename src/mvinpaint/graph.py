@@ -32,8 +32,27 @@ chunk's candidates are merged into a running best of k per target, so the
 memory a build holds is O(T k) for T targets plus one set of chunk fields
 per worker thread, not O(T (2r+1)^2).  Each worker makes its set once per
 build and reuses it for every chunk it runs, so a build does not allocate,
-free and fault in chunk-sized memory over and over.  The tests check the
-build against the direct per-pair definition of the patch distance.
+free and fault in chunk-sized memory over and over.
+
+Every pass over a chunk runs along long contiguous arrays:
+
+* the shift region is gathered once, straight into planar form, one
+  contiguous plane per coordinate, and the kernels read its window fields
+  through views whose coordinate l is a plane;
+* a box sum is a sum of 2p+1 column sums, and these run over each field of
+  the chunk flattened into one array, h[i] = f[i] + f[i+1] + ... +
+  f[i+2p], one contiguous pass per term; the sums whose terms cross the
+  end of a row are never read;
+* the overlap flags are summed as bytes, in the smallest unsigned type
+  that holds 2p+1, which is exact since a column sum is at most 2p+1;
+* each field's 2p+1 rows of column sums at the targets, and at the
+  partners' corners, are read with one gather of flat positions.
+
+The float rows are then added one by one from the top, so each window is
+summed term by term, 2p+1 columns then 2p+1 rows, and its rounding is
+relative to its own sum, not to the field's: the bits do not depend on the
+chunking, the thread count or the layout.  The tests check the build
+against the direct per-pair definition of the patch distance.
 """
 
 from __future__ import annotations
@@ -154,6 +173,20 @@ def _periodic_span(coords: np.ndarray, n: int):
     return int(u[(g + 1) % u.size]), n - int(gaps[g]) + 1
 
 
+def _periodic_runs(start: int, length: int, n: int):
+    """Slices (at, src, size) that copy the indices start .. start + length - 1 mod n.
+
+    Positions at:at+size of the copy take src:src+size of the source.
+    """
+    runs, at = [], 0
+    while at < length:
+        src = (start + at) % n
+        size = min(n - src, length - at)
+        runs.append((at, src, size))
+        at += size
+    return runs
+
+
 def _wrap_columns(field: np.ndarray, n: int) -> None:
     """Fill field[..., n:] with the periodic continuation of field[..., :n]."""
     for lo in range(n, field.shape[-1], n):
@@ -161,34 +194,20 @@ def _wrap_columns(field: np.ndarray, n: int) -> None:
         field[..., lo:hi] = field[..., : hi - lo]
 
 
-def _column_sums(field: np.ndarray, w: int, h: np.ndarray) -> None:
-    """Sums of w consecutive columns of field (..., R, C), term by term, into h.
+def _add_rows(got: np.ndarray, out: np.ndarray) -> None:
+    """Sums (F, T) of the box rows got (F, box, T), one by one from the top, into out.
 
-    h has the shape (..., R, C - w + 1).
+    Each window is thus summed term by term, box columns then box rows, so
+    its rounding is relative to its own sum and not to the whole field's.
     """
-    n = h.shape[-1]
-    np.copyto(h, field[..., :n])
-    for k in range(1, w):
-        h += field[..., k : k + n]
+    out[...] = got[:, 0]
+    for k in range(1, got.shape[1]):
+        out += got[:, k]
 
 
-def _box_at(h: np.ndarray, rows: np.ndarray, cols: np.ndarray, w: int,
-            fields: np.ndarray | None = None) -> np.ndarray:
-    """w x w window sums (F, T) of F fields at top-left corners (rows, cols).
-
-    h holds the fields' column sums (_column_sums), and a window's w rows
-    wrap modulo h's row count.  rows (T,) gives one corner row per target.
-    cols gives one corner column per target (T,) for the fields h, or per
-    field and target (F, T) for the fields h[fields].  Each window is summed
-    term by term, w columns then w rows one by one from the top, so its
-    rounding is relative to its own sum and not to the whole field's.
-    """
-    i = (rows[:, None] + np.arange(w)) % h.shape[-2]
-    at = (Ellipsis,) if fields is None else (fields[:, None],)
-    sums = h[at + (i[:, 0], cols)]
-    for k in range(1, w):
-        sums += h[at + (i[:, k], cols)]
-    return sums
+def _count_rows(got: np.ndarray, out: np.ndarray) -> None:
+    """Sums (F, T) of the integer box rows got (F, box, T) into int64 out, exact."""
+    np.sum(got, axis=1, dtype=np.int64, out=out)
 
 
 def _nearest(d: np.ndarray, ids: np.ndarray, k: int):
@@ -224,8 +243,9 @@ def build_graph(
     (d, id) per target, with a running count of finite candidates.  The
     chunks are dealt out to up to cfg.resolved_threads() threads, each with
     its own running best and one set of chunk-sized buffers (the overlap
-    flags, the masked field, which kernel.dist2 writes into, and the box
-    sums' column sums), made once per build and reused for every chunk; the
+    flags, the masked field, which kernel.dist2 writes into, the flat column
+    sums, whose 1-byte counts share the float sums' memory, and the rows
+    gathered from them), made once per build and reused for every chunk; the
     bests are merged at the end.  So memory stays O(T k) plus one set of
     chunk buffers per worker.  A target's candidate ids are distinct, so
     (d, id) orders them totally, and the graph does not depend on the
@@ -270,20 +290,32 @@ def build_graph(
     # region shifted by the offset (A[ia], B[ib]).  An axis where the widened
     # span reaches round the grid is cut to one period, so that no pixel pair
     # is evaluated twice: box windows then wrap across the seam, rows modulo
-    # the grid (_box_at) and columns through copies of the first box - 1
-    # columns after the last (_wrap_columns), wC columns in all
+    # the grid (the gather indices) and columns through copies of the first
+    # box - 1 columns after the last (_wrap_columns), wC columns in all.  The
+    # shift region is gathered once into planar form, one contiguous
+    # (rows, cols) plane per coordinate, and the kernels see it through views
+    # whose last axis steps across the planes: their x[..., l] are planes
     r0, nr = _periodic_span(t_row, rows)
     c0, nc = _periodic_span(t_col, cols)
     nR, nC = min(nr + 2 * p, rows), min(nc + 2 * p, cols)
     wC = nC + box - 1 if nC == cols else nC
-    fr = np.arange(r0 - p + A[0], r0 - p + nR + A[-1]) % rows
-    fc = np.arange(c0 - p + B[0], c0 - p + nC + B[-1]) % cols
-    F = img.data[np.ix_(fr, fc)]
-    KF = mask.known[np.ix_(fr, fc)]
-    Fw = np.moveaxis(sliding_window_view(F, (nR, nC), axis=(0, 1)), 2, -1)
+    row_runs = _periodic_runs(r0 - p + A[0], nR + A[-1] - A[0], rows)
+    col_runs = _periodic_runs(c0 - p + B[0], nC + B[-1] - B[0], cols)
+    planes = np.moveaxis(img.data, -1, 0)
+    F = np.empty((planes.shape[0], nR + A[-1] - A[0], nC + B[-1] - B[0]))
+    KF = np.empty(F.shape[1:], dtype=bool)
+    for i, si, ni in row_runs:
+        for j, sj, nj in col_runs:
+            F[:, i : i + ni, j : j + nj] = planes[:, si : si + ni, sj : sj + nj]
+            KF[i : i + ni, j : j + nj] = mask.known[si : si + ni, sj : sj + nj]
+    Fw = np.moveaxis(sliding_window_view(F, (nR, nC), axis=(1, 2)), 0, -1)
     Kw = sliding_window_view(KF, (nR, nC))
     X, KX = Fw[-A[0], -B[0]], Kw[-A[0], -B[0]]
     tr, tc = (t_row - r0) % rows, (t_col - c0) % cols
+    # a field's box rows at the target corners: row k of target t's window
+    # is region row (tr + k) mod nR, so at[k, t] is the flat position of its
+    # column sum in a (nR, wC) field
+    at = (tr + np.arange(box)[:, None]) % nR * wC + tc
 
     # on the whole torus, a bitwise-symmetric dist2 gives g_-s(x) = g_s(x - s)
     # and k_-s(x) = k_s(x - s), so the fields of s serve its partner -s too:
@@ -318,16 +350,24 @@ def build_graph(
 
     def work(part):
         """Running best (d, ids) and finite-candidate count over chunks `part`."""
-        # one set of chunk fields, reused by every chunk: the overlap flags
-        # k_s, the masked field g_s and the column sums of the box.  Those of
-        # g_s are float; those of k_s are int32, exact in any order, in the
-        # same memory, as a chunk reads its float sums before it makes its
-        # counts
+        # one set of chunk buffers, reused by every chunk: the overlap flags
+        # k_s, the masked field g_s, their column sums h and the gathered box
+        # rows.  The column sums of k_s are at most box, so they are exact in
+        # the smallest unsigned type that holds box, and they share h's
+        # memory, as a chunk reads its float sums before it makes its counts.
+        # The gathered rows share g's memory where they fit there, as g is
+        # read only by its column sums
         width = min(step, B.size)
+        plane = nR * wC
         both = np.empty((width, nR, wC), dtype=bool)
         g = np.empty((width, nR, wC))
-        h = np.empty((width, nR, wC - box + 1))
-        hk = h.reshape(-1).view(np.int32)[: h.size].reshape(h.shape)
+        h = np.empty(width * plane)
+        hk = h.view(np.min_scalar_type(box))[: h.size]
+        rows_size = width * box * targets.size
+        got = (g.reshape(-1) if rows_size <= g.size else np.empty(rows_size))
+        got = got[:rows_size].reshape(width, box, targets.size)
+        got_k = got.reshape(-1).view(hk.dtype)[: got.size].reshape(got.shape)
+        mir_buf = np.empty(got.shape if paired else 0, dtype=np.int64)
         best_d = np.empty((targets.size, 0))
         best_ids = np.empty((targets.size, 0), dtype=np.int64)
         nfin = np.zeros(targets.size, dtype=np.int64)
@@ -345,24 +385,47 @@ def build_graph(
                 np.logical_and(KX, Kw[ia, jb:je], out=both[:c, :, :nC])
                 kernel.dist2(X, Fw[ia, jb:je], g[:c, :, :nC])
                 g[:c, :, :nC] *= both[:c, :, :nC]
-                # the partners' corners: t - s modulo the grid
-                mr, mc = (tr - A[ia]) % rows, (tc - B[jb + mir, None]) % cols
-                for field, sums, out in ((g, h, ssum), (both, hk, cnt)):
+                if mir.size:
+                    # the partners' corners: t - s modulo the grid, as flat
+                    # positions (mirrored field, box row, target)
+                    mir_at = mir_buf[: mir.size]
+                    np.add(np.arange(box)[:, None] - A[ia], tr, out=mir_at)
+                    mir_at %= rows
+                    mir_at *= wC
+                    mir_at += ((tc - B[jb + mir, None]) % cols + mir[:, None] * plane)[:, None]
+                n = c * plane - box + 1
+                for field, sums, got_s, out, add in (
+                        (g, h, got, ssum, _add_rows),
+                        (both.view(np.uint8), hk, got_k, cnt, _count_rows)):
                     _wrap_columns(field[:c], nC)
-                    _column_sums(field[:c], box, sums[:c])
-                    out[lo : lo + c] = _box_at(sums[:c], tr, tc, box)
+                    # sums[i] = f[i] + f[i+1] + ... + f[i+box-1] over the flat
+                    # fields, term by term; a sum whose terms cross the end of
+                    # a row is never read
+                    f = field[:c].reshape(-1)
+                    np.copyto(sums[:n], f[:n])
+                    for j in range(1, box):
+                        sums[:n] += f[j : j + n]
+                    np.take(sums[: c * plane].reshape(c, plane), at, axis=1,
+                            out=got_s[:c], mode="clip")
+                    add(got_s[:c], out[lo : lo + c])
                     if mir.size:
-                        out[lo + c : lo + c + mir.size] = _box_at(sums, mr, mc, box, mir)
+                        np.take(sums, mir_at, out=got_s[: mir.size], mode="clip")
+                        add(got_s[: mir.size], out[lo + c : lo + c + mir.size])
                 lo += c + mir.size
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
             valid = eligible[ids] & (ids != targets[:, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(cnt > 0, np.sqrt(ssum) / np.maximum(cnt, 1.0), np.inf).T
+            # d = sqrt(ssum) / cnt, inf where no pixel overlaps, formed in ssum
+            empty = cnt == 0
+            np.maximum(cnt, 1, out=cnt)
+            np.sqrt(ssum, out=ssum)
+            ssum /= cnt
+            ssum[empty] = np.inf
+            d = ssum.T
             finite = valid & np.isfinite(d)
             nfin += finite.sum(axis=1)
-            best_d, best_ids = _nearest(
-                np.concatenate([best_d, np.where(finite, d, np.inf)], axis=1),
-                np.concatenate([best_ids, ids], axis=1), k)
+            d[~finite] = np.inf
+            best_d, best_ids = _nearest(np.concatenate([best_d, d], axis=1),
+                                        np.concatenate([best_ids, ids], axis=1), k)
         return best_d, best_ids, nfin
 
     if workers > 1:

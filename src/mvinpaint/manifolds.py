@@ -32,9 +32,10 @@ and point validation, plus the two coordinate maps for spd.  ``exp``,
 ``log``, ``inner``, ``dist2`` and ``dist`` are derived from these once, in
 the shared base class; circle and sphere2 keep their own ``dist``, the
 exact angle.  The batched solver calls the ortho maps directly, so norms
-and inner products are plain einsums.  The sphere2 angle sums its squares
-with ufuncs in an order it writes out, so that its bits do not depend on
-how einsum lays out its sums for a given shape or numpy version.
+and inner products are plain einsums.  The sphere2 angle and the euclidean
+distance sum their squares with ufuncs in an order they write out, so that
+their bits do not depend on how einsum lays out its sums for a given shape,
+memory layout or numpy version.
 
 Numerical conventions: tangent norms below 1e-15 short-circuit to exact
 zeros, the log of a point at itself is exactly zero, and log maps raise
@@ -257,8 +258,17 @@ class _EuclideanKernel(_Kernel):
         return y - x
 
     def _dist2(self, x, y, out):
-        d = y - x
-        np.einsum("...l,...l->...", d, d, out=out)
+        # the squares are added as ((d0^2 + d1^2) + d2^2) + ... with plain
+        # ufuncs: einsum's order for m >= 3 depends on how x and y are laid
+        # out in memory
+        x, y = np.asarray(x), np.asarray(y)
+        t = np.empty(out.shape) if self.point_len > 1 else None
+        for l in range(self.point_len):
+            c = out if l == 0 else t
+            np.subtract(y[..., l], x[..., l], out=c)
+            np.multiply(c, c, out=c)
+            if l:
+                out += c
 
     def random_point(self, rng, size=()):
         return rng.normal(size=tuple(size) + (self.point_len,))
@@ -633,18 +643,43 @@ class _Spd2Kernel(_SpdKernel):
         s3 /= det_x                                            # s3: tr
         q -= out
         q /= det_x                                             # q: diff
-        q *= q
-        s2 *= 4.0
-        q += s2
-        np.sqrt(np.maximum(q, 0.0, out=q), out=q)              # q: sqrt(disc)
-        s3 += q
-        s3 *= 0.5                                              # s3: lam1
-        s1 /= s3                                               # s1: lam2
-        np.log(s3, out=s3)
-        np.log(s1, out=s1)
+        with np.errstate(over="ignore", divide="ignore"):      # recomputed below
+            q *= q
+            s2 *= 4.0
+            q += s2
+            np.sqrt(np.maximum(q, 0.0, out=q), out=q)          # q: sqrt(disc)
+            s3 += q
+            s3 *= 0.5                                          # s3: lam1
+            s1 /= s3                                           # s1: lam2
+            np.log(s3, out=s3)
+            np.log(s1, out=s1)
         np.multiply(s3, s3, out=out)
         s1 *= s1
         out += s1
+        # diff^2 can overflow where lam1 itself is finite (x = diag(1e-80, 1),
+        # y = diag(1e80, 1)): those entries alone are recomputed, scaled
+        if np.fmax.reduce(q, axis=None, initial=0.0) == np.inf:
+            over = np.isinf(q)
+            pick = [np.broadcast_to(v, out.shape)[over]
+                    for v in self._read(x) + self._read(y)]
+            out[over] = self._dist2_scaled(*pick)
+
+    @staticmethod
+    def _dist2_scaled(a, b, c, p, q, s):
+        """dist2 from X^-1 Y divided by kappa, its largest entry in magnitude.
+
+        The eigenvalues of the scaled matrix are at most 2, so its
+        discriminant cannot overflow; log kappa restores lam1, and lam2
+        comes from the determinants' logs.
+        """
+        det_x = a * c - b * b
+        m = np.stack([c * p - b * q, c * q - b * s, a * q - b * p, a * s - b * q]) / det_x
+        kappa = np.abs(m).max(axis=0)
+        n00, n01, n10, n11 = m / kappa
+        lam1 = 0.5 * (n00 + n11 + np.sqrt(np.maximum((n00 - n11) ** 2 + 4.0 * n01 * n10, 0.0)))
+        l1 = np.log(kappa) + np.log(lam1)
+        l2 = np.log(p * s - q * q) - np.log(det_x) - l1
+        return l1 * l1 + l2 * l2
 
 
 @functools.cache

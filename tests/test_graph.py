@@ -304,6 +304,12 @@ class TestBuildGraph:
             # targets on two rows but every column: the region is cut in columns only
             pytest.param(E2, 9, 8, [24, 26, 28, 30, 33, 35, 37, 39], (4, 1, 2), 0.8, None, 36,
                          id="column-period"),
+            # 261 x 261 patches wrapped round a 12 x 12 torus with 7 pixels
+            # unknown: the column sums of the overlap flags reach 261 > 255
+            # on rows of known pixels, so the counts are summed in 2 bytes
+            # (1 byte would wrap them round and fail this)
+            pytest.param(S2, 12, 12, [0, 29, 77, 130], (4, 130, 1), 0.97, None, 38,
+                         id="counts-past-one-byte"),
         ],
     )
     def test_matches_brute_force_selection(

@@ -732,3 +732,48 @@ def test_symmetric_dist2_says_whether_dist2_is_bitwise_symmetric(desc):
     same = {name: k.dist2(x, y).tobytes() == k.dist2(y, x).tobytes()
             for name, (x, y) in cases.items()}
     assert type(k).symmetric_dist2 is all(same.values()), same
+
+
+@pytest.mark.parametrize("desc", [E1, mv.ManifoldDescriptor.euclidean(2), E3,
+                                  mv.ManifoldDescriptor.euclidean(5),
+                                  mv.ManifoldDescriptor.euclidean(8), S1, S2, P2, P3],
+                         ids=lambda d: d.label())
+def test_dist2_on_planar_fields_keeps_the_bits(desc):
+    # the graph build gathers its shift region into one contiguous plane per
+    # coordinate and hands dist2 windows of it whose last axis steps across
+    # the planes; they must give the bits of the same points interleaved
+    rng = np.random.default_rng(22)
+    k = desc.kernel
+    pts = mv.random_point(desc, rng, size=(9, 10))
+    planar = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
+    windows = np.moveaxis(sliding_window_view(planar, (6, 7), axis=(1, 2)), 0, -1)
+    x, y = windows[1, 2], windows[:, 1:4]
+    assert x.strides[-1] == y.strides[-1] == planar.strides[0]
+    ref = k.dist2(np.ascontiguousarray(x), np.ascontiguousarray(y))
+    assert ref.shape == (4, 3, 6, 7)
+    assert k.dist2(x, y).tobytes() == ref.tobytes()
+    out = np.full(ref.shape, np.nan)
+    assert k.dist2(x, y, out).tobytes() == ref.tobytes()
+
+
+def test_spd2_dist2_does_not_overflow_on_valid_points():
+    # diff^2 of X^-1 Y overflows for these valid points in one order only;
+    # the overflowing entries are recomputed, scaled, and the others keep
+    # their bits
+    k = P2.kernel
+    x, y = spd_buf([1e-80, 0.0], [0.0, 1.0]), spd_buf([1e80, 0.0], [0.0, 1.0])
+    z = spd_buf([1e-150, 1e-152], [1e-152, 1.0])
+    assert k.validate_points(np.stack([x, y, z])) is None
+    expected = (160.0 * np.log(10.0)) ** 2     # X^-1 Y = diag(1e160, 1)
+    for a, b in ((x, y), (y, x), (z, y), (y, z)):
+        d = k.dist2(a, b)
+        assert np.isfinite(d)
+        assert k.dist2(b, a) == pytest.approx(d, rel=1e-12)
+    assert k.dist2(x, y) == pytest.approx(expected, rel=1e-12)
+    rng = np.random.default_rng(64)
+    others = mv.random_point(P2, rng, size=(50,))
+    batch = np.concatenate([others, np.stack([x, y, z])])
+    got = k.dist2(batch[:, None], batch[None, :])
+    assert np.isfinite(got).all()
+    assert got[:50, :50].tobytes() == k.dist2(others[:, None], others[None, :]).tobytes()
+    assert got[50, 51] == k.dist2(x, y)
