@@ -34,19 +34,28 @@ per worker thread, not O(T (2r+1)^2).  Each worker makes its set once per
 build and reuses it for every chunk it runs, so a build does not allocate,
 free and fault in chunk-sized memory over and over.
 
-Every pass over a chunk runs along long contiguous arrays:
+Every pass over a chunk runs along long contiguous arrays, because the
+data are laid out column-major and offset-interleaved:
 
-* the shift region is gathered once, straight into planar form, one
-  contiguous plane per coordinate, and the kernels read its window fields
-  through views whose coordinate l is a plane;
-* a box sum is a sum of 2p+1 column sums, and these run over each field of
-  the chunk flattened into one array, h[i] = f[i] + f[i+1] + ... +
-  f[i+2p], one contiguous pass per term; the sums whose terms cross the
-  end of a row are never read;
+* the shift region is gathered once, column-major, one contiguous
+  (column, row) plane per coordinate, and the kernels read its window
+  fields through views whose coordinate l is a plane;
+* a chunk's fields are held as (column, offset, row), so each field the
+  kernel, the overlap test and the mask multiply write is one contiguous
+  block, and where the region wraps round the grid in columns its copies
+  of the first columns after the last are one slab copy;
+* a box sum is a sum of 2p+1 column sums, and column j of the sums is
+  field columns j, j+1, ..., j+2p added in that order: with W the size of
+  one column of every offset, term i is the one contiguous pass
+  h[:n W] += f[i W : (i + n) W], over only the n columns whose sums the
+  corners read (the targets' column span, or every column when the
+  partners' corners are read too); the last term writes the sums
+  offset-major, one contiguous plane per offset;
 * the overlap flags are summed as bytes, in the smallest unsigned type
   that holds 2p+1, which is exact since a column sum is at most 2p+1;
-* each field's 2p+1 rows of column sums at the targets, and at the
-  partners' corners, are read with one gather of flat positions.
+* each field's 2p+1 rows of column sums at the targets are read with one
+  gather of positions made once per build, and at the partners' corners
+  with one gather of positions made per chunk.
 
 The float rows are then added one by one from the top, so each window is
 summed term by term, 2p+1 columns then 2p+1 rows, and its rounding is
@@ -187,13 +196,6 @@ def _periodic_runs(start: int, length: int, n: int):
     return runs
 
 
-def _wrap_columns(field: np.ndarray, n: int) -> None:
-    """Fill field[..., n:] with the periodic continuation of field[..., :n]."""
-    for lo in range(n, field.shape[-1], n):
-        hi = min(lo + n, field.shape[-1])
-        field[..., lo:hi] = field[..., : hi - lo]
-
-
 def _add_rows(got: np.ndarray, out: np.ndarray) -> None:
     """Sums (F, T) of the box rows got (F, box, T), one by one from the top, into out.
 
@@ -242,12 +244,14 @@ def build_graph(
     their candidates are merged into a running best of the k smallest
     (d, id) per target, with a running count of finite candidates.  The
     chunks are dealt out to up to cfg.resolved_threads() threads, each with
-    its own running best and one set of chunk-sized buffers (the overlap
-    flags, the masked field, which kernel.dist2 writes into, the flat column
-    sums, whose 1-byte counts share the float sums' memory, and the rows
-    gathered from them), made once per build and reused for every chunk; the
-    bests are merged at the end.  So memory stays O(T k) plus one set of
-    chunk buffers per worker.  A target's candidate ids are distinct, so
+    its own running best and one set of chunk-sized buffers, made once per
+    build and reused for every chunk: the overlap flags and the masked
+    field, which kernel.dist2 writes into, laid out (column, offset, row);
+    the column sums in that layout and, when a chunk holds more than one
+    offset, again offset-major, with the 1-byte counts in the float sums'
+    memory; and the rows gathered from them.  The bests are merged at the
+    end.  So memory stays O(T k) plus one set of chunk buffers per worker.
+    A target's candidate ids are distinct, so
     (d, id) orders them totally, and the graph does not depend on the
     thread count, on the chunk size, on the cut or on the pairing.
 
@@ -286,36 +290,32 @@ def build_graph(
     eligible = (candidate_mask or mask).known_flat
 
     # region: the targets' periodic row/column span widened by p, so that
-    # target t's patch starts at region pixel (tr, tc); Fw[ia, ib] is the
+    # target t's patch starts at region pixel (tr, tc); Fw[ib, ia] is the
     # region shifted by the offset (A[ia], B[ib]).  An axis where the widened
     # span reaches round the grid is cut to one period, so that no pixel pair
     # is evaluated twice: box windows then wrap across the seam, rows modulo
-    # the grid (the gather indices) and columns through copies of the first
-    # box - 1 columns after the last (_wrap_columns), wC columns in all.  The
-    # shift region is gathered once into planar form, one contiguous
-    # (rows, cols) plane per coordinate, and the kernels see it through views
-    # whose last axis steps across the planes: their x[..., l] are planes
+    # the grid (the gather positions) and columns through copies of the
+    # first columns after the last.  The shift region is gathered once,
+    # column-major, one contiguous (cols, rows) plane per coordinate, and the
+    # kernels see it through views whose last axis steps across the planes:
+    # their x[..., l] are planes
     r0, nr = _periodic_span(t_row, rows)
     c0, nc = _periodic_span(t_col, cols)
     nR, nC = min(nr + 2 * p, rows), min(nc + 2 * p, cols)
-    wC = nC + box - 1 if nC == cols else nC
     row_runs = _periodic_runs(r0 - p + A[0], nR + A[-1] - A[0], rows)
     col_runs = _periodic_runs(c0 - p + B[0], nC + B[-1] - B[0], cols)
-    planes = np.moveaxis(img.data, -1, 0)
-    F = np.empty((planes.shape[0], nR + A[-1] - A[0], nC + B[-1] - B[0]))
+    planes = img.data.transpose(2, 1, 0)
+    known = mask.known.T
+    F = np.empty((planes.shape[0], nC + B[-1] - B[0], nR + A[-1] - A[0]))
     KF = np.empty(F.shape[1:], dtype=bool)
     for i, si, ni in row_runs:
         for j, sj, nj in col_runs:
-            F[:, i : i + ni, j : j + nj] = planes[:, si : si + ni, sj : sj + nj]
-            KF[i : i + ni, j : j + nj] = mask.known[si : si + ni, sj : sj + nj]
-    Fw = np.moveaxis(sliding_window_view(F, (nR, nC), axis=(1, 2)), 0, -1)
-    Kw = sliding_window_view(KF, (nR, nC))
-    X, KX = Fw[-A[0], -B[0]], Kw[-A[0], -B[0]]
+            F[:, j : j + nj, i : i + ni] = planes[:, sj : sj + nj, si : si + ni]
+            KF[j : j + nj, i : i + ni] = known[sj : sj + nj, si : si + ni]
+    Fw = np.moveaxis(sliding_window_view(F, (nC, nR), axis=(1, 2)), 0, -1)
+    Kw = sliding_window_view(KF, (nC, nR))
+    X, KX = Fw[-B[0], -A[0], :, None], Kw[-B[0], -A[0], :, None]
     tr, tc = (t_row - r0) % rows, (t_col - c0) % cols
-    # a field's box rows at the target corners: row k of target t's window
-    # is region row (tr + k) mod nR, so at[k, t] is the flat position of its
-    # column sum in a (nR, wC) field
-    at = (tr + np.arange(box)[:, None]) % nR * wC + tc
 
     # on the whole torus, a bitwise-symmetric dist2 gives g_-s(x) = g_s(x - s)
     # and k_-s(x) = k_s(x - s), so the fields of s serve its partner -s too:
@@ -326,6 +326,18 @@ def build_graph(
     # partner modulo the grid gets its field alone
     paired = nR == rows and nC == cols and kernel.symmetric_dist2
     pa, pb = (-A - A[0]) % rows, (-B - B[0]) % cols
+    # the box corners read columns 0 .. ncn - 1 of the column sums: the
+    # targets' span, or every column when the partners' corners are read
+    # too.  Their windows reach wC = ncn + box - 1 field columns, which is
+    # at least nC (a cut span is widened past the grid), and the columns
+    # from nC on repeat the first ones periodically
+    ncn = nC if paired else nc
+    wC = ncn + box - 1
+    wrap = np.arange(nC, wC)
+    # a field's box rows at the target corners: row k of target t's window
+    # is region row (tr + k) mod nR, so at[k, t] is its position in an
+    # offset's (ncn, nR) plane of column sums
+    at = tc * nR + (tr + np.arange(box)[:, None]) % nR
     ib = np.arange(B.size)
     if paired:
         spans = [(ia, B.size if ia < pa[ia] else int((ib <= pb).sum()))
@@ -351,18 +363,27 @@ def build_graph(
     def work(part):
         """Running best (d, ids) and finite-candidate count over chunks `part`."""
         # one set of chunk buffers, reused by every chunk: the overlap flags
-        # k_s, the masked field g_s, their column sums h and the gathered box
-        # rows.  The column sums of k_s are at most box, so they are exact in
-        # the smallest unsigned type that holds box, and they share h's
+        # k_s and the masked field g_s, laid out (column, offset, row), so
+        # that a column of every offset of the chunk is one contiguous slab;
+        # their column sums h over the first ncn columns, in the same layout;
+        # hr, the same sums offset-major, (offset, column, row), so that each
+        # offset's sums are one contiguous plane; and the gathered box rows.
+        # With one offset per chunk the two layouts are one, and hr is h.
+        # The column sums of k_s are at most box, so they are exact in the
+        # smallest unsigned type that holds box, and they share h's and hr's
         # memory, as a chunk reads its float sums before it makes its counts.
         # The gathered rows share g's memory where they fit there, as g is
-        # read only by its column sums
+        # read only by its column sums.  A chunk of fewer offsets than width
+        # leaves the last slots of each column with an earlier chunk's
+        # fields, or with the zeros the buffers start with: their sums are
+        # made but never read
         width = min(step, B.size)
-        plane = nR * wC
-        both = np.empty((width, nR, wC), dtype=bool)
-        g = np.empty((width, nR, wC))
+        plane = ncn * nR
+        both = np.zeros((wC, width, nR), dtype=bool)
+        g = np.zeros((wC, width, nR))
         h = np.empty(width * plane)
-        hk = h.view(np.min_scalar_type(box))[: h.size]
+        hr = h if width == 1 else np.empty(h.size)
+        hk, hrk = (a.view(np.min_scalar_type(box))[: a.size] for a in (h, hr))
         rows_size = width * box * targets.size
         got = (g.reshape(-1) if rows_size <= g.size else np.empty(rows_size))
         got = got[:rows_size].reshape(width, box, targets.size)
@@ -382,34 +403,41 @@ def build_graph(
             lo = 0
             for ia, jb, je, mir in block:
                 c = je - jb
-                np.logical_and(KX, Kw[ia, jb:je], out=both[:c, :, :nC])
-                kernel.dist2(X, Fw[ia, jb:je], g[:c, :, :nC])
-                g[:c, :, :nC] *= both[:c, :, :nC]
+                np.logical_and(KX, Kw[jb:je, ia].swapaxes(0, 1), out=both[:nC, :c])
+                kernel.dist2(X, Fw[jb:je, ia].swapaxes(0, 1), g[:nC, :c])
+                g[:nC, :c] *= both[:nC, :c]
                 if mir.size:
                     # the partners' corners: t - s modulo the grid, as flat
-                    # positions (mirrored field, box row, target)
+                    # positions (mirrored field, box row, target) in hr
                     mir_at = mir_buf[: mir.size]
                     np.add(np.arange(box)[:, None] - A[ia], tr, out=mir_at)
                     mir_at %= rows
-                    mir_at *= wC
-                    mir_at += ((tc - B[jb + mir, None]) % cols + mir[:, None] * plane)[:, None]
-                n = c * plane - box + 1
-                for field, sums, got_s, out, add in (
-                        (g, h, got, ssum, _add_rows),
-                        (both.view(np.uint8), hk, got_k, cnt, _count_rows)):
-                    _wrap_columns(field[:c], nC)
-                    # sums[i] = f[i] + f[i+1] + ... + f[i+box-1] over the flat
-                    # fields, term by term; a sum whose terms cross the end of
-                    # a row is never read
-                    f = field[:c].reshape(-1)
-                    np.copyto(sums[:n], f[:n])
-                    for j in range(1, box):
-                        sums[:n] += f[j : j + n]
-                    np.take(sums[: c * plane].reshape(c, plane), at, axis=1,
+                    mir_at += ((tc - B[jb + mir, None]) % cols * nR
+                               + mir[:, None] * plane)[:, None]
+                for field, sums, by_offset, got_s, out, add in (
+                        (g, h, hr, got, ssum, _add_rows),
+                        (both.view(np.uint8), hk, hrk, got_k, cnt, _count_rows)):
+                    # the wrap columns, one slab per period of nC columns
+                    if wrap.size:
+                        np.take(field[:nC], wrap, axis=0, out=field[nC:], mode="wrap")
+                    # column j of the sums is field columns j, j + 1, ...,
+                    # j + box - 1 added in that order, each term one
+                    # contiguous pass over ncn whole columns; the last term
+                    # writes them offset-major
+                    acc = sums.reshape(ncn, width, nR)
+                    last = (acc if width == 1
+                            else by_offset.reshape(width, ncn, nR).swapaxes(0, 1))
+                    for j in range(box):
+                        dst = last if j == box - 1 else acc
+                        if j:
+                            np.add(acc, field[j : j + ncn], out=dst)
+                        else:
+                            np.copyto(dst, field[:ncn])
+                    np.take(by_offset[: c * plane].reshape(c, plane), at, axis=1,
                             out=got_s[:c], mode="clip")
                     add(got_s[:c], out[lo : lo + c])
                     if mir.size:
-                        np.take(sums, mir_at, out=got_s[: mir.size], mode="clip")
+                        np.take(by_offset, mir_at, out=got_s[: mir.size], mode="clip")
                         add(got_s[: mir.size], out[lo + c : lo + c + mir.size])
                 lo += c + mir.size
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
@@ -424,8 +452,13 @@ def build_graph(
             finite = valid & np.isfinite(d)
             nfin += finite.sum(axis=1)
             d[~finite] = np.inf
-            best_d, best_ids = _nearest(np.concatenate([best_d, d], axis=1),
-                                        np.concatenate([best_ids, ids], axis=1), k)
+            # a worker's first merge has no running best to join: copying its
+            # candidates into a new pair of arrays first would only raise the
+            # build's memory high-water
+            if best_d.size:
+                d = np.concatenate([best_d, d], axis=1)
+                ids = np.concatenate([best_ids, ids], axis=1)
+            best_d, best_ids = _nearest(d, ids, k)
         return best_d, best_ids, nfin
 
     if workers > 1:

@@ -310,6 +310,12 @@ class TestBuildGraph:
             # (1 byte would wrap them round and fail this)
             pytest.param(S2, 12, 12, [0, 29, 77, 130], (4, 130, 1), 0.97, None, 38,
                          id="counts-past-one-byte"),
+            # the ring round a 4 x 4 hole on a 12 x 13 grid: the region is 8 x 8
+            # pixels, not the torus, and the corners read only the first 4 of
+            # its 8 columns of column sums
+            pytest.param(S2, 12, 13, [i * 13 + j for i in range(4, 8) for j in range(5, 9)
+                                      if i in (4, 7) or j in (5, 8)],
+                         (5, 2, 3), 0.8, None, 39, id="hole-ring"),
         ],
     )
     def test_matches_brute_force_selection(
@@ -466,9 +472,12 @@ class TestBuildGraph:
             assert np.array_equal(ids1, ids4)
             assert np.array_equal(w1, w4)
 
-    @pytest.mark.parametrize("case", ["constant", "padded", "11x11-patches"])
+    @pytest.mark.parametrize("case", ["constant", "padded", "11x11-patches", "partial-chunks"])
     def test_chunking_changes_nothing(self, case, monkeypatch):
         rng = np.random.default_rng(32)
+        # offsets per chunk: three split each row of the window 3 + 3 + 1
+        # (r = 3) or 3 + 3 + 3 (r = 4)
+        per = 3
         if case == "11x11-patches":
             # windows of 11 rows: numpy's pairwise sum would add them in
             # another order than one by one.  Three targets, whose patches
@@ -477,6 +486,16 @@ class TestBuildGraph:
             known = np.ones((40, 40), dtype=bool)
             known[[10, 12, 14], [10, 13, 16]] = False
             kpr, region = (10, 5, 4), 15 * 17
+        elif case == "partial-chunks":
+            # a 5 x 5 hole on a 30 x 30 grid: a region of 11 x 11 pixels, not
+            # the torus.  Four offsets per chunk split each 9-offset row of
+            # the window 4 + 4 + 1, so the last chunk of a row fills one of
+            # the four offset slots of each buffer column, and the other
+            # three still hold the fields of the chunk before
+            img = random_image(S2, 30, 30, rng)
+            known = rng.random((30, 30)) < 0.9
+            known[12:17, 12:17] = False
+            kpr, region, per = (8, 3, 4), 11 * 11, 4
         else:
             known = rng.random((12, 12)) < 0.35
             known[0, 0] = True
@@ -497,12 +516,12 @@ class TestBuildGraph:
             return mv.build_graph(img, mask, cfg(k=k, p=p, r=r, threads=threads), targets)
 
         ref = build(graph_mod._CHUNK_PAIRS)
-        if case != "11x11-patches":
+        if case in ("constant", "padded"):
             assert (ref.degrees < 12).any() and (ref.degrees == 12).any()
             assert np.unique(targets // 12).size == np.unique(targets % 12).size == 12
-        # 1 gives one offset per chunk, and three offsets per chunk split
-        # each row of the window 3 + 3 + 1 (r = 3) or 3 + 3 + 3 (r = 4)
-        for g in (build(1), build(3 * region), build(1, threads=2)):
+        # 1 gives one offset per chunk
+        for g in (build(1), build(per * region), build(1, threads=2),
+                  build(per * region, threads=2)):
             assert g.ids.tobytes() == ref.ids.tobytes()
             assert g.weights.tobytes() == ref.weights.tobytes()
             assert g.degrees.tobytes() == ref.degrees.tobytes()
