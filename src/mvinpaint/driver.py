@@ -28,32 +28,28 @@ class LayerRecord:
     """Per-layer log entry of one inpainting run.
 
     On a decoupled layer (the default) every active vertex takes its
-    weighted 1-centre: zero_vertices counts those whose 1-centre is the
-    zero of a neighbor pair (at most two supports), multi_support those
-    whose 1-centre has three supports or more, so the two add up to
-    active_size, and rounds counts the rounds of the support search.  A
+    weighted 1-centre: multi_support counts those whose 1-centre has three
+    supports or more, and rounds the rounds of the support search.  A
     coupled layer (cumulative_active, after the first) takes Euler steps
-    instead, and reports 0 for all three.  iterations counts the Euler
-    steps, vertex_steps the vertices stepped over all steps (both 0 on a
-    decoupled layer), and residual is their last relative change (0.0 when
-    there is none); converged says whether residual fell below cfg.eps
-    before max_iter ran out.  lipschitz is the largest
-    sqrt(w_uv) d(f(u), f(v)) over the layer's active vertices u and their
-    neighbors v after the solve, the quantity the 1-centres minimize.
-    sigma is the weight scale of the layer's graph and min_candidates the
-    smallest number of finite-distance candidates of its targets; graph_s
-    and solve_s are the seconds spent building that graph and solving the
-    layer.
+    instead, and reports 0 for both.  iterations counts the Euler steps (0
+    on a decoupled layer); each step moves every active vertex, so the
+    layer's vertex-steps are iterations * active_size.  residual is the
+    last relative change of those steps (0.0 when there is none), and
+    converged says whether residual fell below cfg.eps before max_iter ran
+    out.  lipschitz is the largest sqrt(w_uv) d(f(u), f(v)) over the
+    layer's active vertices u and their neighbors v after the solve, the
+    quantity the 1-centres minimize.  sigma is the weight scale of the
+    layer's graph and min_candidates the smallest number of
+    finite-distance candidates of its targets; graph_s and solve_s are the
+    seconds spent building that graph and solving the layer.
     """
 
     index: int
     border_size: int
     active_size: int
     rounds: int
-    zero_vertices: int
     multi_support: int
     iterations: int
-    vertex_steps: int
     residual: float
     converged: bool
     lipschitz: float
@@ -65,9 +61,8 @@ class LayerRecord:
 
 @dataclass
 class FrontState:
-    """The known mask as the front left it, plus one LayerRecord per layer."""
+    """One LayerRecord per layer of an inpainting run, in order."""
 
-    mask_now: Mask
     log: list = field(default_factory=list)
 
 
@@ -123,7 +118,7 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
     """Fill all unknown pixels of img by front propagation.
 
     Returns:
-        (image, front) where front is the final FrontState whose log holds
+        (image, front) where front is a FrontState whose log holds
         one LayerRecord per processed layer.
 
     A fully known mask is not an error: the result is a copy of img and
@@ -138,14 +133,14 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
     check_mask_shape(img, mask)
 
     work = img.copy()
-    mask_now = mask.copy()
-    front = FrontState(mask_now=mask_now)
+    filled = mask.copy()
+    front = FrontState()
     active = np.empty(0, dtype=np.int64)
     layer = 0
-    while not mask_now.known.all():
+    while not filled.known.all():
         layer += 1
-        border = find_border(mask_now)
-        work = initialize_border(work, mask_now, border)
+        border = find_border(filled)
+        work = initialize_border(work, filled, border)
         if cfg.cumulative_active:
             active = np.union1d(active, border)
         else:
@@ -153,39 +148,40 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
 
         # patches may read values of the just-initialized border; candidate
         # centers stay restricted to pixels absorbed in earlier layers
-        valued_flags = mask_now.known.copy()
+        valued_flags = filled.known.copy()
         valued_flags.reshape(-1)[border] = True
         valued = Mask(valued_flags)
         try:
             t0 = time.perf_counter()
-            graph = build_graph(work, valued, cfg, active, candidate_mask=mask_now)
+            graph = build_graph(work, valued, cfg, active, candidate_mask=filled)
             t1 = time.perf_counter()
-            (work, iters, trace, rounds, zeros, vertex_steps, multi,
-             lipschitz) = solve_dirichlet(graph, work, mask, active, cfg)
+            solved = solve_dirichlet(graph, work, mask, active, cfg)
             t2 = time.perf_counter()
         except NumericalError as e:
             e.layer = layer
             raise
-        mask_now.known_flat[border] = True
-        residual = float(trace[-1]) if trace else 0.0
+        work = solved.image
+        filled.known_flat[border] = True
+        residual = float(solved.trace[-1]) if solved.trace else 0.0
         front.log.append(
             LayerRecord(
                 index=layer,
                 border_size=int(border.size),
                 active_size=int(active.size),
-                rounds=rounds,
-                zero_vertices=zeros,
-                multi_support=multi,
-                iterations=iters,
-                vertex_steps=vertex_steps,
+                rounds=solved.rounds,
+                multi_support=solved.multi_support,
+                iterations=solved.iterations,
                 residual=residual,
                 converged=residual < cfg.eps,
-                lipschitz=lipschitz,
+                lipschitz=solved.lipschitz,
                 sigma=graph.sigma,
                 min_candidates=graph.min_candidates,
                 graph_s=t1 - t0,
                 solve_s=t2 - t1,
             )
         )
+        # the next layer's initialize_border copy then frees this image
+        # before its graph build, where a run's memory peaks
+        del solved
 
     return work, front

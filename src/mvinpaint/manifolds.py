@@ -135,6 +135,7 @@ class ManifoldDescriptor:
 
     @property
     def point_len(self) -> int:
+        """Floats per point, and per tangent vector, which shares its coordinates."""
         if self.kind == "euclidean":
             return self.dim
         if self.kind == "circle":
@@ -142,10 +143,6 @@ class ManifoldDescriptor:
         if self.kind == "sphere2":
             return 3
         return self.dim * self.dim
-
-    @property
-    def tangent_len(self) -> int:
-        return self.point_len
 
     @property
     def manifold_dim(self) -> int:
@@ -721,9 +718,9 @@ def _check_tangent(desc: ManifoldDescriptor, x, xi: Tangent, name="tangent"):
     vec = np.asarray(xi.vec, dtype=np.float64)
     if vec.ndim == 0:
         vec = vec.reshape(1)
-    if vec.shape != (desc.tangent_len,):
+    if vec.shape != (desc.point_len,):
         raise DimensionMismatch(
-            f"{name} has shape {vec.shape}, expected ({desc.tangent_len},)"
+            f"{name} has shape {vec.shape}, expected ({desc.point_len},)"
         )
     return vec
 

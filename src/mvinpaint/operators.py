@@ -33,6 +33,7 @@ The support search solves its small linear systems by its own elimination.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -190,11 +191,7 @@ def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
 
 def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
     """Graph infinity-Laplacian of the image at vertex u as a Tangent there."""
-    active = np.array([int(u)], dtype=np.int64)
-    x, _, delta, _ = _batch_at(graph, img, active)
-    kernel = img.descriptor.kernel
-    vec = kernel.tangent_from_ortho(x, delta)[0]
-    return Tangent(base=img.flat[int(u)].copy(), vec=vec)
+    return inf_laplacian_field(graph, img, [u])[int(u)]
 
 
 def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
@@ -211,23 +208,17 @@ def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
     }
 
 
-def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float,
-               out: MvImage | None = None) -> MvImage:
+def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImage:
     """One explicit Euler update of all active vertices (Jacobi semantics).
 
-    Every read comes from the input image; non-active vertices are copied
-    bitwise.  Where the operator vanishes the vertex is left bitwise
-    unchanged.
-
-    out, when given, is an image of the same shape that already holds img's
-    values at every non-active vertex: only the active vertices are written,
-    and out is returned, bitwise the image the call without out returns.
+    Returns a new image.  Every read comes from the input image, which is
+    left as it is; non-active vertices are copied bitwise.  Where the
+    operator vanishes the vertex is left bitwise unchanged.
     """
     if not (0.0 < tau <= 1.0):
         raise SolverError(f"tau must lie in (0, 1], got {tau}")
     active = _vertex_ids(active)
-    if out is None:
-        out = img.copy()
+    out = img.copy()
     if active.size == 0:
         return out
     if active.min() < 0 or active.max() >= img.vertex_count:
@@ -622,24 +613,21 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
     """Euler steps of every active vertex, until cfg.eps or cfg.max_iter.
 
     Returns:
-        (image, iterations, trace, vertex_steps)
+        (image, iterations, trace)
     """
     kernel = f.descriptor.kernel
     trace = []
     denom = None
-    # each step reads one image and writes the active vertices into the
-    # other, so the two differ only there
-    spare = f.copy()
     for step in range(1, int(cfg.max_iter) + 1):
         prev = f.flat[active]
-        f, spare = euler_step(graph, f, active, cfg.tau, out=spare), f
+        f = euler_step(graph, f, active, cfg.tau)
         change = float(kernel.dist(prev, f.flat[active]).mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
         trace.append(change / denom)
         if trace[-1] < cfg.eps:
             break
-    return f, step, trace, step * active.size
+    return f, step, trace
 
 
 def _lipschitz(graph: NonlocalGraph, img: MvImage, active: np.ndarray) -> float:
@@ -649,13 +637,32 @@ def _lipschitz(graph: NonlocalGraph, img: MvImage, active: np.ndarray) -> float:
     return float((np.sqrt(graph.weights[rows]) * d).max())
 
 
+class LayerSolve(namedtuple("LayerSolve",
+                            "image iterations trace rounds multi_support lipschitz")):
+    """What solve_dirichlet returns for one layer.
+
+    image is the solved image.  iterations and trace (the per-step
+    relative changes) are those of the Euler steps: 0 and [] on a
+    decoupled layer.  rounds counts the rounds of the support search and
+    multi_support the vertices whose 1-centre has three supports or more:
+    both 0 on a coupled layer.  lipschitz is the largest
+    sqrt(w_uv) d(f(u), f(v)) over the active u and their neighbors v in
+    image.  iterations and trace stay at positions 1 and 2, where the
+    benchmark tracer reads them.  A typing.NamedTuple would compile its
+    six annotations at import, which costs the benchmark's s2-hole64
+    run about 0.1 MB of peak resident memory.
+    """
+
+    __slots__ = ()
+
+
 def solve_dirichlet(
     graph: NonlocalGraph,
     f0: MvImage,
     mask: Mask,
     active,
     cfg: SolverConfig,
-):
+) -> LayerSolve:
     """Solve the layer: 1-centres where it is decoupled, Euler steps otherwise.
 
     Known (mask) vertices are Dirichlet data and never move.  On a
@@ -672,36 +679,26 @@ def solve_dirichlet(
     Euler steps, each through the module-level euler_step, until the
     relative change stalls: the mean geodesic displacement of the active
     vertices divided by the same mean at step 1 (1 if that mean is 0)
-    drops below cfg.eps, or cfg.max_iter steps have run.
+    drops below cfg.eps, or cfg.max_iter steps have run.  Every step moves
+    every active vertex, so the vertex-steps of a layer are iterations
+    times the active count.
 
     Returns:
-        (image, iterations, trace, rounds, zero_vertices, vertex_steps,
-        multi_support, lipschitz): iterations and trace (the per-step
-        relative changes) are those of the Euler steps and vertex_steps
-        their vertices, summed over the steps: 0, [] and 0 on a decoupled
-        layer.  rounds counts the rounds of the support search,
-        zero_vertices the vertices whose 1-centre has at most two supports
-        and multi_support those whose 1-centre has three supports or more
-        (zero_vertices + multi_support is the active count on a decoupled
-        layer; all three are 0 on a coupled one).  lipschitz is the largest
-        sqrt(w_uv) d(f(u), f(v)) over the active u and their neighbors v
-        in the image returned.
+        a LayerSolve, whose image is a new image; f0 is left as it is.
     """
     check_mask_shape(f0, mask)
     active = _vertex_ids(active)
     if active.size == 0:
-        return f0.copy(), 0, [], 0, 0, 0, 0, 0.0
+        return LayerSolve(f0.copy(), 0, [], 0, 0, 0.0)
     if mask.known_flat[active].any():
         u = int(active[np.argmax(mask.known_flat[active])])
         raise SolverError(f"active vertex {u} is a known pixel", vertex=u)
 
+    if not _decoupled(graph, active):
+        f, iterations, trace = _euler(graph, f0, active, cfg)
+        return LayerSolve(f, iterations, trace, 0, 0, _lipschitz(graph, f, active))
     f = f0.copy()
-    if _decoupled(graph, active):
-        x, supports, rounds = _centres(graph, f0, active)
-        f.flat[active] = x
-        multi = int((supports >= 3).sum())
-        iterations, trace, steps, zeros = 0, [], 0, active.size - multi
-    else:
-        f, iterations, trace, steps = _euler(graph, f, active, cfg)
-        rounds = zeros = multi = 0
-    return f, iterations, trace, rounds, zeros, steps, multi, _lipschitz(graph, f, active)
+    x, supports, rounds = _centres(graph, f0, active)
+    f.flat[active] = x
+    return LayerSolve(f, 0, [], rounds, int((supports >= 3).sum()),
+                      _lipschitz(graph, f, active))

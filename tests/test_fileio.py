@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
-from mvinpaint.errors import FileFormatError
+from mvinpaint.errors import DimensionMismatch, FileFormatError
 
 from conftest import random_image
 
@@ -159,6 +159,22 @@ class TestMvi:
         with pytest.raises(FileFormatError) as exc:
             mv.read_mvi(path)
         assert "(1, 2)" in str(exc.value)
+
+    def test_non_finite_pixel_rejected_on_read_and_write(self, tmp_path):
+        # a NaN fails no norm test, so only the finiteness check stops it
+        img = mv.MvImage.constant(S2, 2, 3, [0.0, 0.0, 1.0])
+        path = tmp_path / "img.mvi"
+        mv.write_mvi(img, path)
+        raw = bytearray(path.read_bytes())
+        off = len(raw) - 6 * 3 * 8 + (1 * 3 + 2) * 3 * 8
+        raw[off : off + 8] = np.array([np.nan]).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match=r"pixel \(1, 2\) invalid: non-finite entry"):
+            mv.read_mvi(path)
+        img.data[1, 2, 0] = np.nan
+        with pytest.raises(DimensionMismatch, match=r"pixel \(1, 2\) invalid: non-finite entry"):
+            mv.write_mvi(img, tmp_path / "nan.mvi")
+        assert not (tmp_path / "nan.mvi").exists()
 
     def test_rejects_directory(self, tmp_path):
         with pytest.raises(IsADirectoryError):

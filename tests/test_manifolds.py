@@ -172,7 +172,7 @@ class TestProperties:
     def test_zero_tangent_is_bitwise_identity(self, descriptor):
         rng = np.random.default_rng(47)
         x = mv.random_point(descriptor, rng)
-        xi = mv.Tangent(x, np.zeros(descriptor.tangent_len))
+        xi = mv.Tangent(x, np.zeros(descriptor.point_len))
         y = mv.exp_map(descriptor, x, xi)
         assert np.array_equal(y, x)
         assert y is not x  # a copy, the input must stay untouched
@@ -180,7 +180,7 @@ class TestProperties:
     def test_tiny_tangent_is_bitwise_identity(self, descriptor):
         rng = np.random.default_rng(48)
         x = mv.random_point(descriptor, rng)
-        vec = np.zeros(descriptor.tangent_len)
+        vec = np.zeros(descriptor.point_len)
         vec[0] = 1e-16
         if descriptor.kind == "spd":
             # keep the perturbation symmetric
@@ -215,6 +215,11 @@ class TestCircle:
         # a hair farther from the antipode is fine
         lg = mv.log_map(S1, 0.0, np.pi - 1e-9)
         assert abs(abs(lg.vec[0]) - (np.pi - 1e-9)) < 1e-12
+
+    @pytest.mark.parametrize("angle", [-np.pi, np.nextafter(np.pi, 4.0), -4.0])
+    def test_angle_outside_half_open_range_rejected(self, angle):
+        pts = np.array([[0.0], [np.pi], [angle]])
+        assert S1.kernel.validate_points(pts) == (2, "angle outside (-pi, pi]")
 
 
 class TestSphere:
@@ -329,11 +334,33 @@ class TestSpd:
         with pytest.raises(DimensionMismatch):
             mv.log_map(P2, good, bad)
 
+    @pytest.mark.parametrize("method, x, y, message", [
+        ("log_ortho", "bad", "good", "base point is not positive definite"),
+        ("log_ortho", "good", "bad", "log target"),
+        ("exp_ortho", "bad", "zero", "base point is not positive definite"),
+        ("dist2", "bad", "good", "base point is not positive definite"),
+        ("dist2", "good", "bad", "distance target is not positive definite"),
+    ])
+    def test_spd3_kernel_rejects_indefinite_points(self, method, x, y, message):
+        # the kernel is called directly, past the validation of mv.distance
+        pts = {"good": np.eye(3).reshape(1, 9), "zero": np.zeros((1, 9)),
+               "bad": np.diag([2.0, -1.0, 1.0]).reshape(1, 9)}
+        with pytest.raises(NotPositiveDefinite, match=message):
+            getattr(P3.kernel, method)(pts[x], pts[y])
+
 
 class TestArgumentChecking:
     @pytest.mark.parametrize("desc", [E1, E3, S1, S2, P2, P3], ids=lambda d: d.label())
     def test_parse_inverts_label(self, desc):
         assert mv.ManifoldDescriptor.parse(desc.label()) == desc
+
+    @pytest.mark.parametrize("kind, dim, message", [
+        ("torus", 0, "unknown manifold kind 'torus'"),
+        ("circle", 2, "circle takes no size parameter"),
+    ])
+    def test_descriptor_rejects_unknown_kind_and_stray_size(self, kind, dim, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            mv.ManifoldDescriptor(kind, dim)
 
     def test_wrong_point_length(self):
         with pytest.raises(DimensionMismatch):

@@ -45,6 +45,6 @@ def test_solve_and_step_hooks(monkeypatch):
         at_max_iter = iterations == cfg.max_iter and bool(trace) and trace[-1] >= cfg.eps
         assert at_max_iter == (not rec.converged)
     counted = sum(len(args["active"]) for args, _ in steps)
-    assert counted == sum(rec.vertex_steps for rec in front.log) > 0
+    assert counted == sum(rec.iterations * rec.active_size for rec in front.log) > 0
     assert front.log[0].iterations == 0
     assert len(steps) == front.log[1].iterations
