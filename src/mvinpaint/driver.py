@@ -2,11 +2,12 @@
 
 Unknown pixels are filled layer by layer: the current border (unknown pixels
 with at least one known 4-neighbor, periodic) is initialized by copying a
-known 4-neighbor, a fresh nonlocal graph is built for it, the Dirichlet
-problem is solved on the layer, and the layer is absorbed into the known
-set.  With cumulative_active enabled, earlier layers keep evolving in every
-later solve instead of freezing.  The config is used as given, since a
-SolverConfig is checked when it is made.
+known 4-neighbor, a fresh nonlocal graph, whose patches read those values,
+is built over the known pixels, the Dirichlet problem is solved on the
+layer, and the layer is absorbed into the known set.  With cumulative_active
+enabled, earlier layers keep evolving in every later solve instead of
+freezing.  The config is used as given, since a SolverConfig is checked
+when it is made.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ def find_border(mask: Mask) -> np.ndarray:
 
 def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
     """Copy into each border pixel its first known 4-neighbor (N, E, S, W)."""
-    check_mask_shape(img, mask)
     border = np.asarray(list(border), dtype=np.int64).reshape(-1)
+    if ((border < 0) | (border >= img.vertex_count)).any():
+        raise SolverError("border ids outside the grid")
+    check_mask_shape(img, mask)
     out = img.copy()
     if border.size == 0:
         return out
@@ -145,15 +148,9 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
             active = np.union1d(active, border)
         else:
             active = border
-
-        # patches may read values of the just-initialized border; candidate
-        # centers stay restricted to pixels absorbed in earlier layers
-        valued_flags = filled.known.copy()
-        valued_flags.reshape(-1)[border] = True
-        valued = Mask(valued_flags)
         try:
             t0 = time.perf_counter()
-            graph = build_graph(work, valued, cfg, active, candidate_mask=filled)
+            graph = build_graph(work, filled, cfg, active)
             t1 = time.perf_counter()
             solved = solve_dirichlet(graph, work, mask, active, cfg)
             t2 = time.perf_counter()

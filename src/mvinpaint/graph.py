@@ -3,7 +3,8 @@
 Each target vertex is compared against candidate pixels inside a periodic
 search window through patch distances that only use pixels known in both
 patches, and keeps directed edges to its k most similar candidates with
-weights w = exp(-d^2 / sigma^2).
+weights w = exp(-d^2 / sigma^2).  The targets count as known in every
+patch, with their current values, but only known pixels are candidates.
 
 build_graph evaluates these distances with a shift table, the integral-image
 scheme of Darbon, Cunha, Chan, Osher and Jensen (ISBI 2008) for nonlocal
@@ -223,16 +224,16 @@ def build_graph(
     mask: Mask,
     cfg: SolverConfig,
     targets,
-    candidate_mask: Mask | None = None,
 ) -> NonlocalGraph:
     """Build directed k-nearest patch adjacency for the target vertices.
 
     For each target, candidates are the other pixels of its periodic
-    (2r+1) x (2r+1) window whose center pixel is known; patch distances are
-    computed on the positions known in both patches and the k smallest
-    finite ones are kept (ties broken by ascending vertex id).  Weights are
-    exp(-d^2 / sigma^2) with sigma either fixed by the config or, for
-    "auto", the mean of all selected finite distances of this image.
+    (2r+1) x (2r+1) window that mask knows; patch distances are computed on
+    the positions known in both patches, the targets counting as known with
+    their current values (so callers initialize them first), and the k
+    smallest finite ones are kept (ties broken by ascending vertex id).
+    Weights are exp(-d^2 / sigma^2) with sigma either fixed by the config
+    or, for "auto", the mean of all selected finite distances of this image.
 
     The distances come from the shift table of the module docstring: the
     window offsets, one per distinct candidate, are split into fixed chunks
@@ -255,18 +256,10 @@ def build_graph(
     (d, id) orders them totally, and the graph does not depend on the
     thread count, on the chunk size, on the cut or on the pairing.
 
-    candidate_mask, when given, replaces the mask for candidate-center
-    eligibility only; patch known flags always come from mask.  The front
-    driver uses this to let freshly initialized border pixels contribute
-    their values to patch overlaps while keeping them out of the candidate
-    set.
-
     Raises GraphBuildError naming the first target with no finite-distance
-    candidate.
+    candidate: none in its window, or none with a finite patch distance.
     """
     check_mask_shape(img, mask)
-    if candidate_mask is not None:
-        check_mask_shape(img, candidate_mask)
 
     rows, cols = img.rows, img.cols
     V = rows * cols
@@ -287,7 +280,7 @@ def build_graph(
     A, B = _window_offsets(r, rows), _window_offsets(r, cols)
     cand_row = (t_row[:, None] + A) % rows
     cand_col = (t_col[:, None] + B) % cols
-    eligible = (candidate_mask or mask).known_flat
+    eligible = mask.known_flat
 
     # region: the targets' periodic row/column span widened by p, so that
     # target t's patch starts at region pixel (tr, tc); Fw[ib, ia] is the
@@ -305,13 +298,17 @@ def build_graph(
     row_runs = _periodic_runs(r0 - p + A[0], nR + A[-1] - A[0], rows)
     col_runs = _periodic_runs(c0 - p + B[0], nC + B[-1] - B[0], cols)
     planes = img.data.transpose(2, 1, 0)
-    known = mask.known.T
+    # the targets count as known in every patch, with their current values
+    known = mask.known.copy()
+    known.reshape(-1)[targets] = True
+    known = known.T
     F = np.empty((planes.shape[0], nC + B[-1] - B[0], nR + A[-1] - A[0]))
     KF = np.empty(F.shape[1:], dtype=bool)
     for i, si, ni in row_runs:
         for j, sj, nj in col_runs:
             F[:, j : j + nj, i : i + ni] = planes[:, sj : sj + nj, si : si + ni]
             KF[j : j + nj, i : i + ni] = known[sj : sj + nj, si : si + ni]
+    del known   # read only here: the chunk merges may reuse its memory
     Fw = np.moveaxis(sliding_window_view(F, (nC, nR), axis=(1, 2)), 0, -1)
     Kw = sliding_window_view(KF, (nC, nR))
     X, KX = Fw[-B[0], -A[0], :, None], Kw[-B[0], -A[0], :, None]
@@ -442,12 +439,11 @@ def build_graph(
                 lo += c + mir.size
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
             valid = eligible[ids] & (ids != targets[:, None])
-            # d = sqrt(ssum) / cnt, inf where no pixel overlaps, formed in ssum
-            empty = cnt == 0
+            # d = sqrt(ssum) / cnt, formed in ssum; cnt is 0 only where the id
+            # is no candidate, as a candidate overlaps its target at the centers
             np.maximum(cnt, 1, out=cnt)
             np.sqrt(ssum, out=ssum)
             ssum /= cnt
-            ssum[empty] = np.inf
             d = ssum.T
             finite = valid & np.isfinite(d)
             nfin += finite.sum(axis=1)
@@ -483,7 +479,7 @@ def build_graph(
                 vertex=t,
             )
         raise GraphBuildError(
-            f"vertex {t}: no candidate with overlapping known pixels",
+            f"vertex {t}: no candidate with a finite patch distance",
             vertex=t,
         )
     degrees = np.minimum(nfin, k)

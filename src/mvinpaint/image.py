@@ -118,6 +118,15 @@ def check_mask_shape(img: MvImage, mask: Mask):
         )
 
 
+def pixel_dist2(f: MvImage, g: MvImage, ids: np.ndarray) -> np.ndarray:
+    """Squared distances of f and g at the vertex ids; both on one manifold and grid."""
+    if f.descriptor != g.descriptor:
+        raise DimensionMismatch("images live on different manifolds")
+    if f.data.shape != g.data.shape:
+        raise DimensionMismatch(f"image shapes differ: {f.data.shape} vs {g.data.shape}")
+    return f.descriptor.kernel.dist2(f.flat[ids], g.flat[ids])
+
+
 def image_distance(f: MvImage, g: MvImage, subset=None) -> float:
     """Root of the summed squared pixel distances over a vertex subset.
 
@@ -128,12 +137,6 @@ def image_distance(f: MvImage, g: MvImage, subset=None) -> float:
     Raises:
         DimensionMismatch: mismatched grids/descriptors or an empty subset.
     """
-    if f.descriptor != g.descriptor:
-        raise DimensionMismatch("images live on different manifolds")
-    if f.data.shape != g.data.shape:
-        raise DimensionMismatch(
-            f"image shapes differ: {f.data.shape} vs {g.data.shape}"
-        )
     if subset is None:
         ids = np.arange(f.vertex_count)
     else:
@@ -143,5 +146,4 @@ def image_distance(f: MvImage, g: MvImage, subset=None) -> float:
             raise DimensionMismatch("empty subset")
         if ids.min() < 0 or ids.max() >= f.vertex_count:
             raise DimensionMismatch("subset contains out-of-range vertex ids")
-    d2 = f.descriptor.kernel.dist2(f.flat[ids], g.flat[ids])
-    return float(np.sqrt(d2.sum()))
+    return float(np.sqrt(pixel_dist2(f, g, ids).sum()))

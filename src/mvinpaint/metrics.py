@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .image import Mask, MvImage, check_mask_shape
+from .image import Mask, MvImage, check_mask_shape, pixel_dist2
 
 
 @dataclass
@@ -30,15 +30,11 @@ class ComparisonReport:
 
 def compare(result: MvImage, truth: MvImage, mask: Mask) -> ComparisonReport:
     """Mean/max/RMS geodesic error of result vs truth over unknown pixels."""
-    if result.descriptor != truth.descriptor:
-        raise DimensionMismatch("images live on different manifolds")
-    if result.data.shape != truth.data.shape:
-        raise DimensionMismatch("image shapes differ")
     check_mask_shape(result, mask)
     ids = mask.unknown_ids()
     if ids.size == 0:
         raise DimensionMismatch("mask has no unknown pixel to compare on")
-    d2 = result.descriptor.kernel.dist2(result.flat[ids], truth.flat[ids])
+    d2 = pixel_dist2(result, truth, ids)
     d = np.sqrt(d2)
     return ComparisonReport(
         pixels=int(ids.size),

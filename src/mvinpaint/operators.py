@@ -147,12 +147,18 @@ def _extremal_batch(kernel, x, nbr_vals, sqw):
     return i_slot, j_slot, delta, nrm2 >= ZERO_TANGENT_TOL * ZERO_TANGENT_TOL
 
 
-def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
-    """Base points (A, L), extremal id pairs (A, 2), deltas (A, L) and moving (A,)."""
+def _rows(graph: NonlocalGraph, active: np.ndarray) -> np.ndarray:
+    """Row of each active vertex in the graph's table; raises where one has none."""
     rows = graph.rows(active)
     if (rows < 0).any():
         u = int(active[np.argmax(rows < 0)])
         raise SolverError(f"vertex {u} has an empty neighborhood", vertex=u)
+    return rows
+
+
+def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
+    """Base points (A, L), extremal id pairs (A, 2), deltas (A, L) and moving (A,)."""
+    rows = _rows(graph, active)
     nbr = graph.ids[rows]
     x = img.flat[active]
     try:
@@ -173,9 +179,12 @@ def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
     return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta, moving
 
 
-def _vertex_ids(active) -> np.ndarray:
-    """active as an ascending id array without repeats."""
-    return np.unique(np.asarray(active, dtype=np.int64).reshape(-1))
+def _vertex_ids(active, vertex_count: int) -> np.ndarray:
+    """active as an ascending id array without repeats, each on the grid."""
+    active = np.unique(np.asarray(active, dtype=np.int64).reshape(-1))
+    if active.size and (active[0] < 0 or active[-1] >= vertex_count):
+        raise SolverError("active ids outside the grid")
+    return active
 
 
 def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
@@ -196,7 +205,7 @@ def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
 
 def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
     """Operator tangents for every active vertex, keyed by vertex id."""
-    active = _vertex_ids(active)
+    active = _vertex_ids(active, img.vertex_count)
     if active.size == 0:
         return {}
     x, _, delta, _ = _batch_at(graph, img, active)
@@ -215,29 +224,18 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
     left as it is; non-active vertices are copied bitwise.  Where the
     operator vanishes the vertex is left bitwise unchanged.
     """
+    active = _vertex_ids(active, img.vertex_count)
     if not (0.0 < tau <= 1.0):
         raise SolverError(f"tau must lie in (0, 1], got {tau}")
-    active = _vertex_ids(active)
     out = img.copy()
     if active.size == 0:
         return out
-    if active.min() < 0 or active.max() >= img.vertex_count:
-        raise SolverError("active ids outside the grid")
     x, _, delta, moving = _batch_at(graph, img, active)
     if moving.any():
         kernel = img.descriptor.kernel
         x[moving] = kernel.exp_ortho(x[moving], tau * delta[moving])
     out.flat[active] = x
     return out
-
-
-def _decoupled(graph: NonlocalGraph, active: np.ndarray) -> bool:
-    """Every active vertex has a row, and no row holds an active id.
-
-    The neighbors of every active vertex then stay fixed through the solve.
-    """
-    rows = graph.rows(active)
-    return bool((rows >= 0).all()) and not np.isin(graph.ids[rows], active).any()
 
 
 def _without_cut_locus(fn, p: np.ndarray):
@@ -365,7 +363,7 @@ def _drop(state, rows, col):
         s[rows[:, None], np.arange(n - 1)] = s[rows[:, None], src]
 
 
-def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
+def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.ndarray):
     """The weighted 1-centre of every vertex of a decoupled layer.
 
     The 1-centre c(u) = argmin_x max_v sqrt(w_uv) d(x, f(v)) is the
@@ -408,8 +406,10 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
     search ends when every neighbor is covered.
 
     Returns:
-        (values (A, L), supports (A,), rounds): supports counts the members
-        of each vertex's final basis, rounds the rounds of the search.
+        (values (A, L), supports (A,), rounds, lipschitz): supports counts
+        the members of each vertex's final basis, rounds the rounds of the
+        search, and lipschitz is the largest sqrt(w_uv) d(c(u), f(v)), as
+        the round that ends each vertex's search measures it.
     Raises:
         CutLocusError naming a vertex two of whose supports have no
         geodesic between them; SolverError naming a vertex whose round does
@@ -417,7 +417,6 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
         circumcentre that Newton does not reach, can make it.
     """
     kernel = f0.descriptor.kernel
-    rows = graph.rows(active)
     nbr_vals = f0.flat[graph.ids[rows]]                      # (A, k, L)
     sqw = np.sqrt(graph.weights[rows])
     A, k = sqw.shape
@@ -440,15 +439,18 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray):
     g = g[got]
     basis[g, :2], lam[g, :2], c[g], r[g], size[g] = T[got], target[got], y[got], value[got], 2
     supports = np.empty(A, dtype=np.int64)
+    lipschitz = 0.0
     pend = np.arange(A)
     for rounds in itertools.count(1):
         far = sqw[pend] * kernel.dist(c[pend, None], nbr_vals[pend])
         v = far.argmax(axis=1)
-        done = far[np.arange(pend.size), v] <= r[pend] * (1.0 + _SLACK) + ZERO_TANGENT_TOL
+        far = far[np.arange(pend.size), v]
+        done = far <= r[pend] * (1.0 + _SLACK) + ZERO_TANGENT_TOL
         supports[pend[done]] = size[pend[done]]
+        lipschitz = far[done].max(initial=lipschitz)
         pend, v = pend[~done], v[~done]
         if not pend.size:
-            return c, supports, rounds
+            return c, supports, rounds, float(lipschitz)
         lam_v = np.zeros(pend.size)
         full = np.flatnonzero(size[pend] == dim + 1)
         if full.size:
@@ -630,9 +632,8 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
     return f, step, trace
 
 
-def _lipschitz(graph: NonlocalGraph, img: MvImage, active: np.ndarray) -> float:
+def _lipschitz(graph: NonlocalGraph, img: MvImage, active: np.ndarray, rows: np.ndarray) -> float:
     """max over the active u and their neighbors v of sqrt(w_uv) d(f(u), f(v))."""
-    rows = graph.rows(active)
     d = img.descriptor.kernel.dist(img.flat[active][:, None], img.flat[graph.ids[rows]])
     return float((np.sqrt(graph.weights[rows]) * d).max())
 
@@ -647,10 +648,11 @@ class LayerSolve(namedtuple("LayerSolve",
     multi_support the vertices whose 1-centre has three supports or more:
     both 0 on a coupled layer.  lipschitz is the largest
     sqrt(w_uv) d(f(u), f(v)) over the active u and their neighbors v in
-    image.  iterations and trace stay at positions 1 and 2, where the
-    benchmark tracer reads them.  A typing.NamedTuple would compile its
-    six annotations at import, which costs the benchmark's s2-hole64
-    run about 0.1 MB of peak resident memory.
+    image, from the support search's last rounds on a decoupled layer.
+    iterations and trace stay at positions 1 and 2, where the benchmark
+    tracer reads them.  A typing.NamedTuple would compile its six
+    annotations at import, which costs the benchmark's s2-hole64 run about
+    0.1 MB of peak resident memory.
     """
 
     __slots__ = ()
@@ -666,8 +668,8 @@ def solve_dirichlet(
     """Solve the layer: 1-centres where it is decoupled, Euler steps otherwise.
 
     Known (mask) vertices are Dirichlet data and never move.  On a
-    decoupled layer (no active vertex is a neighbor of an active vertex,
-    the default front layer) every vertex takes its weighted 1-centre, the
+    decoupled layer (no active vertex's row holds an active id, as on the
+    default front layer) every vertex takes its weighted 1-centre, the
     minimizing Lipschitz extension at it given its fixed neighbors (see
     _centres): where that has two supports i < j it is, bitwise, the point
     at fraction sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) of the geodesic f(v_i)
@@ -685,20 +687,23 @@ def solve_dirichlet(
 
     Returns:
         a LayerSolve, whose image is a new image; f0 is left as it is.
+    Raises:
+        SolverError, before solving: an active id outside the grid, or an
+            active vertex that is known or has no row (empty neighborhood).
     """
+    active = _vertex_ids(active, f0.vertex_count)
     check_mask_shape(f0, mask)
-    active = _vertex_ids(active)
     if active.size == 0:
         return LayerSolve(f0.copy(), 0, [], 0, 0, 0.0)
     if mask.known_flat[active].any():
         u = int(active[np.argmax(mask.known_flat[active])])
         raise SolverError(f"active vertex {u} is a known pixel", vertex=u)
 
-    if not _decoupled(graph, active):
+    rows = _rows(graph, active)
+    if np.isin(graph.ids[rows], active).any():
         f, iterations, trace = _euler(graph, f0, active, cfg)
-        return LayerSolve(f, iterations, trace, 0, 0, _lipschitz(graph, f, active))
+        return LayerSolve(f, iterations, trace, 0, 0, _lipschitz(graph, f, active, rows))
     f = f0.copy()
-    x, supports, rounds = _centres(graph, f0, active)
+    x, supports, rounds, lipschitz = _centres(graph, f0, active, rows)
     f.flat[active] = x
-    return LayerSolve(f, 0, [], rounds, int((supports >= 3).sum()),
-                      _lipschitz(graph, f, active))
+    return LayerSolve(f, 0, [], rounds, int((supports >= 3).sum()), lipschitz)

@@ -148,6 +148,15 @@ class TestInitializeBorder:
             mv.initialize_border(img, mv.Mask(known), [0, 24, 10])
         assert exc.value.vertex == 24
 
+    @pytest.mark.parametrize("border", [[-1], [9]])
+    def test_ids_outside_the_grid_rejected(self, border):
+        # -1 would otherwise index pixel 8, and 9 is past the last pixel
+        img = self.grid()
+        known = np.ones((3, 3), dtype=bool)
+        known[0, 0] = known[2, 2] = False
+        with pytest.raises(SolverError, match="border ids outside the grid"):
+            mv.initialize_border(img, mv.Mask(known), border)
+
 
 class TestNearestKnownFill:
     def test_column_source(self):
@@ -186,11 +195,7 @@ def replicate_inpaint(img, mask, cfg):
     while not mask_now.known.all():
         border = mv.find_border(mask_now)
         work = mv.initialize_border(work, mask_now, border)
-        valued_flags = mask_now.known.copy()
-        valued_flags.reshape(-1)[border] = True
-        graph = mv.build_graph(
-            work, mv.Mask(valued_flags), cfg, border, candidate_mask=mask_now
-        )
+        graph = mv.build_graph(work, mask_now, cfg, border)
         work = mv.solve_dirichlet(graph, work, mask_now, border, cfg).image
         captured.append((graph, border))
         mask_now.known_flat[border] = True

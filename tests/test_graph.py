@@ -175,12 +175,12 @@ class TestBuildGraph:
         assert g.degree(0) == 8
 
     def test_short_rows_are_padded_with_their_first_slot(self):
-        # candidates 1, 2, 5, 6, 7 and 8 for target 0, the same but 8 for 8
+        # windows of fewer than k = 8 known pixels: candidates 1, 2, 5, 6, 7
+        # and 8 for target 0, the same but 8 for the known target 8
         img = scalar_image(np.arange(9.0).reshape(3, 3))
-        cand = np.ones((3, 3), dtype=bool)
-        cand[0, 0] = cand[1, 0] = cand[1, 1] = False
-        g = mv.build_graph(img, mv.Mask.all_known(3, 3), cfg(k=8, p=0, r=1),
-                           [8, 0], candidate_mask=mv.Mask(cand))
+        known = np.ones((3, 3), dtype=bool)
+        known[0, 0] = known[1, 0] = known[1, 1] = False
+        g = mv.build_graph(img, mv.Mask(known), cfg(k=8, p=0, r=1), [8, 0])
         assert g.targets.tolist() == [0, 8]
         assert g.degrees.tolist() == [6, 5]
         assert g.ids.shape == (2, 6)
@@ -230,125 +230,164 @@ class TestBuildGraph:
     @CHUNKS
     def test_no_finite_distance(self, chunk_pairs, monkeypatch):
         monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
-        # radius-0 patch of an unknown pixel overlaps nothing
+        # every candidate of the unknown target 5 holds NaN, so each patch
+        # distance is NaN although the patches overlap
         known = np.ones((4, 4), dtype=bool)
         known[1, 1] = False
-        img = mv.MvImage.constant(E1, 4, 4, [0.0])
+        img = mv.MvImage.constant(E1, 4, 4, [np.nan])
+        img.flat[5] = 0.0
         with pytest.raises(GraphBuildError) as exc:
             mv.build_graph(img, mv.Mask(known), cfg(k=3, p=0, r=2), [5])
         assert exc.value.vertex == 5
-        assert str(exc.value) == "vertex 5: no candidate with overlapping known pixels"
+        assert str(exc.value) == "vertex 5: no candidate with a finite patch distance"
 
     @pytest.mark.parametrize("chunk_pairs, threads", [(graph_mod._CHUNK_PAIRS, 1), (1, 1), (1, 2)],
                              ids=["default-chunks", "one-offset-chunks", "two-threads"])
     def test_valid_and_finite_candidates_must_coincide(self, chunk_pairs, threads, monkeypatch):
         monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
-        # target 0 of a 1 x 5 line, offsets -2..2: ids 3 and 4 overlap its
-        # known pixel but are not candidates, ids 1 and 2 are candidates with
-        # unknown pixels.  With one offset per chunk the two kinds never share
-        # a chunk, and no candidate has a finite distance
-        img = scalar_image([[0.0, 1.0, 2.0, 3.0, 4.0]])
-        mask = mv.Mask(np.array([[True, False, False, True, True]]))
-        cand = mv.Mask(np.array([[False, True, True, False, False]]))
+        # target 0 of a 1 x 5 line, offsets -2..2: ids 3 and 4 are unknown,
+        # so they overlap nothing and their distances come out finite (0),
+        # but they are not candidates; ids 1 and 2 are candidates holding
+        # NaN.  With one offset per chunk the two kinds never share a chunk,
+        # and no candidate has a finite distance
+        img = scalar_image([[0.0, np.nan, np.nan, 3.0, 4.0]])
+        mask = mv.Mask(np.array([[False, True, True, False, False]]))
         with pytest.raises(GraphBuildError) as exc:
-            mv.build_graph(img, mask, cfg(k=2, p=0, r=2, threads=threads), [0],
-                           candidate_mask=cand)
+            mv.build_graph(img, mask, cfg(k=2, p=0, r=2, threads=threads), [0])
         assert exc.value.vertex == 0
-        assert str(exc.value) == "vertex 0: no candidate with overlapping known pixels"
+        assert str(exc.value) == "vertex 0: no candidate with a finite patch distance"
 
-    def test_candidate_mask_splits_roles(self):
-        # same geometry as above, but the pixel's value is declared usable
-        # through the primary mask while candidacy still excludes it
+    def test_target_value_counts_but_target_is_no_candidate(self):
+        # the unknown target 5 compares its own value with the candidates',
+        # and is not a candidate itself
         known = np.ones((4, 4), dtype=bool)
         known[1, 1] = False
         img = scalar_image(np.arange(16.0).reshape(4, 4))
-        g = mv.build_graph(
-            img,
-            mv.Mask.all_known(4, 4),
-            cfg(k=3, p=0, r=1),
-            [5],
-            candidate_mask=mv.Mask(known),
-        )
+        g = mv.build_graph(img, mv.Mask(known), cfg(k=3, p=0, r=1), [5])
         ids, _ = g.neighbors(5)
         assert 5 not in ids.tolist()
         # nearest by value difference: 4 and 6 (diff 1), then 2 (diff 3,
         # tied with 8 and kept for its smaller id); rows list ids ascending
         assert ids.tolist() == [2, 4, 6]
 
+    def test_target_values_move_the_selection_and_other_unknowns_do_not(self):
+        # 3 x 3 patches on an 8 x 8 grid: target 27 and pixel 29 are
+        # unknown, and 29 is no target
+        rng = np.random.default_rng(40)
+        known = np.ones((8, 8), dtype=bool)
+        known[3, 3] = known[3, 5] = False
+        mask = mv.Mask(known)
+        img = random_image(S2, 8, 8, rng)
+        config = cfg(k=4, p=1, r=3)
+
+        def nbrs(f):
+            return mv.build_graph(f, mask, config, [27]).neighbors(27)
+
+        ref_ids, ref_w = nbrs(img)
+        # a new value at pixel 29 changes no patch distance
+        other = img.copy()
+        other.flat[29] = -other.flat[29]
+        ids, w = nbrs(other)
+        assert ids.tolist() == ref_ids.tolist() and w.tobytes() == ref_w.tobytes()
+        # the target's own value enters every patch distance: with the
+        # values of pixel 48's patch copied round the target's, 48 is at
+        # distance 0, and a new value at the target alone moves it away
+        same = img.copy()
+        for di, dj in product((-1, 0, 1), repeat=2):
+            same.data[3 + di, 3 + dj] = img.data[6 + di, dj % 8]
+        ids, w = nbrs(same)
+        assert w[ids.tolist().index(48)] == 1.0
+        same.flat[27] = -same.flat[27]
+        ids, w = nbrs(same)
+        assert 48 not in ids.tolist() or w[ids.tolist().index(48)] < 1.0
+
     @pytest.mark.parametrize(
-        "desc, rows, cols, targets, kpr, known_share, cand_share, seed",
+        "desc, rows, cols, targets, kpr, known_share, targets_known, seed",
         [
-            pytest.param(E2, 7, 7, [0, 10, 24, 48], (4, 1, 2), 1.0, None, 23,
+            pytest.param(E2, 7, 7, [0, 10, 24, 48], (4, 1, 2), 1.0, False, 23,
                          id="e2-all-known"),
-            # a partially known mask plus a distinct, sparser candidate mask
-            pytest.param(E2, 7, 8, [3, 17, 30, 44, 55], (4, 1, 2), 0.7, 0.5, 26,
-                         id="e2-candidate-mask"),
-            pytest.param(S2, 8, 7, [9, 20, 33, 46], (5, 1, 3), 0.75, None, 27,
+            # every target known, as earlier layers are with --cumulative-active,
+            # so the targets are candidates of each other
+            pytest.param(E2, 7, 8, [3, 17, 30, 44, 55], (4, 1, 2), 0.5, True, 26,
+                         id="e2-known-targets"),
+            pytest.param(S2, 8, 7, [9, 20, 33, 46], (5, 1, 3), 0.75, False, 27,
                          id="sphere2"),
-            pytest.param(SPD2, 7, 7, [8, 16, 24, 40], (4, 1, 2), 0.75, None, 28,
+            pytest.param(SPD2, 7, 7, [8, 16, 24, 40], (4, 1, 2), 0.75, False, 28,
                          id="spd2"),
             # 2r+1 = 9 exceeds both grid sides, so window offsets coincide
             # modulo the grid and every pixel is a candidate exactly once
-            pytest.param(S2, 5, 6, [0, 8, 21, 29], (6, 1, 4), 0.8, None, 29,
+            pytest.param(S2, 5, 6, [0, 8, 21, 29], (6, 1, 4), 0.8, False, 29,
                          id="window-wider-than-grid"),
             # targets in the first and last rows and columns: patches and
             # windows wrap across the periodic seam
-            pytest.param(E2, 8, 9, [0, 8, 9, 17, 63, 71], (4, 2, 2), 0.8, None, 30,
+            pytest.param(E2, 8, 9, [0, 8, 9, 17, 63, 71], (4, 2, 2), 0.8, False, 30,
                          id="seam"),
             # targets on every row and column: the region is the whole torus,
             # cut to one period, and the offsets s and -s share one field
-            pytest.param(S2, 7, 8, [0, 9, 18, 27, 36, 45, 54, 15], (4, 1, 2), 0.75, None, 34,
+            pytest.param(S2, 7, 8, [0, 9, 18, 27, 36, 45, 54, 15], (4, 1, 2), 0.75, False, 34,
                          id="sphere2-torus"),
             pytest.param(S2, 9, 10, [0, 11, 22, 33, 44, 55, 66, 77, 88, 29], (5, 4, 2), 0.8,
-                         None, 35, id="sphere2-torus-9x9-patches"),
+                         False, 35, id="sphere2-torus-9x9-patches"),
             # targets on two rows but every column: the region is cut in columns only
-            pytest.param(E2, 9, 8, [24, 26, 28, 30, 33, 35, 37, 39], (4, 1, 2), 0.8, None, 36,
+            pytest.param(E2, 9, 8, [24, 26, 28, 30, 33, 35, 37, 39], (4, 1, 2), 0.8, False, 36,
                          id="column-period"),
             # 261 x 261 patches wrapped round a 12 x 12 torus with 7 pixels
             # unknown: the column sums of the overlap flags reach 261 > 255
             # on rows of known pixels, so the counts are summed in 2 bytes
             # (1 byte would wrap them round and fail this)
-            pytest.param(S2, 12, 12, [0, 29, 77, 130], (4, 130, 1), 0.97, None, 38,
+            pytest.param(S2, 12, 12, [0, 29, 77, 130], (4, 130, 1), 0.97, False, 38,
                          id="counts-past-one-byte"),
             # the ring round a 4 x 4 hole on a 12 x 13 grid: the region is 8 x 8
             # pixels, not the torus, and the corners read only the first 4 of
             # its 8 columns of column sums
             pytest.param(S2, 12, 13, [i * 13 + j for i in range(4, 8) for j in range(5, 9)
                                       if i in (4, 7) or j in (5, 8)],
-                         (5, 2, 3), 0.8, None, 39, id="hole-ring"),
+                         (5, 2, 3), 0.8, False, 39, id="hole-ring"),
         ],
     )
     def test_matches_brute_force_selection(
-        self, desc, rows, cols, targets, kpr, known_share, cand_share, seed
+        self, desc, rows, cols, targets, kpr, known_share, targets_known, seed
     ):
         rng = np.random.default_rng(seed)
         img = random_image(desc, rows, cols, rng)
-        mask = mv.Mask(rng.random((rows, cols)) < known_share)
-        cand_mask = None
-        if cand_share is not None:
-            cand_mask = mv.Mask(mask.known & (rng.random((rows, cols)) < cand_share))
+        known = rng.random((rows, cols)) < known_share
+        if targets_known:
+            known.reshape(-1)[targets] = True
+        mask = mv.Mask(known)
         k, p, r = kpr
-        g = mv.build_graph(img, mask, cfg(k=k, p=p, r=r), targets, candidate_mask=cand_mask)
-        eligible = (cand_mask or mask).known_flat
+        g = mv.build_graph(img, mask, cfg(k=k, p=p, r=r), targets)
+        # candidates are the known pixels; in patches the targets count too
+        patch_known = known.copy()
+        patch_known.reshape(-1)[targets] = True
+        in_patches = mv.Mask(patch_known)
         selected = {}
         pooled = []
         counts = []
         for t in targets:
-            pt = extract_patch(img, mask, divmod(t, cols), p)
+            pt = extract_patch(img, in_patches, divmod(t, cols), p)
             cand = []
             for cid in brute_candidates(rows, cols, t, r):
-                if not eligible[cid]:
+                if not mask.known_flat[cid]:
                     continue
-                pc = extract_patch(img, mask, divmod(cid, cols), p)
+                pc = extract_patch(img, in_patches, divmod(cid, cols), p)
                 d = patch_distance(pt, pc, desc)
                 if np.isfinite(d):
                     cand.append((d, cid))
             cand.sort()
             assert len(cand) > 0
             counts.append(len(cand))
-            selected[t] = {cid: d for d, cid in cand[:k]}
-            pooled.extend(d for d, _ in cand[:k])
-            assert g.neighbors(t)[0].tolist() == sorted(selected[t])
+            # the k nearest, ties by id; but candidates whose oracle
+            # distances are bitwise equal may compare the same pixel pairs
+            # (offsets s and -s when a patch spans a whole period), which
+            # the build sums in another order, so its rounding may split
+            # them either way
+            last = cand[:k][-1][0]
+            ids = g.neighbors(t)[0].tolist()
+            assert {cid for d, cid in cand if d < last} <= set(ids)
+            assert set(ids) <= {cid for d, cid in cand if d <= last}
+            assert len(ids) == len(cand[:k])
+            selected[t] = {cid: d for d, cid in cand if cid in ids}
+            pooled.extend(selected[t].values())
         assert g.min_candidates == min(counts)
         sigma = float(np.mean(pooled))
         assert abs(g.sigma - sigma) < 1e-12
@@ -424,15 +463,17 @@ class TestBuildGraph:
     def test_cut_to_one_period_changes_nothing(self, chunks, monkeypatch):
         # the same targets on the image tiled 2 x 2: there their patches span
         # only half of each axis, so the region is not cut and no offsets are
-        # paired, and every patch and window holds the same values
+        # paired, and every patch and window holds the same values.  The
+        # targets are known pixels, as earlier layers are with
+        # --cumulative-active, so that their copies in the other tiles, which
+        # are no targets, count in patches as the targets do
         rows, cols, k, p, r = 14, 13, 6, 4, 3
         rng = np.random.default_rng(37)
         img = random_image(S2, rows, cols, rng)
         targets = sorted({(i % rows) * cols + i % cols for i in range(rows)}
                          | set(rng.choice(rows * cols, size=4).tolist()))
         known = rng.random(rows * cols) < 0.8
-        known[targets] = False
-        known[(targets[0] + 1) % (rows * cols)] = True
+        known[targets] = True
         known = known.reshape(rows, cols)
         # three offsets per chunk: the region is the whole 14 x 13 torus here
         # and 22 x 21 pixels of the tiled image
@@ -497,7 +538,9 @@ class TestBuildGraph:
             known[12:17, 12:17] = False
             kpr, region, per = (8, 3, 4), 11 * 11, 4
         else:
-            known = rng.random((12, 12)) < 0.35
+            # a quarter known: some windows hold fewer than k = 12 known
+            # pixels, so their rows are padded
+            known = rng.random((12, 12)) < 0.25
             known[0, 0] = True
             if case == "constant":
                 # every distance is 0, so the whole selection is the id tie-break

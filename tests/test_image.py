@@ -116,8 +116,6 @@ MASK_USERS = {
     "nearest_known_fill": lambda img, m, d: mv.nearest_known_fill(img, m),
     "extract_patch": lambda img, m, d: extract_patch(img, m, (1, 1), 1),
     "build_graph": lambda img, m, d: mv.build_graph(img, m, _CFG, [5]),
-    "build_graph_candidates": lambda img, m, d: mv.build_graph(
-        img, mv.Mask.all_known(4, 4), _CFG, [5], candidate_mask=m),
     "solve_dirichlet": lambda img, m, d: mv.solve_dirichlet(
         mv.NonlocalGraph.empty(16), img, m, [5], _CFG),
     "render": lambda img, m, d: mv.render(img, m, d / "o.ppm", "ppm"),

@@ -448,6 +448,26 @@ class TestSolveDirichlet:
             mv.solve_dirichlet(g, img, mv.Mask(known), [0, 1], mv.SolverConfig())
         assert exc.value.vertex == 0
 
+    @pytest.mark.parametrize("active", [[-1], [3]])
+    def test_active_ids_outside_the_grid_rejected(self, active):
+        # pixel 2, which -1 would index, is known: the grid check comes first
+        g = path_graph(3)
+        img = line_image(E1, [[1.0], [2.0], [3.0]])
+        known = np.array([[True, False, True]])
+        with pytest.raises(SolverError, match="active ids outside the grid"):
+            mv.solve_dirichlet(g, img, mv.Mask(known), active, mv.SolverConfig())
+
+    def test_missing_row_raises_before_any_step(self, monkeypatch):
+        # vertex 2 is active but has no row in the graph
+        g = make_graph(4, {1: ([0, 3], [1.0, 1.0])})
+        img = line_image(E1, [[0.0], [1.0], [2.0], [3.0]])
+        known = np.array([[True, False, False, True]])
+        calls = record_steps(monkeypatch)
+        with pytest.raises(SolverError, match="vertex 2 has an empty neighborhood") as exc:
+            mv.solve_dirichlet(g, img, mv.Mask(known), [1, 2], mv.SolverConfig())
+        assert exc.value.vertex == 2
+        assert calls == []
+
     def test_sphere_two_anchor_midpoint(self):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
@@ -589,6 +609,22 @@ class TestStepCalls:
         assert res.iterations > 0
         assert calls == [active.tolist()] * res.iterations
         assert (res.rounds, res.multi_support) == (0, 0)
+
+    @pytest.mark.parametrize("desc", [S2, SPD2, SPD3], ids=lambda d: d.label())
+    def test_lipschitz_of_a_decoupled_layer_is_its_largest_edge_term(self, desc):
+        # the support search's last round gives it: the same bits as every
+        # edge measured apart, on sphere2 and spd(2), whose distances do not
+        # depend on the batch; spd(3)'s go through a batched eigensolver
+        graph, img, mask, active = star_layer(desc, 2)
+        res = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
+        assert res.rounds > 0
+        out = res.image
+        far = max(float(np.sqrt(w) * desc.kernel.dist(out.flat[u], out.flat[v]))
+                  for u in active.tolist() for v, w in zip(*graph.neighbors(u)))
+        if desc == SPD3:
+            assert res.lipschitz == pytest.approx(far, rel=1e-12)
+        else:
+            assert np.float64(res.lipschitz).tobytes() == np.float64(far).tobytes()
 
     def test_coupled_layer_is_the_plain_euler_loop(self):
         graph, img, mask, active = sphere_path(7, seed=4)
