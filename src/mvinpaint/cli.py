@@ -150,12 +150,8 @@ def _cmd_mask(args, summary):
 
 
 def _cmd_inpaint(args, summary):
-    cfg = SolverConfig(
-        k=args.k, p=args.p, r=args.r, sigma=args.sigma, tau=args.tau,
-        eps=args.eps, max_iter=args.max_iter,
-        cumulative_active=args.cumulative_active,
-        threads=args.threads,
-    )
+    cfg = SolverConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(SolverConfig)})
     img = read_mvi(args.input)
     mask = read_mask(args.mask)
     t0 = time.perf_counter()
@@ -237,27 +233,19 @@ def _emit_summary(summary, log_path):
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        sys.stderr.write(f"usage error: {e}\n")
-        return USAGE_ERROR
-    except SystemExit as e:  # argparse --help exits 0
-        return 0 if e.code in (0, None) else USAGE_ERROR
-
-    summary = {
-        "command": args.command,
-        "parameters": {
-            k: v for k, v in vars(args).items() if k not in ("command", "log")
-        },
-        "timings": {},
-        "status": "ok",
-    }
+    # a command line that does not parse leaves through _EXITS too
+    summary = {"command": None, "parameters": {}, "timings": {}, "status": "ok"}
+    args = None
     t0 = time.perf_counter()
     failure = None
     try:
+        args = build_parser().parse_args(argv)
+        summary["command"] = args.command
+        summary["parameters"] = {k: v for k, v in vars(args).items()
+                                 if k not in ("command", "log")}
         code = _COMMANDS[args.command](args, summary)
+    except SystemExit as e:  # argparse --help exits 0
+        return 0 if e.code in (0, None) else USAGE_ERROR
     except tuple(_EXITS) as e:
         label, code = next(_EXITS[c] for c in type(e).__mro__ if c in _EXITS)
         summary.update(status="error", error=str(e), exit_code=code)
@@ -269,7 +257,7 @@ def run(argv) -> int:
             label = f"{label}: layer {layer}"
         failure = f"{label}: {e}\n"
     summary["timings"]["total_s"] = time.perf_counter() - t0
-    _emit_summary(summary, args.log)
+    _emit_summary(summary, getattr(args, "log", None))
     if failure:
         sys.stderr.write(failure)
     return code

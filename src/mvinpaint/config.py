@@ -11,6 +11,11 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
+def _integer(least):
+    """Test that a value is an integer no less than least."""
+    return lambda v: int(v) == v >= least
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the nonlocal graph and of the explicit Euler solve.
@@ -43,25 +48,26 @@ class SolverConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k}")
-        if int(self.p) != self.p or self.p < 0:
-            raise ConfigError(f"p must be a nonnegative integer, got {self.p}")
-        if int(self.r) != self.r or self.r < 1:
-            raise ConfigError(f"r must be a positive integer, got {self.r}")
-        if isinstance(self.sigma, str):
-            if self.sigma != "auto":
-                raise ConfigError(f'sigma must be positive or "auto", got {self.sigma!r}')
-        elif not (self.sigma > 0.0):
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not (0.0 < self.tau <= 1.0):
-            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
-        if not (self.eps > 0.0):
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise ConfigError(f"max_iter must be a positive integer, got {self.max_iter}")
-        if self.threads is not None and (int(self.threads) != self.threads or self.threads < 1):
-            raise ConfigError(f"threads must be a positive integer, got {self.threads}")
+        # each field, what it must be and its test; a test that raises, as
+        # for NaN, inf, a string or None, fails
+        positive = _integer(1)
+        for name, rule, ok in (
+                ("k", "be a positive integer", positive),
+                ("p", "be a nonnegative integer", _integer(0)),
+                ("r", "be a positive integer", positive),
+                ("sigma", 'be positive or "auto"',
+                 lambda s: s == "auto" if isinstance(s, str) else s > 0.0),
+                ("tau", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0),
+                ("eps", "be positive", lambda e: e > 0.0),
+                ("max_iter", "be a positive integer", positive),
+                ("threads", "be a positive integer", lambda t: t is None or positive(t))):
+            value = getattr(self, name)
+            try:
+                if ok(value):
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise ConfigError(f"{name} must {rule}, got {value!r}")
 
     def resolved_threads(self) -> int:
         cpus = max(1, os.cpu_count() or 1)

@@ -20,7 +20,7 @@ import numpy as np
 from .config import SolverConfig
 from .errors import NumericalError, SolverError
 from .graph import build_graph
-from .image import Mask, MvImage, check_mask_shape
+from .image import Mask, MvImage, check_mask_shape, vertex_ids
 from .operators import solve_dirichlet
 
 
@@ -82,10 +82,8 @@ def find_border(mask: Mask) -> np.ndarray:
 
 
 def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
-    """Copy into each border pixel its first known 4-neighbor (N, E, S, W)."""
-    border = np.asarray(list(border), dtype=np.int64).reshape(-1)
-    if ((border < 0) | (border >= img.vertex_count)).any():
-        raise SolverError("border ids outside the grid")
+    """Copy into each border pixel, ids ascending, its first known 4-neighbor (N, E, S, W)."""
+    border = vertex_ids(border, img.vertex_count, "border")
     check_mask_shape(img, mask)
     out = img.copy()
     if border.size == 0:

@@ -2,8 +2,8 @@
 
 A thin wrapper over LAPACK's symmetric solver (``np.linalg.eigh``) that adds
 the shape, size and symmetry checks the callers rely on.  It serves the
-spd(n) matrix functions for n >= 3, spd point validation and the spd ellipse
-rendering; spd(2) kernel maps use closed forms instead.
+spd(n) matrix functions and point validation for n >= 3 and the spd ellipse
+rendering; spd(2) kernel maps and validation use closed forms instead.
 
 Inputs of shape ``(..., n, n)`` yield eigenvalues of shape ``(..., n)`` in
 ascending order and eigenvectors ``(..., n, n)`` stored as columns.  Each

@@ -56,7 +56,7 @@ data are laid out column-major and offset-interleaved:
   that holds 2p+1, which is exact since a column sum is at most 2p+1;
 * each field's 2p+1 rows of column sums at the targets are read with one
   gather of positions made once per build, and at the partners' corners
-  with one gather of positions made per chunk.
+  with one gather of positions made per chunk from rows made per offset row.
 
 The float rows are then added one by one from the top, so each window is
 summed term by term, 2p+1 columns then 2p+1 rows, and its rounding is
@@ -74,8 +74,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
-from .errors import DimensionMismatch, GraphBuildError
-from .image import Mask, MvImage, check_mask_shape
+from .errors import GraphBuildError
+from .image import Mask, MvImage, check_mask_shape, vertex_ids
 
 
 @dataclass
@@ -231,7 +231,10 @@ def build_graph(
     (2r+1) x (2r+1) window that mask knows; patch distances are computed on
     the positions known in both patches, the targets counting as known with
     their current values (so callers initialize them first), and the k
-    smallest finite ones are kept (ties broken by ascending vertex id).
+    smallest finite ones are kept: among distances bitwise equal in the
+    build's own summation order, the smaller vertex id first (offsets s and
+    -s of a patch that spans a whole period are equal only in exact
+    arithmetic, and rounding separates them).
     Weights are exp(-d^2 / sigma^2) with sigma either fixed by the config
     or, for "auto", the mean of all selected finite distances of this image.
 
@@ -256,18 +259,17 @@ def build_graph(
     (d, id) orders them totally, and the graph does not depend on the
     thread count, on the chunk size, on the cut or on the pairing.
 
-    Raises GraphBuildError naming the first target with no finite-distance
+    Raises DimensionMismatch where targets are not vertex ids of the grid,
+    and GraphBuildError naming the first target with no finite-distance
     candidate: none in its window, or none with a finite patch distance.
     """
     check_mask_shape(img, mask)
 
     rows, cols = img.rows, img.cols
     V = rows * cols
-    targets = np.unique(np.asarray(list(targets), dtype=np.int64).reshape(-1))
+    targets = vertex_ids(targets, V, "target")
     if targets.size == 0:
         return NonlocalGraph.empty(V)
-    if targets.min() < 0 or targets.max() >= V:
-        raise DimensionMismatch("target ids outside the grid")
 
     kernel = img.descriptor.kernel
     p, r = int(cfg.p), int(cfg.r)
@@ -386,6 +388,7 @@ def build_graph(
         got = got[:rows_size].reshape(width, box, targets.size)
         got_k = got.reshape(-1).view(hk.dtype)[: got.size].reshape(got.shape)
         mir_buf = np.empty(got.shape if paired else 0, dtype=np.int64)
+        mir_ia = None
         best_d = np.empty((targets.size, 0))
         best_ids = np.empty((targets.size, 0), dtype=np.int64)
         nfin = np.zeros(targets.size, dtype=np.int64)
@@ -405,12 +408,14 @@ def build_graph(
                 g[:nC, :c] *= both[:nC, :c]
                 if mir.size:
                     # the partners' corners: t - s modulo the grid, as flat
-                    # positions (mirrored field, box row, target) in hr
+                    # positions (mirrored field, box row, target) in hr,
+                    # whose rows a worker makes once per offset row ia
+                    if ia != mir_ia:
+                        mir_ia = ia
+                        mir_rows = (np.arange(box)[:, None] - A[ia] + tr) % rows
                     mir_at = mir_buf[: mir.size]
-                    np.add(np.arange(box)[:, None] - A[ia], tr, out=mir_at)
-                    mir_at %= rows
-                    mir_at += ((tc - B[jb + mir, None]) % cols * nR
-                               + mir[:, None] * plane)[:, None]
+                    np.add(mir_rows, ((tc - B[jb + mir, None]) % cols * nR
+                                      + mir[:, None] * plane)[:, None], out=mir_at)
                 for field, sums, by_offset, got_s, out, add in (
                         (g, h, hr, got, ssum, _add_rows),
                         (both.view(np.uint8), hk, hrk, got_k, cnt, _count_rows)):

@@ -118,6 +118,21 @@ def check_mask_shape(img: MvImage, mask: Mask):
         )
 
 
+def vertex_ids(ids, vertex_count: int, name: str) -> np.ndarray:
+    """ids as an ascending int64 array without repeats, each on the grid.
+
+    DimensionMismatch names `name` unless ids have an integer dtype, as
+    numpy index arrays do (an empty list passes), and lie on the grid.
+    """
+    ids = np.asarray(ids)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise DimensionMismatch(f"{name} ids must have an integer dtype, got {ids.dtype}")
+    ids = np.unique(ids)
+    if ids.size and (ids[0] < 0 or ids[-1] >= vertex_count):
+        raise DimensionMismatch(f"{name} ids outside the grid")
+    return ids.astype(np.int64, copy=False)
+
+
 def pixel_dist2(f: MvImage, g: MvImage, ids: np.ndarray) -> np.ndarray:
     """Squared distances of f and g at the vertex ids; both on one manifold and grid."""
     if f.descriptor != g.descriptor:
@@ -132,18 +147,13 @@ def image_distance(f: MvImage, g: MvImage, subset=None) -> float:
 
     Args:
         f, g: images on the same grid with the same descriptor.
-        subset: iterable of vertex ids; None means all pixels.
+        subset: vertex ids, each counted once; None means all pixels.
 
     Raises:
-        DimensionMismatch: mismatched grids/descriptors or an empty subset.
+        DimensionMismatch: mismatched grids/descriptors, or a bad or empty subset.
     """
-    if subset is None:
-        ids = np.arange(f.vertex_count)
-    else:
-        ids = np.asarray(list(subset) if not isinstance(subset, np.ndarray) else subset)
-        ids = ids.astype(np.int64).reshape(-1)
-        if ids.size == 0:
-            raise DimensionMismatch("empty subset")
-        if ids.min() < 0 or ids.max() >= f.vertex_count:
-            raise DimensionMismatch("subset contains out-of-range vertex ids")
+    ids = (np.arange(f.vertex_count) if subset is None
+           else vertex_ids(subset, f.vertex_count, "subset"))
+    if ids.size == 0:
+        raise DimensionMismatch("empty subset")
     return float(np.sqrt(pixel_dist2(f, g, ids).sum()))

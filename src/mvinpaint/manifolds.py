@@ -18,9 +18,9 @@ the manifold descriptor:
 
   For n = 2 each map reads a point once into its entries (a, b, c), runs
   closed-form square roots, congruences and matrix log/exp on these triples
-  with no eigensolver, and writes once; for n >= 3 the matrix functions go
-  through LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``), as does
-  point validation for every n.
+  with no eigensolver, and writes once; its point validation is closed-form
+  too, plus a test that distances to itself and to I are finite.  For n >= 3
+  maps and validation use LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``).
 
 Kernels work in "ortho" coordinates: an isometric identification of the
 tangent space at x with R^d in which the metric is the standard dot product

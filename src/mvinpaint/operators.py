@@ -40,7 +40,7 @@ import numpy as np
 from .config import SolverConfig
 from .errors import CutLocusError, SolverError
 from .graph import NonlocalGraph
-from .image import Mask, MvImage, check_mask_shape
+from .image import Mask, MvImage, check_mask_shape, vertex_ids
 from .manifolds import ZERO_TANGENT_TOL, Tangent
 
 # _extremal_batch keeps the pairs within SCREEN_SAFETY times the rounding
@@ -179,33 +179,25 @@ def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
     return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta, moving
 
 
-def _vertex_ids(active, vertex_count: int) -> np.ndarray:
-    """active as an ascending id array without repeats, each on the grid."""
-    active = np.unique(np.asarray(active, dtype=np.int64).reshape(-1))
-    if active.size and (active[0] < 0 or active[-1] >= vertex_count):
-        raise SolverError("active ids outside the grid")
-    return active
-
-
 def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
     """The ordered neighbor pair (v1, v2) attaining the operator's argmax.
 
     Diagonal pairs are admissible (objective 0), so a single neighbor v
     yields (v, v); ties go to the lexicographically smallest id pair.
     """
-    active = np.array([int(u)], dtype=np.int64)
-    _, pair_ids, _, _ = _batch_at(graph, img, active)
-    return int(pair_ids[0, 0]), int(pair_ids[0, 1])
+    ((v1, v2),) = _batch_at(graph, img, vertex_ids(u, img.vertex_count, "u"))[1]
+    return int(v1), int(v2)
 
 
 def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
     """Graph infinity-Laplacian of the image at vertex u as a Tangent there."""
-    return inf_laplacian_field(graph, img, [u])[int(u)]
+    (tangent,) = inf_laplacian_field(graph, img, vertex_ids(u, img.vertex_count, "u")).values()
+    return tangent
 
 
 def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
     """Operator tangents for every active vertex, keyed by vertex id."""
-    active = _vertex_ids(active, img.vertex_count)
+    active = vertex_ids(active, img.vertex_count, "active")
     if active.size == 0:
         return {}
     x, _, delta, _ = _batch_at(graph, img, active)
@@ -224,7 +216,7 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
     left as it is; non-active vertices are copied bitwise.  Where the
     operator vanishes the vertex is left bitwise unchanged.
     """
-    active = _vertex_ids(active, img.vertex_count)
+    active = vertex_ids(active, img.vertex_count, "active")
     if not (0.0 < tau <= 1.0):
         raise SolverError(f"tau must lie in (0, 1], got {tau}")
     out = img.copy()
@@ -688,10 +680,10 @@ def solve_dirichlet(
     Returns:
         a LayerSolve, whose image is a new image; f0 is left as it is.
     Raises:
-        SolverError, before solving: an active id outside the grid, or an
-            active vertex that is known or has no row (empty neighborhood).
+        DimensionMismatch, SolverError, before solving: active is not vertex
+            ids of the grid; an active vertex is known or has no row.
     """
-    active = _vertex_ids(active, f0.vertex_count)
+    active = vertex_ids(active, f0.vertex_count, "active")
     check_mask_shape(f0, mask)
     if active.size == 0:
         return LayerSolve(f0.copy(), 0, [], 0, 0, 0.0)

@@ -200,10 +200,17 @@ class TestExitCodes:
         ["generate", "--manifold", "m3", "--rows", "4", "--cols", "4", "-o", "x.mvi"],
         ["generate", "--manifold", "s2", "--rows", "four", "--cols", "4", "-o", "x.mvi"],
         ["inpaint"],
+        # the summary goes to stderr, as --log is not read
+        ["inpaint", "-i", "i.mvi", "-m", "m.pbm", "-o", "o.mvi", "--k", "x", "--log", "s.json"],
     ])
-    def test_usage_errors_exit_1(self, argv, capsys):
+    def test_usage_errors_exit_1(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli.run(argv) == 1
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        summary = json_summary(err)
+        assert (summary["status"], summary["exit_code"]) == ("error", 1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         assert cli.run(["--help"]) == 0

@@ -20,6 +20,15 @@ from mvinpaint.errors import ConfigError
     ("eps", 0),
     ("max_iter", 0),
     ("threads", 0),
+    # a failed conversion or comparison is a ConfigError too
+    ("k", float("nan")),
+    ("p", float("inf")),
+    ("r", "x"),
+    ("max_iter", None),
+    ("threads", float("nan")),
+    ("sigma", None),
+    ("tau", "0.1"),
+    ("eps", None),
 ])
 def test_invalid_value_rejected_when_made(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must"):

@@ -143,10 +143,11 @@ class TestInitializeBorder:
         img = mv.MvImage(E1, np.zeros((4, 7, 1)))
         known = np.zeros((4, 7), dtype=bool)
         known[0, 6] = True
-        # 0 reaches 6 across the seam; 24 and 10 have no known neighbor
+        # 0 reaches 6 across the seam; 24 and 10 have no known neighbor,
+        # and the border is taken in ascending id order
         with pytest.raises(SolverError) as exc:
             mv.initialize_border(img, mv.Mask(known), [0, 24, 10])
-        assert exc.value.vertex == 24
+        assert exc.value.vertex == 10
 
     @pytest.mark.parametrize("border", [[-1], [9]])
     def test_ids_outside_the_grid_rejected(self, border):
@@ -154,7 +155,7 @@ class TestInitializeBorder:
         img = self.grid()
         known = np.ones((3, 3), dtype=bool)
         known[0, 0] = known[2, 2] = False
-        with pytest.raises(SolverError, match="border ids outside the grid"):
+        with pytest.raises(DimensionMismatch, match="border ids outside the grid"):
             mv.initialize_border(img, mv.Mask(known), border)
 
 

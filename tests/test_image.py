@@ -84,6 +84,7 @@ def test_image_distance_subset():
     g.flat[2] = [3.0, 4.0]
     assert mv.image_distance(f, g, subset=[2]) == 5.0
     assert mv.image_distance(f, g, subset=[0, 1]) == 0.0
+    assert mv.image_distance(f, g, subset=[2, 2]) == 5.0
     assert mv.image_distance(f, g) == 5.0
 
 
@@ -132,3 +133,42 @@ def test_mask_shape_rule_everywhere(name, tmp_path):
     with pytest.raises(DimensionMismatch, match="mask is 2x8 but image is 4x4"):
         MASK_USERS[name](img, mv.Mask(known), tmp_path)
     assert not (tmp_path / "o.ppm").exists()
+
+
+# every function that takes vertex ids: the argument's name, and the call as
+# (img, mask, graph, ids)
+ID_USERS = {
+    "build_graph": ("target", lambda img, m, g, ids: mv.build_graph(img, m, _CFG, ids)),
+    "solve_dirichlet": ("active", lambda img, m, g, ids: mv.solve_dirichlet(
+        g, img, m, ids, _CFG)),
+    "euler_step": ("active", lambda img, m, g, ids: mv.euler_step(g, img, ids, 0.5)),
+    "inf_laplacian_field": ("active", lambda img, m, g, ids: mv.inf_laplacian_field(
+        g, img, ids)),
+    "inf_laplacian": ("u", lambda img, m, g, ids: mv.inf_laplacian(g, img, ids)),
+    "select_extremal_pair": ("u", lambda img, m, g, ids: mv.select_extremal_pair(
+        g, img, ids)),
+    "initialize_border": ("border", lambda img, m, g, ids: mv.initialize_border(img, m, ids)),
+    "image_distance": ("subset", lambda img, m, g, ids: mv.image_distance(
+        img, img.copy(), ids)),
+}
+
+
+@pytest.mark.parametrize("name", list(ID_USERS))
+def test_vertex_id_rule_everywhere(name):
+    # one 8x8 layer whose only unknown pixel, and only target, is 27
+    img = random_image(S2, 8, 8, np.random.default_rng(4))
+    known = np.ones((8, 8), dtype=bool)
+    known.flat[27] = False
+    mask = mv.Mask(known)
+    graph = mv.build_graph(img, mask, _CFG, [27])
+    arg, user = ID_USERS[name]
+    for ids in ([27], range(27, 28), np.array([27], dtype=np.int64)):
+        user(img, mask, graph, ids)
+    # none of these is an index array of ids to numpy: it refuses floats and
+    # strings, and reads a bool array as a mask
+    for ids in (np.array([27.9]), np.array([27.0]), "27", np.array([True])):
+        with pytest.raises(DimensionMismatch, match=f"^{arg} ids must have an integer dtype"):
+            user(img, mask, graph, ids)
+    for ids in ([-1], [64]):
+        with pytest.raises(DimensionMismatch, match=f"^{arg} ids outside the grid"):
+            user(img, mask, graph, ids)

@@ -5,7 +5,7 @@ import pytest
 
 import mvinpaint as mv
 from mvinpaint import operators
-from mvinpaint.errors import CutLocusError, SolverError
+from mvinpaint.errors import CutLocusError, DimensionMismatch, SolverError
 
 from conftest import (
     brute_extremal_pair,
@@ -357,7 +357,7 @@ class TestEulerStep:
     def test_active_ids_outside_the_grid_rejected(self, active):
         img = line_image(E1, [[0.0], [4.0]])
         g = make_graph(2, {0: ([1], [1.0])})
-        with pytest.raises(SolverError, match="active ids outside the grid"):
+        with pytest.raises(DimensionMismatch, match="active ids outside the grid"):
             mv.euler_step(g, img, active, 0.5)
 
     def test_bad_tau_rejected(self):
@@ -454,7 +454,7 @@ class TestSolveDirichlet:
         g = path_graph(3)
         img = line_image(E1, [[1.0], [2.0], [3.0]])
         known = np.array([[True, False, True]])
-        with pytest.raises(SolverError, match="active ids outside the grid"):
+        with pytest.raises(DimensionMismatch, match="active ids outside the grid"):
             mv.solve_dirichlet(g, img, mv.Mask(known), active, mv.SolverConfig())
 
     def test_missing_row_raises_before_any_step(self, monkeypatch):
