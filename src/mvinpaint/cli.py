@@ -2,10 +2,11 @@
 
 Subcommands: generate, mask, inpaint, render, compare.  Exit codes: 0 on
 success, then one per family of errors.py: 1 usage, 2 data (any OSError
-too), 3 numerical; a numerical failure names its layer and vertex.  Every run
-writes a JSON run summary (parameters, layer log, timings) to stderr, or to
---log PATH when given.  Outputs are bitwise deterministic for identical
-invocations, independent of --threads.
+too), 3 numerical; a numerical failure names its layer and vertex.  A command
+line that does not parse or an option out of range is a usage error, found
+before any file is read.  Every run writes a JSON run summary (parameters,
+layer log, timings) to stderr, or to --log PATH when given.  Outputs are
+bitwise deterministic for identical invocations, independent of --threads.
 """
 
 from __future__ import annotations
@@ -31,14 +32,10 @@ DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 # exception class -> (stderr label, exit code); an exception is looked up by
 # the first class of its MRO listed here
 _EXITS = {
-    **dict.fromkeys((_UsageError, ConfigError), ("usage error", USAGE_ERROR)),
+    ConfigError: ("usage error", USAGE_ERROR),
     **dict.fromkeys((OSError, FileFormatError, DimensionMismatch),
                     ("data error", DATA_ERROR)),
     NumericalError: ("numerical error", NUMERICAL_ERROR),
@@ -47,17 +44,15 @@ _EXITS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _parse_rect(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected i0,j0,height,width")
     try:
-        return tuple(int(p) for p in parts)
+        i0, j0, h, w = (int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError("rectangle entries must be integers")
+        raise argparse.ArgumentTypeError("expected four integers i0,j0,height,width")
+    return i0, j0, h, w
 
 
 def _parse_sigma(text):
@@ -126,27 +121,25 @@ def build_parser():
 
 def _cmd_generate(args, summary):
     if args.rows < 1 or args.cols < 1:
-        raise _UsageError("rows and cols must be positive")
+        raise ConfigError("rows and cols must be positive")
     if args.manifold == "s2":
         img = generate_sphere_image(args.rows, args.cols)
     else:
         img = generate_spd_image(args.rows, args.cols)
     write_mvi(img, args.output)
     summary["output"] = args.output
-    return 0
 
 
 def _cmd_mask(args, summary):
     if args.rows < 1 or args.cols < 1:
-        raise _UsageError("rows and cols must be positive")
+        raise ConfigError("rows and cols must be positive")
     try:
         mask = cut_mask(args.rows, args.cols, args.rect)
     except DimensionMismatch as e:
-        raise _UsageError(str(e))
+        raise ConfigError(str(e))
     write_mask(mask, args.output)
     summary["output"] = args.output
     summary["unknown_pixels"] = int((~mask.known).sum())
-    return 0
 
 
 def _cmd_inpaint(args, summary):
@@ -167,7 +160,6 @@ def _cmd_inpaint(args, summary):
         "numpy": np.__version__,
     }
     summary["peak_rss_kb"] = _peak_rss_kb()
-    return 0
 
 
 def _peak_rss_kb():
@@ -181,18 +173,17 @@ def _peak_rss_kb():
 
 
 def _cmd_render(args, summary):
-    img = read_mvi(args.input)
-    mask = read_mask(args.mask) if args.mask else None
     if args.output.endswith(".ppm"):
         style = "ppm"
     elif args.output.endswith(".svg"):
         style = "svg"
     else:
-        raise _UsageError("output must end in .ppm or .svg")
+        raise ConfigError("output must end in .ppm or .svg")
+    img = read_mvi(args.input)
+    mask = read_mask(args.mask) if args.mask else None
     render(img, mask, args.output, style)
     summary["output"] = args.output
     summary["style"] = style
-    return 0
 
 
 def _cmd_compare(args, summary):
@@ -207,7 +198,6 @@ def _cmd_compare(args, summary):
         "max": report.max,
         "rms": report.rms,
     }
-    return 0
 
 
 _COMMANDS = {
@@ -237,13 +227,13 @@ def run(argv) -> int:
     summary = {"command": None, "parameters": {}, "timings": {}, "status": "ok"}
     args = None
     t0 = time.perf_counter()
-    failure = None
+    code, failure = 0, None
     try:
         args = build_parser().parse_args(argv)
         summary["command"] = args.command
         summary["parameters"] = {k: v for k, v in vars(args).items()
                                  if k not in ("command", "log")}
-        code = _COMMANDS[args.command](args, summary)
+        _COMMANDS[args.command](args, summary)
     except SystemExit as e:  # argparse --help exits 0
         return 0 if e.code in (0, None) else USAGE_ERROR
     except tuple(_EXITS) as e:

@@ -16,6 +16,32 @@ def _integer(least):
     return lambda v: int(v) == v >= least
 
 
+# each field, what it must be and its test; a test that raises, as for NaN,
+# inf, a string or None, fails
+_RULES = {
+    "k": ("be a positive integer", _integer(1)),
+    "p": ("be a nonnegative integer", _integer(0)),
+    "r": ("be a positive integer", _integer(1)),
+    "sigma": ('be positive or "auto"',
+              lambda s: s == "auto" if isinstance(s, str) else s > 0.0),
+    "tau": ("lie in (0, 1]", lambda t: 0.0 < t <= 1.0),
+    "eps": ("be positive", lambda e: e > 0.0),
+    "max_iter": ("be a positive integer", _integer(1)),
+    "threads": ("be a positive integer", lambda t: t is None or _integer(1)(t)),
+}
+
+
+def check(name: str, value):
+    """Raise ConfigError unless value passes the rule of the SolverConfig field name."""
+    rule, ok = _RULES[name]
+    try:
+        if ok(value):
+            return
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the nonlocal graph and of the explicit Euler solve.
@@ -48,26 +74,8 @@ class SolverConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        # each field, what it must be and its test; a test that raises, as
-        # for NaN, inf, a string or None, fails
-        positive = _integer(1)
-        for name, rule, ok in (
-                ("k", "be a positive integer", positive),
-                ("p", "be a nonnegative integer", _integer(0)),
-                ("r", "be a positive integer", positive),
-                ("sigma", 'be positive or "auto"',
-                 lambda s: s == "auto" if isinstance(s, str) else s > 0.0),
-                ("tau", "lie in (0, 1]", lambda t: 0.0 < t <= 1.0),
-                ("eps", "be positive", lambda e: e > 0.0),
-                ("max_iter", "be a positive integer", positive),
-                ("threads", "be a positive integer", lambda t: t is None or positive(t))):
-            value = getattr(self, name)
-            try:
-                if ok(value):
-                    continue
-            except (TypeError, ValueError, OverflowError):
-                pass
-            raise ConfigError(f"{name} must {rule}, got {value!r}")
+        for name in _RULES:
+            check(name, getattr(self, name))
 
     def resolved_threads(self) -> int:
         cpus = max(1, os.cpu_count() or 1)

@@ -2,7 +2,8 @@
 
 They fall into three families, one per CLI exit code:
 
-* usage: ConfigError, an invalid solver or graph setting (exit 1);
+* usage: ConfigError, an invalid setting or a command line that does not
+  parse (exit 1);
 * data: DimensionMismatch and FileFormatError, inputs that do not fit
   together or do not parse, plus any OSError (exit 2);
 * numerical: every NumericalError, a failure of the computation itself
@@ -12,7 +13,7 @@ They fall into three families, one per CLI exit code:
 
 
 class ConfigError(ValueError):
-    """Invalid solver or graph configuration value."""
+    """Invalid solver or graph configuration value, or a command line that does not parse."""
 
 
 class DimensionMismatch(ValueError):

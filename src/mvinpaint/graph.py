@@ -58,7 +58,7 @@ data are laid out column-major and offset-interleaved:
   gather of positions made once per build, and at the partners' corners
   with one gather of positions made per chunk from rows made per offset row.
 
-The float rows are then added one by one from the top, so each window is
+The rows are then added one by one from the top, so each window is
 summed term by term, 2p+1 columns then 2p+1 rows, and its rounding is
 relative to its own sum, not to the field's: the bits do not depend on the
 chunking, the thread count or the layout.  The tests check the build
@@ -75,7 +75,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
 from .errors import GraphBuildError
-from .image import Mask, MvImage, check_mask_shape, vertex_ids
+from .image import Mask, MvImage, check_mask_shape, one_vertex_id, vertex_ids
 
 
 @dataclass
@@ -100,20 +100,16 @@ class NonlocalGraph:
     min_candidates: int = 0
 
     def rows(self, vertices) -> np.ndarray:
-        """Row of each vertex in the table, -1 where it is not a target."""
-        v = np.asarray(vertices, dtype=np.int64)
+        """Row of each vertex, taken ascending and once, -1 where it is not a target."""
+        v = vertex_ids(vertices, self.vertex_count, "vertices")
         if self.targets.size == 0:
             return np.full(v.shape, -1, dtype=np.int64)
         r = np.minimum(np.searchsorted(self.targets, v), self.targets.size - 1)
         return np.where(self.targets[r] == v, r, -1)
 
-    def degree(self, u: int) -> int:
-        r = int(self.rows(u))
-        return int(self.degrees[r]) if r >= 0 else 0
-
     def neighbors(self, u: int):
         """(ids, weights) of u without padding, ids ascending; empty for non-targets."""
-        r = int(self.rows(u))
+        r = int(self.rows(one_vertex_id(u, self.vertex_count, "u"))[0])
         if r < 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         d = int(self.degrees[r])
@@ -206,11 +202,6 @@ def _add_rows(got: np.ndarray, out: np.ndarray) -> None:
     out[...] = got[:, 0]
     for k in range(1, got.shape[1]):
         out += got[:, k]
-
-
-def _count_rows(got: np.ndarray, out: np.ndarray) -> None:
-    """Sums (F, T) of the integer box rows got (F, box, T) into int64 out, exact."""
-    np.sum(got, axis=1, dtype=np.int64, out=out)
 
 
 def _nearest(d: np.ndarray, ids: np.ndarray, k: int):
@@ -416,9 +407,9 @@ def build_graph(
                     mir_at = mir_buf[: mir.size]
                     np.add(mir_rows, ((tc - B[jb + mir, None]) % cols * nR
                                       + mir[:, None] * plane)[:, None], out=mir_at)
-                for field, sums, by_offset, got_s, out, add in (
-                        (g, h, hr, got, ssum, _add_rows),
-                        (both.view(np.uint8), hk, hrk, got_k, cnt, _count_rows)):
+                for field, sums, by_offset, got_s, out in (
+                        (g, h, hr, got, ssum),
+                        (both.view(np.uint8), hk, hrk, got_k, cnt)):
                     # the wrap columns, one slab per period of nC columns
                     if wrap.size:
                         np.take(field[:nC], wrap, axis=0, out=field[nC:], mode="wrap")
@@ -437,10 +428,10 @@ def build_graph(
                             np.copyto(dst, field[:ncn])
                     np.take(by_offset[: c * plane].reshape(c, plane), at, axis=1,
                             out=got_s[:c], mode="clip")
-                    add(got_s[:c], out[lo : lo + c])
+                    _add_rows(got_s[:c], out[lo : lo + c])
                     if mir.size:
                         np.take(by_offset, mir_at, out=got_s[: mir.size], mode="clip")
-                        add(got_s[: mir.size], out[lo + c : lo + c + mir.size])
+                        _add_rows(got_s[: mir.size], out[lo + c : lo + c + mir.size])
                 lo += c + mir.size
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
             valid = eligible[ids] & (ids != targets[:, None])

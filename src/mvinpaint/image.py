@@ -52,7 +52,7 @@ class MvImage:
         return int(i) * self.cols + int(j)
 
     def pixel_of(self, u: int):
-        return divmod(int(u), self.cols)
+        return divmod(one_vertex_id(u, self.vertex_count, "u"), self.cols)
 
     def copy(self) -> "MvImage":
         return MvImage(self.descriptor, self.data.copy())
@@ -131,6 +131,14 @@ def vertex_ids(ids, vertex_count: int, name: str) -> np.ndarray:
     if ids.size and (ids[0] < 0 or ids[-1] >= vertex_count):
         raise DimensionMismatch(f"{name} ids outside the grid")
     return ids.astype(np.int64, copy=False)
+
+
+def one_vertex_id(u, vertex_count: int, name: str) -> int:
+    """The one id of vertex_ids(u); DimensionMismatch names `name` unless there is one."""
+    ids = vertex_ids(u, vertex_count, name)
+    if ids.size != 1:
+        raise DimensionMismatch(f"{name} must be one vertex id, got {ids.size}")
+    return int(ids[0])
 
 
 def pixel_dist2(f: MvImage, g: MvImage, ids: np.ndarray) -> np.ndarray:

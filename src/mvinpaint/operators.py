@@ -37,10 +37,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import SolverConfig, check
 from .errors import CutLocusError, SolverError
 from .graph import NonlocalGraph
-from .image import Mask, MvImage, check_mask_shape, vertex_ids
+from .image import Mask, MvImage, check_mask_shape, one_vertex_id, vertex_ids
 from .manifolds import ZERO_TANGENT_TOL, Tangent
 
 # _extremal_batch keeps the pairs within SCREEN_SAFETY times the rounding
@@ -69,6 +69,7 @@ def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> flo
     max_v |min(sqrt(w)(f(v) - f(u)), 0)| over the neighbors of u.  Serves as
     an independent cross-check of the manifold operator in the real case.
     """
+    u = one_vertex_id(u, graph.vertex_count, "u")
     ids, w = graph.neighbors(u)
     if len(ids) == 0:
         raise SolverError(f"vertex {u} has no neighbors", vertex=u)
@@ -185,14 +186,14 @@ def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
     Diagonal pairs are admissible (objective 0), so a single neighbor v
     yields (v, v); ties go to the lexicographically smallest id pair.
     """
-    ((v1, v2),) = _batch_at(graph, img, vertex_ids(u, img.vertex_count, "u"))[1]
+    ((v1, v2),) = _batch_at(graph, img, np.array([one_vertex_id(u, img.vertex_count, "u")]))[1]
     return int(v1), int(v2)
 
 
 def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
     """Graph infinity-Laplacian of the image at vertex u as a Tangent there."""
-    (tangent,) = inf_laplacian_field(graph, img, vertex_ids(u, img.vertex_count, "u")).values()
-    return tangent
+    u = one_vertex_id(u, img.vertex_count, "u")
+    return inf_laplacian_field(graph, img, [u])[u]
 
 
 def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
@@ -214,11 +215,11 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
 
     Returns a new image.  Every read comes from the input image, which is
     left as it is; non-active vertices are copied bitwise.  Where the
-    operator vanishes the vertex is left bitwise unchanged.
+    operator vanishes the vertex is left bitwise unchanged.  tau follows the
+    rule of SolverConfig.tau and raises ConfigError where it breaks it.
     """
     active = vertex_ids(active, img.vertex_count, "active")
-    if not (0.0 < tau <= 1.0):
-        raise SolverError(f"tau must lie in (0, 1], got {tau}")
+    check("tau", tau)
     out = img.copy()
     if active.size == 0:
         return out

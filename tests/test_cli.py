@@ -193,23 +193,40 @@ class TestSummaryRouting:
         assert json_summary(err)["status"] == "ok"
 
 
+# usage errors: the command line, and a part of the message it gives
+USAGE_ERRORS = [
+    ([], "arguments are required"),
+    (["frobnicate"], "invalid choice"),
+    (["generate", "--manifold", "m3", "--rows", "4", "--cols", "4", "-o", "x.mvi"],
+     "invalid choice"),
+    (["generate", "--manifold", "s2", "--rows", "four", "--cols", "4", "-o", "x.mvi"],
+     "invalid int value"),
+    (["inpaint"], "arguments are required"),
+    # the summary goes to stderr, as --log is not read
+    (["inpaint", "-i", "i.mvi", "-m", "m.pbm", "-o", "o.mvi", "--k", "x", "--log", "s.json"],
+     "invalid int value"),
+    (["inpaint", "-i", "i.mvi", "-m", "m.pbm", "-o", "o.mvi", "--sigma", "x"],
+     'sigma must be a number or "auto"'),
+    (["mask", "--rows", "4", "--cols", "4", "--rect", "1,1,x,1", "-o", "m.pbm"],
+     "expected four integers i0,j0,height,width"),
+    (["mask", "--rows", "0", "--cols", "4", "--rect", "0,0,1,1", "-o", "m.pbm"],
+     "rows and cols must be positive"),
+    # the output style is checked before any file is read
+    (["render", "-i", "missing.mvi", "-o", "x.png"], "output must end in .ppm or .svg"),
+]
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["frobnicate"],
-        ["generate", "--manifold", "m3", "--rows", "4", "--cols", "4", "-o", "x.mvi"],
-        ["generate", "--manifold", "s2", "--rows", "four", "--cols", "4", "-o", "x.mvi"],
-        ["inpaint"],
-        # the summary goes to stderr, as --log is not read
-        ["inpaint", "-i", "i.mvi", "-m", "m.pbm", "-o", "o.mvi", "--k", "x", "--log", "s.json"],
-    ])
-    def test_usage_errors_exit_1(self, argv, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv, error", USAGE_ERRORS,
+                             ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+    def test_usage_errors_exit_1(self, argv, error, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.run(argv) == 1
         err = capsys.readouterr().err
         assert "usage error" in err
         summary = json_summary(err)
         assert (summary["status"], summary["exit_code"]) == ("error", 1)
+        assert error in summary["error"]
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -87,12 +89,27 @@ class TestMvi:
         ("manifold spd x", "bad manifold declaration: invalid literal for int"),
         ("manifold spd 0", "bad manifold declaration: spd manifold needs dim >= 1"),
         ("manifold torus", "unknown manifold kind 'torus'"),
+        ("manifolds circle", "expected manifold line, got 'manifolds circle'"),
     ])
     def test_manifold_line_grammar_rejects(self, line, error, tmp_path):
         path = tmp_path / "bad.mvi"
         path.write_bytes(f"MVI1\n{line}\nrows 1\ncols 1\nbyteorder LE\ncount 1\n".encode()
                          + b"\x00" * 8)
         with pytest.raises(FileFormatError, match=error):
+            mv.read_mvi(path)
+
+    @pytest.mark.parametrize("line, bad, error", [
+        ("rows 1", "rows", "expected 'rows <value>' line, got 'rows'"),
+        ("cols 1", "cols 1 1", "expected 'cols <value>' line, got 'cols 1 1'"),
+        ("rows 1", "rows x", "bad integer in 'rows' line"),
+        ("count 1", "count 0", "count must be positive, got 0"),
+        ("byteorder LE", "byteorder BE", "expected 'byteorder LE', got 'byteorder BE'"),
+    ])
+    def test_header_field_rejects(self, line, bad, error, tmp_path):
+        path = tmp_path / "bad.mvi"
+        header = "MVI1\nmanifold circle\nrows 1\ncols 1\nbyteorder LE\ncount 1\n"
+        path.write_bytes(header.replace(line, bad).encode() + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(error)}$"):
             mv.read_mvi(path)
 
     def test_rejects_count_mismatch(self, tmp_path):
@@ -235,6 +252,18 @@ class TestPbm:
         path = tmp_path / "m.pbm"
         path.write_text("P2\n2 2\n0 0 0 0\n")
         with pytest.raises(FileFormatError):
+            mv.read_mask(path)
+
+    @pytest.mark.parametrize("raw, error", [
+        (b"P1\n2 1\n0 \xff\n", "mask file is not ascii"),
+        (b"P1\nx 1\n0 0\n", "bad PBM dimensions"),
+        (b"P1\n2 0\n", "PBM dimensions must be positive"),
+        (b"P1\n0 2\n", "PBM dimensions must be positive"),
+    ])
+    def test_rejects_malformed_header(self, raw, error, tmp_path):
+        path = tmp_path / "m.pbm"
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError, match=f"^{error}$"):
             mv.read_mask(path)
 
     def test_rejects_stray_characters(self, tmp_path):

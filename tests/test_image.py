@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ def test_validate_reports_pixel():
 def test_rejects_wrong_point_len():
     with pytest.raises(DimensionMismatch):
         mv.MvImage(S2, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: mv.MvImage(E2, np.zeros((0, 3, 2))), "image needs at least one row and one column"),
+    (lambda: mv.MvImage(E2, np.zeros((3, 0, 2))), "image needs at least one row and one column"),
+    (lambda: mv.Mask(np.ones(4, dtype=bool)), "mask must be 2-d, got shape (4,)"),
+    (lambda: mv.Mask(np.ones((1, 2, 2), dtype=bool)), "mask must be 2-d, got shape (1, 2, 2)"),
+], ids=["zero-rows", "zero-cols", "mask-1d", "mask-3d"])
+def test_constructors_reject_bad_shapes(make, error):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(error)}"):
+        make()
 
 
 def test_mask_basics():
@@ -150,17 +163,22 @@ ID_USERS = {
     "initialize_border": ("border", lambda img, m, g, ids: mv.initialize_border(img, m, ids)),
     "image_distance": ("subset", lambda img, m, g, ids: mv.image_distance(
         img, img.copy(), ids)),
+    "NonlocalGraph.rows": ("vertices", lambda img, m, g, ids: g.rows(ids)),
 }
 
 
-@pytest.mark.parametrize("name", list(ID_USERS))
-def test_vertex_id_rule_everywhere(name):
-    # one 8x8 layer whose only unknown pixel, and only target, is 27
+def _one_target_layer():
+    """One 8x8 layer whose only unknown pixel, and only target, is 27."""
     img = random_image(S2, 8, 8, np.random.default_rng(4))
     known = np.ones((8, 8), dtype=bool)
     known.flat[27] = False
     mask = mv.Mask(known)
-    graph = mv.build_graph(img, mask, _CFG, [27])
+    return img, mask, mv.build_graph(img, mask, _CFG, [27])
+
+
+@pytest.mark.parametrize("name", list(ID_USERS))
+def test_vertex_id_rule_everywhere(name):
+    img, mask, graph = _one_target_layer()
     arg, user = ID_USERS[name]
     for ids in ([27], range(27, 28), np.array([27], dtype=np.int64)):
         user(img, mask, graph, ids)
@@ -172,3 +190,32 @@ def test_vertex_id_rule_everywhere(name):
     for ids in ([-1], [64]):
         with pytest.raises(DimensionMismatch, match=f"^{arg} ids outside the grid"):
             user(img, mask, graph, ids)
+
+
+# every function that takes one vertex id u, called as (img, graph, u)
+ONE_ID_USERS = {
+    "NonlocalGraph.neighbors": lambda img, g, u: g.neighbors(u),
+    "MvImage.pixel_of": lambda img, g, u: img.pixel_of(u),
+    "inf_laplacian": lambda img, g, u: mv.inf_laplacian(g, img, u),
+    "select_extremal_pair": lambda img, g, u: mv.select_extremal_pair(g, img, u),
+    "real_graph_inf_laplacian": lambda img, g, u: mv.real_graph_inf_laplacian(
+        g, img.flat[:, 0], u),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_ID_USERS))
+def test_single_vertex_rule_everywhere(name):
+    # vertex_ids, then exactly one id
+    img, _, graph = _one_target_layer()
+    user = ONE_ID_USERS[name]
+    for u in (27, np.int64(27), [27], np.array([27], dtype=np.int32)):
+        user(img, graph, u)
+    for u, error in ((27.9, "u ids must have an integer dtype, got float64"),
+                     ("27", "u ids must have an integer dtype, got "),
+                     (True, "u ids must have an integer dtype, got bool"),
+                     (-1, "u ids outside the grid"),
+                     (64, "u ids outside the grid"),
+                     ([27, 28], "u must be one vertex id, got 2"),
+                     ([], "u must be one vertex id, got 0")):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(error)}"):
+            user(img, graph, u)

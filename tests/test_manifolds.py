@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -375,6 +377,15 @@ class TestArgumentChecking:
             mv.exp_map(descriptor, x, xi)
         with pytest.raises(TangentBaseMismatch):
             mv.tangent_norm(descriptor, x, xi)
+
+    def test_tangent_of_wrong_shape_rejected(self, descriptor):
+        x = mv.random_point(descriptor, np.random.default_rng(57))
+        n = descriptor.point_len
+        for vec in (np.zeros(n + 1), np.zeros((1, n))):
+            xi = mv.Tangent(base=x, vec=vec)
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(f"tangent has shape {vec.shape}, expected ({n},)")):
+                mv.exp_map(descriptor, x, xi)
 
     def test_scalar_coercion_on_circle(self):
         # plain floats are accepted for 1-d manifolds

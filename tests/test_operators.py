@@ -5,7 +5,7 @@ import pytest
 
 import mvinpaint as mv
 from mvinpaint import operators
-from mvinpaint.errors import CutLocusError, DimensionMismatch, SolverError
+from mvinpaint.errors import ConfigError, CutLocusError, DimensionMismatch, SolverError
 
 from conftest import (
     brute_extremal_pair,
@@ -361,9 +361,10 @@ class TestEulerStep:
             mv.euler_step(g, img, active, 0.5)
 
     def test_bad_tau_rejected(self):
+        # the rule of SolverConfig.tau, in its usage family
         g, img = star_graph([0.0, 1.0], [1.0])
-        for tau in (0.0, -0.5, 1.5):
-            with pytest.raises(SolverError):
+        for tau in (0.0, -0.5, 1.5, "0.1", None):
+            with pytest.raises(ConfigError, match=r"^tau must lie in \(0, 1\], got "):
                 mv.euler_step(g, img, [0], tau)
 
     @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
