@@ -32,8 +32,8 @@ def sym_eig_batch(mats):
         orthonormal columns such that A = evecs @ diag(evals) @ evecs.T.
 
     Raises:
-        DimensionMismatch: non-square input or n > 16.
-        ValueError: a slice's asymmetry exceeds 1e-9.
+        DimensionMismatch: non-square input, n > 16, or a slice whose
+            asymmetry exceeds 1e-9.
         EigenConvergenceError: a non-finite entry, or LAPACK did not
             converge.
     """
@@ -49,7 +49,7 @@ def sym_eig_batch(mats):
     if np.isnan(asym):
         raise EigenConvergenceError("matrix has a non-finite entry")
     if asym > SYM_TOL:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {SYM_TOL:.0e}")
+        raise DimensionMismatch(f"matrix asymmetry {asym:.3e} exceeds {SYM_TOL:.0e}")
     try:
         evals, evecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as e:

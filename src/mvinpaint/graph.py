@@ -33,30 +33,35 @@ chunk's candidates are merged into a running best of k per target, so the
 memory a build holds is O(T k) for T targets plus one set of chunk fields
 per worker thread, not O(T (2r+1)^2).  Each worker makes its set once per
 build and reuses it for every chunk it runs, so a build does not allocate,
-free and fault in chunk-sized memory over and over.
+free and fault in chunk-sized memory over and over; only the box rows each
+gather reads, 2p+1 per target and offset, are made afresh.
 
 Every pass over a chunk runs along long contiguous arrays, because the
-data are laid out column-major and offset-interleaved:
+data are laid out column-major and offset-interleaved, in one layout:
 
-* the shift region is gathered once, column-major, one contiguous
-  (column, row) plane per coordinate, and the kernels read its window
-  fields through views whose coordinate l is a plane;
-* a chunk's fields are held as (column, offset, row), so each field the
-  kernel, the overlap test and the mask multiply write is one contiguous
-  block, and where the region wraps round the grid in columns its copies
-  of the first columns after the last are one slab copy;
+* the shift region is gathered once by vertex id, column-major, one
+  contiguous (column, row) plane per coordinate, and the kernels read its
+  window fields through views whose coordinate l is a plane;
+* every chunk buffer is held as (column, offset, row), and each is an
+  array of its own, so each field the kernel, the overlap test and the
+  mask multiply write is one contiguous block, and where the region wraps
+  round the grid in columns its copies of the first columns after the
+  last are one slab copy;
 * a box sum is a sum of 2p+1 column sums, and column j of the sums is
   field columns j, j+1, ..., j+2p added in that order: with W the size of
   one column of every offset, term i is the one contiguous pass
   h[:n W] += f[i W : (i + n) W], over only the n columns whose sums the
   corners read (the targets' column span, or every column when the
-  partners' corners are read too); the last term writes the sums
-  offset-major, one contiguous plane per offset;
+  partners' corners are read too);
 * the overlap flags are summed as bytes, in the smallest unsigned type
-  that holds 2p+1, which is exact since a column sum is at most 2p+1;
-* each field's 2p+1 rows of column sums at the targets are read with one
-  gather of positions made once per build, and at the partners' corners
-  with one gather of positions made per chunk from rows made per offset row.
+  that holds 2p+1, which is exact since a column sum is at most 2p+1, and
+  their box sums in the smallest that holds (2p+1)^2;
+* each field's 2p+1 rows of column sums are read straight from the sums:
+  at the targets with one (2p+1, T) table of flat positions, made once per
+  build and shared by the workers, through a window view of the sums
+  whose rows step by one offset slot, so one gather reads the rows of
+  every offset of a chunk; at the partners' corners with flat positions
+  made per chunk from rows made per offset row.
 
 The rows are then added one by one from the top, so each window is
 summed term by term, 2p+1 columns then 2p+1 rows, and its rounding is
@@ -74,7 +79,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
-from .errors import GraphBuildError
+from .errors import DimensionMismatch, GraphBuildError
 from .image import Mask, MvImage, check_mask_shape, one_vertex_id, vertex_ids
 
 
@@ -123,22 +128,22 @@ class NonlocalGraph:
     def from_adjacency(cls, vertex_count: int, adjacency):
         """Graph from {u: (ids, weights)}, neighbor lists in any order.
 
-        Vertices with an empty list are not targets.  Raises GraphBuildError
-        naming the first vertex whose list has mismatched lengths,
-        out-of-range or repeated ids.
+        Vertices with an empty list are not targets.  Each u and each list
+        of ids goes through the vertex-id rule, and DimensionMismatch names
+        the first vertex whose ids repeat or whose lists differ in length.
         """
+        adjacency = {one_vertex_id(u, vertex_count, "u"): lists
+                     for u, lists in adjacency.items()}
         items = []
         for u, (ids, w) in sorted(adjacency.items()):
-            u = int(u)
-            ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+            ids = np.asarray(ids).reshape(-1)
             w = np.asarray(w, dtype=np.float64).reshape(-1)
-            if ids.size == w.size == 0:
-                continue
-            if not (ids.size == w.size and 0 <= u < vertex_count
-                    and 0 <= ids.min() and ids.max() < vertex_count
-                    and np.unique(ids).size == ids.size):
-                raise GraphBuildError(f"vertex {u}: invalid adjacency list", vertex=u)
-            items.append((u, ids, w))
+            if vertex_ids(ids, vertex_count, f"vertex {u}").size != ids.size:
+                raise DimensionMismatch(f"vertex {u}: repeated ids")
+            if ids.size != w.size:
+                raise DimensionMismatch(f"vertex {u}: {ids.size} ids but {w.size} weights")
+            if ids.size:
+                items.append((u, ids.astype(np.int64), w))
         degrees = np.array([ids.size for _, ids, _ in items], dtype=np.int64)
         ids = np.zeros((len(items), degrees.max(initial=0)), dtype=np.int64)
         weights = np.zeros(ids.shape)
@@ -177,20 +182,6 @@ def _periodic_span(coords: np.ndarray, n: int):
     gaps = np.diff(u, append=u[0] + n)
     g = int(np.argmax(gaps))
     return int(u[(g + 1) % u.size]), n - int(gaps[g]) + 1
-
-
-def _periodic_runs(start: int, length: int, n: int):
-    """Slices (at, src, size) that copy the indices start .. start + length - 1 mod n.
-
-    Positions at:at+size of the copy take src:src+size of the source.
-    """
-    runs, at = [], 0
-    while at < length:
-        src = (start + at) % n
-        size = min(n - src, length - at)
-        runs.append((at, src, size))
-        at += size
-    return runs
 
 
 def _add_rows(got: np.ndarray, out: np.ndarray) -> None:
@@ -240,12 +231,13 @@ def build_graph(
     (d, id) per target, with a running count of finite candidates.  The
     chunks are dealt out to up to cfg.resolved_threads() threads, each with
     its own running best and one set of chunk-sized buffers, made once per
-    build and reused for every chunk: the overlap flags and the masked
-    field, which kernel.dist2 writes into, laid out (column, offset, row);
-    the column sums in that layout and, when a chunk holds more than one
-    offset, again offset-major, with the 1-byte counts in the float sums'
-    memory; and the rows gathered from them.  The bests are merged at the
-    end.  So memory stays O(T k) plus one set of chunk buffers per worker.
+    build and reused for every chunk, each an array of its own laid out
+    (column, offset, row): the overlap flags and the masked field, which
+    kernel.dist2 writes into, and their column sums.  Each gather of box
+    rows from the sums makes its own array, (offset, box row, target), and
+    the positions at the targets are one table made per build and read by
+    every worker.  The bests are merged at the end.  So memory stays
+    O(T k) plus one set of chunk buffers per worker.
     A target's candidate ids are distinct, so
     (d, id) orders them totally, and the graph does not depend on the
     thread count, on the chunk size, on the cut or on the pairing.
@@ -281,27 +273,21 @@ def build_graph(
     # span reaches round the grid is cut to one period, so that no pixel pair
     # is evaluated twice: box windows then wrap across the seam, rows modulo
     # the grid (the gather positions) and columns through copies of the
-    # first columns after the last.  The shift region is gathered once,
-    # column-major, one contiguous (cols, rows) plane per coordinate, and the
-    # kernels see it through views whose last axis steps across the planes:
-    # their x[..., l] are planes
+    # first columns after the last.  The shift region is gathered once by
+    # vertex id, column-major, one contiguous (cols, rows) plane per
+    # coordinate, and the kernels see it through views whose last axis steps
+    # across the planes: their x[..., l] are planes
     r0, nr = _periodic_span(t_row, rows)
     c0, nc = _periodic_span(t_col, cols)
     nR, nC = min(nr + 2 * p, rows), min(nc + 2 * p, cols)
-    row_runs = _periodic_runs(r0 - p + A[0], nR + A[-1] - A[0], rows)
-    col_runs = _periodic_runs(c0 - p + B[0], nC + B[-1] - B[0], cols)
-    planes = img.data.transpose(2, 1, 0)
+    region = ((r0 - p + A[0] + np.arange(nR + A[-1] - A[0])) % rows * cols
+              + ((c0 - p + B[0] + np.arange(nC + B[-1] - B[0])) % cols)[:, None])
+    F = np.take(img.flat.T, region, axis=1)
     # the targets count as known in every patch, with their current values
-    known = mask.known.copy()
-    known.reshape(-1)[targets] = True
-    known = known.T
-    F = np.empty((planes.shape[0], nC + B[-1] - B[0], nR + A[-1] - A[0]))
-    KF = np.empty(F.shape[1:], dtype=bool)
-    for i, si, ni in row_runs:
-        for j, sj, nj in col_runs:
-            F[:, j : j + nj, i : i + ni] = planes[:, sj : sj + nj, si : si + ni]
-            KF[j : j + nj, i : i + ni] = known[sj : sj + nj, si : si + ni]
-    del known   # read only here: the chunk merges may reuse its memory
+    known = mask.known_flat.copy()
+    known[targets] = True
+    KF = known[region]
+    del known, region   # read only here: the chunk merges may reuse their memory
     Fw = np.moveaxis(sliding_window_view(F, (nC, nR), axis=(1, 2)), 0, -1)
     Kw = sliding_window_view(KF, (nC, nR))
     X, KX = Fw[-B[0], -A[0], :, None], Kw[-B[0], -A[0], :, None]
@@ -324,10 +310,6 @@ def build_graph(
     ncn = nC if paired else nc
     wC = ncn + box - 1
     wrap = np.arange(nC, wC)
-    # a field's box rows at the target corners: row k of target t's window
-    # is region row (tr + k) mod nR, so at[k, t] is its position in an
-    # offset's (ncn, nR) plane of column sums
-    at = tc * nR + (tr + np.arange(box)[:, None]) % nR
     ib = np.arange(B.size)
     if paired:
         spans = [(ia, B.size if ia < pa[ia] else int((ib <= pb).sum()))
@@ -337,6 +319,11 @@ def build_graph(
 
     k = int(cfg.k)
     step = max(1, _CHUNK_PAIRS // (nR * nC))    # offsets per chunk
+    width = min(step, B.size)                   # offset slots of a chunk buffer
+    # a field's box rows at the target corners: row k of target t's window
+    # is region row (tr + k) mod nR, so at[k, t] + o nR is its flat position
+    # in the (ncn, width, nR) column sums of the chunk's offset o
+    at = tc * (width * nR) + (tr + np.arange(box)[:, None]) % nR
     # chunk (ia, jb, je, mir): the fields of the offsets (ia, jb:je), and
     # mir, the positions among them whose partner is another offset
     chunks = []
@@ -353,32 +340,22 @@ def build_graph(
     def work(part):
         """Running best (d, ids) and finite-candidate count over chunks `part`."""
         # one set of chunk buffers, reused by every chunk: the overlap flags
-        # k_s and the masked field g_s, laid out (column, offset, row), so
-        # that a column of every offset of the chunk is one contiguous slab;
-        # their column sums h over the first ncn columns, in the same layout;
-        # hr, the same sums offset-major, (offset, column, row), so that each
-        # offset's sums are one contiguous plane; and the gathered box rows.
-        # With one offset per chunk the two layouts are one, and hr is h.
-        # The column sums of k_s are at most box, so they are exact in the
-        # smallest unsigned type that holds box, and they share h's and hr's
-        # memory, as a chunk reads its float sums before it makes its counts.
-        # The gathered rows share g's memory where they fit there, as g is
-        # read only by its column sums.  A chunk of fewer offsets than width
+        # k_s and the masked field g_s, and their column sums over the first
+        # ncn columns, all laid out (column, offset, row), so that a column
+        # of every offset of the chunk is one contiguous slab.  The column
+        # sums of k_s are at most box, so they are exact in the smallest
+        # unsigned type that holds box.  A chunk of fewer offsets than width
         # leaves the last slots of each column with an earlier chunk's
         # fields, or with the zeros the buffers start with: their sums are
         # made but never read
-        width = min(step, B.size)
-        plane = ncn * nR
         both = np.zeros((wC, width, nR), dtype=bool)
         g = np.zeros((wC, width, nR))
-        h = np.empty(width * plane)
-        hr = h if width == 1 else np.empty(h.size)
-        hk, hrk = (a.view(np.min_scalar_type(box))[: a.size] for a in (h, hr))
-        rows_size = width * box * targets.size
-        got = (g.reshape(-1) if rows_size <= g.size else np.empty(rows_size))
-        got = got[:rows_size].reshape(width, box, targets.size)
-        got_k = got.reshape(-1).view(hk.dtype)[: got.size].reshape(got.shape)
-        mir_buf = np.empty(got.shape if paired else 0, dtype=np.int64)
+        h = np.empty((ncn, width, nR))
+        hk = np.empty(h.shape, dtype=np.min_scalar_type(box))
+        # h_at[o, q] reads flat position q + o nR of h, and hk_at that of hk,
+        # so h_at[:c, at] gathers the box rows of a chunk's c offsets at once
+        h_at, hk_at = (sliding_window_view(a.reshape(-1), a.size - (width - 1) * nR)[::nR]
+                       for a in (h, hk))
         mir_ia = None
         best_d = np.empty((targets.size, 0))
         best_ids = np.empty((targets.size, 0), dtype=np.int64)
@@ -390,7 +367,9 @@ def build_graph(
             ob = np.concatenate([np.concatenate([ib[jb:je], pb[jb + mir]])
                                  for _, jb, je, mir in block])
             ssum = np.empty((oa.size, targets.size))
-            cnt = np.empty((oa.size, targets.size), dtype=np.int64)
+            # an overlap count is at most box * box, so it is exact in the
+            # smallest unsigned type that holds box * box
+            cnt = np.empty((oa.size, targets.size), dtype=np.min_scalar_type(box * box))
             lo = 0
             for ia, jb, je, mir in block:
                 c = je - jb
@@ -399,39 +378,29 @@ def build_graph(
                 g[:nC, :c] *= both[:nC, :c]
                 if mir.size:
                     # the partners' corners: t - s modulo the grid, as flat
-                    # positions (mirrored field, box row, target) in hr,
-                    # whose rows a worker makes once per offset row ia
+                    # positions (mirrored field, box row, target) in the
+                    # column sums, whose rows a worker makes once per offset
+                    # row ia
                     if ia != mir_ia:
                         mir_ia = ia
                         mir_rows = (np.arange(box)[:, None] - A[ia] + tr) % rows
-                    mir_at = mir_buf[: mir.size]
-                    np.add(mir_rows, ((tc - B[jb + mir, None]) % cols * nR
-                                      + mir[:, None] * plane)[:, None], out=mir_at)
-                for field, sums, by_offset, got_s, out in (
-                        (g, h, hr, got, ssum),
-                        (both.view(np.uint8), hk, hrk, got_k, cnt)):
+                    mir_at = mir_rows + ((tc - B[jb + mir, None]) % cols * (width * nR)
+                                         + mir[:, None] * nR)[:, None]
+                for field, sums, sums_at, out in ((g, h, h_at, ssum),
+                                                  (both.view(np.uint8), hk, hk_at, cnt)):
                     # the wrap columns, one slab per period of nC columns
                     if wrap.size:
                         np.take(field[:nC], wrap, axis=0, out=field[nC:], mode="wrap")
                     # column j of the sums is field columns j, j + 1, ...,
                     # j + box - 1 added in that order, each term one
-                    # contiguous pass over ncn whole columns; the last term
-                    # writes them offset-major
-                    acc = sums.reshape(ncn, width, nR)
-                    last = (acc if width == 1
-                            else by_offset.reshape(width, ncn, nR).swapaxes(0, 1))
-                    for j in range(box):
-                        dst = last if j == box - 1 else acc
-                        if j:
-                            np.add(acc, field[j : j + ncn], out=dst)
-                        else:
-                            np.copyto(dst, field[:ncn])
-                    np.take(by_offset[: c * plane].reshape(c, plane), at, axis=1,
-                            out=got_s[:c], mode="clip")
-                    _add_rows(got_s[:c], out[lo : lo + c])
+                    # contiguous pass over ncn whole columns
+                    np.copyto(sums, field[:ncn])
+                    for j in range(1, box):
+                        sums += field[j : j + ncn]
+                    _add_rows(sums_at[:c, at], out[lo : lo + c])
                     if mir.size:
-                        np.take(by_offset, mir_at, out=got_s[: mir.size], mode="clip")
-                        _add_rows(got_s[: mir.size], out[lo + c : lo + c + mir.size])
+                        _add_rows(np.take(sums, mir_at, mode="clip"),
+                                  out[lo + c : lo + c + mir.size])
                 lo += c + mir.size
             ids = cand_row[:, oa] * cols + cand_col[:, ob]
             valid = eligible[ids] & (ids != targets[:, None])

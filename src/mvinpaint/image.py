@@ -48,9 +48,6 @@ class MvImage:
         """(vertex_count, point_len) view sharing memory with data."""
         return self.data.reshape(self.vertex_count, self.descriptor.point_len)
 
-    def vertex_id(self, i: int, j: int) -> int:
-        return int(i) * self.cols + int(j)
-
     def pixel_of(self, u: int):
         return divmod(one_vertex_id(u, self.vertex_count, "u"), self.cols)
 

@@ -38,7 +38,7 @@ from collections import namedtuple
 import numpy as np
 
 from .config import SolverConfig, check
-from .errors import CutLocusError, SolverError
+from .errors import CutLocusError, DimensionMismatch, SolverError
 from .graph import NonlocalGraph
 from .image import Mask, MvImage, check_mask_shape, one_vertex_id, vertex_ids
 from .manifolds import ZERO_TANGENT_TOL, Tangent
@@ -70,10 +70,13 @@ def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> flo
     an independent cross-check of the manifold operator in the real case.
     """
     u = one_vertex_id(u, graph.vertex_count, "u")
+    f = np.asarray(f, dtype=np.float64).reshape(-1)
+    if f.size != graph.vertex_count:
+        raise DimensionMismatch(
+            f"f has {f.size} entries, expected one per vertex ({graph.vertex_count})")
     ids, w = graph.neighbors(u)
     if len(ids) == 0:
         raise SolverError(f"vertex {u} has no neighbors", vertex=u)
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
     d = np.sqrt(np.asarray(w, dtype=np.float64)) * (f[ids] - f[u])
     up = np.abs(np.maximum(d, 0.0)).max()
     down = np.abs(np.minimum(d, 0.0)).max()

@@ -72,7 +72,7 @@ def test_repeated_eigenvalue():
 def test_rejects_asymmetric():
     a = np.eye(3)
     a[0, 2] = 1e-6
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="asymmetry"):
         sym_eig_batch(a)
 
 

@@ -138,11 +138,11 @@ class TestNonlocalGraph:
     @pytest.mark.parametrize(
         "edges",
         [{0: ([1, 2], [1.0])}, {0: ([1, 4], [1.0, 1.0])}, {0: ([1, 1], [1.0, 1.0])},
-         {4: ([1], [1.0])}],
-        ids=["lengths", "id-range", "repeated-id", "vertex-range"],
+         {4: ([1], [1.0])}, {0: ([2.9, 1.2], [1.0, 1.0])}],
+        ids=["lengths", "id-range", "repeated-id", "vertex-range", "float-id"],
     )
     def test_from_adjacency_rejects_bad_lists(self, edges):
-        with pytest.raises(GraphBuildError):
+        with pytest.raises(DimensionMismatch):
             mv.NonlocalGraph.from_adjacency(4, edges)
 
     def test_empty_graph(self):

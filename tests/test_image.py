@@ -15,10 +15,10 @@ E2 = mv.ManifoldDescriptor.euclidean(2)
 def test_shape_and_ids():
     img = mv.MvImage(E2, np.zeros((3, 4, 2)))
     assert img.rows == 3 and img.cols == 4 and img.vertex_count == 12
-    assert img.vertex_id(1, 2) == 6
     assert img.pixel_of(6) == (1, 2)
     for u in range(12):
-        assert img.vertex_id(*img.pixel_of(u)) == u
+        i, j = img.pixel_of(u)
+        assert i * img.cols + j == u
 
 
 def test_flat_shares_memory():

@@ -49,6 +49,12 @@ class TestRealOperator:
         # sqrt(4)*1 forward, sqrt(1)*1 backward
         assert mv.real_graph_inf_laplacian(g, img.flat[:, 0], 0) == 1.0
 
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_f_needs_one_entry_per_vertex(self, size):
+        g, _ = star_graph([1.0, 0.0, 2.0], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch, match=f"f has {size} entries"):
+            mv.real_graph_inf_laplacian(g, np.zeros(size), 0)
+
     def test_vertex_without_neighbors_raises(self):
         g = make_graph(3, {0: ([1], [1.0])})
         with pytest.raises(SolverError, match="vertex 2 has no neighbors") as exc:
