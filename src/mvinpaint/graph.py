@@ -72,7 +72,6 @@ against the direct per-pair definition of the patch distance.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,6 +422,7 @@ def build_graph(
         return best_d, best_ids, nfin
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by one thread
         with ThreadPoolExecutor(max_workers=workers) as pool:
             bests = list(pool.map(work, [chunks[w::workers] for w in range(workers)]))
     else:

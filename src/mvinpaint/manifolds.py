@@ -17,10 +17,10 @@ the manifold descriptor:
       <A, B>_X = trace(X^-1 A X^-1 B)
 
   For n = 2 each map reads a point once into its entries (a, b, c), runs
-  closed-form square roots, congruences and matrix log/exp on these triples
-  with no eigensolver, and writes once; its point validation is closed-form
-  too, plus a test that distances to itself and to I are finite.  For n >= 3
-  maps and validation use LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``).
+  closed-form square roots, congruences, matrix log/exp and distances on
+  these triples with no eigensolver, and writes once; its point validation
+  is closed-form too, plus a finite distance to I.  For n >= 3 maps and
+  validation use LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``).
 
 Kernels work in "ortho" coordinates: an isometric identification of the
 tangent space at x with R^d in which the metric is the standard dot product
@@ -30,17 +30,17 @@ V -> X^(-1/2) V X^(-1/2) for spd; Pennec, Fillard and Ayache, IJCV 66,
 ``exp_ortho``, ``_dist2`` (squared distances written into a given array)
 and point validation, plus the two coordinate maps for spd.  ``exp``,
 ``log``, ``inner``, ``dist2`` and ``dist`` are derived from these once, in
-the shared base class; circle and sphere2 keep their own ``dist``, the
-exact angle.  The batched solver calls the ortho maps directly, so norms
-and inner products are plain einsums.  The sphere2 angle and the euclidean
-distance sum their squares with ufuncs in an order they write out, so that
-their bits do not depend on how einsum lays out its sums for a given shape,
+the shared base class: ``dist`` is the root of ``dist2`` on every kernel.
+The batched solver calls the ortho maps directly, so norms and inner
+products are plain einsums.  The sphere2 angle and the euclidean distance
+sum their squares with ufuncs in an order they write out, so that their
+bits do not depend on how einsum lays out its sums for a given shape,
 memory layout or numpy version.
 
 Numerical conventions: tangent norms below 1e-15 short-circuit to exact
-zeros, the log of a point at itself is exactly zero, and log maps raise
-:class:`CutLocusError` within 1e-10 of the cut locus.  Distances have
-closed forms everywhere and never raise.
+zeros, the log and ``dist2`` of a point at itself are exactly zero, and
+log maps raise :class:`CutLocusError` within 1e-10 of the cut locus.
+Distances have closed forms everywhere and never raise.
 """
 
 from __future__ import annotations
@@ -183,11 +183,11 @@ class _Kernel:
     entries); a kernel whose ortho coordinates are not its tangent vectors
     also overrides ``tangent_from_ortho`` and ``ortho_from_tangent``.  In
     ortho coordinates the metric is the dot product, so ``exp``, ``log``,
-    ``inner`` and ``dist`` follow here once for every kernel.
+    ``inner`` and ``dist``, the root of ``dist2``, follow here once.
 
     ``symmetric_dist2`` is true when ``dist2(x, y)`` has the bits of
     ``dist2(y, x)`` for every pair, which lets the graph build serve the
-    window offsets s and -s from one field.
+    window offsets s and -s from one field: every kernel but spd(n >= 3).
     """
 
     symmetric_dist2 = False
@@ -279,6 +279,8 @@ class _EuclideanKernel(_Kernel):
 
 
 class _CircleKernel(_Kernel):
+    symmetric_dist2 = True      # fmod(x - y) is exactly -fmod(y - x)
+
     def exp_ortho(self, x, v):
         return wrap_angle(x + v)
 
@@ -294,11 +296,10 @@ class _CircleKernel(_Kernel):
             )
         return d
 
-    def dist(self, x, y):
-        return np.abs(wrap_angle(y - x))[..., 0]
-
     def _dist2(self, x, y, out):
-        d = wrap_angle(y - x)[..., 0]
+        # the shorter arc; fmod is exact, with no cancellation for y < x
+        r = np.abs(np.fmod(np.subtract(y, x)[..., 0], 2.0 * np.pi))
+        d = np.minimum(r, 2.0 * np.pi - r)
         np.multiply(d, d, out=out)
 
     def _check_values(self, pts):
@@ -364,9 +365,6 @@ class _Sphere2Kernel(_Kernel):
         denom = np.where(small, 1.0, np.sin(theta))
         v = (y - c[..., None] * x) * (theta / denom)[..., None]
         return np.where(small[..., None], 0.0, v)
-
-    def dist(self, x, y):
-        return self._angle(x, y, self._pairs(x, y))[()]
 
     def _dist2(self, x, y, out):
         d = self._angle(x, y, out)
@@ -441,14 +439,19 @@ class _SpdKernel(_Kernel):
         """W with the identity in place where same."""
         return np.where(same[..., None, None], np.eye(self.n), W)
 
-    def log_ortho(self, x, y):
-        # log_x(x) = 0 exactly, so that equal neighbors tie exactly in the
-        # extremal-pair search instead of by rounding: where y is x, the
-        # whitened W is the identity, not the rounded congruence, which
-        # near the singular boundary need not even be positive definite
+    def _whiten(self, x, y):
+        """X^(-1/2) Y X^(-1/2), and exactly the identity where y is x.
+
+        So log_x(x) and dist2(x, x) are exactly 0, and equal neighbors tie
+        exactly in the extremal-pair search instead of by rounding; near the
+        singular boundary the rounded congruence need not even be positive
+        definite.
+        """
         W = self._congruence(self._root(self._read(x), inverse=True), self._read(y))
-        same = (np.asarray(x) == np.asarray(y)).all(axis=-1)
-        return self._write(self._apply(self._eye_where(same, W), np.log))
+        return self._eye_where((np.asarray(x) == np.asarray(y)).all(axis=-1), W)
+
+    def log_ortho(self, x, y):
+        return self._write(self._apply(self._whiten(x, y), np.log))
 
     def exp_ortho(self, x, w):
         Xh = self._root(self._read(x))
@@ -463,8 +466,7 @@ class _SpdKernel(_Kernel):
         return self._write(self._congruence(Xmh, self._read(v)))
 
     def _dist2(self, x, y, out):
-        Xmh = self._root(self._read(x), inverse=True)
-        lam, _ = self._eig(self._congruence(Xmh, self._read(y)))
+        lam, _ = self._eig(self._whiten(x, y))
         if lam[..., 0].min(initial=np.inf) <= 0.0:
             raise NotPositiveDefinite("distance target is not positive definite")
         ln = np.log(lam)
@@ -511,9 +513,12 @@ class _Spd2Kernel(_SpdKernel):
     m = (a + c) / 2 and r = hypot((a - c) / 2, b), and W - m I has the
     eigenvalues +-r, so f(W) = f0 I + f1 (W - m I) with f0 the mean of
     f(m + r) and f(m - r) and f1 their divided difference.  Square roots
-    and congruences are closed forms too; see Pennec, Fillard and Ayache,
+    and congruences are closed forms too, and so is the distance, from
+    invariants symmetric in its two points; see Pennec, Fillard and Ayache,
     "A Riemannian framework for tensor computing", IJCV 66 (2006).
     """
+
+    symmetric_dist2 = True
 
     @staticmethod
     def _read(buf):
@@ -537,13 +542,11 @@ class _Spd2Kernel(_SpdKernel):
         bad = super()._check_values(pts)
         if bad is not None:
             return bad
-        # _dist2 divides by the base's squared determinant and squares
-        # ratios to it, so near-singular points give NaN or inf distances
-        # (1e-160 I does) long before they stop being positive definite:
-        # a point must have finite distances to itself and to I, both ways
-        eye = np.array([1.0, 0.0, 0.0, 1.0])
+        # 2 det overflows for some positive definite points (1e154 I), so
+        # their distances are not finite: a valid point has a finite one to
+        # I, hence from I, and 0 to itself
         with np.errstate(all="ignore"):
-            d2 = self.dist2(pts, pts) + self.dist2(pts, eye) + self.dist2(eye, pts)
+            d2 = self.dist2(pts, np.array([1.0, 0.0, 0.0, 1.0]))
         bad = ~np.isfinite(d2)
         if bad.any():
             return int(np.argwhere(bad)[0][0]), "distance not finite"
@@ -598,14 +601,15 @@ class _Spd2Kernel(_SpdKernel):
         return f0 + fh, f1 * b, f0 - fh
 
     def _dist2(self, x, y, out):
-        # eigenvalues of X^-1 Y solve l^2 - tr(X^-1 Y) l + det(Y)/det(X) = 0.
-        # The terms of y's shape are formed in place, in out and four
-        # scratch fields of one block, by the operations of
-        #   q = (y01 + y10) / 2,  det = (p s - q q) / det_x,
-        #   tr = (c p - 2 b q + a s) / det_x,  diff = (c p - a s) / det_x,
-        #   cross = (c q - b s) (a q - b p) / det_x^2,
-        #   lam1 = (tr + sqrt(max(diff^2 + 4 cross, 0))) / 2,  lam2 = det / lam1,
-        # so the bits are those of these formulas
+        # X = (a, b, c) and Y = (p, q, s): X^-1 Y has the eigenvalues
+        # (T +- sqrt(D)) / (2 det X), with product det Y / det X, for
+        #   T = t1 + t2,  t1 = a s - b q,  t2 = c p - b q,
+        #   D = u^2 + 4 v w,  u = t2 - t1,  v = c q - b s,  w = a q - b p,
+        # a discriminant that does not cancel as the eigenvalues meet, so
+        #   log lam1 = L - log(2 det X),  log lam2 = log(2 det Y) - L
+        # with L = log(T + sqrt(D)).  Swapping x and y swaps t1 and t2 and
+        # negates u, v and w; for y == x, T = 2 det X and u = v = w = 0.
+        # The terms of y's shape are formed in place, in out and four scratch fields
         a, b, c = self._read(x)
         y = np.asarray(y)
         p, s = y[..., 0], y[..., 3]
@@ -615,68 +619,51 @@ class _Spd2Kernel(_SpdKernel):
         np.add(y[..., 1], y[..., 2], out=q)
         q *= 0.5
         np.multiply(p, s, out=s1)
-        s1 -= np.multiply(q, q, out=s2)                        # s1: det_y
+        s1 -= np.multiply(q, q, out=s2)                        # s1: det Y
         if (a <= 0).any() or (det_x <= 0).any():
             raise NotPositiveDefinite("distance base is not positive definite")
         if (p <= 0).any() or (s1 <= 0).any():
             raise NotPositiveDefinite("distance target is not positive definite")
-        s1 /= det_x                                            # s1: det
-        # discriminant as (m00 - m11)^2 + 4 m01 m10 of X^-1 Y; the tr^2 - 4 det
-        # form cancels catastrophically when the eigenvalues coincide.  y == x
-        # gives a discriminant of exactly 0 and det of exactly 1 here, but
-        # tr / 2 can round off 1, so dist2(x, x) is not always 0: on about a
-        # fifth of random points it is a rounding residue of up to ~1e-31
         np.multiply(c, q, out=s2)
-        s2 -= np.multiply(b, s, out=s3)
+        s2 -= np.multiply(b, s, out=s3)                        # s2: v
         np.multiply(a, q, out=s3)
-        s3 -= np.multiply(b, p, out=out)
+        s3 -= np.multiply(b, p, out=out)                       # s3: w
         s2 *= s3
-        s2 /= det_x * det_x                                    # s2: cross
-        np.multiply(2.0 * b, q, out=s3)
-        np.multiply(c, p, out=q)                               # q: c p
-        np.multiply(a, s, out=out)                             # out: a s
-        np.subtract(q, s3, out=s3)
-        s3 += out
-        s3 /= det_x                                            # s3: tr
-        q -= out
-        q /= det_x                                             # q: diff
-        with np.errstate(over="ignore", divide="ignore"):      # recomputed below
-            q *= q
+        np.multiply(b, q, out=s3)                              # s3: b q
+        np.multiply(c, p, out=q)
+        q -= s3                                                # q: t2
+        np.multiply(a, s, out=out)
+        out -= s3                                              # out: t1
+        np.subtract(q, out, out=s3)                            # s3: u
+        q += out                                               # q: T
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             s2 *= 4.0
-            q += s2
-            np.sqrt(np.maximum(q, 0.0, out=q), out=q)          # q: sqrt(disc)
-            s3 += q
-            s3 *= 0.5                                          # s3: lam1
-            s1 /= s3                                           # s1: lam2
-            np.log(s3, out=s3)
+            s2 += np.multiply(s3, s3, out=s3)                  # s2: D
+            np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2)
+            np.log(np.add(q, s2, out=q), out=q)                # q: L
+            # D overflows for some valid pairs (diag(1e80, 1e-80) against
+            # diag(1e-80, 1e80)): those entries alone are recomputed, scaled
+            if not np.max(q, initial=0.0) < np.inf:
+                over = ~(q < np.inf)
+                xs, ys = (np.broadcast_to(v, out.shape + (4,))[over] for v in (x, y))
+                q[over] = self._log_root_scaled(*self._read(xs), *self._read(ys))
+            s1 *= 2.0
             np.log(s1, out=s1)
-        np.multiply(s3, s3, out=out)
+            np.subtract(q, np.log(2.0 * det_x), out=out)       # out: log lam1
+        s1 -= q                                                # s1: log lam2
+        out *= out
         s1 *= s1
         out += s1
-        # diff^2 can overflow where lam1 itself is finite (x = diag(1e-80, 1),
-        # y = diag(1e80, 1)): those entries alone are recomputed, scaled
-        if np.fmax.reduce(q, axis=None, initial=0.0) == np.inf:
-            over = np.isinf(q)
-            pick = [np.broadcast_to(v, out.shape)[over]
-                    for v in self._read(x) + self._read(y)]
-            out[over] = self._dist2_scaled(*pick)
 
     @staticmethod
-    def _dist2_scaled(a, b, c, p, q, s):
-        """dist2 from X^-1 Y divided by kappa, its largest entry in magnitude.
-
-        The eigenvalues of the scaled matrix are at most 2, so its
-        discriminant cannot overflow; log kappa restores lam1, and lam2
-        comes from the determinants' logs.
-        """
-        det_x = a * c - b * b
-        m = np.stack([c * p - b * q, c * q - b * s, a * q - b * p, a * s - b * q]) / det_x
+    def _log_root_scaled(a, b, c, p, q, s):
+        """_dist2's L: log kappa plus L of its terms over kappa, the largest of them."""
+        bq = b * q
+        t1, t2 = a * s - bq, c * p - bq
+        m = np.stack([t1, t2, t2 - t1, c * q - b * s, a * q - b * p])
         kappa = np.abs(m).max(axis=0)
-        n00, n01, n10, n11 = m / kappa
-        lam1 = 0.5 * (n00 + n11 + np.sqrt(np.maximum((n00 - n11) ** 2 + 4.0 * n01 * n10, 0.0)))
-        l1 = np.log(kappa) + np.log(lam1)
-        l2 = np.log(p * s - q * q) - np.log(det_x) - l1
-        return l1 * l1 + l2 * l2
+        t1, t2, u, v, w = m / kappa
+        return np.log(kappa) + np.log(t1 + t2 + np.sqrt(np.maximum(u * u + v * w * 4.0, 0.0)))
 
 
 @functools.cache

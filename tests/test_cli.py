@@ -494,3 +494,13 @@ def test_console_script(tmp_path):
     assert done.returncode == 0
     assert out.exists()
     assert json.loads(done.stderr.splitlines()[-1])["status"] == "ok"
+
+
+def test_cli_import_does_not_load_the_thread_pool():
+    # only a graph build of two or more workers takes a thread pool, so a
+    # one-thread run never imports concurrent.futures, nor the logging,
+    # queue and traceback modules it pulls in
+    env = dict(os.environ, PYTHONPATH=str(Path(mvinpaint.__file__).resolve().parents[1]))
+    code = "import sys, mvinpaint.cli; sys.exit('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "mvinpaint.cli loaded concurrent.futures"

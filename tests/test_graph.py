@@ -12,6 +12,7 @@ from conftest import extract_patch, patch_distance, random_image
 
 E1 = mv.ManifoldDescriptor.euclidean(1)
 E2 = mv.ManifoldDescriptor.euclidean(2)
+S1 = mv.ManifoldDescriptor.circle()
 S2 = mv.ManifoldDescriptor.sphere2()
 SPD2 = mv.ManifoldDescriptor.spd(2)
 
@@ -412,6 +413,11 @@ class TestBuildGraph:
             # 9 x 9 patches: windows of more than 8 rows, which numpy's
             # pairwise sum would add in another order than one by one
             pytest.param(S2, 14, 13, (6, 4, 3), id="sphere2-9x9-patches"),
+            # every closed-form kernel pairs its offsets
+            pytest.param(S1, 9, 12, (5, 1, 3), id="circle-odd-even"),
+            pytest.param(S1, 6, 8, (6, 1, 5), id="circle-window-wider-than-grid"),
+            pytest.param(SPD2, 9, 11, (5, 1, 3), id="spd2-odd"),
+            pytest.param(SPD2, 14, 13, (6, 4, 3), id="spd2-9x9-patches"),
         ],
     )
     @pytest.mark.parametrize("chunks, threads", [("default", 1), ("one-offset", 1),

@@ -596,8 +596,9 @@ class TestSpd2ClosedForm:
         # near-singular points on both sides of positive definite: entries
         # from 1e-170 to 1e5, |b| within a relative 1e-17..1 of sqrt(a c),
         # a tenth with a < 0, and a I from 1e-200 to 1e-77, where det
-        # underflows to 0 below about 1e-162 and det^2, which dist2 divides
-        # by, below about 1.5e-81
+        # underflows to 0 below about 1e-162 and is subnormal below about
+        # 1e-154; and 1e154 I, whose 2 det, the log of which dist2 takes,
+        # overflows
         k = P2.kernel
         rng = np.random.default_rng(63)
         n = 2000
@@ -606,7 +607,7 @@ class TestSpd2ClosedForm:
         b = rng.choice([-1.0, 1.0], n) * np.sqrt(a * c) * (1.0 - gap)
         a[rng.random(n) < 0.1] *= -1.0
         scaled = 10.0 ** np.array([-200.0, -163.0, -162.0, -161.0, -160.0, -155.0,
-                                   -100.0, -81.0, -80.0, -77.0])
+                                   -100.0, -81.0, -80.0, -77.0, 154.0])
         pts = np.concatenate([np.stack([a, b, b, c], axis=1),
                               scaled[:, None] * spd_buf([1.0, 0.0], [0.0, 1.0])])
         eye, zero = spd_buf([1.0, 0.0], [0.0, 1.0]), np.zeros(4)
@@ -639,16 +640,16 @@ class TestSpd2ClosedForm:
                 assert not all(accepted(fn, *args) for fn, args in calls[:3])
             if valid[-1]:
                 assert not k.log_ortho(x, x).any()
-        assert reasons[-10:] == ["not positive definite"] * 3 + [
-            "distance not finite"] * 5 + [None] * 2
-        # about a fifth valid, and a fifth positive definite but with a
-        # distance that overflows or divides by an underflowed det^2
+        assert reasons[-11:] == ["not positive definite"] * 3 + [None] * 7 + [
+            "distance not finite"]
+        # dist2 divides by no determinant, so every positive definite point
+        # of the sample has finite distances, subnormal determinants too
         assert 0.15 < np.mean(valid) < 0.7
-        assert np.mean([r == "distance not finite" for r in reasons]) > 0.15
-        # determinants that underflow to 0, and valid ones whose square is subnormal
+        assert "distance not finite" not in reasons[:n]
+        # determinants that underflow to 0, and valid subnormal ones
         det = a * c - b * b
         assert ((a > 0.0) & (a * c == 0.0)).any()
-        assert (np.array(valid[:n]) & (det * det < np.finfo(np.float64).tiny)).any()
+        assert (np.array(valid[:n]) & (det < np.finfo(np.float64).tiny)).any()
 
 
 @pytest.mark.parametrize("desc", [P2, P3], ids=lambda d: d.label())
@@ -772,6 +773,34 @@ def test_symmetric_dist2_says_whether_dist2_is_bitwise_symmetric(desc):
     assert type(k).symmetric_dist2 is all(same.values()), same
 
 
+@pytest.mark.parametrize("desc", [E1, E3, S1, S2, P2, P3], ids=lambda d: d.label())
+def test_dist2_of_a_point_to_itself_is_exactly_zero(desc):
+    # a geodesic distance is 0 from a point to itself, in the kernels' bits too
+    rng = np.random.default_rng(65)
+    k = desc.kernel
+    field = mv.random_point(desc, rng, size=(6, 7))
+    stack = np.stack([field, k.exp_ortho(field, k.random_ortho(rng, field, 1e-9))])
+    assert not k.dist2(field, field.copy()).any()
+    assert not k.dist2(field[0, 0], field[0, 0].copy()).any()
+    # a field against a stack that holds it, as the graph build passes them
+    assert not k.dist2(field, stack)[0].any()
+    out = np.full((2, 6, 7), np.nan)
+    assert not k.dist2(stack, field, out)[0].any()
+
+
+@pytest.mark.parametrize("desc", [E1, E3, S1, S2, P2, P3], ids=lambda d: d.label())
+def test_dist_is_the_root_of_dist2(desc):
+    # dist2 is every kernel's one distance: dist is the base class's root of it
+    assert type(desc.kernel).dist is manifolds._Kernel.dist
+    rng = np.random.default_rng(66)
+    k = desc.kernel
+    x = mv.random_point(desc, rng, size=(500,))
+    near = k.exp_ortho(x, k.random_ortho(rng, x, 1e-9))
+    for y in (mv.random_point(desc, rng, size=(500,)), near, x.copy()):
+        assert k.dist(x, y).tobytes() == np.sqrt(k.dist2(x, y)).tobytes()
+    assert k.dist(x[0], near[0]) == np.sqrt(k.dist2(x[0], near[0]))
+
+
 @pytest.mark.parametrize("desc", [E1, mv.ManifoldDescriptor.euclidean(2), E3,
                                   mv.ManifoldDescriptor.euclidean(5),
                                   mv.ManifoldDescriptor.euclidean(8), S1, S2, P2, P3],
@@ -795,23 +824,29 @@ def test_dist2_on_planar_fields_keeps_the_bits(desc):
 
 
 def test_spd2_dist2_does_not_overflow_on_valid_points():
-    # diff^2 of X^-1 Y overflows for these valid points in one order only;
-    # the overflowing entries are recomputed, scaled, and the others keep
-    # their bits
+    # valid points far apart: the discriminant D of the crossing pair u, v
+    # overflows, though X^-1 Y = diag(1e160, 1e-160) is finite; the
+    # overflowing entries are recomputed, scaled, and the others keep their
+    # bits.  x, y and z were points that overflowed before the distance was
+    # symmetric, in one order only
     k = P2.kernel
     x, y = spd_buf([1e-80, 0.0], [0.0, 1.0]), spd_buf([1e80, 0.0], [0.0, 1.0])
     z = spd_buf([1e-150, 1e-152], [1e-152, 1.0])
-    assert k.validate_points(np.stack([x, y, z])) is None
-    expected = (160.0 * np.log(10.0)) ** 2     # X^-1 Y = diag(1e160, 1)
-    for a, b in ((x, y), (y, x), (z, y), (y, z)):
+    u, v = spd_buf([1e80, 0.0], [0.0, 1e-80]), spd_buf([1e-80, 0.0], [0.0, 1e80])
+    assert k.validate_points(np.stack([x, y, z, u, v])) is None
+    for a, b in ((x, y), (z, y), (u, v)):
         d = k.dist2(a, b)
         assert np.isfinite(d)
-        assert k.dist2(b, a) == pytest.approx(d, rel=1e-12)
-    assert k.dist2(x, y) == pytest.approx(expected, rel=1e-12)
+        assert k.dist2(b, a) == d
+    ln = 160.0 * np.log(10.0)
+    assert k.dist2(x, y) == pytest.approx(ln**2, rel=1e-12)     # diag(1e160, 1)
+    assert k.dist2(u, v) == pytest.approx(2.0 * ln**2, rel=1e-12)
     rng = np.random.default_rng(64)
     others = mv.random_point(P2, rng, size=(50,))
-    batch = np.concatenate([others, np.stack([x, y, z])])
+    batch = np.concatenate([others, np.stack([x, y, z, u, v])])
     got = k.dist2(batch[:, None], batch[None, :])
     assert np.isfinite(got).all()
     assert got[:50, :50].tobytes() == k.dist2(others[:, None], others[None, :]).tobytes()
     assert got[50, 51] == k.dist2(x, y)
+    assert got[53, 54] == got[54, 53] == k.dist2(u, v)
+    assert not np.diag(got).any()
