@@ -50,8 +50,8 @@ class SolverConfig:
     p:        patch radius; patches are (2p+1) x (2p+1), periodic wrap.
     r:        search window radius; candidates come from a (2r+1) x (2r+1)
               window around the target, periodic wrap.
-    sigma:    weight scale in w = exp(-d^2 / sigma^2); "auto" means the mean
-              of the selected finite patch distances of the image.
+    sigma:    weight scale in w = exp(-(d^2 - d1^2) / sigma^2), d1 the nearest
+              distance; "auto" means the mean selected finite patch distance.
     tau:      Euler step size, 0 < tau <= 1.
     eps:      relative-change stopping threshold.
     max_iter: iteration cap per solve.

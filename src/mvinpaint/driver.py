@@ -34,15 +34,15 @@ class LayerRecord:
     coupled layer (cumulative_active, after the first) takes Euler steps
     instead, and reports 0 for both.  iterations counts the Euler steps (0
     on a decoupled layer); each step moves every active vertex, so the
-    layer's vertex-steps are iterations * active_size.  residual is the
-    last relative change of those steps (0.0 when there is none), and
-    converged says whether residual fell below cfg.eps before max_iter ran
-    out.  lipschitz is the largest sqrt(w_uv) d(f(u), f(v)) over the
-    layer's active vertices u and their neighbors v after the solve, the
-    quantity the 1-centres minimize.  sigma is the weight scale of the
-    layer's graph and min_candidates the smallest number of
-    finite-distance candidates of its targets; graph_s and solve_s are the
-    seconds spent building that graph and solving the layer.
+    layer's vertex-steps are iterations * active_size.  residual is the last
+    relative change of those steps (0.0 when there is none), and converged
+    says whether residual fell below cfg.eps before max_iter ran out.
+    lipschitz is the largest sqrt(w_uv) d(f(u), f(v)) over the layer's
+    active vertices u and their neighbors v after the solve, the quantity
+    the 1-centres minimize, in weights of 1 at each nearest neighbor.  sigma
+    is the weight scale of the layer's graph and min_candidates the smallest
+    number of finite-distance candidates of its targets; graph_s and solve_s
+    are the seconds spent building that graph and solving the layer.
     """
 
     index: int

@@ -3,7 +3,9 @@
 Each target vertex is compared against candidate pixels inside a periodic
 search window through patch distances that only use pixels known in both
 patches, and keeps directed edges to its k most similar candidates with
-weights w = exp(-d^2 / sigma^2).  The targets count as known in every
+weights w = exp(-(d^2 - d1^2) / sigma^2), relative to its nearest one at
+d1, as the solver does not see the scale of a row; a weight that
+underflows to 0 is no edge.  The targets count as known in every
 patch, with their current values, but only known pixels are candidates.
 
 build_graph evaluates these distances with a shift table, the integral-image
@@ -89,7 +91,8 @@ class NonlocalGraph:
     targets (T,) holds the target ids in ascending order.  Row t of ids
     (T, kmax) lists the neighbors of targets[t] by ascending id, and past
     its degrees[t] real slots repeats the row's first slot; weights holds
-    the matching edge weights, padded the same way.  Vertices that are not
+    the matching edge weights, padded the same way; build_graph's lie in
+    (0, 1], 1 at each row's nearest neighbor.  Vertices that are not
     targets have no neighbors.  build_graph also records the weight scale
     sigma and min_candidates, the smallest number of finite-distance
     candidates any target had to choose its neighbors from.
@@ -216,8 +219,10 @@ def build_graph(
     build's own summation order, the smaller vertex id first (offsets s and
     -s of a patch that spans a whole period are equal only in exact
     arithmetic, and rounding separates them).
-    Weights are exp(-d^2 / sigma^2) with sigma either fixed by the config
-    or, for "auto", the mean of all selected finite distances of this image.
+    Weights are exp(-(d^2 - d1^2) / sigma^2) for the target's nearest
+    selected distance d1, with sigma either fixed by the config or, for
+    "auto", the mean of all selected finite distances of this image; the
+    nearest weighs 1, and degrees counts only the positive weights.
 
     The distances come from the shift table of the module docstring: the
     window offsets, one per distinct candidate, are split into fixed chunks
@@ -447,29 +452,20 @@ def build_graph(
             f"vertex {t}: no candidate with a finite patch distance",
             vertex=t,
         )
-    degrees = np.minimum(nfin, k)
-    sel_d = sel_d[:, : int(degrees.max())]
-    sel_ids = sel_ids[:, : int(degrees.max())]
-    real = np.arange(sel_d.shape[1]) < degrees[:, None]
-
     if isinstance(cfg.sigma, str):
-        sigma = float(sel_d[real].mean())
+        sigma = float(sel_d[np.isfinite(sel_d)].mean())
         if sigma <= 0.0:
             sigma = 1.0
     else:
         sigma = float(cfg.sigma)
 
+    # relative to the nearest, d1: in this order a tie with d1 gives exactly
+    # 1 and no entry gives NaN; unselected (inf) and underflowing ones give 0
+    d1 = sel_d[:, :1]
     with np.errstate(over="ignore"):
-        w = np.exp(-((sel_d / sigma) ** 2))
-    under = np.flatnonzero(((w == 0.0) & real).any(axis=1))
-    if under.size:
-        # keeps weights inside (0, 1]; zero weights would poison the solve
-        t = int(targets[under[0]])
-        raise GraphBuildError(
-            f"vertex {t}: weight underflow, sigma {sigma:g} is too small "
-            "for the selected patch distances",
-            vertex=t,
-        )
+        w = np.exp(-((sel_d - d1) / sigma * (sel_d + d1) / sigma))
+    degrees = np.logical_and.accumulate(w > 0.0, axis=1).sum(axis=1)
+    n = int(degrees.max())
     return NonlocalGraph._from_rows(
-        V, targets, sel_ids, w, degrees, sigma, int(nfin.min())
+        V, targets, sel_ids[:, :n], w[:, :n], degrees, sigma, int(nfin.min())
     )

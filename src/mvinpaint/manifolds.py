@@ -628,20 +628,20 @@ class _Spd2Kernel(_SpdKernel):
         s2 -= np.multiply(b, s, out=s3)                        # s2: v
         np.multiply(a, q, out=s3)
         s3 -= np.multiply(b, p, out=out)                       # s3: w
-        s2 *= s3
-        np.multiply(b, q, out=s3)                              # s3: b q
-        np.multiply(c, p, out=q)
-        q -= s3                                                # q: t2
-        np.multiply(a, s, out=out)
-        out -= s3                                              # out: t1
-        np.subtract(q, out, out=s3)                            # s3: u
-        q += out                                               # q: T
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s2 *= s3                                           # s2: v w
+            np.multiply(b, q, out=s3)                          # s3: b q
+            np.multiply(c, p, out=q)
+            q -= s3                                            # q: t2
+            np.multiply(a, s, out=out)
+            out -= s3                                          # out: t1
+            np.subtract(q, out, out=s3)                        # s3: u
+            q += out                                           # q: T
             s2 *= 4.0
             s2 += np.multiply(s3, s3, out=s3)                  # s2: D
             np.sqrt(np.maximum(s2, 0.0, out=s2), out=s2)
             np.log(np.add(q, s2, out=q), out=q)                # q: L
-            # D overflows for some valid pairs (diag(1e80, 1e-80) against
+            # v w and D overflow for some valid pairs (diag(1e80, 1e-80) against
             # diag(1e-80, 1e80)): those entries alone are recomputed, scaled
             if not np.max(q, initial=0.0) < np.inf:
                 over = ~(q < np.inf)

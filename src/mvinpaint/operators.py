@@ -50,11 +50,11 @@ _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
 # the 1-centres of a decoupled layer (_centres).  The support search counts
 # a neighbor as covered within the relative _SLACK, plus ZERO_TANGENT_TOL,
-# the norm below which a tangent is zero, and a dual weight as nonnegative
-# down to -_SLACK.  Its Newton solves stop at a step below _NEWTON_TOL, or
-# below _NEWTON_FLOOR once the step no longer halves, within _NEWTON_ITER
-# steps, and give up on a row whose step has not fallen by a tenth over
-# _NEWTON_LAG steps
+# the norm below which a tangent is zero, times the row's largest root
+# weight, and a dual weight as nonnegative down to -_SLACK.  Its Newton
+# solves stop at a step below _NEWTON_TOL, or below _NEWTON_FLOOR once the
+# step no longer halves, within _NEWTON_ITER steps, and give up on a row
+# whose step has not fallen by a tenth over _NEWTON_LAG steps
 _SLACK = 1e-9
 _NEWTON_TOL = 1e-15
 _NEWTON_FLOOR = 1e-12
@@ -415,11 +415,12 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
     kernel = f0.descriptor.kernel
     nbr_vals = f0.flat[graph.ids[rows]]                      # (A, k, L)
     sqw = np.sqrt(graph.weights[rows])
+    tol = ZERO_TANGENT_TOL * sqw.max(axis=1)
     A, k = sqw.shape
     dim = f0.descriptor.manifold_dim
     # each vertex's basis (its first `size` slots), their dual weights, its
-    # centre c and value r
-    basis = np.zeros((A, min(dim + 1, k)), dtype=np.int64)
+    # centre c and value r; a lone neighbor's pair is its slot twice
+    basis = np.zeros((A, min(dim + 1, max(k, 2))), dtype=np.int64)
     lam = np.zeros(basis.shape)
     lam[:, 0] = 1.0
     size = np.ones(A, dtype=np.int64)
@@ -441,7 +442,7 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
         far = sqw[pend] * kernel.dist(c[pend, None], nbr_vals[pend])
         v = far.argmax(axis=1)
         far = far[np.arange(pend.size), v]
-        done = far <= r[pend] * (1.0 + _SLACK) + ZERO_TANGENT_TOL
+        done = far <= r[pend] * (1.0 + _SLACK) + tol[pend]
         supports[pend[done]] = size[pend[done]]
         lipschitz = far[done].max(initial=lipschitz)
         pend, v = pend[~done], v[~done]
@@ -541,7 +542,7 @@ def _trials(kernel, nbr_vals, sqw, rows, T, start):
         kept, (z,) = _without_cut_locus(zeros, np.arange(n))
         at_zeros = (wT[kept, None] * kernel.dist(z[:, :, None], fT[kept, None])).max(axis=2)
         bound[kept] = np.minimum(bound[kept], at_zeros.min(axis=1))
-    worse = value > bound * (1.0 + _SLACK) + ZERO_TANGENT_TOL
+    worse = value > bound * (1.0 + _SLACK) + ZERO_TANGENT_TOL * sqw[rows].max(axis=1)
     target[worse & (target >= -_SLACK).all(axis=1)] = np.nan
     return T, y, target, value
 
@@ -638,17 +639,17 @@ class LayerSolve(namedtuple("LayerSolve",
                             "image iterations trace rounds multi_support lipschitz")):
     """What solve_dirichlet returns for one layer.
 
-    image is the solved image.  iterations and trace (the per-step
-    relative changes) are those of the Euler steps: 0 and [] on a
-    decoupled layer.  rounds counts the rounds of the support search and
-    multi_support the vertices whose 1-centre has three supports or more:
-    both 0 on a coupled layer.  lipschitz is the largest
-    sqrt(w_uv) d(f(u), f(v)) over the active u and their neighbors v in
-    image, from the support search's last rounds on a decoupled layer.
-    iterations and trace stay at positions 1 and 2, where the benchmark
-    tracer reads them.  A typing.NamedTuple would compile its six
-    annotations at import, which costs the benchmark's s2-hole64 run about
-    0.1 MB of peak resident memory.
+    image is the solved image.  iterations and trace (the per-step relative
+    changes) are those of the Euler steps: 0 and [] on a decoupled layer.
+    rounds counts the rounds of the support search and multi_support the
+    vertices whose 1-centre has three supports or more: both 0 on a coupled
+    layer.  lipschitz is the largest sqrt(w_uv) d(f(u), f(v)) over the
+    active u and their neighbors v in image, from the support search's last
+    rounds on a decoupled layer, in the graph's weights (build_graph's are 1
+    at each nearest neighbor).  iterations and trace stay at positions 1
+    and 2, where the benchmark tracer reads them.  A typing.NamedTuple
+    would compile its six annotations at import, which costs the
+    benchmark's s2-hole64 run about 0.1 MB of peak resident memory.
     """
 
     __slots__ = ()

@@ -315,7 +315,9 @@ class TestExitCodes:
         assert rc == 2
         assert "6x6" in capsys.readouterr().err
 
-    def test_weight_underflow_exits_3(self, tmp_path, capsys):
+    def test_tiny_sigma_exits_0(self, tmp_path, capsys):
+        # weights are relative to each pixel's nearest neighbor, so no
+        # sigma can leave a pixel without one
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         run_cli("generate", "--manifold", "s2", "--rows", 8, "--cols", 8,
                 "-o", img_p)
@@ -324,9 +326,29 @@ class TestExitCodes:
         rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
                      "-o", tmp_path / "o.mvi",
                      "--k", 3, "--p", 1, "--r", 3, "--sigma", "1e-300")
+        assert rc == 0
+        summary = json_summary(capsys.readouterr().err)
+        assert summary["status"] == "ok"
+        assert [rec["sigma"] for rec in summary["layers"]] == [1e-300]
+        read_mvi(tmp_path / "o.mvi").validate()
+
+    def test_graph_build_error_names_layer_and_vertex(self, tmp_path, capsys, monkeypatch):
+        # every patch distance is NaN, so the first target of layer 1 has
+        # no candidate with a finite one
+        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
+        run_cli("generate", "--manifold", "s2", "--rows", 8, "--cols", 8,
+                "-o", img_p)
+        run_cli("mask", "--rows", 8, "--cols", 8, "--rect", "3,3,2,2",
+                "-o", mask_p)
+        capsys.readouterr()
+        kernel = type(mvinpaint.ManifoldDescriptor.sphere2().kernel)
+        monkeypatch.setattr(kernel, "_dist2", lambda self, x, y, out: out.fill(np.nan))
+        rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
+                     "-o", tmp_path / "o.mvi", "--k", 3, "--p", 1, "--r", 3)
         assert rc == 3
-        out, err = capsys.readouterr()
+        err = capsys.readouterr().err
         assert "numerical error: layer 1: vertex " in err
+        assert "no candidate with a finite patch distance" in err
         summary = json_summary(err)
         assert summary["exit_code"] == 3
         assert summary["layer"] == 1

@@ -335,11 +335,13 @@ class TestInpaint:
 
     @pytest.mark.parametrize("error", [GraphBuildError, NotPositiveDefinite],
                              ids=lambda e: e.__name__)
-    def test_failures_name_the_layer(self, error):
+    def test_failures_name_the_layer(self, error, monkeypatch):
         if error is GraphBuildError:
-            # every weight underflows
+            # every patch distance is NaN, so no candidate has a finite one
+            monkeypatch.setattr(type(E1.kernel), "_dist2",
+                                lambda self, x, y, out: out.fill(np.nan))
             img = random_image(E1, 6, 6, np.random.default_rng(66))
-            cfg = cheap_cfg(sigma=1e-300)
+            cfg = cheap_cfg()
         else:
             # a known pixel in the first layer's patches is 1e-200 * I, which
             # passes point validation but not the distance's definiteness test
@@ -351,6 +353,8 @@ class TestInpaint:
         with pytest.raises(error) as exc:
             mv.inpaint(img, mask, cfg)
         assert exc.value.layer == 1
+        if error is GraphBuildError:
+            assert "no candidate with a finite patch distance" in str(exc.value)
 
 
 def generic_spd2():
@@ -410,6 +414,17 @@ class TestIsometryEquivariance:
     def test_sphere_rotation(self):
         R, _ = np.linalg.qr(np.random.default_rng(99).normal(size=(3, 3)))
         assert_inpaint_commutes(S2, generic_sphere2(), lambda d: d @ R.T)
+
+    @pytest.mark.filterwarnings("error")
+    def test_spd_scaling_by_1e150_warns_nothing(self):
+        # v w in spd(2)'s dist2 overflows on such pixels, and its scaled
+        # recomputation serves them; no numpy warning may reach the caller
+        img = mv.generate_spd_image(24, 24)
+        mask = mv.cut_mask(24, 24, (10, 10, 4, 4))
+        cfg = mv.SolverConfig(k=5, p=2, r=4)
+        ref, _ = mv.inpaint(img, mask, cfg)
+        out, _ = mv.inpaint(mv.MvImage(img.descriptor, img.data * 1e150), mask, cfg)
+        assert img.descriptor.kernel.dist(out.flat, ref.flat * 1e150).max() < 1e-12
 
 
 class TestPeriodicRoll:

@@ -294,15 +294,16 @@ class TestBuildGraph:
         assert ids.tolist() == ref_ids.tolist() and w.tobytes() == ref_w.tobytes()
         # the target's own value enters every patch distance: with the
         # values of pixel 48's patch copied round the target's, 48 is at
-        # distance 0, and a new value at the target alone moves it away
+        # distance 0, the nearest, and a new value at the target alone
+        # moves it away, and with it the selection
         same = img.copy()
         for di, dj in product((-1, 0, 1), repeat=2):
             same.data[3 + di, 3 + dj] = img.data[6 + di, dj % 8]
         ids, w = nbrs(same)
         assert w[ids.tolist().index(48)] == 1.0
         same.flat[27] = -same.flat[27]
-        ids, w = nbrs(same)
-        assert 48 not in ids.tolist() or w[ids.tolist().index(48)] < 1.0
+        moved, _ = nbrs(same)
+        assert moved.tolist() != ids.tolist()
 
     @pytest.mark.parametrize(
         "desc, rows, cols, targets, kpr, known_share, targets_known, seed",
@@ -396,8 +397,10 @@ class TestBuildGraph:
         assert abs(g.sigma - sigma) < 1e-12
         for t in targets:
             ids, w = g.neighbors(t)
+            # relative to the target's nearest selected distance
+            d1 = min(selected[t].values())
             for cid, wc in zip(ids.tolist(), w):
-                ref = np.exp(-((selected[t][cid] / sigma) ** 2))
+                ref = np.exp(-(selected[t][cid] ** 2 - d1 ** 2) / sigma ** 2)
                 assert abs(wc - ref) < 1e-12
 
     @pytest.mark.parametrize(
@@ -633,7 +636,7 @@ class TestBuildGraph:
                 assert 1 <= ids.size <= 5
                 assert len(set(ids.tolist())) == ids.size
                 assert t not in ids.tolist()
-                assert ((w > 0.0) & (w <= 1.0)).all()
+                assert ((w > 0.0) & (w <= 1.0)).all() and w.max() == 1.0
                 assert mask.known_flat[ids].all()
 
     def test_fixed_sigma_weights(self):
@@ -644,10 +647,64 @@ class TestBuildGraph:
         assert np.allclose(w, [np.exp(-(3.0 / 2.0) ** 2), 1.0])
         assert g.sigma == 2.0
 
-    def test_weight_underflow_rejected(self):
-        img = scalar_image([[0.0, 100.0]])
-        with pytest.raises(GraphBuildError):
-            mv.build_graph(img, mv.Mask.all_known(1, 2), cfg(k=1, p=0, r=1, sigma=1e-300), [0])
+    def test_underflowing_weight_is_no_edge(self):
+        # targets 0 and 4 of a 1 x 8 line, 2 candidates each: 4's lie at
+        # distances 2 and 1, 0's at 1 and 100, whose weight
+        # exp(-(100^2 - 1^2) / 1^2) underflows to 0
+        img = scalar_image([[0.0, 1.0, 2.0, 7.0, 5.0, 6.0, 2.0, 100.0]])
+        g = mv.build_graph(img, mv.Mask.all_known(1, 8), cfg(k=2, p=0, r=1, sigma=1.0), [0, 4])
+        assert g.degrees.tolist() == [1, 2]
+        ids, w = g.neighbors(0)
+        assert ids.tolist() == [1] and w.tolist() == [1.0]
+        ids, w = g.neighbors(4)
+        assert ids.tolist() == [3, 5] and w.tolist() == [np.exp(-3.0), 1.0]
+
+    def test_nearest_weight_is_one_at_any_sigma(self):
+        # integer values at the known pixels and half-integers at the
+        # targets, one pixel per patch: every distance is at least 0.5 and
+        # exact, and many tie
+        rng = np.random.default_rng(41)
+        vals = rng.integers(0, 4, size=(6, 7)).astype(np.float64)
+        targets = rng.choice(42, size=8, replace=False)
+        vals.reshape(-1)[targets] += 0.5
+        known = np.ones(42, dtype=bool)
+        known[targets] = False
+        img, mask = scalar_image(vals), mv.Mask(known.reshape(6, 7))
+        for sigma in ("auto", 1e-300, 1e300):
+            g = mv.build_graph(img, mask, cfg(k=5, p=0, r=2, sigma=sigma), targets)
+            for t in targets.tolist():
+                ids, w = g.neighbors(t)
+                d = np.abs(img.flat[ids, 0] - img.flat[t, 0])
+                assert ((w > 0.0) & (w <= 1.0)).all()
+                assert (w[d == d.min()] == 1.0).all()
+                if sigma == 1e-300:
+                    # every weight past the nearest distance underflows
+                    assert (d == d.min()).all()
+                if sigma == 1e300:
+                    assert ids.size == 5 and (w == 1.0).all()
+
+    def test_heavy_tailed_distances_build_and_inpaint(self):
+        # target 20 of a 1 x 41 line, p = 0, every other pixel a candidate:
+        # 39 distances below 0.04 and one of 9.979 from pixel 0, over 38
+        # times the auto sigma, the mean selected distance.  Its weight
+        # exp(-(9.979 / sigma)^2) would underflow; relative to the nearest,
+        # it still does, and that candidate is no edge
+        vals = 0.001 * np.arange(41.0)
+        vals[0] = 10.0
+        vals[20] = vals[21]          # the value the front copies in, from the east
+        img = scalar_image([vals])
+        known = np.ones((1, 41), dtype=bool)
+        known[0, 20] = False
+        config = cfg(k=40, p=0, r=20)
+        g = mv.build_graph(img, mv.Mask(known), config, [20])
+        d = np.abs(np.delete(vals, 20) - vals[20])
+        assert d.max() > 27.3 * g.sigma
+        ids, w = g.neighbors(20)
+        assert g.degrees.tolist() == [39] and 0 not in ids.tolist()
+        assert w.min() > 0.0 and w.max() == 1.0
+        out, front = mv.inpaint(img, mv.Mask(known), config)
+        assert len(front.log) == 1 and front.log[0].sigma == g.sigma
+        assert 0.001 <= out.flat[20, 0] <= 0.04
 
     def test_empty_targets(self):
         img = mv.MvImage.constant(E1, 2, 2, [0.0])

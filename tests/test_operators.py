@@ -647,6 +647,63 @@ class TestStepCalls:
         assert res.lipschitz == pytest.approx(max(far), rel=1e-12)
 
 
+def row_scaled(graph, scales):
+    """graph with row t's weights times scales[t % len(scales)]."""
+    edges = {}
+    for t, u in enumerate(graph.targets.tolist()):
+        ids, w = graph.neighbors(u)
+        edges[u] = (ids.tolist(), (w * scales[t % len(scales)]).tolist())
+    return make_graph(graph.vertex_count, edges)
+
+
+class TestRowScaleInvariance:
+    """Scaling one vertex's weights by a constant changes nothing.
+
+    Every use of a row's root weights is homogeneous of degree 0 in them:
+    the extremal pair, the operator, the pair zero, the 1-centre and the
+    support search's tolerances.  So the graph may hold each row's weights
+    relative to any scale, as build_graph holds them relative to the
+    nearest neighbor's.
+    """
+
+    SCALES = [0.37, 2.0**-40, 1e-200]
+
+    @pytest.mark.parametrize("desc", [E2, S2, SPD2], ids=lambda d: d.label())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decoupled_layer(self, desc, seed):
+        graph, img, mask, active = star_layer(desc, seed, degrees=(3, 6))
+        scaled = row_scaled(graph, self.SCALES)
+        for u in active.tolist():
+            assert mv.select_extremal_pair(scaled, img, u) == mv.select_extremal_pair(graph, img, u)
+        ref, got = mv.inf_laplacian_field(graph, img, active), mv.inf_laplacian_field(scaled, img, active)
+        for u in active.tolist():
+            assert np.sqrt(desc.kernel.inner(img.flat[u], ref[u].vec - got[u].vec,
+                                             ref[u].vec - got[u].vec)) < 1e-12
+        ref = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
+        got = mv.solve_dirichlet(scaled, img, mask, active, mv.SolverConfig())
+        assert ref.rounds == got.rounds and ref.multi_support == got.multi_support
+        assert desc.kernel.dist(ref.image.flat, got.image.flat).max() < 1e-12
+
+    def test_coupled_layer(self):
+        graph, img, mask, active = sphere_path(7, seed=4)
+        cfg = mv.SolverConfig(max_iter=400)
+        ref = mv.solve_dirichlet(graph, img, mask, active, cfg)
+        got = mv.solve_dirichlet(row_scaled(graph, self.SCALES), img, mask, active, cfg)
+        assert ref.iterations == got.iterations
+        assert S2.kernel.dist(ref.image.flat, got.image.flat).max() < 1e-12
+
+    def test_single_neighbor_rows_take_its_value(self):
+        # a table one slot wide, as build_graph makes where every target's
+        # only edge is its nearest neighbor: each vertex's 1-centre is that
+        # neighbor's value
+        graph = make_graph(4, {0: ([2], [1.0]), 1: ([3], [1e-200])})
+        img = line_image(S2, mv.random_point(S2, np.random.default_rng(5), size=(4,)))
+        mask = mv.Mask(np.array([[False, False, True, True]]))
+        res = mv.solve_dirichlet(graph, img, mask, [0, 1], mv.SolverConfig())
+        assert res.image.flat[[0, 1]].tobytes() == img.flat[[2, 3]].tobytes()
+        assert (res.multi_support, res.lipschitz) == (0, 0.0)
+
+
 def geodesic_point(desc, a, b, t):
     """The point at fraction t on the geodesic a -> b, written out per manifold.
 
