@@ -82,12 +82,12 @@ def find_border(mask: Mask) -> np.ndarray:
 
 
 def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
-    """Copy into each border pixel, ids ascending, its first known 4-neighbor (N, E, S, W)."""
+    """Copy into each border pixel of img, ids ascending, its first known
+    4-neighbor (N, E, S, W); returns img."""
     border = vertex_ids(border, img.vertex_count, "border")
     check_mask_shape(img, mask)
-    out = img.copy()
     if border.size == 0:
-        return out
+        return img
     if mask.known_flat[border].any():
         raise SolverError("border contains known pixels")
     nbr = _neighbors(border, img.rows, img.cols)
@@ -96,8 +96,8 @@ def initialize_border(img: MvImage, mask: Mask, border) -> MvImage:
     if not has_known.all():
         u = int(border[np.argmin(has_known)])
         raise SolverError(f"border pixel {u} has no known 4-neighbor", vertex=u)
-    out.flat[border] = img.flat[nbr[known.argmax(axis=0), np.arange(border.size)]]
-    return out
+    img.flat[border] = img.flat[nbr[known.argmax(axis=0), np.arange(border.size)]]
+    return img
 
 
 def nearest_known_fill(img: MvImage, mask: Mask) -> MvImage:
@@ -110,7 +110,7 @@ def nearest_known_fill(img: MvImage, mask: Mask) -> MvImage:
     m = mask.copy()
     while not m.known.all():
         border = find_border(m)
-        out = initialize_border(out, m, border)
+        initialize_border(out, m, border)
         m.known_flat[border] = True
     return out
 
@@ -122,8 +122,8 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
         (image, front) where front is a FrontState whose log holds
         one LayerRecord per processed layer.
 
-    A fully known mask is not an error: the result is a copy of img and
-    the log is empty.
+    Every layer is filled into one copy of img, returned even when the mask
+    is fully known, which is not an error: the log is then empty.
 
     Raises:
         DimensionMismatch: the mask shape does not match the image.
@@ -141,7 +141,7 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
     while not filled.known.all():
         layer += 1
         border = find_border(filled)
-        work = initialize_border(work, filled, border)
+        initialize_border(work, filled, border)
         if cfg.cumulative_active:
             active = np.union1d(active, border)
         else:
@@ -150,12 +150,11 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
             t0 = time.perf_counter()
             graph = build_graph(work, filled, cfg, active)
             t1 = time.perf_counter()
-            solved = solve_dirichlet(graph, work, mask, active, cfg)
+            solved = solve_dirichlet(graph, work, mask, active, cfg)    # writes into work
             t2 = time.perf_counter()
         except NumericalError as e:
             e.layer = layer
             raise
-        work = solved.image
         filled.known_flat[border] = True
         residual = float(solved.trace[-1]) if solved.trace else 0.0
         front.log.append(
@@ -175,8 +174,5 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
                 solve_s=t2 - t1,
             )
         )
-        # the next layer's initialize_border copy then frees this image
-        # before its graph build, where a run's memory peaks
-        del solved
 
     return work, front

@@ -41,9 +41,9 @@ gather reads, 2p+1 per target and offset, are made afresh.
 Every pass over a chunk runs along long contiguous arrays, because the
 data are laid out column-major and offset-interleaved, in one layout:
 
-* the shift region is gathered once by vertex id, column-major, one
-  contiguous (column, row) plane per coordinate, and the kernels read its
-  window fields through views whose coordinate l is a plane;
+* the shift region is gathered once from its grid rows and columns,
+  column-major, one contiguous (column, row) plane per coordinate, and the
+  kernels read its window fields through views whose coordinate l is a plane;
 * every chunk buffer is held as (column, offset, row), and each is an
   array of its own, so each field the kernel, the overlap test and the
   mask multiply write is one contiguous block, and where the region wraps
@@ -277,21 +277,23 @@ def build_graph(
     # span reaches round the grid is cut to one period, so that no pixel pair
     # is evaluated twice: box windows then wrap across the seam, rows modulo
     # the grid (the gather positions) and columns through copies of the
-    # first columns after the last.  The shift region is gathered once by
-    # vertex id, column-major, one contiguous (cols, rows) plane per
+    # first columns after the last.  The shift region is gathered once from its
+    # rows ri and columns ci, column-major, one contiguous (cols, rows) plane per
     # coordinate, and the kernels see it through views whose last axis steps
     # across the planes: their x[..., l] are planes
     r0, nr = _periodic_span(t_row, rows)
     c0, nc = _periodic_span(t_col, cols)
     nR, nC = min(nr + 2 * p, rows), min(nc + 2 * p, cols)
-    region = ((r0 - p + A[0] + np.arange(nR + A[-1] - A[0])) % rows * cols
-              + ((c0 - p + B[0] + np.arange(nC + B[-1] - B[0])) % cols)[:, None])
-    F = np.take(img.flat.T, region, axis=1)
+    ri = (r0 - p + A[0] + np.arange(nR + A[-1] - A[0])) % rows
+    ci = (c0 - p + B[0] + np.arange(nC + B[-1] - B[0])) % cols
+    F = np.empty((img.data.shape[2], ci.size, ri.size))
+    for l, plane in enumerate(np.moveaxis(img.data, 2, 0)):
+        F[l] = plane[np.ix_(ri, ci)].T
     # the targets count as known in every patch, with their current values
-    known = mask.known_flat.copy()
-    known[targets] = True
-    KF = known[region]
-    del known, region   # read only here: the chunk merges may reuse their memory
+    known = mask.known.copy()
+    known.reshape(-1)[targets] = True
+    KF = known.T[np.ix_(ci, ri)]
+    del known   # read only here: the chunk merges may reuse its memory
     Fw = np.moveaxis(sliding_window_view(F, (nC, nR), axis=(1, 2)), 0, -1)
     Kw = sliding_window_view(KF, (nC, nR))
     X, KX = Fw[-B[0], -A[0], :, None], Kw[-B[0], -A[0], :, None]

@@ -19,8 +19,8 @@ the manifold descriptor:
   For n = 2 each map reads a point once into its entries (a, b, c), runs
   closed-form square roots, congruences, matrix log/exp and distances on
   these triples with no eigensolver, and writes once; its point validation
-  is closed-form too, plus a finite distance to I.  For n >= 3 maps and
-  validation use LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``).
+  is closed-form too: positive definite with a finite 2 det.  For n != 2 maps
+  and validation use LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``).
 
 Kernels work in "ortho" coordinates: an isometric identification of the
 tangent space at x with R^d in which the metric is the standard dot product
@@ -212,13 +212,17 @@ class _Kernel:
 
     def validate_points(self, pts):
         """(index, reason) of the first invalid point of pts (N, L), or None."""
-        bad = ~np.isfinite(pts).all(axis=-1)
-        if bad.any():
-            return int(np.argwhere(bad)[0][0]), "non-finite entry"
+        if not np.isfinite(pts).all():
+            return self._first(~np.isfinite(pts).all(axis=-1), "non-finite entry")
         return self._check_values(pts)
 
     def _check_values(self, pts):
         return None
+
+    @staticmethod
+    def _first(bad, reason):
+        """(index, reason) of the first point that bad flags, or None."""
+        return (int(np.argwhere(bad)[0][0]), reason) if bad.any() else None
 
     def tangent_from_ortho(self, x, w):
         return w
@@ -304,10 +308,7 @@ class _CircleKernel(_Kernel):
 
     def _check_values(self, pts):
         a = pts[..., 0]
-        bad = (a <= -np.pi) | (a > np.pi)
-        if bad.any():
-            return int(np.argwhere(bad)[0][0]), "angle outside (-pi, pi]"
-        return None
+        return self._first((a <= -np.pi) | (a > np.pi), "angle outside (-pi, pi]")
 
     def random_point(self, rng, size=()):
         a = rng.uniform(-np.pi, np.pi, size=tuple(size) + (1,))
@@ -372,10 +373,7 @@ class _Sphere2Kernel(_Kernel):
 
     def _check_values(self, pts):
         nrm = np.linalg.norm(pts, axis=-1)
-        bad = np.abs(nrm - 1.0) > SPHERE_NORM_TOL
-        if bad.any():
-            return int(np.argwhere(bad)[0][0]), "not a unit vector"
-        return None
+        return self._first(np.abs(nrm - 1.0) > SPHERE_NORM_TOL, "not a unit vector")
 
     def random_point(self, rng, size=()):
         v = rng.normal(size=tuple(size) + (3,))
@@ -473,15 +471,11 @@ class _SpdKernel(_Kernel):
         np.einsum("...i,...i->...", ln, ln, out=out)
 
     def _check_values(self, pts):
-        M = self._mat(pts)
-        asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-1, -2))
-        bad = asym > SPD_SYM_TOL
-        if bad.any():
-            return int(np.argwhere(bad)[0][0]), "not symmetric"
-        bad = self._indefinite(pts)
-        if bad.any():
-            return int(np.argwhere(bad)[0][0]), "not positive definite"
-        return None
+        i, j = np.triu_indices(self.n, 1)
+        asym = np.abs(pts[..., i * self.n + j] - pts[..., j * self.n + i])
+        # only symmetric points get the positive-definite test
+        return (self._first((asym > SPD_SYM_TOL).any(axis=-1), "not symmetric")
+                or self._first(self._indefinite(pts), "not positive definite"))
 
     def _indefinite(self, pts):
         """Whether each point fails the positive-definite test of _root."""
@@ -536,21 +530,17 @@ class _Spd2Kernel(_SpdKernel):
 
     def _indefinite(self, pts):
         a, b, c = self._read(pts)
-        return (a <= 0.0) | (a * c - b * b <= 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (a <= 0.0) | (a * c - b * b <= 0.0)
 
     def _check_values(self, pts):
-        bad = super()._check_values(pts)
-        if bad is not None:
-            return bad
-        # 2 det overflows for some positive definite points (1e154 I), so
-        # their distances are not finite: a valid point has a finite one to
-        # I, hence from I, and 0 to itself
-        with np.errstate(all="ignore"):
-            d2 = self.dist2(pts, np.array([1.0, 0.0, 0.0, 1.0]))
-        bad = ~np.isfinite(d2)
-        if bad.any():
-            return int(np.argwhere(bad)[0][0]), "distance not finite"
-        return None
+        # a positive definite point whose 2 det overflows (1e154 I) has no
+        # finite distance, to I or to any other point
+        a, b, c = self._read(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_det = 2.0 * (a * c - b * b)
+        return (super()._check_values(pts)
+                or self._first(~np.isfinite(two_det), "distance not finite"))
 
     def _root(self, X, inverse=False):
         a, b, c = X

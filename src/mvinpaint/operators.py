@@ -639,15 +639,15 @@ class LayerSolve(namedtuple("LayerSolve",
                             "image iterations trace rounds multi_support lipschitz")):
     """What solve_dirichlet returns for one layer.
 
-    image is the solved image.  iterations and trace (the per-step relative
+    image is f0, solved.  iterations and trace (the per-step relative
     changes) are those of the Euler steps: 0 and [] on a decoupled layer.
     rounds counts the rounds of the support search and multi_support the
     vertices whose 1-centre has three supports or more: both 0 on a coupled
     layer.  lipschitz is the largest sqrt(w_uv) d(f(u), f(v)) over the
     active u and their neighbors v in image, from the support search's last
     rounds on a decoupled layer, in the graph's weights (build_graph's are 1
-    at each nearest neighbor).  iterations and trace stay at positions 1
-    and 2, where the benchmark tracer reads them.  A typing.NamedTuple
+    at each nearest neighbor).  image, iterations and trace stay at positions
+    0, 1 and 2, where the benchmark tracer reads them.  A typing.NamedTuple
     would compile its six annotations at import, which costs the
     benchmark's s2-hole64 run about 0.1 MB of peak resident memory.
     """
@@ -683,7 +683,9 @@ def solve_dirichlet(
     times the active count.
 
     Returns:
-        a LayerSolve, whose image is a new image; f0 is left as it is.
+        a LayerSolve whose image is f0, the layer written into its active
+        vertices: a coupled layer's Euler steps each make a new image, and
+        the last one's active values are written into f0.
     Raises:
         DimensionMismatch, SolverError, before solving: active is not vertex
             ids of the grid; an active vertex is known or has no row.
@@ -691,7 +693,7 @@ def solve_dirichlet(
     active = vertex_ids(active, f0.vertex_count, "active")
     check_mask_shape(f0, mask)
     if active.size == 0:
-        return LayerSolve(f0.copy(), 0, [], 0, 0, 0.0)
+        return LayerSolve(f0, 0, [], 0, 0, 0.0)
     if mask.known_flat[active].any():
         u = int(active[np.argmax(mask.known_flat[active])])
         raise SolverError(f"active vertex {u} is a known pixel", vertex=u)
@@ -699,8 +701,8 @@ def solve_dirichlet(
     rows = _rows(graph, active)
     if np.isin(graph.ids[rows], active).any():
         f, iterations, trace = _euler(graph, f0, active, cfg)
-        return LayerSolve(f, iterations, trace, 0, 0, _lipschitz(graph, f, active, rows))
-    f = f0.copy()
+        f0.flat[active] = f.flat[active]
+        return LayerSolve(f0, iterations, trace, 0, 0, _lipschitz(graph, f0, active, rows))
     x, supports, rounds, lipschitz = _centres(graph, f0, active, rows)
-    f.flat[active] = x
-    return LayerSolve(f, 0, [], rounds, int((supports >= 3).sum()), lipschitz)
+    f0.flat[active] = x
+    return LayerSolve(f0, 0, [], rounds, int((supports >= 3).sum()), lipschitz)

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,7 +74,8 @@ class TestInitializeBorder:
         known = np.ones((3, 3), dtype=bool)
         known[1, 1] = False
         out = mv.initialize_border(img, mv.Mask(known), [4])
-        assert out.data[1, 1, 0] == img.data[0, 1, 0]
+        assert out is img
+        assert out.data[1, 1, 0] == self.grid().data[0, 1, 0]
 
     def test_cascade_east_south_west(self):
         img = self.grid()
@@ -90,12 +94,11 @@ class TestInitializeBorder:
         assert out.data[1, 1, 0] == img.data[1, 0, 0]
 
     def test_other_pixels_untouched(self):
-        img = self.grid()
         known = np.ones((3, 3), dtype=bool)
         known[1, 1] = False
-        out = mv.initialize_border(img, mv.Mask(known), [4])
+        out = mv.initialize_border(self.grid(), mv.Mask(known), [4])
         same = np.delete(np.arange(9), 4)
-        assert np.array_equal(out.flat[same], img.flat[same])
+        assert np.array_equal(out.flat[same], self.grid().flat[same])
 
     def test_rejects_known_pixel_in_border(self):
         img = self.grid()
@@ -134,9 +137,9 @@ class TestInitializeBorder:
         assert [nbrs[u] for u in (2, 26, 0, 20)] == [[23], [5], [6], [14]]
         # several known neighbors, N first or not
         assert nbrs[1] == [22, 8] and nbrs[15] == [8, 22, 14] and nbrs[16] == [17, 23]
-        out = mv.initialize_border(img, mv.Mask(known), border)
         expected = img.flat[:, 0].copy()
         expected[border] = [nbrs[int(u)][0] for u in border]
+        out = mv.initialize_border(img, mv.Mask(known), border)
         assert np.array_equal(out.flat[:, 0], expected)
 
     def test_error_names_first_unfillable_pixel_in_border_order(self):
@@ -310,6 +313,51 @@ class TestInpaint:
             out, _ = mv.inpaint(img, mask, cheap_cfg(threads=threads))
             outs.append(out.data.tobytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_callers_image_is_left_as_it_was(self, cumulative):
+        img = mv.generate_sphere_image(12, 12)
+        before = img.data.tobytes()
+        out, _ = mv.inpaint(img, hole_mask(12, 12, 4, 4, 4, 4),
+                            cheap_cfg(cumulative_active=cumulative, max_iter=20))
+        assert img.data.tobytes() == before
+        assert out.data.tobytes() != before
+
+    @pytest.mark.parametrize("generate", [mv.generate_sphere_image, mv.generate_spd_image])
+    def test_peak_memory_is_about_one_image(self, generate):
+        # the front loop fills one working copy of the image, and a layer's
+        # graph build gathers only the region its patches cover: a run holds
+        # about one image beyond its caller's
+        img = generate(512, 512)
+        mask = hole_mask(512, 512, 248, 248, 16, 16)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            mv.inpaint(img, mask, cheap_cfg(k=10, p=6, r=8, threads=1))
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * img.data.nbytes
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    @pytest.mark.parametrize("manifold, scale", [("sphere2", 1.0), ("spd2", 1.0),
+                                                 ("spd2", 1e150), ("spd2", 1e-70)])
+    def test_valid_input_raises_no_runtime_warning(self, manifold, scale, cumulative):
+        # spd(2) is affine-invariant, so a scaled image is as valid as the
+        # image itself; its determinants reach 1e300 and 1e-140
+        if manifold == "sphere2":
+            img = mv.generate_sphere_image(16, 16)
+        else:
+            img = mv.generate_spd_image(16, 16)
+            img.data *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            img.validate()
+            out, front = mv.inpaint(img, hole_mask(16, 16, 6, 6, 4, 4),
+                                    cheap_cfg(k=5, p=2, r=4, max_iter=20,
+                                              cumulative_active=cumulative))
+            out.validate()
+        assert any(rec.iterations for rec in front.log) == cumulative
 
     def test_fully_known_returns_copy(self):
         img = mv.MvImage.constant(E1, 3, 3, [2.0])

@@ -651,6 +651,45 @@ class TestSpd2ClosedForm:
         assert ((a > 0.0) & (a * c == 0.0)).any()
         assert (np.array(valid[:n]) & (det < np.finfo(np.float64).tiny)).any()
 
+    def test_validation_rule_is_a_finite_twice_determinant(self, monkeypatch):
+        # a positive definite point is valid where 2 det is finite, which is
+        # where its distance to I, the rule written here with the kernel's
+        # own dist2, is finite: positive definite triples with entries from
+        # 1e-320 to 1e308, near-singular and huge multiples of I, a point
+        # whose det is tiny against its entries, indefinite points, and a
+        # singular one whose det is inf - inf, which the positive definite
+        # test lets through
+        k = P2.kernel
+        rng = np.random.default_rng(64)
+        n = 200_000
+        a, c = 10.0 ** rng.uniform(-320, 308, (2, n))
+        b = rng.uniform(-1.0, 1.0, n) * np.sqrt(a) * np.sqrt(c)
+        eye = spd_buf([1.0, 0.0], [0.0, 1.0])
+        special = [1e154 * eye, 1e-160 * eye, spd_buf([1e200, 0.0], [0.0, 1e-200]),
+                   spd_buf([1.0, 2.0], [2.0, 1.0]), spd_buf([-1.0, 0.0], [0.0, 1.0]),
+                   spd_buf([1e200, 1e200], [1e200, 1e200])]
+        pts = np.concatenate([np.stack([a, b, b, c], axis=1), special])
+
+        a, b, c = pts[:, 0], 0.5 * (pts[:, 1] + pts[:, 2]), pts[:, 3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            definite = (a > 0.0) & ~(a * c - b * b <= 0.0)
+            d2 = k.dist2(pts[definite], eye)
+        reasons = np.where(definite, None, "not positive definite")
+        reasons[np.flatnonzero(definite)[~np.isfinite(d2)]] = "distance not finite"
+        assert list(reasons[n:]) == ["distance not finite", None, None, "not positive definite",
+                                     "not positive definite", "distance not finite"]
+        assert (reasons[:n] == "distance not finite").sum() > 10_000
+        assert (reasons[:n] == "not positive definite").sum() > 10_000
+
+        def no_dist2(*args):
+            raise AssertionError("validation computed a distance")
+
+        monkeypatch.setattr(type(k), "dist2", no_dist2)
+        valid = np.equal(reasons, None)
+        assert k.validate_points(pts[valid]) is None
+        for i in np.flatnonzero(~valid):
+            assert k.validate_points(pts[i : i + 1]) == (0, reasons[i]), pts[i]
+
 
 @pytest.mark.parametrize("desc", [P2, P3], ids=lambda d: d.label())
 def test_spd_log_at_the_base_is_exactly_zero(desc):
