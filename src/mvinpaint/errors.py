@@ -40,10 +40,9 @@ class TangentBaseMismatch(NumericalError, ValueError):
 class CutLocusError(NumericalError, ValueError):
     """Logarithm requested for a point numerically at the cut locus of the base."""
 
-    def __init__(self, message, vertex=None, neighbor=None, bad_index=None):
+    def __init__(self, message, vertex=None, neighbor=None):
         super().__init__(message, vertex)
         self.neighbor = neighbor
-        self.bad_index = bad_index
 
 
 class NotPositiveDefinite(NumericalError, ValueError):

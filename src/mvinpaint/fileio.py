@@ -20,6 +20,8 @@ the usual black-on-white convention for holes.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DimensionMismatch, FileFormatError
@@ -80,7 +82,8 @@ def read_mvi(path) -> MvImage:
 
     Raises FileFormatError for malformed headers, payload size mismatches
     (reported with expected and actual byte counts) and pixels violating the
-    manifold invariants (reported with the pixel index).
+    manifold invariants (reported with the pixel index).  The payload is
+    read straight into the image's buffer, with no other copy of it.
     """
     with open(path, "rb") as fh:
         magic = _read_header_line(fh, "magic")
@@ -105,14 +108,14 @@ def read_mvi(path) -> MvImage:
             raise FileFormatError(
                 f"count {count} does not match rows*cols*point_len = {expected}"
             )
-        payload = fh.read()
-    if len(payload) != 8 * count:
+        data = np.empty((rows, cols, desc.point_len), dtype="<f8")
+        got = fh.readinto(data)
+        if got == 8 * count:
+            got += len(fh.read())
+    if got != 8 * count:
         raise FileFormatError(
-            f"payload size mismatch: expected {8 * count} bytes, got {len(payload)}"
+            f"payload size mismatch: expected {8 * count} bytes, got {got}"
         )
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(
-        rows, cols, desc.point_len
-    )
     img = MvImage(desc, data)
     try:
         img.validate()
@@ -138,36 +141,40 @@ def write_mask(mask: Mask, path):
 
 
 def read_mask(path) -> Mask:
-    """Read a PBM P1 mask; accepts comments and arbitrary whitespace."""
+    """Read a PBM P1 mask; accepts comments and arbitrary whitespace.
+
+    A comment runs from # to the end of its line, where str.splitlines ends
+    lines, and tokens are split where str.split splits ASCII text: at \t,
+    \n, \v, \f, \r, \x1c-\x1f and space.
+    """
     with open(path, "rb") as fh:
         text = fh.read()
-    try:
-        text = text.decode("ascii")
-    except UnicodeDecodeError as e:
-        raise FileFormatError("mask file is not ascii") from e
-    tokens = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
-    if len(tokens) < 3 or tokens[0] != "P1":
+    if not text.isascii():
+        raise FileFormatError("mask file is not ascii")
+    text = re.sub(rb"#[^\n\r\v\f\x1c-\x1e]*", b"", text)
+    space, token = rb"[\t-\r\x1c-\x20]", rb"([^\t-\r\x1c-\x20]+)"
+    head = re.match(space + b"*" + token + (space + b"+" + token) * 2, text)
+    if head is None or head[1] != b"P1":
         raise FileFormatError("not a PBM P1 file")
     try:
-        cols = int(tokens[1])
-        rows = int(tokens[2])
+        cols = int(head[2])
+        rows = int(head[3])
     except ValueError as e:
         raise FileFormatError("bad PBM dimensions") from e
     if rows < 1 or cols < 1:
         raise FileFormatError("PBM dimensions must be positive")
-    bits = "".join(tokens[3:])  # P1 allows bits with or without separators
-    if len(bits) != rows * cols:
+    # P1 allows bits with or without separators: the bits are every
+    # character after the header but whitespace
+    bits = text.translate(None, b"\t\n\v\f\r\x1c\x1d\x1e\x1f ")
+    arr = np.frombuffer(bits, dtype=np.uint8, offset=len(b"".join(head.groups())))
+    if arr.size != rows * cols:
         raise FileFormatError(
-            f"PBM bit count mismatch: expected {rows * cols}, got {len(bits)}"
+            f"PBM bit count mismatch: expected {rows * cols}, got {arr.size}"
         )
-    arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
     stray = (arr != ord("0")) & (arr != ord("1"))
     if stray.any():
         n = int(np.argmax(stray))
-        raise FileFormatError(f"bad PBM bit {bits[n]!r} at position {n}")
+        raise FileFormatError(f"bad PBM bit {chr(arr[n])!r} at position {n}")
     known = (arr == ord("0")).reshape(rows, cols)
     if not known.any():
         raise FileFormatError("mask marks every pixel unknown")

@@ -39,8 +39,10 @@ memory layout or numpy version.
 
 Numerical conventions: tangent norms below 1e-15 short-circuit to exact
 zeros, the log and ``dist2`` of a point at itself are exactly zero, and
-log maps raise :class:`CutLocusError` within 1e-10 of the cut locus.
-Distances have closed forms everywhere and never raise.
+the batched log maps (``log_ortho``, ``log``) give NaN in each pair within
+1e-10 of the cut locus and raise nothing there, so a failed row never
+changes another; ``log_map`` raises :class:`CutLocusError` where the log is
+not finite.  Distances have closed forms everywhere and never raise.
 """
 
 from __future__ import annotations
@@ -290,14 +292,7 @@ class _CircleKernel(_Kernel):
 
     def log_ortho(self, x, y):
         d = wrap_angle(y - x)
-        gap = np.pi - np.abs(d)
-        bad = gap < CUT_LOCUS_TOL
-        if bad.any():
-            idx = tuple(np.argwhere(bad)[0])
-            raise CutLocusError(
-                "log undefined: target angle is numerically antipodal to the base",
-                bad_index=idx[:-1],
-            )
+        d[np.pi - np.abs(d) < CUT_LOCUS_TOL] = np.nan
         return d
 
     def _dist2(self, x, y, out):
@@ -355,17 +350,12 @@ class _Sphere2Kernel(_Kernel):
     def log_ortho(self, x, y):
         c = np.einsum("...l,...l->...", x, y)
         theta = self._angle(x, y, self._pairs(x, y))
-        bad = (np.pi - theta) < CUT_LOCUS_TOL
-        if bad.any():
-            idx = tuple(np.argwhere(bad)[0])
-            raise CutLocusError(
-                "log undefined: target is numerically antipodal to the base",
-                bad_index=idx,
-            )
         small = theta < ZERO_TANGENT_TOL
         denom = np.where(small, 1.0, np.sin(theta))
         v = (y - c[..., None] * x) * (theta / denom)[..., None]
-        return np.where(small[..., None], 0.0, v)
+        v = np.where(small[..., None], 0.0, v)
+        v[np.pi - theta < CUT_LOCUS_TOL] = np.nan
+        return v
 
     def _dist2(self, x, y, out):
         d = self._angle(x, y, out)
@@ -719,14 +709,18 @@ def exp_map(desc: ManifoldDescriptor, x, xi: Tangent) -> np.ndarray:
 def log_map(desc: ManifoldDescriptor, x, y) -> Tangent:
     """Geodesic logarithm: the tangent at x whose exponential reaches y.
 
-    Raises CutLocusError within 1e-10 of the cut locus of x (the antipode for
-    the circle and the sphere; spd has none).
+    Raises CutLocusError where the kernel's log is not finite: within 1e-10
+    of the cut locus of x (the antipode for the circle and the sphere; spd
+    has none).
     """
     x = _as_point(desc, x)
     y = _as_point(desc, y, name="target")
     _check_point(desc, x)
     _check_point(desc, y, name="target")
-    return Tangent(base=x, vec=desc.kernel.log(x, y))
+    vec = desc.kernel.log(x, y)
+    if not np.isfinite(vec).all():
+        raise CutLocusError("log undefined: target is numerically antipodal to the base")
+    return Tangent(base=x, vec=vec)
 
 
 def distance(desc: ManifoldDescriptor, x, y) -> float:

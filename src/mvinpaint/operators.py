@@ -95,7 +95,8 @@ def _extremal_batch(kernel, x, nbr_vals, sqw):
         (i_slot (A,), j_slot (A,), delta (A, L), moving (A,)): the slots of
         the extremal pair, delta in ortho coordinates, and whether its norm
         is at least 1e-15; smaller operator norms are returned as exact
-        zeros.
+        zeros.  A row with a log that is not finite, as at a cut locus, has
+        delta NaN and does not move; the other rows do not depend on it.
 
     The objective of slots (i, j) is (d_i + d_j) - 2 g_ij, with d_i = s_i.s_i
     and g_ij = s_i.s_j each an einsum over the L coordinates, so it is
@@ -147,8 +148,10 @@ def _extremal_batch(kernel, x, nbr_vals, sqw):
     ar = np.arange(A)
     delta = (s[ar, i_slot] + s[ar, j_slot]) / (sqw[ar, i_slot] + sqw[ar, j_slot])[:, None]
     nrm2 = np.einsum("al,al->a", delta, delta)
+    failed = ~np.isfinite(s).all(axis=(1, 2))
     delta[nrm2 < ZERO_TANGENT_TOL * ZERO_TANGENT_TOL] = 0.0
-    return i_slot, j_slot, delta, nrm2 >= ZERO_TANGENT_TOL * ZERO_TANGENT_TOL
+    delta[failed] = np.nan
+    return i_slot, j_slot, delta, (nrm2 >= ZERO_TANGENT_TOL * ZERO_TANGENT_TOL) & ~failed
 
 
 def _rows(graph: NonlocalGraph, active: np.ndarray) -> np.ndarray:
@@ -161,24 +164,24 @@ def _rows(graph: NonlocalGraph, active: np.ndarray) -> np.ndarray:
 
 
 def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
-    """Base points (A, L), extremal id pairs (A, 2), deltas (A, L) and moving (A,)."""
+    """Base points (A, L), extremal id pairs (A, 2), deltas (A, L) and moving (A,).
+
+    Raises CutLocusError naming the first active vertex with a neighbor at
+    the cut locus of its value, and its first such neighbor.
+    """
     rows = _rows(graph, active)
     nbr = graph.ids[rows]
     x = img.flat[active]
-    try:
-        i_slot, j_slot, delta, moving = _extremal_batch(
-            img.descriptor.kernel, x, img.flat[nbr], np.sqrt(graph.weights[rows])
-        )
-    except CutLocusError as e:
-        if e.bad_index is not None and len(e.bad_index) == 2:
-            a, slot = e.bad_index
-            raise CutLocusError(
-                f"vertex {int(active[a])}: neighbor {int(nbr[a, slot])} is "
-                "numerically at the cut locus of the current value",
-                vertex=int(active[a]),
-                neighbor=int(nbr[a, slot]),
-            ) from e
-        raise
+    kernel = img.descriptor.kernel
+    i_slot, j_slot, delta, moving = _extremal_batch(kernel, x, img.flat[nbr], np.sqrt(graph.weights[rows]))
+    for a in np.flatnonzero(np.isnan(delta[:, 0])):
+        # a failed row's logs again, to find its first neighbor at the cut
+        # locus; a row failed by a weight that is not positive has none
+        bad = ~np.isfinite(kernel.log_ortho(x[a], img.flat[nbr[a]])).all(axis=1)
+        if bad.any():
+            u, v = int(active[a]), int(nbr[a, np.argmax(bad)])
+            raise CutLocusError(f"vertex {u}: neighbor {v} is numerically at the cut locus of the current "
+                                "value", vertex=u, neighbor=v)
     ar = np.arange(active.size)
     return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta, moving
 
@@ -232,26 +235,6 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
         x[moving] = kernel.exp_ortho(x[moving], tau * delta[moving])
     out.flat[active] = x
     return out
-
-
-def _without_cut_locus(fn, p: np.ndarray):
-    """fn(p) on the positions p whose rows raise no CutLocusError in it.
-
-    A batch that raises is split in halves until each row that raises is
-    alone and left out.  fn's rows do not depend on each other, so the rows
-    kept come out bitwise as in one call.
-
-    Returns:
-        (kept positions, fn's tuple of per-row arrays over them)
-    """
-    try:
-        return p, fn(p)
-    except CutLocusError:
-        if p.size == 1:
-            return p[:0], fn(p[:0])
-    h = p.size // 2
-    (a, ra), (b, rb) = _without_cut_locus(fn, p[:h]), _without_cut_locus(fn, p[h:])
-    return np.concatenate([a, b]), tuple(np.concatenate(r) for r in zip(ra, rb))
 
 
 def _pair_zero(kernel, fi, fj, si, sj):
@@ -312,11 +295,12 @@ def _circumcentre(kernel, y, f, w):
     _NEWTON_LAG steps before (Newton that does not converge wanders at a
     steady step), or after _NEWTON_ITER steps.
 
+    A row whose start or step meets a support's cut locus fails there too,
+    as its logs are NaN; the other rows do not depend on it.
+
     Returns:
         (centres (n, L), nu (n, m)): nu holds the barycentric coordinates
         of 0 among the e_b at the centre, NaN where Newton failed.
-    Raises:
-        CutLocusError where a start point or step meets a support's cut locus.
     """
     y = y.copy()
     nu = np.full(w.shape, np.nan)
@@ -367,9 +351,10 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
     (Oberman, Math. Comp. 74, 2005).  Each vertex searches its support set
     in the manner of Welzl (LNCS 555, 1991).  In the first round it takes
     the basis S = {i, j} of its extremal pair at f0, at that pair's zero
-    z_ij, where the operator of the pair vanishes; where that pair does not
-    move it or has no zero, it takes S = {its first neighbor}, at that
-    neighbor's value, with value r = 0.  In each later round the farthest
+    z_ij, where the operator of the pair vanishes; where that pair is not
+    defined (a log at f0 meets a cut locus), does not move it or has no
+    zero, it takes S = {its first neighbor}, at that neighbor's value, with
+    value r = 0.  In each later round the farthest
     neighbor v not covered (sqrt(w_v) d > r (1 + _SLACK))
     joins S, and a pivot (_pivot) finds the new basis in the way of Wolfe's
     nearest-point algorithm (Math. Programming 11, 1976), applied to the
@@ -398,8 +383,11 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
     costs at most d^3 more: polynomial in d, where trying every subset
     would not be.
 
-    All vertices with the same trial size are solved in one batch.  A
-    search ends when every neighbor is covered.
+    All vertices with the same trial size are solved in one batch.  Every
+    failure of a map is one vertex's alone: its row comes out not finite
+    (NaN at a cut locus, in a singular solve or a Newton that fails), and
+    the step that made it drops it, as above.  A search ends when every
+    neighbor is covered.
 
     Returns:
         (values (A, L), supports (A,), rounds, lipschitz): supports counts
@@ -428,9 +416,8 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
     r = np.zeros(A)
     # round 1: a vertex whose extremal pair at f0 is defined and moves it
     # starts at that pair's zero instead
-    g, (i, j, _, moving) = _without_cut_locus(
-        lambda p: _extremal_batch(kernel, f0.flat[active[p]], nbr_vals[p], sqw[p]), np.arange(A))
-    g, pair = g[moving], np.stack([i, j], axis=1)[moving]
+    i, j, _, moving = _extremal_batch(kernel, f0.flat[active], nbr_vals, sqw)
+    g, pair = np.flatnonzero(moving), np.stack([i, j], axis=1)[moving]
     T, y, target, value = _trials(kernel, nbr_vals, sqw, g, pair, c[g])
     got = np.isfinite(target).all(axis=1)
     g = g[got]
@@ -469,20 +456,14 @@ def _make_room(kernel, nbr_vals, sqw, c, state, g, v):
     With a_b = w_b log_c f_b, the d + 1 members' a_b reach a_v by the
     barycentric coordinates beta.  Moving the dual weights l by -t beta,
     and v's weight from 0 to t, keeps the centre at c and raises g, up to
-    the first member whose weight meets 0.  That member leaves.  Where the
-    logs meet a cut locus or beta is not finite, the member of least
-    weight leaves, and v joins with weight 0.
+    the first member whose weight meets 0.  That member leaves.  Where beta
+    is not finite, as where a log meets a cut locus and is NaN, the member
+    of least weight leaves, and v joins with weight 0.
     """
     basis, lam = state
     T = np.concatenate([basis[g], v[:, None]], axis=1)        # (n, d + 2)
-
-    def coords(p):
-        a = sqw[g[p, None], T[p], None] ** 2 * kernel.log_ortho(c[g[p], None], nbr_vals[g[p, None], T[p]])
-        return (_barycentric(a[:, :-1] - a[:, -1:]),)
-
-    beta = np.full(basis[g].shape, np.nan)
-    kept, (bk,) = _without_cut_locus(coords, np.arange(g.size))
-    beta[kept] = bk
+    a = sqw[g[:, None], T, None] ** 2 * kernel.log_ortho(c[g, None], nbr_vals[g[:, None], T])
+    beta = _barycentric(a[:, :-1] - a[:, -1:])
     ok = np.isfinite(beta).all(axis=1)
     cur = lam[g]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -504,24 +485,22 @@ def _trials(kernel, nbr_vals, sqw, rows, T, start):
     _circumcentre from start (n, L).  Returns (T, centres (n, L), target
     (n, m), value (n,)): T with each pair sorted, target the dual weights
     l*_b, proportional to nu_b / sqrt(w_b) and summing to 1, NaN where
-    the circumcentre was not reached, met a cut locus, or has nonnegative
-    weights but a value above that of the start or of a zero of the last
-    member with another; value is the largest
-    sqrt(w) d over T at the centre.
+    the circumcentre was not reached or has nonnegative weights but a
+    value above that of the start or of a zero of the last member with
+    another; value is the largest sqrt(w) d over T at the centre.  A row
+    whose trial is not finite, as where a log meets a cut locus, keeps its
+    start as its centre; a zero that is not finite bounds nothing.  Rows do
+    not depend on each other.
     """
     if T.shape[1] == 2:
         T = np.sort(T, axis=1)
     fT, wT = nbr_vals[rows[:, None], T], sqw[rows[:, None], T]
-
-    def trial(p):
-        if T.shape[1] == 2:
-            return (_pair_zero(kernel, fT[p, 0], fT[p, 1], wT[p, 0], wT[p, 1]),
-                    np.full((p.size, 2), 0.5))
-        return _circumcentre(kernel, start[p], fT[p], wT[p])
-
-    y, nu = start.copy(), np.full(T.shape, np.nan)
-    kept, (yk, nuk) = _without_cut_locus(trial, np.arange(rows.size))
-    y[kept], nu[kept] = yk, nuk
+    if T.shape[1] == 2:
+        y, nu = _pair_zero(kernel, fT[:, 0], fT[:, 1], wT[:, 0], wT[:, 1]), np.full(T.shape, 0.5)
+    else:
+        y, nu = _circumcentre(kernel, start, fT, wT)
+    failed = ~(np.isfinite(y).all(axis=1) & np.isfinite(nu).all(axis=1))
+    y[failed], nu[failed] = start[failed], np.nan
     target = nu / wT
     target /= target.sum(axis=1, keepdims=True)
     value = (wT * kernel.dist(y[:, None], fT)).max(axis=1)
@@ -531,17 +510,13 @@ def _trials(kernel, nbr_vals, sqw, rows, T, start):
     # is not one, and counts as none
     bound = (wT * kernel.dist(start[:, None], fT)).max(axis=1)
     if T.shape[1] > 2:
-        n, m1, L = rows.size, T.shape[1] - 1, fT.shape[2]
-
-        def zeros(p):
-            fv, wv = np.repeat(fT[p, -1:], m1, axis=1), np.repeat(wT[p, -1:], m1, axis=1)
-            z = _pair_zero(kernel, fT[p, :-1].reshape(-1, L), fv.reshape(-1, L),
-                           wT[p, :-1].reshape(-1), wv.reshape(-1))
-            return (z.reshape(p.size, m1, L),)
-
-        kept, (z,) = _without_cut_locus(zeros, np.arange(n))
-        at_zeros = (wT[kept, None] * kernel.dist(z[:, :, None], fT[kept, None])).max(axis=2)
-        bound[kept] = np.minimum(bound[kept], at_zeros.min(axis=1))
+        m1, L = T.shape[1] - 1, fT.shape[2]
+        fv, wv = np.repeat(fT[:, -1:], m1, axis=1), np.repeat(wT[:, -1:], m1, axis=1)
+        z = _pair_zero(kernel, fT[:, :-1].reshape(-1, L), fv.reshape(-1, L),
+                       wT[:, :-1].reshape(-1), wv.reshape(-1)).reshape(-1, m1, L)
+        # a row with a zero that is not finite keeps the bound of its start
+        at_zeros = (wT[:, None] * kernel.dist(z[:, :, None], fT[:, None])).max(axis=2)
+        bound = np.fmin(bound, at_zeros.min(axis=1))
     worse = value > bound * (1.0 + _SLACK) + ZERO_TANGENT_TOL * sqw[rows].max(axis=1)
     target[worse & (target >= -_SLACK).all(axis=1)] = np.nan
     return T, y, target, value

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,34 @@ class TestMvi:
         with pytest.raises(FileFormatError) as exc:
             mv.read_mvi(path)
         assert "32" in str(exc.value) and "24" in str(exc.value)
+
+    @pytest.mark.parametrize("cut, got", [(-1, 31), (-8, 24), (8, 40), (1, 33)])
+    def test_payload_size_mismatch_reports_byte_counts(self, cut, got, tmp_path):
+        # a short payload and one with trailing bytes
+        img = random_image(S1, 2, 2, np.random.default_rng(74))
+        path = tmp_path / "img.mvi"
+        mv.write_mvi(img, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+        with pytest.raises(FileFormatError, match=f"^payload size mismatch: expected 32 bytes, got {got}$"):
+            mv.read_mvi(path)
+
+    @pytest.mark.parametrize("generate", [mv.generate_sphere_image, mv.generate_spd_image])
+    def test_read_peak_memory_is_at_most_three_images(self, generate, tmp_path):
+        # the payload is read into the image's buffer, and validation's
+        # temporaries come on top of it
+        img = generate(512, 512)
+        path = tmp_path / "img.mvi"
+        mv.write_mvi(img, path)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            back = mv.read_mvi(path)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == img.data.tobytes()
+        assert peak <= 3 * img.data.nbytes
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.mvi"
@@ -271,3 +300,49 @@ class TestPbm:
         path.write_text("P1\n2 1\n0 2\n")
         with pytest.raises(FileFormatError, match="bad PBM bit '2' at position 1"):
             mv.read_mask(path)
+
+    @pytest.mark.parametrize("raw, expected", [
+        # a comment runs to the end of its line, also in the middle of a token
+        (b"P1\n# a hole\n2 1 # 1 1\n0 1\n", [[0, 1]]),
+        (b"P1\n3 1\n0#1\n1 0\n", [[0, 1, 0]]),
+        # CR, LF and CRLF end lines, and \v, \f and \x1c-\x1e end them too
+        (b"P1\r\n2 2\r# c\r0 1\r\n1 0\n", [[0, 1], [1, 0]]),
+        (b"P1 2 1 #c\x0b0#c\x0c1", [[0, 1]]),
+        (b"P1 2 1 #c\x1c0#c\x1d1#c\x1e", [[0, 1]]),
+        # \x1f separates tokens but ends no line, so it ends no comment
+        (b"P1\x1f2\x1f1\x1f0 #c\x1f0\n1", [[0, 1]]),
+        (b"\x0b\x0cP1\t2\x1c1\x1d0\x1e1\x1f", [[0, 1]]),
+        # bits with or without separators
+        (b"P1 3 2 010\n1 10", [[0, 1, 0], [1, 1, 0]]),
+        (b"P1 3 2\n011100", [[0, 1, 1], [1, 0, 0]]),
+        (b"P1 2 2 0 1\n1 x", "bad PBM bit 'x' at position 3"),
+        (b"P1 2 2 01\x7f0", "bad PBM bit '\\x7f' at position 2"),
+        (b"P1 2 2 0 1 1", "PBM bit count mismatch: expected 4, got 3"),
+        (b"P1 2 1 0 1 1", "PBM bit count mismatch: expected 2, got 3"),
+        (b"P1 2 2 0 x", "PBM bit count mismatch: expected 4, got 2"),
+        (b"P1 2 1 0 1 # \xe9", "mask file is not ascii"),
+        (b"P1 2 # 1\n", "not a PBM P1 file"),
+        (b"P1 +2 0_1 0 1", [[0, 1]]),
+    ])
+    def test_edge_masks(self, raw, expected, tmp_path):
+        path = tmp_path / "m.pbm"
+        path.write_bytes(raw)
+        if isinstance(expected, str):
+            with pytest.raises(FileFormatError, match=f"^{re.escape(expected)}$"):
+                mv.read_mask(path)
+        else:
+            assert (~mv.read_mask(path).known).astype(int).tolist() == expected
+
+    def test_read_peak_memory_is_a_few_files(self, tmp_path):
+        known = np.random.default_rng(76).random((1024, 1024)) < 0.9
+        path = tmp_path / "m.pbm"
+        mv.write_mask(mv.Mask(known), path)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            back = mv.read_mask(path)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.known, known)
+        assert peak <= 5 * path.stat().st_size

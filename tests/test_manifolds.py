@@ -290,6 +290,37 @@ class TestSphere:
         assert not got[0].any() and (got[7] < 1e-5).all() and (got[14] > 9.8).all()
 
 
+@pytest.mark.parametrize("desc", [S1, S2], ids=lambda d: d.label())
+def test_batched_log_is_nan_exactly_at_the_cut_locus(desc):
+    # planted rows at angle pi, pi - 5e-11 (within CUT_LOCUS_TOL) and
+    # pi - 1e-9 (outside it) from their base, among random rows: the batched
+    # log is NaN in the first two and raises nothing, the others keep the
+    # bits of a call without the planted rows, and log_map still raises
+    k = desc.kernel
+    rng = np.random.default_rng(60)
+    x, y = mv.random_point(desc, rng, size=(9,)), mv.random_point(desc, rng, size=(9,))
+    base = mv.random_point(desc, rng, size=(3,))
+    unit = k.random_ortho(rng, base, 1.0)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    gaps = np.array([0.0, 5e-11, 1e-9])
+    far = k.exp_ortho(base, (np.pi - gaps)[:, None] * unit)
+    if desc == S2:
+        far[0] = -base[0]
+    at = np.array([1, 4, 8])
+    got = k.log_ortho(np.insert(x, at, base, axis=0), np.insert(y, at, far, axis=0))
+    pos = at + np.arange(3)                     # where the planted rows land
+    assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == pos[:2].tolist()
+    assert np.isnan(got[pos[:2]]).all()
+    assert got[np.delete(np.arange(12), pos)].tobytes() == k.log_ortho(x, y).tobytes()
+    for b, f, gap in zip(base, far, gaps):
+        if gap < manifolds.CUT_LOCUS_TOL:
+            with pytest.raises(CutLocusError):
+                mv.log_map(desc, b, f)
+        else:
+            # y - <x, y> x loses its relative precision near the antipode
+            assert mv.tangent_norm(desc, b, mv.log_map(desc, b, f)) == pytest.approx(np.pi - gap, abs=1e-7)
+
+
 class TestSpd:
     def test_outputs_stay_spd(self):
         rng = np.random.default_rng(53)

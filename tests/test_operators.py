@@ -391,6 +391,17 @@ class TestEulerStep:
         assert exc.value.vertex == 0
         assert exc.value.neighbor == 1
 
+    def test_cut_locus_error_names_the_first_failed_row_and_its_neighbor(self):
+        # vertex 1's neighbor 6, in its third slot, and vertex 2's neighbor 4,
+        # in its first, are antipodal to them; vertex 0 is fine
+        img = line_image(S1, [[0.0], [1.0], [np.pi - 0.5], [0.8], [-0.5], [1.3], [1.0 - np.pi]])
+        g = make_graph(7, {0: ([3, 4], [1.0, 1.0]), 1: ([3, 5, 6], [1.0, 1.0, 1.0]),
+                           2: ([4, 6], [1.0, 1.0])})
+        with pytest.raises(CutLocusError, match="^vertex 1: neighbor 6 is numerically at the cut "
+                           "locus of the current value$") as exc:
+            mv.euler_step(g, img, [0, 1, 2], 0.1)
+        assert (exc.value.vertex, exc.value.neighbor) == (1, 6)
+
 
 class TestSolveDirichlet:
     def test_path_graph_converges_to_ramp(self):
@@ -972,7 +983,7 @@ class TestOneCentreOracle:
         assert np.abs(out.flat[active] - ref.flat[active]).max() < 1e-12
 
     def test_a_trial_at_a_cut_locus_fails_only_its_row(self):
-        # row 1 starts antipodal to a support, so its log raises; the other
+        # row 1 starts antipodal to a support, so its logs are NaN; the other
         # rows come out as they do without it, and row 1 has no target
         graph, img, _, active = star_layer(S2, 3, degrees=(5, 6))
         rows = graph.rows(active)
@@ -980,10 +991,13 @@ class TestOneCentreOracle:
         T = np.tile([0, 1, 2], (active.size, 1))
         start = nbr[:, 3].copy()
         start[1] = -nbr[1, 0]
-        with pytest.raises(CutLocusError):
-            operators._circumcentre(S2.kernel, start, nbr[np.arange(6)[:, None], T], sqw[:, :3])
-        _, y, target, _ = operators._trials(S2.kernel, nbr, sqw, np.arange(6), T, start)
         others = np.array([0, 2, 3, 4, 5])
+        fT = nbr[np.arange(6)[:, None], T]
+        c, nu = operators._circumcentre(S2.kernel, start, fT, sqw[:, :3])
+        c2, nu2 = operators._circumcentre(S2.kernel, start[others], fT[others], sqw[others, :3])
+        assert np.isnan(nu[1]).all()
+        assert c[others].tobytes() == c2.tobytes() and nu[others].tobytes() == nu2.tobytes()
+        _, y, target, _ = operators._trials(S2.kernel, nbr, sqw, np.arange(6), T, start)
         _, y2, target2, _ = operators._trials(S2.kernel, nbr, sqw, others, T[others], start[others])
         assert np.isnan(target[1]).all()
         assert y[others].tobytes() == y2.tobytes()
