@@ -9,7 +9,6 @@ from .driver import (
     inpaint,
     nearest_known_fill,
 )
-from .eigen import sym_eig_batch
 from .fileio import read_mask, read_mvi, write_mask, write_mvi
 from .graph import NonlocalGraph, build_graph
 from .image import Mask, MvImage, image_distance
@@ -73,7 +72,6 @@ __all__ = [
     "render",
     "select_extremal_pair",
     "solve_dirichlet",
-    "sym_eig_batch",
     "tangent_inner",
     "tangent_norm",
     "write_mask",

@@ -132,7 +132,8 @@ class NonlocalGraph:
 
         Vertices with an empty list are not targets.  Each u and each list
         of ids goes through the vertex-id rule, and DimensionMismatch names
-        the first vertex whose ids repeat or whose lists differ in length.
+        the first vertex whose ids repeat, whose lists differ in length or
+        that has a weight that is not positive and finite.
         """
         adjacency = {one_vertex_id(u, vertex_count, "u"): lists
                      for u, lists in adjacency.items()}
@@ -144,6 +145,8 @@ class NonlocalGraph:
                 raise DimensionMismatch(f"vertex {u}: repeated ids")
             if ids.size != w.size:
                 raise DimensionMismatch(f"vertex {u}: {ids.size} ids but {w.size} weights")
+            if not ((w > 0.0) & (w < np.inf)).all():
+                raise DimensionMismatch(f"vertex {u}: a weight is not positive and finite")
             if ids.size:
                 items.append((u, ids.astype(np.int64), w))
         degrees = np.array([ids.size for _, ids, _ in items], dtype=np.int64)

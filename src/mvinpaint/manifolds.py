@@ -20,7 +20,7 @@ the manifold descriptor:
   closed-form square roots, congruences, matrix log/exp and distances on
   these triples with no eigensolver, and writes once; its point validation
   is closed-form too: positive definite with a finite 2 det.  For n != 2 maps
-  and validation use LAPACK's symmetric eigensolver (``eigen.sym_eig_batch``).
+  and validation use LAPACK's symmetric eigensolver (``sym_eig_batch``).
 
 Kernels work in "ortho" coordinates: an isometric identification of the
 tangent space at x with R^d in which the metric is the standard dot product
@@ -52,10 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import sym_eig_batch
 from .errors import (
     CutLocusError,
     DimensionMismatch,
+    EigenConvergenceError,
     NotPositiveDefinite,
     TangentBaseMismatch,
 )
@@ -362,8 +362,15 @@ class _Sphere2Kernel(_Kernel):
         np.multiply(d, d, out=out)
 
     def _check_values(self, pts):
-        nrm = np.linalg.norm(pts, axis=-1)
-        return self._first(np.abs(nrm - 1.0) > SPHERE_NORM_TOL, "not a unit vector")
+        # |p| from ((p0^2 + p1^2) + p2^2), np.linalg.norm's order, in two
+        # fields of one float per point
+        nrm = np.multiply(pts[..., 0], pts[..., 0])
+        t = np.multiply(pts[..., 1], pts[..., 1])
+        nrm += t
+        nrm += np.multiply(pts[..., 2], pts[..., 2], out=t)
+        np.sqrt(nrm, out=nrm)
+        nrm -= 1.0
+        return self._first(np.abs(nrm, out=nrm) > SPHERE_NORM_TOL, "not a unit vector")
 
     def random_point(self, rng, size=()):
         v = rng.normal(size=tuple(size) + (3,))
@@ -376,6 +383,23 @@ class _Sphere2Kernel(_Kernel):
         nrm = np.where(nrm == 0.0, 1.0, nrm)
         scale = rng.uniform(0.0, max_norm, size=nrm.shape)
         return v / nrm * scale
+
+
+def sym_eig_batch(mats):
+    """LAPACK's eigendecomposition of each symmetric slice of mats (..., n, n).
+
+    Returns evals (..., n) ascending and evecs (..., n, n) with orthonormal
+    columns; each slice is decomposed on its own.  Raises
+    EigenConvergenceError for a non-finite entry, which LAPACK need not
+    reject (a stack of I and a NaN-bearing matrix comes back with NaN
+    eigenvalues), and where LAPACK does not converge.
+    """
+    if not np.isfinite(mats).all():
+        raise EigenConvergenceError("matrix has a non-finite entry")
+    try:
+        return np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as e:
+        raise EigenConvergenceError(f"symmetric eigensolver failed: {e}") from e
 
 
 class _SpdKernel(_Kernel):
@@ -461,15 +485,16 @@ class _SpdKernel(_Kernel):
         np.einsum("...i,...i->...", ln, ln, out=out)
 
     def _check_values(self, pts):
-        i, j = np.triu_indices(self.n, 1)
-        asym = np.abs(pts[..., i * self.n + j] - pts[..., j * self.n + i])
-        # only symmetric points get the positive-definite test
-        return (self._first((asym > SPD_SYM_TOL).any(axis=-1), "not symmetric")
-                or self._first(self._indefinite(pts), "not positive definite"))
-
-    def _indefinite(self, pts):
-        """Whether each point fails the positive-definite test of _root."""
-        return self._eig(self._mat(pts))[0][..., 0] <= 0.0
+        # each entry pair's asymmetry in one scratch field; only symmetric
+        # points get the positive-definite test of _root
+        t = np.empty(pts.shape[:-1])
+        asym = np.zeros(t.shape, dtype=bool)
+        for i, j in zip(*np.triu_indices(self.n, 1)):
+            np.subtract(pts[..., i * self.n + j], pts[..., j * self.n + i], out=t)
+            asym |= np.abs(t, out=t) > SPD_SYM_TOL
+        return (self._first(asym, "not symmetric")
+                or self._first(self._eig(self._mat(pts))[0][..., 0] <= 0.0,
+                               "not positive definite"))
 
     def random_point(self, rng, size=()):
         size = tuple(size)
@@ -518,19 +543,24 @@ class _Spd2Kernel(_SpdKernel):
         a, b, c = W
         return np.where(same, 1.0, a), np.where(same, 0.0, b), np.where(same, 1.0, c)
 
-    def _indefinite(self, pts):
-        a, b, c = self._read(pts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (a <= 0.0) | (a * c - b * b <= 0.0)
-
     def _check_values(self, pts):
-        # a positive definite point whose 2 det overflows (1e154 I) has no
-        # finite distance, to I or to any other point
-        a, b, c = self._read(pts)
+        # _root's positive-definite test on the triples, in views of pts and
+        # one scratch field t; a positive definite point whose 2 det
+        # overflows (1e154 I) has no finite distance, to I or to any other
+        # point
+        a, c = pts[..., 0], pts[..., 3]
+        t = np.subtract(pts[..., 1], pts[..., 2])
+        asym = self._first(np.abs(t, out=t) > SPD_SYM_TOL, "not symmetric")
+        if asym:
+            return asym
+        np.add(pts[..., 1], pts[..., 2], out=t)
+        t *= 0.5                                               # t: b
         with np.errstate(over="ignore", invalid="ignore"):
-            two_det = 2.0 * (a * c - b * b)
-        return (super()._check_values(pts)
-                or self._first(~np.isfinite(two_det), "distance not finite"))
+            t *= t
+            np.subtract(a * c, t, out=t)                       # t: det
+            indefinite = self._first((a <= 0.0) | (t <= 0.0), "not positive definite")
+            t *= 2.0
+        return indefinite or self._first(~np.isfinite(t), "distance not finite")
 
     def _root(self, X, inverse=False):
         a, b, c = X

@@ -174,14 +174,16 @@ def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
     x = img.flat[active]
     kernel = img.descriptor.kernel
     i_slot, j_slot, delta, moving = _extremal_batch(kernel, x, img.flat[nbr], np.sqrt(graph.weights[rows]))
-    for a in np.flatnonzero(np.isnan(delta[:, 0])):
-        # a failed row's logs again, to find its first neighbor at the cut
-        # locus; a row failed by a weight that is not positive has none
+    failed = np.flatnonzero(np.isnan(delta[:, 0]))
+    if failed.size:
+        # the first failed row's logs again, to find its first neighbor at
+        # the cut locus: the weights are positive and finite, so a row fails
+        # only where a log is not finite
+        a = failed[0]
         bad = ~np.isfinite(kernel.log_ortho(x[a], img.flat[nbr[a]])).all(axis=1)
-        if bad.any():
-            u, v = int(active[a]), int(nbr[a, np.argmax(bad)])
-            raise CutLocusError(f"vertex {u}: neighbor {v} is numerically at the cut locus of the current "
-                                "value", vertex=u, neighbor=v)
+        u, v = int(active[a]), int(nbr[a, np.argmax(bad)])
+        raise CutLocusError(f"vertex {u}: neighbor {v} is numerically at the cut locus of the current "
+                            "value", vertex=u, neighbor=v)
     ar = np.arange(active.size)
     return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta, moving
 

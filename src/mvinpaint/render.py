@@ -18,15 +18,19 @@ anisotropy index
     GA(X) = sqrt(sum_i (log lambda_i - mean(log lambda))^2)
 
 normalized by the image maximum (blue isotropic, red most anisotropic).
-Isotropic matrices draw circles with GA = 0.  Unknown pixels draw gray
-ellipses when a mask is given.  Rendering never modifies its inputs.
+Isotropic matrices draw circles with GA = 0 at angle 0.  Eigenvalues and
+axes come in closed form from the entries [[a, b], [b, c]], b the mean of
+the two off-diagonal entries, with no eigensolver: with m = (a + c) / 2 and
+h = (a - c) / 2 the eigenvalues are m +- hypot(h, b), the small one taken as
+det / large, and the major axis lies at atan2(b, h) / 2, in [-90, 90]
+degrees.  Unknown pixels draw gray ellipses when a mask is given.
+Rendering never modifies its inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .eigen import sym_eig_batch
 from .errors import DimensionMismatch, FileFormatError
 from .image import MvImage, check_mask_shape
 
@@ -79,15 +83,20 @@ def _render_sphere_ppm(img: MvImage, mask, path):
 
 
 def _render_spd_svg(img: MvImage, mask, path):
-    n = img.descriptor.dim
-    mats = img.flat.reshape(-1, n, n)
-    mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    evals, evecs = sym_eig_batch(mats)
-    if evals[:, 0].min() <= 0.0:
+    a, c = img.flat[:, 0], img.flat[:, 3]
+    off = 0.5 * (img.flat[:, 1] + img.flat[:, 2])
+    det = a * c - off * off
+    if not ((a > 0.0) & (det > 0.0)).all():
         raise DimensionMismatch("spd image has a non positive definite pixel")
-    ga = geodesic_anisotropy(evals)
+    h = 0.5 * (a - c)
+    rad = np.hypot(h, off)
+    hi = 0.5 * (a + c) + rad
+    # m - hypot(h, off) cancels: the small eigenvalue comes from the determinant
+    lo = det / hi
+    ang = np.where(rad > 0.0, np.degrees(0.5 * np.arctan2(off, h)), 0.0)
+    ga = geodesic_anisotropy(np.stack([lo, hi], axis=-1))
     ga_max = float(ga.max())
-    lam_max = float(evals.max())
+    lam_max = float(hi.max())
     scale = 0.45 * CELL / lam_max
     hue_norm = ga / ga_max if ga_max > 0.0 else np.zeros_like(ga)
     # blue (2/3) for isotropic down to red (0) for the most anisotropic
@@ -103,18 +112,12 @@ def _render_spd_svg(img: MvImage, mask, path):
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
     ]
     known = mask.known.reshape(-1) if mask is not None else None
-    # principal axis: eigenvector of the largest eigenvalue (last column),
-    # signed so that x > 0, or y > 0 where x is +-0, which keeps the angle in
-    # [-90, 90] whatever sign the eigensolver returns
-    vx, vy = evecs[:, 0, -1], evecs[:, 1, -1]
-    sign = np.where((vx < 0.0) | ((vx == 0.0) & (vy < 0.0)), -1.0, 1.0)
-    ang = np.degrees(np.arctan2(sign * vy, sign * vx))
     for u in range(img.vertex_count):
         i, j = divmod(u, img.cols)
         cx = (j + 0.5) * CELL
         cy = (i + 0.5) * CELL
-        rx = max(evals[u, -1] * scale, 0.05)
-        ry = max(evals[u, 0] * scale, 0.05)
+        rx = max(hi[u] * scale, 0.05)
+        ry = max(lo[u] * scale, 0.05)
         if known is not None and not known[u]:
             fill = "#%02x%02x%02x" % GRAY
         else:

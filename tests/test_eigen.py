@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mvinpaint import sym_eig_batch
-from mvinpaint.errors import DimensionMismatch, EigenConvergenceError
+from mvinpaint import ManifoldDescriptor, MvImage, random_point
+from mvinpaint.errors import EigenConvergenceError
+from mvinpaint.manifolds import sym_eig_batch
 
 
 def random_sym(rng, batch, n):
@@ -44,7 +45,7 @@ def test_ascending_eigenvalues():
     assert (np.diff(lam, axis=-1) >= 0.0).all()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 17])
 def test_matches_lapack_oracle(n):
     # numpy's eigvalsh serves as the independent reference here
     rng = np.random.default_rng(100 + n)
@@ -69,23 +70,6 @@ def test_repeated_eigenvalue():
     assert np.allclose(q @ q.T, np.eye(3))
 
 
-def test_rejects_asymmetric():
-    a = np.eye(3)
-    a[0, 2] = 1e-6
-    with pytest.raises(DimensionMismatch, match="asymmetry"):
-        sym_eig_batch(a)
-
-
-def test_rejects_oversized():
-    with pytest.raises(DimensionMismatch):
-        sym_eig_batch(np.eye(17))
-
-
-def test_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        sym_eig_batch(np.zeros((2, 3)))
-
-
 def test_convergence_error(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -101,6 +85,13 @@ def test_non_finite_entry_is_an_error(bad):
     a[1, 2] = a[2, 1] = bad
     with pytest.raises(EigenConvergenceError):
         sym_eig_batch(np.stack([np.eye(3), a]))
+
+
+def test_spd_17_image_validates():
+    # spd(n) has no size limit: an spd(17) image passes its point checks
+    desc = ManifoldDescriptor.spd(17)
+    pts = random_point(desc, np.random.default_rng(17), size=(2, 3))
+    MvImage(desc, pts).validate()
 
 
 def test_deterministic():

@@ -141,9 +141,9 @@ class TestMvi:
             mv.read_mvi(path)
 
     @pytest.mark.parametrize("generate", [mv.generate_sphere_image, mv.generate_spd_image])
-    def test_read_peak_memory_is_at_most_three_images(self, generate, tmp_path):
+    def test_read_peak_memory_is_at_most_two_images(self, generate, tmp_path):
         # the payload is read into the image's buffer, and validation's
-        # temporaries come on top of it
+        # temporaries, a few fields of one float per pixel, come on top of it
         img = generate(512, 512)
         path = tmp_path / "img.mvi"
         mv.write_mvi(img, path)
@@ -155,7 +155,7 @@ class TestMvi:
         finally:
             tracemalloc.stop()
         assert back.data.tobytes() == img.data.tobytes()
-        assert peak <= 3 * img.data.nbytes
+        assert peak <= 2 * img.data.nbytes
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.mvi"

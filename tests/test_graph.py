@@ -139,12 +139,17 @@ class TestNonlocalGraph:
     @pytest.mark.parametrize(
         "edges",
         [{0: ([1, 2], [1.0])}, {0: ([1, 4], [1.0, 1.0])}, {0: ([1, 1], [1.0, 1.0])},
-         {4: ([1], [1.0])}, {0: ([2.9, 1.2], [1.0, 1.0])}],
-        ids=["lengths", "id-range", "repeated-id", "vertex-range", "float-id"],
+         {4: ([1], [1.0])}, {0: ([2.9, 1.2], [1.0, 1.0])},
+         {2: ([1, 3], [0.0, 1.0])}, {2: ([1, 3], [-1.0, 1.0])},
+         {2: ([1, 3], [np.nan, 1.0])}, {2: ([1, 3], [np.inf, 1.0])}],
+        ids=["lengths", "id-range", "repeated-id", "vertex-range", "float-id",
+             "zero-weight", "negative-weight", "nan-weight", "inf-weight"],
     )
     def test_from_adjacency_rejects_bad_lists(self, edges):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch) as err:
             mv.NonlocalGraph.from_adjacency(4, edges)
+        if 2 in edges:
+            assert str(err.value) == "vertex 2: a weight is not positive and finite"
 
     def test_empty_graph(self):
         g = mv.NonlocalGraph.empty(4)

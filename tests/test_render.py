@@ -1,12 +1,11 @@
 """Tests for PPM sphere rendering and SVG ellipse rendering."""
 
-import importlib
 import re
 
 import numpy as np
 import pytest
 
-from mvinpaint import ManifoldDescriptor, Mask, MvImage, generate_spd_image, render
+from mvinpaint import ManifoldDescriptor, Mask, MvImage, render
 from mvinpaint.errors import DimensionMismatch, FileFormatError
 from mvinpaint.render import geodesic_anisotropy
 
@@ -93,23 +92,36 @@ class TestSpdSvg:
             assert rx == ry == "5.400"
 
     def test_anisotropic_pixel_shape_and_color(self, tmp_path):
-        data = np.array([[np.diag([2.0, 2.0]).reshape(4), rot_spd(3.0, 1.0, 30.0)]])
+        # principal axes at 30 degrees and near 0, +-45 and +-90, where the
+        # closed-form angle atan2(b, h) / 2 meets its branch cut at +-90
+        degs = [30.0, 0.0, 0.3, -0.3, 44.7, 45.0, -45.0, 89.7, 90.0, -90.0, -89.7]
+        pixels = [np.diag([2.0, 2.0]).reshape(4)] + [rot_spd(3.0, 1.0, d) for d in degs]
+        data = np.array([pixels])
         img = MvImage(ManifoldDescriptor.spd(2), data)
         out = tmp_path / "img.svg"
         render(img, None, out, "svg")
         text = out.read_text()
         hits = ELLIPSE_RE.findall(text)
-        assert len(hits) == 2
-        iso, ani = hits
+        assert len(hits) == len(pixels)
+        iso, anis = hits[0], hits[1:]
         assert iso[2] == iso[3] == "3.600"
-        assert ani[2] == "5.400" and ani[3] == "1.800"
-        # principal axis of the second pixel sits at 30 degrees (mod 180)
-        ang = float(ani[4]) % 180.0
-        assert abs(ang - 30.0) < 0.02
+        for px, ani in zip(pixels[1:], anis):
+            assert ani[2] == "5.400" and ani[3] == "1.800"
+            # the printed angle is the eigensolver's major axis, mod 180
+            q = np.linalg.eigh(px.reshape(2, 2))[1][:, -1]
+            off = (float(ani[4]) - np.degrees(np.arctan2(q[1], q[0]))) % 180.0
+            assert min(off, 180.0 - off) < 0.006
         # colormap endpoints: isotropic is blue, the most anisotropic red
         assert iso[5] == "#2222e6"
-        assert ani[5] == "#e62222"
+        assert {ani[5] for ani in anis} == {"#e62222"}
         assert "</svg>" in text
+
+    def test_isotropic_pixel_draws_angle_zero(self, tmp_path):
+        # a circle has no axis: angle 0, also where the off-diagonal is -0.0
+        data = np.array([[[2.0, -0.0, -0.0, 2.0], [3.0, 0.0, 0.0, 3.0]]])
+        out = tmp_path / "img.svg"
+        render(MvImage(ManifoldDescriptor.spd(2), data), None, out, "svg")
+        assert [hit[4] for hit in ELLIPSE_RE.findall(out.read_text())] == ["0.00", "0.00"]
 
     def test_unknown_pixels_are_gray(self, tmp_path):
         data = np.broadcast_to(np.diag([2.0, 2.0]).reshape(4), (1, 2, 4)).copy()
@@ -133,22 +145,6 @@ class TestSpdSvg:
         before = img.data.tobytes()
         render(img, None, tmp_path / "img.svg", "svg")
         assert img.data.tobytes() == before
-
-    def test_angles_do_not_depend_on_eigenvector_signs(self, tmp_path, monkeypatch):
-        # the package's `render` function shadows the module attribute
-        render_mod = importlib.import_module("mvinpaint.render")
-        img = generate_spd_image(16, 16)
-        render(img, None, tmp_path / "plain.svg", "svg")
-        real = render_mod.sym_eig_batch
-
-        def negated(mats):
-            lam, q = real(mats)
-            return lam, -q
-
-        monkeypatch.setattr(render_mod, "sym_eig_batch", negated)
-        render(img, None, tmp_path / "negated.svg", "svg")
-        plain = (tmp_path / "plain.svg").read_bytes()
-        assert (tmp_path / "negated.svg").read_bytes() == plain
 
 
 class TestGeodesicAnisotropy:
