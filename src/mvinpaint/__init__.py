@@ -12,26 +12,9 @@ from .driver import (
 from .fileio import read_mask, read_mvi, write_mask, write_mvi
 from .graph import NonlocalGraph, build_graph
 from .image import Mask, MvImage, image_distance
-from .manifolds import (
-    ManifoldDescriptor,
-    Tangent,
-    distance,
-    exp_map,
-    log_map,
-    random_point,
-    random_tangent,
-    tangent_inner,
-    tangent_norm,
-)
+from .manifolds import ManifoldDescriptor
 from .metrics import ComparisonReport, compare
-from .operators import (
-    euler_step,
-    inf_laplacian,
-    inf_laplacian_field,
-    real_graph_inf_laplacian,
-    select_extremal_pair,
-    solve_dirichlet,
-)
+from .operators import euler_step, inf_laplacian, inf_laplacian_field, solve_dirichlet
 from .render import geodesic_anisotropy, render
 from .synthetic import cut_mask, generate_sphere_image, generate_spd_image
 
@@ -46,13 +29,10 @@ __all__ = [
     "MvImage",
     "NonlocalGraph",
     "SolverConfig",
-    "Tangent",
     "build_graph",
     "compare",
     "cut_mask",
-    "distance",
     "euler_step",
-    "exp_map",
     "find_border",
     "generate_spd_image",
     "generate_sphere_image",
@@ -62,18 +42,11 @@ __all__ = [
     "inf_laplacian_field",
     "initialize_border",
     "inpaint",
-    "log_map",
     "nearest_known_fill",
-    "random_point",
-    "random_tangent",
     "read_mask",
     "read_mvi",
-    "real_graph_inf_laplacian",
     "render",
-    "select_extremal_pair",
     "solve_dirichlet",
-    "tangent_inner",
-    "tangent_norm",
     "write_mask",
     "write_mvi",
 ]

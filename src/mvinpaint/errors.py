@@ -33,10 +33,6 @@ class NumericalError(Exception):
         self.layer = layer
 
 
-class TangentBaseMismatch(NumericalError, ValueError):
-    """Tangent vector is anchored at a different point than expected."""
-
-
 class CutLocusError(NumericalError, ValueError):
     """Logarithm requested for a point numerically at the cut locus of the base."""
 

@@ -22,27 +22,25 @@ the manifold descriptor:
   is closed-form too: positive definite with a finite 2 det.  For n != 2 maps
   and validation use LAPACK's symmetric eigensolver (``sym_eig_batch``).
 
-Kernels work in "ortho" coordinates: an isometric identification of the
-tangent space at x with R^d in which the metric is the standard dot product
-(the identity map for the first three families, the whitening
-V -> X^(-1/2) V X^(-1/2) for spd; Pennec, Fillard and Ayache, IJCV 66,
-2006).  Each kernel defines only its primitives: ``log_ortho``,
+The package holds tangent vectors in "ortho" coordinates only: an isometric
+identification of the tangent space at x with R^d in which the metric is
+the standard dot product (the identity map for the first three families,
+the whitening V -> X^(-1/2) V X^(-1/2) for spd; Pennec, Fillard and Ayache,
+IJCV 66, 2006).  Each kernel defines only its primitives: ``log_ortho``,
 ``exp_ortho``, ``_dist2`` (squared distances written into a given array)
-and point validation, plus the two coordinate maps for spd.  ``exp``,
-``log``, ``inner``, ``dist2`` and ``dist`` are derived from these once, in
-the shared base class: ``dist`` is the root of ``dist2`` on every kernel.
-The batched solver calls the ortho maps directly, so norms and inner
-products are plain einsums.  The sphere2 angle and the euclidean distance
-sum their squares with ufuncs in an order they write out, so that their
-bits do not depend on how einsum lays out its sums for a given shape,
-memory layout or numpy version.
+and point validation; ``dist2`` and ``dist``, its root, are derived once,
+in the shared base class.  Norms and inner products of tangent vectors are
+plain einsums.  The sphere2 angle and the euclidean distance sum their
+squares with ufuncs in an order they write out, so that their bits do not
+depend on how einsum lays out its sums for a given shape, memory layout or
+numpy version.
 
-Numerical conventions: tangent norms below 1e-15 short-circuit to exact
-zeros, the log and ``dist2`` of a point at itself are exactly zero, and
-the batched log maps (``log_ortho``, ``log``) give NaN in each pair within
-1e-10 of the cut locus and raise nothing there, so a failed row never
-changes another; ``log_map`` raises :class:`CutLocusError` where the log is
-not finite.  Distances have closed forms everywhere and never raise.
+Numerical conventions: sphere2's maps take tangent norms below 1e-15 as
+exact zeros, the log and ``dist2`` of a point at itself are exactly zero,
+and ``log_ortho`` gives NaN in each pair within 1e-10 of the cut locus and
+raises nothing there, so a failed row never changes another; the operators
+built on it raise ``CutLocusError`` there.  Distances have closed forms
+everywhere and never raise.
 """
 
 from __future__ import annotations
@@ -52,25 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CutLocusError,
-    DimensionMismatch,
-    EigenConvergenceError,
-    NotPositiveDefinite,
-    TangentBaseMismatch,
-)
+from .errors import DimensionMismatch, EigenConvergenceError, NotPositiveDefinite
 
-__all__ = [
-    "ManifoldDescriptor",
-    "Tangent",
-    "exp_map",
-    "log_map",
-    "distance",
-    "tangent_inner",
-    "tangent_norm",
-    "random_point",
-    "random_tangent",
-]
+__all__ = ["ManifoldDescriptor"]
 
 ZERO_TANGENT_TOL = 1e-15
 CUT_LOCUS_TOL = 1e-10
@@ -163,14 +145,6 @@ class ManifoldDescriptor:
         return _kernel_for(self)
 
 
-@dataclass
-class Tangent:
-    """A tangent vector together with the point it is anchored at."""
-
-    base: np.ndarray
-    vec: np.ndarray
-
-
 def wrap_angle(a):
     """Wrap angles into (-pi, pi]."""
     b = np.mod(np.asarray(a, dtype=np.float64), 2.0 * np.pi)
@@ -182,10 +156,9 @@ class _Kernel:
 
     A concrete kernel defines ``log_ortho``, ``exp_ortho`` and ``_dist2``
     (and ``_check_values`` when its points have constraints beyond finite
-    entries); a kernel whose ortho coordinates are not its tangent vectors
-    also overrides ``tangent_from_ortho`` and ``ortho_from_tangent``.  In
-    ortho coordinates the metric is the dot product, so ``exp``, ``log``,
-    ``inner`` and ``dist``, the root of ``dist2``, follow here once.
+    entries); ``dist2``, point validation and ``dist``, the root of
+    ``dist2``, follow here once.  Every tangent vector is in ortho
+    coordinates, where the metric is the dot product.
 
     ``symmetric_dist2`` is true when ``dist2(x, y)`` has the bits of
     ``dist2(y, x)`` for every pair, which lets the graph build serve the
@@ -226,23 +199,6 @@ class _Kernel:
         """(index, reason) of the first point that bad flags, or None."""
         return (int(np.argwhere(bad)[0][0]), reason) if bad.any() else None
 
-    def tangent_from_ortho(self, x, w):
-        return w
-
-    def ortho_from_tangent(self, x, v):
-        return v
-
-    def exp(self, x, v):
-        return self.exp_ortho(x, self.ortho_from_tangent(x, v))
-
-    def log(self, x, y):
-        return self.tangent_from_ortho(x, self.log_ortho(x, y))
-
-    def inner(self, x, a, b):
-        wa = self.ortho_from_tangent(x, a)
-        wb = self.ortho_from_tangent(x, b)
-        return np.einsum("...l,...l->...", wa, wb)
-
     def dist(self, x, y):
         return np.sqrt(self.dist2(x, y))
 
@@ -273,16 +229,6 @@ class _EuclideanKernel(_Kernel):
             if l:
                 out += c
 
-    def random_point(self, rng, size=()):
-        return rng.normal(size=tuple(size) + (self.point_len,))
-
-    def random_ortho(self, rng, x, max_norm):
-        v = rng.normal(size=x.shape)
-        nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        scale = rng.uniform(0.0, max_norm, size=nrm.shape)
-        return v / nrm * scale
-
 
 class _CircleKernel(_Kernel):
     symmetric_dist2 = True      # fmod(x - y) is exactly -fmod(y - x)
@@ -304,13 +250,6 @@ class _CircleKernel(_Kernel):
     def _check_values(self, pts):
         a = pts[..., 0]
         return self._first((a <= -np.pi) | (a > np.pi), "angle outside (-pi, pi]")
-
-    def random_point(self, rng, size=()):
-        a = rng.uniform(-np.pi, np.pi, size=tuple(size) + (1,))
-        return wrap_angle(a)
-
-    def random_ortho(self, rng, x, max_norm):
-        return rng.uniform(-max_norm, max_norm, size=x.shape)
 
 
 class _Sphere2Kernel(_Kernel):
@@ -371,18 +310,6 @@ class _Sphere2Kernel(_Kernel):
         np.sqrt(nrm, out=nrm)
         nrm -= 1.0
         return self._first(np.abs(nrm, out=nrm) > SPHERE_NORM_TOL, "not a unit vector")
-
-    def random_point(self, rng, size=()):
-        v = rng.normal(size=tuple(size) + (3,))
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def random_ortho(self, rng, x, max_norm):
-        v = rng.normal(size=x.shape)
-        v = v - np.einsum("...l,...l->...", v, x)[..., None] * x
-        nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        scale = rng.uniform(0.0, max_norm, size=nrm.shape)
-        return v / nrm * scale
 
 
 def sym_eig_batch(mats):
@@ -470,13 +397,6 @@ class _SpdKernel(_Kernel):
         E = self._apply(self._read(w), np.exp)
         return self._write(self._congruence(Xh, E))
 
-    def tangent_from_ortho(self, x, w):
-        return self._write(self._congruence(self._root(self._read(x)), self._read(w)))
-
-    def ortho_from_tangent(self, x, v):
-        Xmh = self._root(self._read(x), inverse=True)
-        return self._write(self._congruence(Xmh, self._read(v)))
-
     def _dist2(self, x, y, out):
         lam, _ = self._eig(self._whiten(x, y))
         if lam[..., 0].min(initial=np.inf) <= 0.0:
@@ -495,22 +415,6 @@ class _SpdKernel(_Kernel):
         return (self._first(asym, "not symmetric")
                 or self._first(self._eig(self._mat(pts))[0][..., 0] <= 0.0,
                                "not positive definite"))
-
-    def random_point(self, rng, size=()):
-        size = tuple(size)
-        g = rng.normal(size=size + (self.n, self.n))
-        Qm, _ = np.linalg.qr(g)
-        lam = np.exp(rng.uniform(-1.0, 1.0, size=size + (self.n,)))
-        X = np.einsum("...ij,...j,...kj->...ik", Qm, lam, Qm)
-        return self._buf(self._sym(X))
-
-    def random_ortho(self, rng, x, max_norm):
-        W = rng.normal(size=self._mat(x).shape)
-        W = self._sym(W)
-        nrm = np.sqrt(np.einsum("...ij,...ij->...", W, W))
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        scale = rng.uniform(0.0, max_norm, size=nrm.shape)
-        return self._buf(W * (scale / nrm)[..., None, None])
 
 
 class _Spd2Kernel(_SpdKernel):
@@ -687,104 +591,3 @@ def _kernel_for(desc: ManifoldDescriptor):
     if desc.dim == 2:
         return _Spd2Kernel(2)
     return _SpdKernel(desc.dim)
-
-
-def _as_point(desc: ManifoldDescriptor, x, name="point"):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape != (desc.point_len,):
-        raise DimensionMismatch(
-            f"{name} has shape {x.shape}, expected ({desc.point_len},) for {desc.label()}"
-        )
-    return x
-
-
-def _check_point(desc: ManifoldDescriptor, x, name="point"):
-    bad = desc.kernel.validate_points(x[None, :])
-    if bad is not None:
-        raise DimensionMismatch(f"{name} invalid for {desc.label()}: {bad[1]}")
-
-
-def _check_tangent(desc: ManifoldDescriptor, x, xi: Tangent, name="tangent"):
-    if not isinstance(xi, Tangent):
-        raise TypeError(f"{name} must be a Tangent, got {type(xi).__name__}")
-    base = np.asarray(xi.base, dtype=np.float64).reshape(-1)
-    if not np.array_equal(base, x):
-        raise TangentBaseMismatch(f"{name} is anchored at a different base point")
-    vec = np.asarray(xi.vec, dtype=np.float64)
-    if vec.ndim == 0:
-        vec = vec.reshape(1)
-    if vec.shape != (desc.point_len,):
-        raise DimensionMismatch(
-            f"{name} has shape {vec.shape}, expected ({desc.point_len},)"
-        )
-    return vec
-
-
-def exp_map(desc: ManifoldDescriptor, x, xi: Tangent) -> np.ndarray:
-    """Geodesic exponential: follow the geodesic from x with velocity xi for unit time.
-
-    Tangent norms below 1e-15 return x exactly.
-    """
-    x = _as_point(desc, x)
-    _check_point(desc, x)
-    vec = _check_tangent(desc, x, xi)
-    k = desc.kernel
-    if np.sqrt(k.inner(x, vec, vec)) < ZERO_TANGENT_TOL:
-        return x.copy()
-    return k.exp(x, vec)
-
-
-def log_map(desc: ManifoldDescriptor, x, y) -> Tangent:
-    """Geodesic logarithm: the tangent at x whose exponential reaches y.
-
-    Raises CutLocusError where the kernel's log is not finite: within 1e-10
-    of the cut locus of x (the antipode for the circle and the sphere; spd
-    has none).
-    """
-    x = _as_point(desc, x)
-    y = _as_point(desc, y, name="target")
-    _check_point(desc, x)
-    _check_point(desc, y, name="target")
-    vec = desc.kernel.log(x, y)
-    if not np.isfinite(vec).all():
-        raise CutLocusError("log undefined: target is numerically antipodal to the base")
-    return Tangent(base=x, vec=vec)
-
-
-def distance(desc: ManifoldDescriptor, x, y) -> float:
-    """Geodesic distance between two points; defined for every point pair."""
-    x = _as_point(desc, x)
-    y = _as_point(desc, y, name="target")
-    _check_point(desc, x)
-    _check_point(desc, y, name="target")
-    return float(desc.kernel.dist(x, y))
-
-
-def tangent_inner(desc: ManifoldDescriptor, x, a: Tangent, b: Tangent) -> float:
-    """Riemannian inner product of two tangents anchored at the same x."""
-    x = _as_point(desc, x)
-    va = _check_tangent(desc, x, a, name="a")
-    vb = _check_tangent(desc, x, b, name="b")
-    return float(desc.kernel.inner(x, va, vb))
-
-
-def tangent_norm(desc: ManifoldDescriptor, x, a: Tangent) -> float:
-    """Riemannian norm of a tangent vector at x."""
-    x = _as_point(desc, x)
-    va = _check_tangent(desc, x, a, name="a")
-    return float(np.sqrt(desc.kernel.inner(x, va, va)))
-
-
-def random_point(desc: ManifoldDescriptor, rng, size=()) -> np.ndarray:
-    """Draw random valid points; intended for tests and examples."""
-    return desc.kernel.random_point(rng, size)
-
-
-def random_tangent(desc: ManifoldDescriptor, rng, x, max_norm: float) -> Tangent:
-    """Draw a random tangent at x with norm below max_norm."""
-    x = np.asarray(x, dtype=np.float64)
-    k = desc.kernel
-    w = k.random_ortho(rng, x, max_norm)
-    return Tangent(base=x, vec=k.tangent_from_ortho(x, w))

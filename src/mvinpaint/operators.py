@@ -38,10 +38,10 @@ from collections import namedtuple
 import numpy as np
 
 from .config import SolverConfig, check
-from .errors import CutLocusError, DimensionMismatch, SolverError
+from .errors import CutLocusError, SolverError
 from .graph import NonlocalGraph
 from .image import Mask, MvImage, check_mask_shape, one_vertex_id, vertex_ids
-from .manifolds import ZERO_TANGENT_TOL, Tangent
+from .manifolds import ZERO_TANGENT_TOL
 
 # _extremal_batch keeps the pairs within SCREEN_SAFETY times the rounding
 # bound of a row's screened maximum
@@ -60,27 +60,6 @@ _NEWTON_TOL = 1e-15
 _NEWTON_FLOOR = 1e-12
 _NEWTON_ITER = 100
 _NEWTON_LAG = 4
-
-
-def real_graph_inf_laplacian(graph: NonlocalGraph, f: np.ndarray, u: int) -> float:
-    """Max/min-difference form of the operator for real vertex functions.
-
-    Computes max_v |max(sqrt(w)(f(v) - f(u)), 0)| minus
-    max_v |min(sqrt(w)(f(v) - f(u)), 0)| over the neighbors of u.  Serves as
-    an independent cross-check of the manifold operator in the real case.
-    """
-    u = one_vertex_id(u, graph.vertex_count, "u")
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.size != graph.vertex_count:
-        raise DimensionMismatch(
-            f"f has {f.size} entries, expected one per vertex ({graph.vertex_count})")
-    ids, w = graph.neighbors(u)
-    if len(ids) == 0:
-        raise SolverError(f"vertex {u} has no neighbors", vertex=u)
-    d = np.sqrt(np.asarray(w, dtype=np.float64)) * (f[ids] - f[u])
-    up = np.abs(np.maximum(d, 0.0)).max()
-    down = np.abs(np.minimum(d, 0.0)).max()
-    return float(up - down)
 
 
 def _extremal_batch(kernel, x, nbr_vals, sqw):
@@ -188,34 +167,21 @@ def _batch_at(graph: NonlocalGraph, img: MvImage, active: np.ndarray):
     return x, np.stack([nbr[ar, i_slot], nbr[ar, j_slot]], axis=1), delta, moving
 
 
-def select_extremal_pair(graph: NonlocalGraph, img: MvImage, u: int):
-    """The ordered neighbor pair (v1, v2) attaining the operator's argmax.
-
-    Diagonal pairs are admissible (objective 0), so a single neighbor v
-    yields (v, v); ties go to the lexicographically smallest id pair.
-    """
-    ((v1, v2),) = _batch_at(graph, img, np.array([one_vertex_id(u, img.vertex_count, "u")]))[1]
-    return int(v1), int(v2)
-
-
-def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> Tangent:
-    """Graph infinity-Laplacian of the image at vertex u as a Tangent there."""
+def inf_laplacian(graph: NonlocalGraph, img: MvImage, u: int) -> np.ndarray:
+    """Graph infinity-Laplacian of the image at vertex u, (L,) in ortho coordinates at f(u)."""
     u = one_vertex_id(u, img.vertex_count, "u")
-    return inf_laplacian_field(graph, img, [u])[u]
+    return inf_laplacian_field(graph, img, [u])[0]
 
 
-def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> dict:
-    """Operator tangents for every active vertex, keyed by vertex id."""
+def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> np.ndarray:
+    """The operator at every active vertex, (A, L) in ortho coordinates at its value.
+
+    Row a belongs to the a-th id of vertex_ids(active): ascending, each once.
+    """
     active = vertex_ids(active, img.vertex_count, "active")
     if active.size == 0:
-        return {}
-    x, _, delta, _ = _batch_at(graph, img, active)
-    kernel = img.descriptor.kernel
-    vecs = kernel.tangent_from_ortho(x, delta)
-    return {
-        int(u): Tangent(base=img.flat[int(u)].copy(), vec=vecs[a])
-        for a, u in enumerate(active)
-    }
+        return np.empty((0, img.descriptor.point_len))
+    return _batch_at(graph, img, active)[2]
 
 
 def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImage:

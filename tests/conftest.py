@@ -1,8 +1,10 @@
 """Shared helpers for the test suite.
 
 Most oracles here are deliberately written the slow, obvious way (plain
-Python loops over public scalar API calls) so they stay independent of the
-vectorized implementations they check.
+Python loops that call a kernel map on one point pair at a time) so they
+stay independent of the vectorized implementations they check.  Tangent
+vectors are in the kernels' ortho coordinates, where the metric is the dot
+product.
 """
 
 from collections import deque
@@ -12,9 +14,10 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
-from mvinpaint.errors import ConfigError, DimensionMismatch
-from mvinpaint.image import Mask, MvImage, check_mask_shape
-from mvinpaint.manifolds import ManifoldDescriptor
+from mvinpaint import operators
+from mvinpaint.errors import ConfigError, CutLocusError, DimensionMismatch, SolverError
+from mvinpaint.image import Mask, MvImage, check_mask_shape, one_vertex_id
+from mvinpaint.manifolds import ManifoldDescriptor, wrap_angle
 
 
 def all_descriptors():
@@ -52,10 +55,58 @@ def line_image(desc, values):
     return mv.MvImage(desc, data)
 
 
+def random_point(desc, rng, size=()):
+    """Draw random valid points of desc, (*size, L)."""
+    size = tuple(size)
+    if desc.kind == "euclidean":
+        return rng.normal(size=size + (desc.point_len,))
+    if desc.kind == "circle":
+        a = rng.uniform(-np.pi, np.pi, size=size + (1,))
+        return wrap_angle(a)
+    if desc.kind == "sphere2":
+        v = rng.normal(size=size + (3,))
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    n = desc.dim
+    g = rng.normal(size=size + (n, n))
+    Qm, _ = np.linalg.qr(g)
+    lam = np.exp(rng.uniform(-1.0, 1.0, size=size + (n,)))
+    X = np.einsum("...ij,...j,...kj->...ik", Qm, lam, Qm)
+    return (0.5 * (X + np.swapaxes(X, -1, -2))).reshape(size + (n * n,))
+
+
+def random_ortho(desc, rng, x, max_norm):
+    """Draw a random tangent at each point of x, in ortho coordinates, of norm below max_norm."""
+    if desc.kind == "circle":
+        return rng.uniform(-max_norm, max_norm, size=x.shape)
+    if desc.kind == "spd":
+        n = desc.dim
+        W = rng.normal(size=x.shape[:-1] + (n, n))
+        W = 0.5 * (W + np.swapaxes(W, -1, -2))
+        nrm = np.sqrt(np.einsum("...ij,...ij->...", W, W))
+        nrm = np.where(nrm == 0.0, 1.0, nrm)
+        scale = rng.uniform(0.0, max_norm, size=nrm.shape)
+        return (W * (scale / nrm)[..., None, None]).reshape(x.shape)
+    v = rng.normal(size=x.shape)
+    if desc.kind == "sphere2":
+        v = v - np.einsum("...l,...l->...", v, x)[..., None] * x
+    nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+    nrm = np.where(nrm == 0.0, 1.0, nrm)
+    scale = rng.uniform(0.0, max_norm, size=nrm.shape)
+    return v / nrm * scale
+
+
+def log_at(desc, x, y):
+    """log_x(y) of one point pair in ortho coordinates; CutLocusError where it is not finite."""
+    v = desc.kernel.log_ortho(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    if not np.isfinite(v).all():
+        raise CutLocusError("log undefined: target is numerically antipodal to the base")
+    return v
+
+
 def brute_extremal_pair(graph, img, u):
     """Argmax over all ordered neighbor pairs, ties to the smallest id pair.
 
-    Uses only scalar public API calls, no batching.
+    Takes each log on its own, one pair at a time, no batching.
     """
     desc = img.descriptor
     ids, w = graph.neighbors(u)
@@ -64,10 +115,10 @@ def brute_extremal_pair(graph, img, u):
     best_pair = None
     for a in range(len(ids)):
         for b in range(len(ids)):
-            la = mv.log_map(desc, x, img.flat[int(ids[a])])
-            lb = mv.log_map(desc, x, img.flat[int(ids[b])])
-            diff = mv.Tangent(la.base, np.sqrt(w[a]) * la.vec - np.sqrt(w[b]) * lb.vec)
-            obj = mv.tangent_norm(desc, x, diff)
+            la = log_at(desc, x, img.flat[int(ids[a])])
+            lb = log_at(desc, x, img.flat[int(ids[b])])
+            diff = np.sqrt(w[a]) * la - np.sqrt(w[b]) * lb
+            obj = np.sqrt(np.dot(diff, diff))
             key = (-obj, int(ids[a]), int(ids[b]))
             if best_key is None or key < best_key:
                 best_key = key
@@ -76,17 +127,48 @@ def brute_extremal_pair(graph, img, u):
 
 
 def brute_inf_laplacian(graph, img, u):
-    """Operator value from the brute-force pair, as a plain tangent vector."""
+    """Operator value from the brute-force pair, in ortho coordinates."""
     desc = img.descriptor
     ids, w = graph.neighbors(u)
     v1, v2 = brute_extremal_pair(graph, img, u)
     a = int(np.flatnonzero(np.asarray(ids) == v1)[0])
     b = a if v1 == v2 else int(np.flatnonzero(np.asarray(ids) == v2)[0])
     x = img.flat[u]
-    l1 = mv.log_map(desc, x, img.flat[v1]).vec
-    l2 = mv.log_map(desc, x, img.flat[v2]).vec
+    l1 = log_at(desc, x, img.flat[v1])
+    l2 = log_at(desc, x, img.flat[v2])
     s1, s2 = np.sqrt(w[a]), np.sqrt(w[b])
     return (s1 * l1 + s2 * l2) / (s1 + s2)
+
+
+def select_extremal_pair(graph, img, u):
+    """The ordered neighbor pair (v1, v2) at which the batched operator takes its argmax.
+
+    Diagonal pairs are admissible (objective 0), so a single neighbor v
+    yields (v, v); ties go to the lexicographically smallest id pair.
+    """
+    ((v1, v2),) = operators._batch_at(graph, img, np.array([u]))[1]
+    return int(v1), int(v2)
+
+
+def real_graph_inf_laplacian(graph, f, u):
+    """Max/min-difference form of the operator for real vertex functions.
+
+    Computes max_v |max(sqrt(w)(f(v) - f(u)), 0)| minus
+    max_v |min(sqrt(w)(f(v) - f(u)), 0)| over the neighbors of u.  Serves as
+    an independent cross-check of the manifold operator in the real case.
+    """
+    u = one_vertex_id(u, graph.vertex_count, "u")
+    f = np.asarray(f, dtype=np.float64).reshape(-1)
+    if f.size != graph.vertex_count:
+        raise DimensionMismatch(
+            f"f has {f.size} entries, expected one per vertex ({graph.vertex_count})")
+    ids, w = graph.neighbors(u)
+    if len(ids) == 0:
+        raise SolverError(f"vertex {u} has no neighbors", vertex=u)
+    d = np.sqrt(np.asarray(w, dtype=np.float64)) * (f[ids] - f[u])
+    up = np.abs(np.maximum(d, 0.0)).max()
+    down = np.abs(np.minimum(d, 0.0)).max()
+    return float(up - down)
 
 
 def bfs_peel_depths(known):
@@ -110,7 +192,7 @@ def bfs_peel_depths(known):
 
 
 def random_image(desc, rows, cols, rng):
-    pts = mv.random_point(desc, rng, size=(rows * cols,))
+    pts = random_point(desc, rng, size=(rows * cols,))
     return mv.MvImage(desc, pts.reshape(rows, cols, desc.point_len))
 
 

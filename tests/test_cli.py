@@ -18,6 +18,8 @@ from mvinpaint import Mask, SolverConfig, cli, errors
 from mvinpaint.fileio import read_mask, read_mvi, write_mask, write_mvi
 from mvinpaint.synthetic import cut_mask, generate_spd_image, generate_sphere_image
 
+from conftest import random_point
+
 
 def run_cli(*args):
     return cli.run([str(a) for a in args])
@@ -383,9 +385,8 @@ class TestExitCodes:
         (OSError(errno.ENOSPC, "no space left"), "data error", 2),
     ] + [
         (cls("numerical trouble"), "numerical error", 3)
-        for cls in (errors.TangentBaseMismatch, errors.CutLocusError,
-                    errors.NotPositiveDefinite, errors.EigenConvergenceError,
-                    errors.GraphBuildError, errors.SolverError)
+        for cls in (errors.CutLocusError, errors.NotPositiveDefinite,
+                    errors.EigenConvergenceError, errors.GraphBuildError, errors.SolverError)
     ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
     def test_error_families_map_to_exit_codes(self, exc, label, code,
                                               tmp_path, capsys, monkeypatch):
@@ -414,7 +415,7 @@ class TestExitCodes:
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         desc = mvinpaint.ManifoldDescriptor.spd(3)
-        pts = mvinpaint.random_point(desc, np.random.default_rng(3), size=(36,))
+        pts = random_point(desc, np.random.default_rng(3), size=(36,))
         write_mvi(mvinpaint.MvImage(desc, pts.reshape(6, 6, 9)), img_p)
         write_mask(cut_mask(6, 6, (2, 2, 2, 2)), mask_p)
 

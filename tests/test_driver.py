@@ -226,7 +226,7 @@ class TestInpaint:
         for graph, border in captured:
             for u in border:
                 res = mv.inf_laplacian(graph, out, int(u))
-                assert mv.tangent_norm(E1, out.flat[int(u)], res) < 1e-4
+                assert np.linalg.norm(res) < 1e-4
 
     def test_matches_replicated_loop_on_sphere(self):
         rng = np.random.default_rng(62)

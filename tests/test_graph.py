@@ -104,7 +104,7 @@ class TestPatchDistance:
         cnt = 0
         for o in range(a.values.shape[0]):
             if a.known[o] and b.known[o]:
-                acc += mv.distance(S2, a.values[o], b.values[o]) ** 2
+                acc += S2.kernel.dist(a.values[o], b.values[o]) ** 2
                 cnt += 1
         assert cnt > 0
         assert abs(patch_distance(a, b, S2) - np.sqrt(acc) / cnt) < 1e-12

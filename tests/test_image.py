@@ -158,8 +158,6 @@ ID_USERS = {
     "inf_laplacian_field": ("active", lambda img, m, g, ids: mv.inf_laplacian_field(
         g, img, ids)),
     "inf_laplacian": ("u", lambda img, m, g, ids: mv.inf_laplacian(g, img, ids)),
-    "select_extremal_pair": ("u", lambda img, m, g, ids: mv.select_extremal_pair(
-        g, img, ids)),
     "initialize_border": ("border", lambda img, m, g, ids: mv.initialize_border(img, m, ids)),
     "image_distance": ("subset", lambda img, m, g, ids: mv.image_distance(
         img, img.copy(), ids)),
@@ -197,9 +195,6 @@ ONE_ID_USERS = {
     "NonlocalGraph.neighbors": lambda img, g, u: g.neighbors(u),
     "MvImage.pixel_of": lambda img, g, u: img.pixel_of(u),
     "inf_laplacian": lambda img, g, u: mv.inf_laplacian(g, img, u),
-    "select_extremal_pair": lambda img, g, u: mv.select_extremal_pair(g, img, u),
-    "real_graph_inf_laplacian": lambda img, g, u: mv.real_graph_inf_laplacian(
-        g, img.flat[:, 0], u),
 }
 
 

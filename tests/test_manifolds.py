@@ -1,18 +1,19 @@
-import re
-
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import mvinpaint as mv
 import mvinpaint.manifolds as manifolds
+from mvinpaint import operators
 from mvinpaint.errors import (
     CutLocusError,
     DimensionMismatch,
+    EigenConvergenceError,
     NotPositiveDefinite,
-    TangentBaseMismatch,
 )
-from mvinpaint.manifolds import wrap_angle
+from mvinpaint.manifolds import sym_eig_batch, wrap_angle
+
+from conftest import line_image, log_at, make_graph, random_ortho, random_point
 
 E1 = mv.ManifoldDescriptor.euclidean(1)
 E3 = mv.ManifoldDescriptor.euclidean(3)
@@ -56,68 +57,52 @@ def circle_log_oracle(x, y):
 
 class TestFixedValues:
     def test_euclidean_exp(self):
-        y = mv.exp_map(E3, [1.0, 2.0, 0.0], mv.Tangent(np.array([1.0, 2.0, 0.0]), np.array([0.5, -1.0, 3.0])))
+        y = E3.kernel.exp_ortho(np.array([1.0, 2.0, 0.0]), np.array([0.5, -1.0, 3.0]))
         assert np.array_equal(y, [1.5, 1.0, 3.0])
 
     def test_euclidean_log_and_distance(self):
-        lg = mv.log_map(E3, [0.0, 0.0, 0.0], [3.0, 4.0, 0.0])
-        assert np.array_equal(lg.vec, [3.0, 4.0, 0.0])
-        assert mv.distance(E3, [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]) == 5.0
+        lg = log_at(E3, [0.0, 0.0, 0.0], [3.0, 4.0, 0.0])
+        assert np.array_equal(lg, [3.0, 4.0, 0.0])
+        assert E3.kernel.dist(np.zeros(3), np.array([3.0, 4.0, 0.0])) == 5.0
 
     def test_circle_log_wraps_short_way(self):
         # from 3 rad to -3 rad the short arc crosses the seam at pi
-        lg = mv.log_map(S1, 3.0, -3.0)
-        assert abs(lg.vec[0] - 0.28318530717958623) < 1e-15
-        assert abs(lg.vec[0] - circle_log_oracle(3.0, -3.0)) < 1e-15
-        assert abs(mv.distance(S1, 3.0, -3.0) - 0.28318530717958623) < 1e-15
+        lg = log_at(S1, [3.0], [-3.0])
+        assert abs(lg[0] - 0.28318530717958623) < 1e-15
+        assert abs(lg[0] - circle_log_oracle(3.0, -3.0)) < 1e-15
+        assert abs(S1.kernel.dist(np.array([3.0]), np.array([-3.0])) - 0.28318530717958623) < 1e-15
 
     def test_circle_log_oracle_random(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            x = float(mv.random_point(S1, rng)[0])
-            y = float(mv.random_point(S1, rng)[0])
+            x = float(random_point(S1, rng)[0])
+            y = float(random_point(S1, rng)[0])
             if np.pi - abs(wrap_angle(y - x)) < 1e-9:
                 continue
-            assert abs(mv.log_map(S1, x, y).vec[0] - circle_log_oracle(x, y)) < 1e-12
+            assert abs(log_at(S1, [x], [y])[0] - circle_log_oracle(x, y)) < 1e-12
 
     def test_sphere_quarter_turn(self):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
-        assert abs(mv.distance(S2, x, y) - np.pi / 2.0) < 1e-15
-        lg = mv.log_map(S2, x, y)
-        assert np.allclose(lg.vec, [0.0, np.pi / 2.0, 0.0], atol=1e-15)
-        back = mv.exp_map(S2, x, lg)
+        assert abs(S2.kernel.dist(x, y) - np.pi / 2.0) < 1e-15
+        lg = log_at(S2, x, y)
+        assert np.allclose(lg, [0.0, np.pi / 2.0, 0.0], atol=1e-15)
+        back = S2.kernel.exp_ortho(x, lg)
         assert np.allclose(back, y, atol=1e-15)
-
-    def test_spd_inner_example(self):
-        x = spd_buf([4.0, 0.0], [0.0, 1.0])
-        a = mv.Tangent(x, spd_buf([4.0, 0.0], [0.0, 0.0]))
-        assert abs(mv.tangent_inner(P2, x, a, a) - 1.0) < 1e-14
 
     def test_spd_commuting_distance(self):
         x = spd_buf([1.0, 0.0], [0.0, 1.0])
         y = spd_buf([np.e ** 2, 0.0], [0.0, 1.0])
-        assert abs(mv.distance(P2, x, y) - 2.0) < 1e-12
+        assert abs(P2.kernel.dist(x, y) - 2.0) < 1e-12
 
     def test_spd_distance_oracle_random(self):
         rng = np.random.default_rng(4)
         for desc, n in ((P2, 2), (P3, 3)):
-            x = mv.random_point(desc, rng, size=(50,))
-            y = mv.random_point(desc, rng, size=(50,))
+            x = random_point(desc, rng, size=(50,))
+            y = random_point(desc, rng, size=(50,))
             for i in range(50):
-                got = mv.distance(desc, x[i], y[i])
+                got = desc.kernel.dist(x[i], y[i])
                 assert abs(got - spd_dist_oracle(x[i], y[i], n)) < 1e-10
-
-    def test_spd_inner_oracle_random(self):
-        rng = np.random.default_rng(6)
-        for desc, n in ((P2, 2), (P3, 3)):
-            for _ in range(30):
-                x = mv.random_point(desc, rng)
-                a = mv.random_tangent(desc, rng, x, 2.0)
-                b = mv.random_tangent(desc, rng, x, 2.0)
-                xi = np.linalg.inv(x.reshape(n, n))
-                ref = np.trace(xi @ a.vec.reshape(n, n) @ xi @ b.vec.reshape(n, n))
-                assert abs(mv.tangent_inner(desc, x, a, b) - ref) < 1e-10
 
     def test_manifold_dim(self):
         dims = {"euclidean 1": 1, "euclidean 7": 7, "circle": 1, "sphere2": 2,
@@ -129,79 +114,87 @@ class TestFixedValues:
 class TestProperties:
     def test_exp_log_roundtrip(self, descriptor):
         rng = np.random.default_rng(42)
+        k = descriptor.kernel
         max_norm = MAX_NORM[descriptor.kind]
         for _ in range(300):
-            x = mv.random_point(descriptor, rng)
-            xi = mv.random_tangent(descriptor, rng, x, max_norm)
-            y = mv.exp_map(descriptor, x, xi)
-            back = mv.log_map(descriptor, x, y)
-            assert mv.distance(descriptor, mv.exp_map(descriptor, x, back), y) < 1e-9
-            assert np.abs(back.vec - xi.vec).max() < 1e-8
+            x = random_point(descriptor, rng)
+            xi = random_ortho(descriptor, rng, x, max_norm)
+            y = k.exp_ortho(x, xi)
+            back = log_at(descriptor, x, y)
+            assert k.dist(k.exp_ortho(x, back), y) < 1e-9
+            assert np.abs(back - xi).max() < 1e-8
 
     def test_log_norm_equals_distance(self, descriptor):
         rng = np.random.default_rng(43)
         for _ in range(300):
-            x = mv.random_point(descriptor, rng)
-            y = mv.random_point(descriptor, rng)
+            x = random_point(descriptor, rng)
+            y = random_point(descriptor, rng)
             try:
-                lg = mv.log_map(descriptor, x, y)
+                lg = log_at(descriptor, x, y)
             except CutLocusError:
                 continue
-            assert abs(mv.tangent_norm(descriptor, x, lg) - mv.distance(descriptor, x, y)) < 1e-10
+            assert abs(np.sqrt(lg @ lg) - descriptor.kernel.dist(x, y)) < 1e-10
 
     def test_distance_symmetry(self, descriptor):
         rng = np.random.default_rng(44)
+        k = descriptor.kernel
         for _ in range(300):
-            x = mv.random_point(descriptor, rng)
-            y = mv.random_point(descriptor, rng)
-            assert abs(mv.distance(descriptor, x, y) - mv.distance(descriptor, y, x)) < 1e-10
+            x = random_point(descriptor, rng)
+            y = random_point(descriptor, rng)
+            assert abs(k.dist(x, y) - k.dist(y, x)) < 1e-10
 
     def test_distance_identity(self, descriptor):
         rng = np.random.default_rng(45)
         for _ in range(100):
-            x = mv.random_point(descriptor, rng)
-            assert mv.distance(descriptor, x, x) < 1e-12
+            x = random_point(descriptor, rng)
+            assert descriptor.kernel.dist(x, x) < 1e-12
 
     def test_triangle_inequality(self, descriptor):
         rng = np.random.default_rng(46)
+        k = descriptor.kernel
         for _ in range(300):
-            x, y, z = (mv.random_point(descriptor, rng) for _ in range(3))
-            dxz = mv.distance(descriptor, x, z)
-            dxy = mv.distance(descriptor, x, y)
-            dyz = mv.distance(descriptor, y, z)
+            x, y, z = (random_point(descriptor, rng) for _ in range(3))
+            dxz = k.dist(x, z)
+            dxy = k.dist(x, y)
+            dyz = k.dist(y, z)
             assert dxz <= dxy + dyz + 1e-10
 
     def test_zero_tangent_is_bitwise_identity(self, descriptor):
+        # an Euler step along an operator that is exactly zero, at a vertex
+        # whose one neighbor holds its value, keeps the vertex's bits
         rng = np.random.default_rng(47)
-        x = mv.random_point(descriptor, rng)
-        xi = mv.Tangent(x, np.zeros(descriptor.point_len))
-        y = mv.exp_map(descriptor, x, xi)
+        x = random_point(descriptor, rng)
+        img = line_image(descriptor, [x, x])
+        out = mv.euler_step(make_graph(2, {0: ([1], [1.0])}), img, [0], 1.0)
+        y = out.flat[0]
         assert np.array_equal(y, x)
-        assert y is not x  # a copy, the input must stay untouched
+        assert out is not img  # a copy, the input must stay untouched
 
     def test_tiny_tangent_is_bitwise_identity(self, descriptor):
+        # an operator of norm below 1e-15 is an exact zero, and its Euler
+        # step keeps the vertex's bits: beside a neighbor holding x, one at
+        # y weighted 1e-40 gives about 1e-20 log_x(y)
         rng = np.random.default_rng(48)
-        x = mv.random_point(descriptor, rng)
-        vec = np.zeros(descriptor.point_len)
-        vec[0] = 1e-16
-        if descriptor.kind == "spd":
-            # keep the perturbation symmetric
-            vec = vec.reshape(descriptor.dim, descriptor.dim)
-            vec = ((vec + vec.T) / 2.0).reshape(-1)
-        assert np.array_equal(mv.exp_map(descriptor, x, mv.Tangent(x, vec)), x)
+        x = random_point(descriptor, rng)
+        y = random_point(descriptor, rng)
+        img = line_image(descriptor, [x, x, y])
+        g = make_graph(3, {0: ([1, 2], [1.0, 1e-40])})
+        assert 0.0 < 1e-20 * np.linalg.norm(log_at(descriptor, x, y)) < 1e-15
+        assert not mv.inf_laplacian(g, img, 0).any()
+        assert np.array_equal(mv.euler_step(g, img, [0], 1.0).flat[0], x)
 
 
 class TestCircle:
     def test_angles_stay_wrapped(self):
         rng = np.random.default_rng(50)
         for _ in range(200):
-            x = mv.random_point(S1, rng)
-            xi = mv.random_tangent(S1, rng, x, 20.0)
-            y = mv.exp_map(S1, x, xi)
+            x = random_point(S1, rng)
+            xi = random_ortho(S1, rng, x, 20.0)
+            y = S1.kernel.exp_ortho(x, xi)
             assert -np.pi < y[0] <= np.pi
 
     def test_full_turn_returns(self):
-        y = mv.exp_map(S1, 1.0, mv.Tangent(np.array([1.0]), np.array([2.0 * np.pi])))
+        y = S1.kernel.exp_ortho(np.array([1.0]), np.array([2.0 * np.pi]))
         assert abs(y[0] - 1.0) < 1e-12
 
     def test_wrap_angle_edges(self):
@@ -210,13 +203,15 @@ class TestCircle:
         assert abs(wrap_angle(3.0 * np.pi) - np.pi) < 1e-12
 
     def test_cut_locus_raises(self):
+        # the operator at 0 with one neighbor is that neighbor's log
+        g = make_graph(2, {0: ([1], [1.0])})
         with pytest.raises(CutLocusError):
-            mv.log_map(S1, 0.0, np.pi)
+            mv.inf_laplacian(g, line_image(S1, [[0.0], [np.pi]]), 0)
         with pytest.raises(CutLocusError):
-            mv.log_map(S1, 0.0, np.pi - 5e-11)
+            mv.inf_laplacian(g, line_image(S1, [[0.0], [np.pi - 5e-11]]), 0)
         # a hair farther from the antipode is fine
-        lg = mv.log_map(S1, 0.0, np.pi - 1e-9)
-        assert abs(abs(lg.vec[0]) - (np.pi - 1e-9)) < 1e-12
+        lg = mv.inf_laplacian(g, line_image(S1, [[0.0], [np.pi - 1e-9]]), 0)
+        assert abs(abs(lg[0]) - (np.pi - 1e-9)) < 1e-12
 
     @pytest.mark.parametrize("angle", [-np.pi, np.nextafter(np.pi, 4.0), -4.0])
     def test_angle_outside_half_open_range_rejected(self, angle):
@@ -228,30 +223,30 @@ class TestSphere:
     def test_outputs_stay_unit(self):
         rng = np.random.default_rng(51)
         for _ in range(200):
-            x = mv.random_point(S2, rng)
-            xi = mv.random_tangent(S2, rng, x, 0.9 * np.pi)
-            y = mv.exp_map(S2, x, xi)
+            x = random_point(S2, rng)
+            xi = random_ortho(S2, rng, x, 0.9 * np.pi)
+            y = S2.kernel.exp_ortho(x, xi)
             assert abs(np.linalg.norm(y) - 1.0) < 1e-12
 
     def test_log_is_tangential(self):
         rng = np.random.default_rng(52)
         for _ in range(200):
-            x = mv.random_point(S2, rng)
-            y = mv.random_point(S2, rng)
-            lg = mv.log_map(S2, x, y)
-            assert abs(np.dot(lg.vec, x)) < 1e-12
+            x = random_point(S2, rng)
+            y = random_point(S2, rng)
+            lg = log_at(S2, x, y)
+            assert abs(np.dot(lg, x)) < 1e-12
 
     def test_antipode_raises(self):
         x = np.array([0.0, 0.0, 1.0])
         with pytest.raises(CutLocusError):
-            mv.log_map(S2, x, -x)
+            mv.inf_laplacian(make_graph(2, {0: ([1], [1.0])}), line_image(S2, [x, -x]), 0)
 
     def test_near_antipode_ok(self):
         x = np.array([1.0, 0.0, 0.0])
         t = np.pi - 1e-6
         y = np.array([np.cos(t), np.sin(t), 0.0])
-        lg = mv.log_map(S2, x, y)
-        assert abs(mv.tangent_norm(S2, x, lg) - t) < 1e-8
+        lg = log_at(S2, x, y)
+        assert abs(np.sqrt(lg @ lg) - t) < 1e-8
 
     def test_dist2_bits_do_not_depend_on_the_layout(self):
         # dist2 adds each squared norm's terms in one written-out order, so
@@ -261,11 +256,11 @@ class TestSphere:
         # nearly equal (and equal) and nearly antipodal points
         rng = np.random.default_rng(20)
         k = S2.kernel
-        P = mv.random_point(S2, rng, size=(6, 7))
+        P = random_point(S2, rng, size=(6, 7))
 
         def nearly(x):
             scale = 10.0 ** rng.uniform(-15, -3, size=x.shape[:-1] + (1,))
-            return k.exp_ortho(x, scale * k.random_ortho(rng, x, 1.0))
+            return k.exp_ortho(x, scale * random_ortho(S2, rng, x, 1.0))
 
         F = np.concatenate([P, nearly(P), -nearly(P)], axis=1)
         windows = np.moveaxis(sliding_window_view(F, (6, 7), axis=(0, 1)), 2, -1)[0]
@@ -294,13 +289,13 @@ class TestSphere:
 def test_batched_log_is_nan_exactly_at_the_cut_locus(desc):
     # planted rows at angle pi, pi - 5e-11 (within CUT_LOCUS_TOL) and
     # pi - 1e-9 (outside it) from their base, among random rows: the batched
-    # log is NaN in the first two and raises nothing, the others keep the
-    # bits of a call without the planted rows, and log_map still raises
+    # log is NaN in the first two and raises nothing, and the others keep the
+    # bits of a call without the planted rows
     k = desc.kernel
     rng = np.random.default_rng(60)
-    x, y = mv.random_point(desc, rng, size=(9,)), mv.random_point(desc, rng, size=(9,))
-    base = mv.random_point(desc, rng, size=(3,))
-    unit = k.random_ortho(rng, base, 1.0)
+    x, y = random_point(desc, rng, size=(9,)), random_point(desc, rng, size=(9,))
+    base = random_point(desc, rng, size=(3,))
+    unit = random_ortho(desc, rng, base, 1.0)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     gaps = np.array([0.0, 5e-11, 1e-9])
     far = k.exp_ortho(base, (np.pi - gaps)[:, None] * unit)
@@ -312,13 +307,8 @@ def test_batched_log_is_nan_exactly_at_the_cut_locus(desc):
     assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == pos[:2].tolist()
     assert np.isnan(got[pos[:2]]).all()
     assert got[np.delete(np.arange(12), pos)].tobytes() == k.log_ortho(x, y).tobytes()
-    for b, f, gap in zip(base, far, gaps):
-        if gap < manifolds.CUT_LOCUS_TOL:
-            with pytest.raises(CutLocusError):
-                mv.log_map(desc, b, f)
-        else:
-            # y - <x, y> x loses its relative precision near the antipode
-            assert mv.tangent_norm(desc, b, mv.log_map(desc, b, f)) == pytest.approx(np.pi - gap, abs=1e-7)
+    # y - <x, y> x loses its relative precision near the antipode
+    assert np.linalg.norm(got[pos[2]]) == pytest.approx(np.pi - gaps[2], abs=1e-7)
 
 
 class TestSpd:
@@ -326,9 +316,9 @@ class TestSpd:
         rng = np.random.default_rng(53)
         for desc, n in ((P2, 2), (P3, 3)):
             for _ in range(100):
-                x = mv.random_point(desc, rng)
-                xi = mv.random_tangent(desc, rng, x, 2.0)
-                y = mv.exp_map(desc, x, xi).reshape(n, n)
+                x = random_point(desc, rng)
+                xi = random_ortho(desc, rng, x, 2.0)
+                y = desc.kernel.exp_ortho(x, xi).reshape(n, n)
                 assert np.abs(y - y.T).max() < 1e-12
                 assert np.linalg.eigvalsh(y).min() > 0.0
 
@@ -336,21 +326,21 @@ class TestSpd:
         rng = np.random.default_rng(54)
         for desc, n in ((P2, 2), (P3, 3)):
             for _ in range(100):
-                x = mv.random_point(desc, rng)
-                y = mv.random_point(desc, rng)
+                x = random_point(desc, rng)
+                y = random_point(desc, rng)
                 g = rng.normal(size=(n, n))
                 while abs(np.linalg.det(g)) < 0.3:
                     g = rng.normal(size=(n, n))
                 gx = (g.T @ x.reshape(n, n) @ g).reshape(-1)
                 gy = (g.T @ y.reshape(n, n) @ g).reshape(-1)
-                assert abs(mv.distance(desc, gx, gy) - mv.distance(desc, x, y)) < 1e-8
+                assert abs(desc.kernel.dist(gx, gy) - desc.kernel.dist(x, y)) < 1e-8
 
     def test_closed_form_matches_generic(self):
         # the 2x2 fast path must agree with the eigenvalue route used for n=3
         rng = np.random.default_rng(55)
         k = P2.kernel
-        x = mv.random_point(P2, rng, size=(200,))
-        y = mv.random_point(P2, rng, size=(200,))
+        x = random_point(P2, rng, size=(200,))
+        y = random_point(P2, rng, size=(200,))
         fast = k.dist2(x, y)
         slow = np.array([spd_dist_oracle(x[i], y[i], 2) ** 2 for i in range(200)])
         assert np.abs(fast - slow).max() < 1e-10
@@ -359,13 +349,13 @@ class TestSpd:
         bad = spd_buf([1.0, 0.0], [0.0, -1.0])
         good = spd_buf([1.0, 0.0], [0.0, 1.0])
         with pytest.raises((DimensionMismatch, NotPositiveDefinite)):
-            mv.distance(P2, bad, good)
+            P2.kernel.dist(bad, good)
 
     def test_rejects_asymmetric_point(self):
         bad = spd_buf([1.0, 0.5], [0.0, 1.0])
         good = spd_buf([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(DimensionMismatch):
-            mv.log_map(P2, good, bad)
+            line_image(P2, [good, bad]).validate()
 
     @pytest.mark.parametrize("method, x, y, message", [
         ("log_ortho", "bad", "good", "base point is not positive definite"),
@@ -375,7 +365,7 @@ class TestSpd:
         ("dist2", "good", "bad", "distance target is not positive definite"),
     ])
     def test_spd3_kernel_rejects_indefinite_points(self, method, x, y, message):
-        # the kernel is called directly, past the validation of mv.distance
+        # the kernel is called directly, past the validation of an image
         pts = {"good": np.eye(3).reshape(1, 9), "zero": np.zeros((1, 9)),
                "bad": np.diag([2.0, -1.0, 1.0]).reshape(1, 9)}
         with pytest.raises(NotPositiveDefinite, match=message):
@@ -395,37 +385,6 @@ class TestArgumentChecking:
         with pytest.raises(DimensionMismatch, match=message):
             mv.ManifoldDescriptor(kind, dim)
 
-    def test_wrong_point_length(self):
-        with pytest.raises(DimensionMismatch):
-            mv.distance(E3, [1.0, 2.0], [0.0, 0.0, 0.0])
-
-    def test_tangent_base_mismatch(self, descriptor):
-        rng = np.random.default_rng(56)
-        x = mv.random_point(descriptor, rng)
-        other = mv.random_point(descriptor, rng)
-        xi = mv.random_tangent(descriptor, rng, other, 0.5)
-        with pytest.raises(TangentBaseMismatch):
-            mv.exp_map(descriptor, x, xi)
-        with pytest.raises(TangentBaseMismatch):
-            mv.tangent_norm(descriptor, x, xi)
-
-    def test_tangent_of_wrong_shape_rejected(self, descriptor):
-        x = mv.random_point(descriptor, np.random.default_rng(57))
-        n = descriptor.point_len
-        for vec in (np.zeros(n + 1), np.zeros((1, n))):
-            xi = mv.Tangent(base=x, vec=vec)
-            with pytest.raises(DimensionMismatch,
-                               match=re.escape(f"tangent has shape {vec.shape}, expected ({n},)")):
-                mv.exp_map(descriptor, x, xi)
-
-    def test_scalar_coercion_on_circle(self):
-        # plain floats are accepted for 1-d manifolds
-        assert mv.distance(S1, 0.5, -0.5) == 1.0
-
-    def test_non_tangent_rejected(self):
-        with pytest.raises(TypeError):
-            mv.exp_map(E1, 0.0, np.array([1.0]))
-
 
 def eigh_fn(mats, f):
     """f(M) for symmetric M (..., n, n) through numpy's eigh."""
@@ -444,7 +403,7 @@ def spd2_from_eig(l1, l2, theta):
 def spd2_family(name, rng, n=200):
     theta = rng.uniform(0.0, np.pi, n)
     if name == "random":
-        return mv.random_point(P2, rng, size=(n,))
+        return random_point(P2, rng, size=(n,))
     if name == "diagonal":
         lam = np.exp(rng.uniform(-3.0, 3.0, (2, n)))
         return spd2_from_eig(lam[0], lam[1], 0.0 * theta)
@@ -463,27 +422,18 @@ def spd2_family(name, rng, n=200):
 
 SPD2_FAMILIES = ["random", "diagonal", "isotropic", "gap", "condition"]
 ORACLE_INPUTS = SPD2_FAMILIES + ["spd3"]
-SPD_MAPS = [
-    "log_ortho", "log", "exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent",
-]
+SPD_MAPS = ["log_ortho", "exp_ortho"]
 
 
 def spd_oracle(x, y, w):
-    """Every spd(n) kernel map at bases x by eigh: logs of y, exps of ortho w / tangent."""
+    """Both spd(n) kernel maps at bases x by eigh: the logs of y and the exps of w."""
     n = int(round(np.sqrt(x.shape[-1])))
     X, Y, W = (a.reshape(-1, n, n) for a in (x, y, w))
     xh = eigh_fn(X, np.sqrt)
     xmh = eigh_fn(X, lambda lam: 1.0 / np.sqrt(lam))
-    log_ortho = eigh_fn(xmh @ Y @ xmh, np.log)
-    expw = xh @ eigh_fn(W, np.exp) @ xh
-    v = xh @ W @ xh
-    return v.reshape(-1, n * n), {
-        "log_ortho": log_ortho,
-        "log": xh @ log_ortho @ xh,
-        "exp_ortho": expw,
-        "exp": expw,
-        "tangent_from_ortho": v,
-        "ortho_from_tangent": W,
+    return {
+        "log_ortho": eigh_fn(xmh @ Y @ xmh, np.log),
+        "exp_ortho": xh @ eigh_fn(W, np.exp) @ xh,
     }
 
 
@@ -504,16 +454,15 @@ class TestSpd2ClosedForm:
     def test_maps_match_eigh_oracle(self, family, side):
         rng = np.random.default_rng(ORACLE_INPUTS.index(family))
         if family == "spd3":
-            desc, fam = P3, mv.random_point(P3, rng, size=(200,))
+            desc, fam = P3, random_point(P3, rng, size=(200,))
         else:
             desc, fam = P2, spd2_family(family, rng)
         n, k = desc.dim, desc.kernel
-        other = mv.random_point(desc, rng, size=fam.shape[:1])
+        other = random_point(desc, rng, size=fam.shape[:1])
         x, y = (fam, other) if side == "base" else (other, fam)
-        w = k.random_ortho(rng, x, 2.0)
-        v, ref = spd_oracle(x, y, w)
-        args = {"log_ortho": y, "log": y, "exp_ortho": w, "exp": v,
-                "tangent_from_ortho": w, "ortho_from_tangent": v}
+        w = random_ortho(desc, rng, x, 2.0)
+        ref = spd_oracle(x, y, w)
+        args = {"log_ortho": y, "exp_ortho": w}
         kappa = np.maximum(np.linalg.cond(x.reshape(-1, n, n)),
                            np.linalg.cond(y.reshape(-1, n, n)))
         tol = 64.0 * np.finfo(np.float64).eps * kappa
@@ -534,9 +483,8 @@ class TestSpd2ClosedForm:
         x = spd2_from_eig(lam[0], lam[1], np.zeros(n))
         y = spd2_from_eig(lam[2], lam[3], np.zeros(n))
         w = spd2_from_eig(*rng.uniform(-2.0, 2.0, (2, n)), np.zeros(n))
-        v, ref = spd_oracle(x, y, w)
-        args = {"log_ortho": y, "log": y, "exp_ortho": w, "exp": v,
-                "tangent_from_ortho": w, "ortho_from_tangent": v}
+        ref = spd_oracle(x, y, w)
+        args = {"log_ortho": y, "exp_ortho": w}
         for name in SPD_MAPS:
             got = getattr(k, name)(x, args[name]).reshape(-1, 2, 2)
             scale = np.abs(ref[name]).max(axis=(1, 2))
@@ -548,11 +496,9 @@ class TestSpd2ClosedForm:
         k = P2.kernel
         for family in SPD2_FAMILIES:
             x = spd2_family(family, rng)
-            y = mv.random_point(P2, rng, size=x.shape[:1])
-            w = k.random_ortho(rng, x, 2.0)
-            v = k.tangent_from_ortho(x, w)
-            for out in (k.log_ortho(x, y), k.log(x, y), k.exp_ortho(x, w),
-                        k.exp(x, v), v, k.ortho_from_tangent(x, v)):
+            y = random_point(P2, rng, size=x.shape[:1])
+            w = random_ortho(P2, rng, x, 2.0)
+            for out in (k.log_ortho(x, y), k.exp_ortho(x, w)):
                 assert np.array_equal(out[:, 1], out[:, 2])
 
     def test_asymmetric_buffers_are_read_as_their_symmetric_part(self):
@@ -560,11 +506,10 @@ class TestSpd2ClosedForm:
         # so off-diagonal rounding in a buffer changes no bit of any output
         rng = np.random.default_rng(64)
         k = P2.kernel
-        x, y = mv.random_point(P2, rng, size=(2, 200))
-        w = k.random_ortho(rng, x, 2.0)
-        v = k.tangent_from_ortho(x, w)
+        x, y = random_point(P2, rng, size=(2, 200))
+        w = random_ortho(P2, rng, x, 2.0)
         asym, sym = {}, {}
-        for name, buf in (("x", x), ("y", y), ("w", w), ("v", v)):
+        for name, buf in (("x", x), ("y", y), ("w", w)):
             a = buf.copy()
             a[:, 1] += rng.uniform(-5e-13, 5e-13, len(a))
             a[:, 2] -= rng.uniform(-5e-13, 5e-13, len(a))
@@ -572,8 +517,7 @@ class TestSpd2ClosedForm:
             s = a.copy()
             s[:, 1] = s[:, 2] = 0.5 * (a[:, 1] + a[:, 2])
             asym[name], sym[name] = a, s
-        args = {"log_ortho": "y", "log": "y", "dist2": "y", "exp_ortho": "w",
-                "exp": "v", "tangent_from_ortho": "w", "ortho_from_tangent": "v"}
+        args = {"log_ortho": "y", "dist2": "y", "exp_ortho": "w"}
         for name, arg in args.items():
             got = getattr(k, name)(asym["x"], asym[arg])
             ref = getattr(k, name)(sym["x"], sym[arg])
@@ -584,18 +528,17 @@ class TestSpd2ClosedForm:
         # bitwise, wherever they sit in the batch
         rng = np.random.default_rng(61)
         k = P2.kernel
-        x = mv.random_point(P2, rng, size=(5,))
-        y = mv.random_point(P2, rng, size=(5, 37))
-        w = k.random_ortho(rng, y, 2.0)
+        x = random_point(P2, rng, size=(5,))
+        y = random_point(P2, rng, size=(5, 37))
+        w = random_ortho(P2, rng, y, 2.0)
         y[:, 5:] = y[:, :1]
         w[:, 5:] = w[:, :1]
         s = k.log_ortho(x[:, None, :], y)
         for a in range(5):
             single = k.log_ortho(x[a], y[a, 0])
             assert (s[a, 5:] == single).all() and (s[a, 0] == single).all()
-        for name in ("exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent"):
-            out = getattr(k, name)(y, w)
-            assert (out[:, 5:] == out[:, :1]).all(), name
+        out = k.exp_ortho(y, w)
+        assert (out[:, 5:] == out[:, :1]).all()
 
     def test_non_positive_definite_points_raise(self):
         k = P2.kernel
@@ -609,9 +552,7 @@ class TestSpd2ClosedForm:
         ]
         for bad in bad_points:
             x = np.stack([good, bad])
-            for name, arg in (("log_ortho", good), ("log", good), ("exp_ortho", w),
-                              ("exp", w), ("tangent_from_ortho", w),
-                              ("ortho_from_tangent", w), ("dist2", good)):
+            for name, arg in (("log_ortho", good), ("exp_ortho", w), ("dist2", good)):
                 with pytest.raises(NotPositiveDefinite):
                     getattr(k, name)(x, arg)
             with pytest.raises(NotPositiveDefinite):
@@ -619,9 +560,8 @@ class TestSpd2ClosedForm:
         # a singular target whitens to a determinant at rounding level, of
         # either sign, so only indefinite and negative targets are checked
         for bad in bad_points[:3]:
-            for name in ("log_ortho", "log"):
-                with pytest.raises(NotPositiveDefinite, match="log target"):
-                    getattr(k, name)(good, np.stack([good, bad]))
+            with pytest.raises(NotPositiveDefinite, match="log target"):
+                k.log_ortho(good, np.stack([good, bad]))
 
     def test_validation_accepts_exactly_what_the_maps_accept(self):
         # near-singular points on both sides of positive definite: entries
@@ -726,11 +666,10 @@ class TestSpd2ClosedForm:
 def test_spd_log_at_the_base_is_exactly_zero(desc):
     rng = np.random.default_rng(62)
     k = desc.kernel
-    x = mv.random_point(desc, rng, size=(200,))
+    x = random_point(desc, rng, size=(200,))
     assert not k.log_ortho(x, x).any()
-    assert not k.log(x, x).any()
     assert not k.log_ortho(x[:, None, :], np.stack([x, x], axis=1)).any()
-    assert not mv.log_map(desc, x[0], x[0]).vec.any()
+    assert not k.log_ortho(x[0], x[0].copy()).any()
 
 
 def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
@@ -746,43 +685,76 @@ def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
     monkeypatch.setattr(manifolds, "sym_eig_batch", counting)
     rng = np.random.default_rng(5)
     # spd(3) validation asks the eigensolver; spd(2)'s tests the triples
-    mv.MvImage(P3, mv.random_point(P3, rng, size=(3, 4))).validate()
-    mv.MvImage(P2, mv.random_point(P2, rng, size=(3, 4))).validate()
+    mv.MvImage(P3, random_point(P3, rng, size=(3, 4))).validate()
+    mv.MvImage(P2, random_point(P2, rng, size=(3, 4))).validate()
     assert sizes == [3]
     # the spd(2) maps are closed forms: none of them reaches the eigensolver
     k = P2.kernel
-    x, y = mv.random_point(P2, rng, size=(2, 6))
-    w = k.random_ortho(rng, x, 1.0)
-    for name in ("log_ortho", "log", "dist2"):
+    x, y = random_point(P2, rng, size=(2, 6))
+    w = random_ortho(P2, rng, x, 1.0)
+    for name in ("log_ortho", "dist2"):
         getattr(k, name)(x, y)
-    for name in ("exp_ortho", "exp", "tangent_from_ortho", "ortho_from_tangent"):
-        getattr(k, name)(x, w)
+    k.exp_ortho(x, w)
     assert sizes == [3]
-    x, y = mv.random_point(P3, rng, size=(2, 6))
-    P3.kernel.log(x, y)
+    x, y = random_point(P3, rng, size=(2, 6))
+    P3.kernel.log_ortho(x, y)
     assert len(sizes) > 1 and set(sizes) == {3}
+
+
+def count_kernel_calls(desc, monkeypatch, cumulative_active):
+    """Inpaint an 8x8 image of desc, counting the four traced kernel methods.
+
+    Returns ({method: [calls, calls inside the Euler loop]}, the Euler
+    steps of each layer).
+    """
+    calls = {name: [0, 0] for name in ("dist2", "dist", "log_ortho", "exp_ortho")}
+    in_euler = [False]
+    cls = type(desc.kernel)
+    for name in calls:
+        def counting(kernel, *args, _name=name, _real=getattr(cls, name)):
+            calls[_name][0] += 1
+            calls[_name][1] += in_euler[0]
+            return _real(kernel, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    def euler(*args, _real=operators._euler):
+        in_euler[0] = True
+        try:
+            return _real(*args)
+        finally:
+            in_euler[0] = False
+
+    monkeypatch.setattr(operators, "_euler", euler)
+    if desc == S2:
+        img = mv.generate_sphere_image(8, 8)
+    else:
+        img = mv.generate_spd_image(8, 8)
+    mask = mv.cut_mask(8, 8, (3, 1, 3, 3))
+    cfg = mv.SolverConfig(k=3, p=1, r=2, max_iter=5, cumulative_active=cumulative_active)
+    _, front = mv.inpaint(img, mask, cfg)
+    return calls, [rec.iterations for rec in front.log]
 
 
 @pytest.mark.parametrize("desc", [S2, P2], ids=lambda d: d.label())
 def test_solver_kernel_calls_go_through_the_class(desc, monkeypatch):
     # the benchmark tracer counts kernel work by wrapping these methods on
-    # the kernel class; a call that bypasses them would zero those metrics
-    calls = dict.fromkeys(("dist2", "dist", "log_ortho", "exp_ortho"), 0)
-    cls = type(desc.kernel)
-    for name in calls:
-        def counting(kernel, *args, _name=name, _real=getattr(cls, name)):
-            calls[_name] += 1
-            return _real(kernel, *args)
+    # the kernel class; a call that bypasses them would zero those metrics.
+    # Both layers are decoupled: the graph build and the 1-centre search
+    # make every call, and no Euler step runs
+    calls, steps = count_kernel_calls(desc, monkeypatch, cumulative_active=False)
+    assert steps == [0, 0]
+    assert all(total for total, _ in calls.values()), calls
 
-        monkeypatch.setattr(cls, name, counting)
-    if desc == S2:
-        img = mv.generate_sphere_image(8, 8)
-    else:
-        img = mv.generate_spd_image(8, 8)
-    # layer 1 holds a vertex whose extremal pairs cycle, so Euler runs
-    mask = mv.cut_mask(8, 8, (3, 1, 3, 3))
-    mv.inpaint(img, mask, mv.SolverConfig(k=3, p=1, r=2, max_iter=5))
-    assert all(calls.values()), calls
+
+@pytest.mark.parametrize("desc", [S2, P2], ids=lambda d: d.label())
+def test_coupled_kernel_calls_go_through_the_class(desc, monkeypatch):
+    # with cumulative_active, layer 2 is coupled and takes Euler steps: the
+    # logs and exps of euler_step and the distances of the stop rule go
+    # through the class too
+    calls, steps = count_kernel_calls(desc, monkeypatch, cumulative_active=True)
+    assert steps[0] == 0 and steps[1] >= 1
+    assert all(in_euler for _, in_euler in calls.values()), calls
 
 
 @pytest.mark.parametrize("desc", [E3, S1, S2, P2, P3], ids=lambda d: d.label())
@@ -791,12 +763,12 @@ def test_dist2_into_out_keeps_the_bits(desc):
     # writing into out must give the bits of the copying call
     rng = np.random.default_rng(12)
     k = desc.kernel
-    field = mv.random_point(desc, rng, size=(5, 6))
-    big = mv.random_point(desc, rng, size=(7, 8))
+    field = random_point(desc, rng, size=(5, 6))
+    big = random_point(desc, rng, size=(7, 8))
     # the build's operands: a (nR, nC, L) field against a strided
     # (c, nR, nC, L) stack of its shifted windows
     stack = np.moveaxis(sliding_window_view(big, (5, 6), axis=(0, 1)), 2, -1)[1, :3]
-    near = k.exp_ortho(field, k.random_ortho(rng, field, 1e-9))
+    near = k.exp_ortho(field, random_ortho(desc, rng, field, 1e-9))
     cases = {
         "single points": (field[0, 0], big[0, 0]),
         "equal single points": (field[0, 0], field[0, 0].copy()),
@@ -828,13 +800,13 @@ def test_symmetric_dist2_says_whether_dist2_is_bitwise_symmetric(desc):
     # has the bits of dist2(y, x)
     rng = np.random.default_rng(18)
     k = desc.kernel
-    field = mv.random_point(desc, rng, size=(6, 7))
-    big = mv.random_point(desc, rng, size=(8, 9))
+    field = random_point(desc, rng, size=(6, 7))
+    big = random_point(desc, rng, size=(8, 9))
     stack = np.moveaxis(sliding_window_view(big, (6, 7), axis=(0, 1)), 2, -1)[1, :3]
-    batch = mv.random_point(desc, rng, size=(500,))
-    near = k.exp_ortho(batch, k.random_ortho(rng, batch, 1e-9))
+    batch = random_point(desc, rng, size=(500,))
+    near = k.exp_ortho(batch, random_ortho(desc, rng, batch, 1e-9))
     cases = {
-        "random batch": (batch, mv.random_point(desc, rng, size=(500,))),
+        "random batch": (batch, random_point(desc, rng, size=(500,))),
         "nearly equal batch": (batch, near),
         "field against stack": (field, stack),
     }
@@ -848,8 +820,8 @@ def test_dist2_of_a_point_to_itself_is_exactly_zero(desc):
     # a geodesic distance is 0 from a point to itself, in the kernels' bits too
     rng = np.random.default_rng(65)
     k = desc.kernel
-    field = mv.random_point(desc, rng, size=(6, 7))
-    stack = np.stack([field, k.exp_ortho(field, k.random_ortho(rng, field, 1e-9))])
+    field = random_point(desc, rng, size=(6, 7))
+    stack = np.stack([field, k.exp_ortho(field, random_ortho(desc, rng, field, 1e-9))])
     assert not k.dist2(field, field.copy()).any()
     assert not k.dist2(field[0, 0], field[0, 0].copy()).any()
     # a field against a stack that holds it, as the graph build passes them
@@ -864,9 +836,9 @@ def test_dist_is_the_root_of_dist2(desc):
     assert type(desc.kernel).dist is manifolds._Kernel.dist
     rng = np.random.default_rng(66)
     k = desc.kernel
-    x = mv.random_point(desc, rng, size=(500,))
-    near = k.exp_ortho(x, k.random_ortho(rng, x, 1e-9))
-    for y in (mv.random_point(desc, rng, size=(500,)), near, x.copy()):
+    x = random_point(desc, rng, size=(500,))
+    near = k.exp_ortho(x, random_ortho(desc, rng, x, 1e-9))
+    for y in (random_point(desc, rng, size=(500,)), near, x.copy()):
         assert k.dist(x, y).tobytes() == np.sqrt(k.dist2(x, y)).tobytes()
     assert k.dist(x[0], near[0]) == np.sqrt(k.dist2(x[0], near[0]))
 
@@ -881,7 +853,7 @@ def test_dist2_on_planar_fields_keeps_the_bits(desc):
     # the planes; they must give the bits of the same points interleaved
     rng = np.random.default_rng(22)
     k = desc.kernel
-    pts = mv.random_point(desc, rng, size=(9, 10))
+    pts = random_point(desc, rng, size=(9, 10))
     planar = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
     windows = np.moveaxis(sliding_window_view(planar, (6, 7), axis=(1, 2)), 0, -1)
     x, y = windows[1, 2], windows[:, 1:4]
@@ -912,7 +884,7 @@ def test_spd2_dist2_does_not_overflow_on_valid_points():
     assert k.dist2(x, y) == pytest.approx(ln**2, rel=1e-12)     # diag(1e160, 1)
     assert k.dist2(u, v) == pytest.approx(2.0 * ln**2, rel=1e-12)
     rng = np.random.default_rng(64)
-    others = mv.random_point(P2, rng, size=(50,))
+    others = random_point(P2, rng, size=(50,))
     batch = np.concatenate([others, np.stack([x, y, z, u, v])])
     got = k.dist2(batch[:, None], batch[None, :])
     assert np.isfinite(got).all()
@@ -920,3 +892,91 @@ def test_spd2_dist2_does_not_overflow_on_valid_points():
     assert got[50, 51] == k.dist2(x, y)
     assert got[53, 54] == got[54, 53] == k.dist2(u, v)
     assert not np.diag(got).any()
+
+
+def random_sym(rng, batch, n):
+    a = rng.normal(size=tuple(batch) + (n, n))
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
+class TestSymEigBatch:
+    """sym_eig_batch, LAPACK's eigendecomposition that the spd(n != 2) kernel calls."""
+
+    def test_diagonal_input(self):
+        lam, q = sym_eig_batch(np.diag([3.0, -1.0, 2.0]))
+        assert np.array_equal(lam, [-1.0, 2.0, 3.0])
+        # eigenvectors of a diagonal matrix are a signed permutation
+        assert np.allclose(np.abs(q), np.eye(3)[:, [1, 2, 0]])
+
+    def test_one_by_one(self):
+        lam, q = sym_eig_batch(np.array([[4.5]]))
+        assert lam.shape == (1,) and q.shape == (1, 1)
+        assert lam[0] == 4.5 and q[0, 0] == 1.0
+
+    def test_reconstruction(self):
+        rng = np.random.default_rng(7)
+        a = random_sym(rng, (40,), 5)
+        lam, q = sym_eig_batch(a)
+        rebuilt = np.einsum("bij,bj,bkj->bik", q, lam, q)
+        assert np.abs(rebuilt - a).max() < 1e-12
+
+    def test_orthonormal_columns(self):
+        rng = np.random.default_rng(3)
+        _, q = sym_eig_batch(random_sym(rng, (25,), 4))
+        gram = np.einsum("bij,bik->bjk", q, q)
+        assert np.abs(gram - np.eye(4)).max() < 1e-13
+
+    def test_ascending_eigenvalues(self):
+        rng = np.random.default_rng(5)
+        lam, _ = sym_eig_batch(random_sym(rng, (30,), 6))
+        assert (np.diff(lam, axis=-1) >= 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 17])
+    def test_matches_lapack_oracle(self, n):
+        # numpy's eigvalsh serves as the independent reference here
+        rng = np.random.default_rng(100 + n)
+        a = random_sym(rng, (6,), n)
+        lam, _ = sym_eig_batch(a)
+        assert np.abs(lam - np.linalg.eigvalsh(a)).max() < 1e-11
+
+    def test_batch_matches_single(self):
+        rng = np.random.default_rng(9)
+        a = random_sym(rng, (8,), 3)
+        lam_b, q_b = sym_eig_batch(a)
+        for i in range(8):
+            lam_s, q_s = sym_eig_batch(a[i])
+            assert np.array_equal(lam_s, lam_b[i])
+            assert np.array_equal(q_s, q_b[i])
+
+    def test_repeated_eigenvalue(self):
+        lam, q = sym_eig_batch(np.eye(3) * 2.0)
+        assert np.allclose(lam, 2.0)
+        assert np.allclose(q @ q.T, np.eye(3))
+
+    def test_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigenConvergenceError):
+            sym_eig_batch(np.array([[1.0, 0.5], [0.5, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_an_error(self, bad):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(EigenConvergenceError):
+            sym_eig_batch(np.stack([np.eye(3), a]))
+
+    def test_spd_17_image_validates(self):
+        # spd(n) has no size limit: an spd(17) image passes its point checks
+        desc = mv.ManifoldDescriptor.spd(17)
+        pts = random_point(desc, np.random.default_rng(17), size=(2, 3))
+        mv.MvImage(desc, pts).validate()
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(13)
+        a = random_sym(rng, (10,), 4)
+        lam1, q1 = sym_eig_batch(a)
+        lam2, q2 = sym_eig_batch(a.copy())
+        assert np.array_equal(lam1, lam2) and np.array_equal(q1, q2)
