@@ -101,8 +101,8 @@ def build_parser():
     p.add_argument("--cumulative-active", action="store_true",
                    help="keep earlier layers active in later solves")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for graph building, capped at the CPU count "
-                        "(default: the CPU count)")
+                   help="worker cap for graph building, capped at the CPUs this "
+                        "process may run on (default: that count)")
 
     r = sub.add_parser("render", help="render an image to .ppm or .svg")
     r.add_argument("-i", "--input", required=True, help="input .mvi image")

@@ -57,8 +57,8 @@ class SolverConfig:
     max_iter: iteration cap per solve.
     cumulative_active: keep earlier layers active in later solves instead of
               freezing them.
-    threads:  worker cap for graph construction, capped at the CPU count;
-              None means the CPU count.
+    threads:  worker cap for graph construction, capped at the CPUs this
+              process may run on; None means that count.
 
     Raises ConfigError naming the first invalid value.
     """
@@ -78,7 +78,10 @@ class SolverConfig:
             check(name, getattr(self, name))
 
     def resolved_threads(self) -> int:
-        cpus = max(1, os.cpu_count() or 1)
-        if self.threads is not None:
-            return min(int(self.threads), cpus)
-        return cpus
+        if hasattr(os, "process_cpu_count"):        # Python 3.13 on
+            cpus = os.process_cpu_count() or 1
+        elif hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return cpus if self.threads is None else min(int(self.threads), cpus)

@@ -23,14 +23,15 @@ at that offset.  A pixel pair is thus evaluated once per offset instead of
 once per overlapping target patch.  Where the patches reach round the grid
 in an axis, the region is cut to one period in that axis, and the box sums
 wrap across the seam, so no pixel pair is evaluated twice for one offset.
-When they cover the whole torus and d^2 is bitwise symmetric, the fields of
-s also give those of -s, shifted,
+When they cover the whole torus, the fields of s, shifted, give those of -s,
 
     g_{-s}(x) = g_s(x - s),    k_{-s}(x) = k_s(x - s),
 
 so one field serves each pair {s, -s}, read at the targets' corners for s
 and at the corners shifted by -s for -s, and each pixel pair is evaluated
-once per build.  The offsets run in chunks, and each
+once per build, in the order the field of s gives it: on spd(n >= 3),
+whose d^2 is not bitwise symmetric, a torus build thus matches a cut one
+to rounding only.  The offsets run in chunks, and each
 chunk's candidates are merged into a running best of k per target, so the
 memory a build holds is O(T k) for T targets plus one set of chunk fields
 per worker thread, not O(T (2r+1)^2).  Each worker makes its set once per
@@ -231,9 +232,9 @@ def build_graph(
     window offsets, one per distinct candidate, are split into fixed chunks
     that each make one kernel.dist2 call over the region the target patches
     cover, cut to one period in an axis where the patches reach round the
-    grid.  When the region is the whole torus and kernel.symmetric_dist2
-    holds, only one offset of each pair {s, -s} gets a field, and a chunk's
-    box sums are read twice, for s and, shifted, for -s.  Every few chunks,
+    grid.  When the region is the whole torus, only one offset of each pair
+    {s, -s} gets a field, and a chunk's box sums are read twice, for s and,
+    shifted, for -s.  Every few chunks,
     their candidates are merged into a running best of the k smallest
     (d, id) per target, with a running count of finite candidates.  The
     chunks are dealt out to up to cfg.resolved_threads() threads, each with
@@ -247,7 +248,8 @@ def build_graph(
     O(T k) plus one set of chunk buffers per worker.
     A target's candidate ids are distinct, so
     (d, id) orders them totally, and the graph does not depend on the
-    thread count, on the chunk size, on the cut or on the pairing.
+    thread count, on the chunk size, or, but on spd(n >= 3), on the cut
+    or the pairing: there a torus build matches a cut one to rounding.
 
     Raises DimensionMismatch where targets are not vertex ids of the grid,
     and GraphBuildError naming the first target with no finite-distance
@@ -302,14 +304,14 @@ def build_graph(
     X, KX = Fw[-B[0], -A[0], :, None], Kw[-B[0], -A[0], :, None]
     tr, tc = (t_row - r0) % rows, (t_col - c0) % cols
 
-    # on the whole torus, a bitwise-symmetric dist2 gives g_-s(x) = g_s(x - s)
-    # and k_-s(x) = k_s(x - s), so the fields of s serve its partner -s too:
+    # on the whole torus g_-s(x) = g_s(x - s) and k_-s(x) = k_s(x - s), to
+    # rounding on spd(n >= 3), so the fields of s serve its partner -s too:
     # their box sums at the target corners shifted by -s are those of -s.
     # pa[ia] and pb[ib] index -A[ia] and -B[ib] modulo the grid.  Fields are
     # then made for the rows ia <= pa[ia] only, and in a self-paired row
     # (pa[ia] == ia) for the columns ib <= pb[ib]; an offset that is its own
     # partner modulo the grid gets its field alone
-    paired = nR == rows and nC == cols and kernel.symmetric_dist2
+    paired = nR == rows and nC == cols
     pa, pb = (-A - A[0]) % rows, (-B - B[0]) % cols
     # the box corners read columns 0 .. ncn - 1 of the column sums: the
     # targets' span, or every column when the partners' corners are read

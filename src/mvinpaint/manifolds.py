@@ -160,12 +160,11 @@ class _Kernel:
     ``dist2``, follow here once.  Every tangent vector is in ortho
     coordinates, where the metric is the dot product.
 
-    ``symmetric_dist2`` is true when ``dist2(x, y)`` has the bits of
-    ``dist2(y, x)`` for every pair, which lets the graph build serve the
-    window offsets s and -s from one field: every kernel but spd(n >= 3).
+    ``dist2(x, y)`` has the bits of ``dist2(y, x)`` on every kernel but
+    spd(n >= 3).  A whole-torus graph build evaluates each pixel pair in
+    one order only, so there an spd(n >= 3) graph matches a cut build's
+    to rounding, not bitwise.
     """
-
-    symmetric_dist2 = False
 
     @staticmethod
     def _pairs(x, y):
@@ -204,9 +203,6 @@ class _Kernel:
 
 
 class _EuclideanKernel(_Kernel):
-    # (y - x)^2 and (x - y)^2 agree term by term
-    symmetric_dist2 = True
-
     def __init__(self, m):
         self.point_len = m
 
@@ -231,8 +227,6 @@ class _EuclideanKernel(_Kernel):
 
 
 class _CircleKernel(_Kernel):
-    symmetric_dist2 = True      # fmod(x - y) is exactly -fmod(y - x)
-
     def exp_ortho(self, x, v):
         return wrap_angle(x + v)
 
@@ -253,9 +247,6 @@ class _CircleKernel(_Kernel):
 
 
 class _Sphere2Kernel(_Kernel):
-    # |x - y| and |x + y| do not depend on the order of x and y
-    symmetric_dist2 = True
-
     def exp_ortho(self, x, v):
         nrm = np.sqrt(np.einsum("...l,...l->...", v, v))
         small = nrm < ZERO_TANGENT_TOL
@@ -430,8 +421,6 @@ class _Spd2Kernel(_SpdKernel):
     invariants symmetric in its two points; see Pennec, Fillard and Ayache,
     "A Riemannian framework for tensor computing", IJCV 66 (2006).
     """
-
-    symmetric_dist2 = True
 
     @staticmethod
     def _read(buf):

@@ -207,7 +207,9 @@ def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImag
 
 def _pair_zero(kernel, fi, fj, si, sj):
     """z_ij: the point at fraction sj / (si + sj) of the geodesic fi -> fj, per row."""
-    return kernel.exp_ortho(fi, (sj / (si + sj))[:, None] * kernel.log_ortho(fi, fj))
+    # where fj equals fi, z_ij is fi, with its bits
+    z = kernel.exp_ortho(fi, (sj / (si + sj))[:, None] * kernel.log_ortho(fi, fj))
+    return np.where((fi == fj).all(axis=1)[:, None], fi, z)
 
 
 def _solve_small(M, b):

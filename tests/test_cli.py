@@ -455,10 +455,22 @@ class TestDeterminism:
         assert first == pooled
 
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # the CPUs this process may run on: os.process_cpu_count from Python
+        # 3.13 on, else the affinity mask, else the host's count.  A process
+        # pinned to 2 of 64 CPUs starts 2 workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 2, raising=False)
         assert SolverConfig(threads=100000).resolved_threads() == 2
         assert SolverConfig(threads=1).resolved_threads() == 1
         assert SolverConfig().resolved_threads() == 2
+        monkeypatch.setattr(os, "process_cpu_count", lambda: None)
+        assert SolverConfig(threads=8).resolved_threads() == 1
+        monkeypatch.delattr(os, "process_cpu_count")
+        assert SolverConfig().resolved_threads() == 3
+        assert SolverConfig(threads=2).resolved_threads() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert SolverConfig().resolved_threads() == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert SolverConfig(threads=8).resolved_threads() == 1
 

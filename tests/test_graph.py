@@ -15,6 +15,7 @@ E2 = mv.ManifoldDescriptor.euclidean(2)
 S1 = mv.ManifoldDescriptor.circle()
 S2 = mv.ManifoldDescriptor.sphere2()
 SPD2 = mv.ManifoldDescriptor.spd(2)
+SPD3 = mv.ManifoldDescriptor.spd(3)
 
 
 def cfg(**kw):
@@ -36,6 +37,53 @@ def brute_candidates(rows, cols, t, r):
         ids.add(((i + di) % rows) * cols + (j + dj) % cols)
     ids.discard(t)
     return sorted(ids)
+
+
+def assert_matches_oracle(g, img, mask, targets, k, p, r):
+    """g selects each target's k nearest by the direct patch distances, with their weights."""
+    desc, rows, cols = img.descriptor, img.rows, img.cols
+    # candidates are the known pixels; in patches the targets count too
+    patch_known = mask.known.copy()
+    patch_known.reshape(-1)[targets] = True
+    in_patches = mv.Mask(patch_known)
+    selected = {}
+    pooled = []
+    counts = []
+    for t in targets:
+        pt = extract_patch(img, in_patches, divmod(t, cols), p)
+        cand = []
+        for cid in brute_candidates(rows, cols, t, r):
+            if not mask.known_flat[cid]:
+                continue
+            pc = extract_patch(img, in_patches, divmod(cid, cols), p)
+            d = patch_distance(pt, pc, desc)
+            if np.isfinite(d):
+                cand.append((d, cid))
+        cand.sort()
+        assert len(cand) > 0
+        counts.append(len(cand))
+        # the k nearest, ties by id; but candidates whose oracle
+        # distances are bitwise equal may compare the same pixel pairs
+        # (offsets s and -s when a patch spans a whole period), which
+        # the build sums in another order, so its rounding may split
+        # them either way
+        last = cand[:k][-1][0]
+        ids = g.neighbors(t)[0].tolist()
+        assert {cid for d, cid in cand if d < last} <= set(ids)
+        assert set(ids) <= {cid for d, cid in cand if d <= last}
+        assert len(ids) == len(cand[:k])
+        selected[t] = {cid: d for d, cid in cand if cid in ids}
+        pooled.extend(selected[t].values())
+    assert g.min_candidates == min(counts)
+    sigma = float(np.mean(pooled))
+    assert abs(g.sigma - sigma) < 1e-12
+    for t in targets:
+        ids, w = g.neighbors(t)
+        # relative to the target's nearest selected distance
+        d1 = min(selected[t].values())
+        for cid, wc in zip(ids.tolist(), w):
+            ref = np.exp(-(selected[t][cid] ** 2 - d1 ** 2) / sigma ** 2)
+            assert abs(wc - ref) < 1e-12
 
 
 class TestExtractPatch:
@@ -365,48 +413,7 @@ class TestBuildGraph:
         mask = mv.Mask(known)
         k, p, r = kpr
         g = mv.build_graph(img, mask, cfg(k=k, p=p, r=r), targets)
-        # candidates are the known pixels; in patches the targets count too
-        patch_known = known.copy()
-        patch_known.reshape(-1)[targets] = True
-        in_patches = mv.Mask(patch_known)
-        selected = {}
-        pooled = []
-        counts = []
-        for t in targets:
-            pt = extract_patch(img, in_patches, divmod(t, cols), p)
-            cand = []
-            for cid in brute_candidates(rows, cols, t, r):
-                if not mask.known_flat[cid]:
-                    continue
-                pc = extract_patch(img, in_patches, divmod(cid, cols), p)
-                d = patch_distance(pt, pc, desc)
-                if np.isfinite(d):
-                    cand.append((d, cid))
-            cand.sort()
-            assert len(cand) > 0
-            counts.append(len(cand))
-            # the k nearest, ties by id; but candidates whose oracle
-            # distances are bitwise equal may compare the same pixel pairs
-            # (offsets s and -s when a patch spans a whole period), which
-            # the build sums in another order, so its rounding may split
-            # them either way
-            last = cand[:k][-1][0]
-            ids = g.neighbors(t)[0].tolist()
-            assert {cid for d, cid in cand if d < last} <= set(ids)
-            assert set(ids) <= {cid for d, cid in cand if d <= last}
-            assert len(ids) == len(cand[:k])
-            selected[t] = {cid: d for d, cid in cand if cid in ids}
-            pooled.extend(selected[t].values())
-        assert g.min_candidates == min(counts)
-        sigma = float(np.mean(pooled))
-        assert abs(g.sigma - sigma) < 1e-12
-        for t in targets:
-            ids, w = g.neighbors(t)
-            # relative to the target's nearest selected distance
-            d1 = min(selected[t].values())
-            for cid, wc in zip(ids.tolist(), w):
-                ref = np.exp(-(selected[t][cid] ** 2 - d1 ** 2) / sigma ** 2)
-                assert abs(wc - ref) < 1e-12
+        assert_matches_oracle(g, img, mask, targets, k, p, r)
 
     @pytest.mark.parametrize(
         "desc, rows, cols, kpr",
@@ -421,25 +428,33 @@ class TestBuildGraph:
             # 9 x 9 patches: windows of more than 8 rows, which numpy's
             # pairwise sum would add in another order than one by one
             pytest.param(S2, 14, 13, (6, 4, 3), id="sphere2-9x9-patches"),
-            # every closed-form kernel pairs its offsets
             pytest.param(S1, 9, 12, (5, 1, 3), id="circle-odd-even"),
             pytest.param(S1, 6, 8, (6, 1, 5), id="circle-window-wider-than-grid"),
             pytest.param(SPD2, 9, 11, (5, 1, 3), id="spd2-odd"),
             pytest.param(SPD2, 14, 13, (6, 4, 3), id="spd2-9x9-patches"),
+            # dist2 is not bitwise symmetric on spd(3)
+            pytest.param(SPD3, 9, 11, (5, 1, 3), id="spd3-odd"),
+            pytest.param(SPD3, 14, 13, (6, 4, 3), id="spd3-9x9-patches"),
+            pytest.param(SPD3, 6, 8, (6, 1, 5), id="spd3-window-wider-than-grid"),
         ],
     )
     @pytest.mark.parametrize("chunks, threads", [("default", 1), ("one-offset", 1),
                                                  ("three-offset", 1), ("three-offset", 2)])
     def test_pairing_changes_nothing(self, desc, rows, cols, kpr, chunks, threads,
                                      monkeypatch):
+        # targets on every row and column, so the patches cover the torus and
+        # the build pairs the offsets s and -s.  The same targets on the image
+        # tiled 2 x 2 span half of each axis, so that build is neither cut
+        # nor paired, and every patch and window holds the same values.  The
+        # targets are known pixels, as earlier layers are with
+        # --cumulative-active, so that their copies in the other tiles, which
+        # are no targets, count in patches as the targets do
         rng = np.random.default_rng(33)
         img = random_image(desc, rows, cols, rng)
-        # targets on every row and column, so the patches cover the torus
         targets = sorted({(i % rows) * cols + i % cols for i in range(max(rows, cols))}
                          | set(rng.choice(rows * cols, size=4).tolist()))
         known = rng.random(rows * cols) < 0.8
-        known[targets] = False
-        known[(targets[0] + 1) % (rows * cols)] = True
+        known[targets] = True
         mask = mv.Mask(known.reshape(rows, cols))
         k, p, r = kpr
         # the region is the whole torus, so three offsets per chunk split a
@@ -452,28 +467,40 @@ class TestBuildGraph:
         pairs = []
 
         def counting(kernel, x, y, out=None):
-            pairs.append(np.size(real(kernel, x, y, out)))
-            return out
+            d2 = real(kernel, x, y, out)
+            pairs.append(np.size(d2))
+            return d2
 
         monkeypatch.setattr(cls, "dist2", counting)
         config = cfg(k=k, p=p, r=r, threads=threads)
-        assert cls.symmetric_dist2
         g = mv.build_graph(img, mask, config, targets)
-        paired_pairs = sum(pairs)
-        pairs.clear()
-        monkeypatch.setattr(cls, "symmetric_dist2", False)
-        ref = mv.build_graph(img, mask, config, targets)
-        assert g.ids.tobytes() == ref.ids.tobytes()
-        assert g.weights.tobytes() == ref.weights.tobytes()
-        assert g.degrees.tobytes() == ref.degrees.tobytes()
-        assert np.float64(g.sigma).tobytes() == np.float64(ref.sigma).tobytes()
-        assert g.min_candidates == ref.min_candidates
-        # one period per field: one field per distinct offset without pairing,
-        # and one per pair {s, -s} modulo the grid with it
+        # one period per field, and one field per pair {s, -s} modulo the grid
         offsets = {(a % rows, b % cols) for a in range(-r, r + 1) for b in range(-r, r + 1)}
         partners = {frozenset({(a, b), (-a % rows, -b % cols)}) for a, b in offsets}
-        assert sum(pairs) == len(offsets) * rows * cols
-        assert paired_pairs == len(partners) * rows * cols
+        assert sum(pairs) == len(partners) * rows * cols
+        if 2 * r + 1 > min(rows, cols):
+            # window offsets coincide modulo the grid: no tiled twin
+            assert_matches_oracle(g, img, mask, targets, k, p, r)
+            return
+        t_row, t_col = np.divmod(targets, cols)
+        tiled = mv.build_graph(mv.MvImage(desc, np.tile(img.data, (2, 2, 1))),
+                               mv.Mask(np.tile(mask.known, (2, 2))), config,
+                               t_row * 2 * cols + t_col)
+        i, j = np.divmod(tiled.ids, 2 * cols)
+        ids = (i % rows) * cols + j % cols
+        order = np.argsort(ids, axis=1, kind="stable")
+        assert np.take_along_axis(ids, order, axis=1).tobytes() == g.ids.tobytes()
+        assert tiled.degrees.tobytes() == g.degrees.tobytes()
+        assert tiled.min_candidates == g.min_candidates
+        weights = np.take_along_axis(tiled.weights, order, axis=1)
+        if desc.kind == "spd" and desc.dim > 2:
+            # each pixel pair of -s is evaluated in the order its field of s
+            # gives it, so the distances agree to rounding only
+            np.testing.assert_allclose(g.weights, weights, rtol=1e-12, atol=0.0)
+            assert g.sigma == pytest.approx(tiled.sigma, rel=1e-12, abs=0.0)
+        else:
+            assert weights.tobytes() == g.weights.tobytes()
+            assert np.float64(tiled.sigma).tobytes() == np.float64(g.sigma).tobytes()
 
     @pytest.mark.parametrize("chunks", ["default", "three-offset"])
     def test_cut_to_one_period_changes_nothing(self, chunks, monkeypatch):

@@ -52,18 +52,6 @@ class TestRealOperator:
         # sqrt(4)*1 forward, sqrt(1)*1 backward
         assert real_graph_inf_laplacian(g, img.flat[:, 0], 0) == 1.0
 
-    @pytest.mark.parametrize("size", [2, 5])
-    def test_f_needs_one_entry_per_vertex(self, size):
-        g, _ = star_graph([1.0, 0.0, 2.0], [1.0, 1.0])
-        with pytest.raises(DimensionMismatch, match=f"f has {size} entries"):
-            real_graph_inf_laplacian(g, np.zeros(size), 0)
-
-    def test_vertex_without_neighbors_raises(self):
-        g = make_graph(3, {0: ([1], [1.0])})
-        with pytest.raises(SolverError, match="vertex 2 has no neighbors") as exc:
-            real_graph_inf_laplacian(g, np.zeros(3), 2)
-        assert exc.value.vertex == 2
-
 
 class TestExtremalPair:
     def test_weighted_example(self):
@@ -907,6 +895,22 @@ class TestJumpCertificate:
         assert res.lipschitz == pytest.approx(largest, rel=1e-12)
         if desc == E1:
             assert (kept, res.multi_support) == (active.size, 0)
+
+    @pytest.mark.parametrize("desc", [S1, S2, SPD2, SPD3], ids=lambda d: d.label())
+    def test_neighbors_of_one_value_give_that_value(self, desc):
+        # the 1-centre of two supports that hold one value is that value,
+        # bitwise, though exp_ortho(x, 0) need not return x's bits; circle
+        # angles are negative, where wrap_angle rounds
+        rng = np.random.default_rng(41)
+        graph = make_graph(3, {0: ([1, 2], [1.0, 0.3])})
+        mask = mv.Mask(np.array([[False, True, True]]))
+        for _ in range(50):
+            start, value = random_point(desc, rng, size=(2,))
+            if desc == S1:
+                start, value = -np.abs(start), -np.abs(value)
+            img = line_image(desc, [start, value, value])
+            res = mv.solve_dirichlet(graph, img, mask, [0], mv.SolverConfig())
+            assert res.image.flat[0].tobytes() == value.tobytes()
 
     def test_antipodal_pair_raises_naming_its_vertex(self):
         # stars that solve, beside centers whose neighbors are antipodal:
