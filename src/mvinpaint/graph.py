@@ -20,9 +20,12 @@ and the overlap field k_s(x) = K(x) K(x+s) are computed once over the
 periodic region the target patches cover, and a (2p+1) x (2p+1) box sum of
 each, read at the targets, gives every target's patch sum and overlap count
 at that offset.  A pixel pair is thus evaluated once per offset instead of
-once per overlapping target patch.  Where the patches reach round the grid
-in an axis, the region is cut to one period in that axis, and the box sums
-wrap across the seam, so no pixel pair is evaluated twice for one offset.
+once per overlapping target patch.  When the region holds no unknown
+pixel, K is 1 on it: g_s is d^2 itself, every overlap count is (2p+1)^2,
+and no overlap field or box sum of one is made.  Where the patches reach
+round the grid in an axis, the region is cut to one period in that axis,
+and the box sums wrap across the seam, so no pixel pair is evaluated twice
+for one offset.
 When they cover the whole torus, the fields of s, shifted, give those of -s,
 
     g_{-s}(x) = g_s(x - s),    k_{-s}(x) = k_s(x - s),
@@ -240,8 +243,9 @@ def build_graph(
     chunks are dealt out to up to cfg.resolved_threads() threads, each with
     its own running best and one set of chunk-sized buffers, made once per
     build and reused for every chunk, each an array of its own laid out
-    (column, offset, row): the overlap flags and the masked field, which
-    kernel.dist2 writes into, and their column sums.  Each gather of box
+    (column, offset, row): the masked field, which kernel.dist2 writes
+    into, the overlap flags unless the region holds no unknown pixel, and
+    their column sums.  Each gather of box
     rows from the sums makes its own array, (offset, box row, target), and
     the positions at the targets are one table made per build and read by
     every worker.  The bests are merged at the end.  So memory stays
@@ -301,6 +305,9 @@ def build_graph(
     del known   # read only here: the chunk merges may reuse its memory
     Fw = np.moveaxis(sliding_window_view(F, (nC, nR), axis=(1, 2)), 0, -1)
     Kw = sliding_window_view(KF, (nC, nR))
+    # no unknown pixel in the region: every overlap flag is 1 and every
+    # overlap count box * box, so neither is computed
+    full = bool(KF.all())
     X, KX = Fw[-B[0], -A[0], :, None], Kw[-B[0], -A[0], :, None]
     tr, tc = (t_row - r0) % rows, (t_col - c0) % cols
 
@@ -350,23 +357,26 @@ def build_graph(
 
     def work(part):
         """Running best (d, ids) and finite-candidate count over chunks `part`."""
-        # one set of chunk buffers, reused by every chunk: the overlap flags
-        # k_s and the masked field g_s, and their column sums over the first
-        # ncn columns, all laid out (column, offset, row), so that a column
-        # of every offset of the chunk is one contiguous slab.  The column
-        # sums of k_s are at most box, so they are exact in the smallest
-        # unsigned type that holds box.  A chunk of fewer offsets than width
-        # leaves the last slots of each column with an earlier chunk's
-        # fields, or with the zeros the buffers start with: their sums are
-        # made but never read
-        both = np.zeros((wC, width, nR), dtype=bool)
+        # one set of chunk buffers, reused by every chunk: the masked field
+        # g_s and, unless the region is full, the overlap flags k_s, and
+        # their column sums over the first ncn columns, all laid out
+        # (column, offset, row), so that a column of every offset of the
+        # chunk is one contiguous slab.  The column sums of k_s are at most
+        # box, so they are exact in the smallest unsigned type that holds
+        # box.  A chunk of fewer offsets than width leaves the last slots of
+        # each column with an earlier chunk's fields, or with the zeros the
+        # buffers start with: their sums are made but never read
         g = np.zeros((wC, width, nR))
-        h = np.empty((ncn, width, nR))
-        hk = np.empty(h.shape, dtype=np.min_scalar_type(box))
-        # h_at[o, q] reads flat position q + o nR of h, and hk_at that of hk,
-        # so h_at[:c, at] gathers the box rows of a chunk's c offsets at once
-        h_at, hk_at = (sliding_window_view(a.reshape(-1), a.size - (width - 1) * nR)[::nR]
-                       for a in (h, hk))
+        fields = [(g, np.empty((ncn, width, nR)))]
+        if not full:
+            both = np.zeros((wC, width, nR), dtype=bool)
+            fields.append((both.view(np.uint8),
+                           np.empty((ncn, width, nR), dtype=np.min_scalar_type(box))))
+        # sums_at[o, q] reads flat position q + o nR of sums, so
+        # sums_at[:c, at] gathers the box rows of a chunk's c offsets at once
+        fields = [(field, sums, sliding_window_view(sums.reshape(-1),
+                                                    sums.size - (width - 1) * nR)[::nR])
+                  for field, sums in fields]
         mir_ia = None
         best_d = np.empty((targets.size, 0))
         best_ids = np.empty((targets.size, 0), dtype=np.int64)
@@ -379,14 +389,17 @@ def build_graph(
                                  for _, jb, je, mir in block])
             ssum = np.empty((oa.size, targets.size))
             # an overlap count is at most box * box, so it is exact in the
-            # smallest unsigned type that holds box * box
-            cnt = np.empty((oa.size, targets.size), dtype=np.min_scalar_type(box * box))
+            # smallest unsigned type that holds box * box; a full region's
+            # counts are all box * box, and others overwrite them
+            cnt = np.full((oa.size, targets.size), box * box,
+                          dtype=np.min_scalar_type(box * box))
             lo = 0
             for ia, jb, je, mir in block:
                 c = je - jb
-                np.logical_and(KX, Kw[jb:je, ia].swapaxes(0, 1), out=both[:nC, :c])
                 kernel.dist2(X, Fw[jb:je, ia].swapaxes(0, 1), g[:nC, :c])
-                g[:nC, :c] *= both[:nC, :c]
+                if not full:
+                    np.logical_and(KX, Kw[jb:je, ia].swapaxes(0, 1), out=both[:nC, :c])
+                    g[:nC, :c] *= both[:nC, :c]
                 if mir.size:
                     # the partners' corners: t - s modulo the grid, as flat
                     # positions (mirrored field, box row, target) in the
@@ -397,8 +410,7 @@ def build_graph(
                         mir_rows = (np.arange(box)[:, None] - A[ia] + tr) % rows
                     mir_at = mir_rows + ((tc - B[jb + mir, None]) % cols * (width * nR)
                                          + mir[:, None] * nR)[:, None]
-                for field, sums, sums_at, out in ((g, h, h_at, ssum),
-                                                  (both.view(np.uint8), hk, hk_at, cnt)):
+                for (field, sums, sums_at), out in zip(fields, (ssum, cnt)):
                     # the wrap columns, one slab per period of nC columns
                     if wrap.size:
                         np.take(field[:nC], wrap, axis=0, out=field[nC:], mode="wrap")

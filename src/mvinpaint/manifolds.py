@@ -7,7 +7,9 @@ the manifold descriptor:
 * ``circle()``: one angle in (-pi, pi]; exp wraps, log is the shortest signed
   arc, the antipodal angle is the cut locus.
 * ``sphere2()``: unit vectors in R^3; geodesics are great circles, the
-  antipode is the cut locus.
+  antipode is the cut locus.  The angle is 2 asin(|x - y| / 2) up to pi/2
+  and pi - 2 asin(|x + y| / 2) beyond, full precision at tiny angles and
+  near the antipode alike, and the log has that angle as its length.
 * ``spd(n)``: symmetric positive definite n x n matrices stored row-major
   (length n*n) under the affine-invariant metric
 
@@ -257,33 +259,50 @@ class _Sphere2Kernel(_Kernel):
         return y / np.sqrt(np.einsum("...l,...l->...", y, y))[..., None]
 
     def _angle(self, x, y, out):
-        # Kahan's 2 atan2(|x - y|, |x + y|) keeps full precision at tiny
-        # angles, where arccos of the dot product loses half the mantissa,
-        # and near the antipode.  Each squared norm adds the coordinates'
-        # squares as (c0 + c2) + c1 with plain ufuncs, so its bits do not
-        # depend on how x and y are laid out in memory; numpy 2.4's einsum
-        # adds three terms in the same order.  Written into out and
-        # returned; |x - y|^2 is formed in out
+        # the chord form 2 asin(|x - y| / 2) where |x - y|^2 <= 2, that is
+        # up to pi/2, and pi - 2 asin(|x + y| / 2) beyond: on unit vectors
+        # each arcsin then reads at most sqrt(2)/2, where it is well
+        # conditioned, so the angle keeps full precision at tiny angles and
+        # near the antipode alike, in 14 passes over the pairs where Kahan's
+        # 2 atan2(|x - y|, |x + y|) takes 20.  Only the far pairs need
+        # |x + y|: they are gathered by flat index, and their |x + y|^2,
+        # clamped at 4 so that no arcsin reads more than 1, takes the place
+        # of |x - y|^2 in out, so one arcsin pass serves both forms.  Each
+        # squared norm adds the coordinates' squares as (c0 + c2) + c1 with
+        # plain ufuncs, so its bits do not depend on how x and y are laid
+        # out in memory.  Written into out and returned
         t = np.empty(out.shape)
-        sv = np.empty(out.shape)
-        for op, acc in ((np.subtract, out), (np.add, sv)):
-            for l in (0, 2, 1):
-                c = acc if l == 0 else t
-                op(x[..., l], y[..., l], out=c)
-                np.multiply(c, c, out=c)
-                if l:
-                    acc += c
-        np.arctan2(np.sqrt(out, out=out), np.sqrt(sv, out=sv), out=out)
+        for l in (0, 2, 1):
+            c = out if l == 0 else t
+            np.subtract(x[..., l], y[..., l], out=c)
+            np.multiply(c, c, out=c)
+            if l:
+                out += c
+        shape = out.shape or (1,)               # one pair is a batch of one
+        o = out.reshape(shape)
+        far = np.unravel_index(np.flatnonzero(out > 2.0), shape)
+        if far[0].size:
+            s = np.broadcast_to(x, shape + (3,))[far] + np.broadcast_to(y, shape + (3,))[far]
+            s *= s
+            o[far] = np.minimum((s[:, 0] + s[:, 2]) + s[:, 1], 4.0)
+        np.sqrt(out, out=out)
+        out *= 0.5
+        np.arcsin(out, out=out)
         out *= 2.0
+        if far[0].size:
+            o[far] = np.pi - o[far]
         return out
 
     def log_ortho(self, x, y):
-        c = np.einsum("...l,...l->...", x, y)
+        # theta along the unit direction of w = y - <x, y> x: near the
+        # antipode w cancels to a tiny vector whose direction is all it
+        # gives, so the norm comes from theta alone
+        w = y - np.einsum("...l,...l->...", x, y)[..., None] * x
+        nw = np.sqrt(np.einsum("...l,...l->...", w, w))
         theta = self._angle(x, y, self._pairs(x, y))
-        small = theta < ZERO_TANGENT_TOL
-        denom = np.where(small, 1.0, np.sin(theta))
-        v = (y - c[..., None] * x) * (theta / denom)[..., None]
-        v = np.where(small[..., None], 0.0, v)
+        zero = (theta < ZERO_TANGENT_TOL) | (nw == 0.0)
+        v = w * (theta / np.where(zero, 1.0, nw))[..., None]
+        v = np.where(zero[..., None], 0.0, v)
         v[np.pi - theta < CUT_LOCUS_TOL] = np.nan
         return v
 

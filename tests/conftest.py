@@ -15,7 +15,7 @@ import pytest
 
 import mvinpaint as mv
 from mvinpaint import operators
-from mvinpaint.errors import ConfigError, CutLocusError, DimensionMismatch
+from mvinpaint.errors import CutLocusError
 from mvinpaint.image import Mask, MvImage, check_mask_shape, one_vertex_id
 from mvinpaint.manifolds import ManifoldDescriptor, wrap_angle
 
@@ -213,12 +213,8 @@ def extract_patch(img: MvImage, mask: Mask, center, radius: int) -> Patch:
     known flags are copied from the mask; values are copied regardless of
     the flags so callers must consult known before trusting a pixel.
     """
-    if radius < 0:
-        raise ConfigError(f"patch radius must be nonnegative, got {radius}")
     check_mask_shape(img, mask)
     i, j = int(center[0]), int(center[1])
-    if not (0 <= i < img.rows and 0 <= j < img.cols):
-        raise DimensionMismatch(f"patch center {center} outside the grid")
     offsets = np.arange(-radius, radius + 1)
     ri = (i + offsets) % img.rows
     cj = (j + offsets) % img.cols
@@ -232,8 +228,6 @@ def patch_distance(a: Patch, b: Patch, desc: ManifoldDescriptor) -> float:
 
     I is the set of patch positions known in both patches.
     """
-    if a.radius != b.radius or a.values.shape != b.values.shape:
-        raise DimensionMismatch("patches have different sizes")
     both = a.known & b.known
     cnt = int(both.sum())
     if cnt == 0:

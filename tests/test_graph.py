@@ -109,13 +109,6 @@ class TestExtractPatch:
         img.data[0, 0, 0] = 9.0
         assert p.values[0, 0] == 1.0
 
-    def test_bad_arguments(self):
-        img = scalar_image([[1.0, 2.0]])
-        with pytest.raises(DimensionMismatch):
-            extract_patch(img, mv.Mask.all_known(1, 2), (0, 5), 0)
-        with pytest.raises(ConfigError):
-            extract_patch(img, mv.Mask.all_known(1, 2), (0, 0), -1)
-
 
 class TestPatchDistance:
     def test_single_pixel_values(self):
@@ -156,14 +149,6 @@ class TestPatchDistance:
                 cnt += 1
         assert cnt > 0
         assert abs(patch_distance(a, b, S2) - np.sqrt(acc) / cnt) < 1e-12
-
-    def test_size_mismatch(self):
-        img = scalar_image([[1.0, 2.0], [3.0, 4.0]])
-        mask = mv.Mask.all_known(2, 2)
-        a = extract_patch(img, mask, (0, 0), 0)
-        b = extract_patch(img, mask, (0, 1), 1)
-        with pytest.raises(DimensionMismatch):
-            patch_distance(a, b, E1)
 
 
 class TestNonlocalGraph:
@@ -411,6 +396,36 @@ class TestBuildGraph:
         if targets_known:
             known.reshape(-1)[targets] = True
         mask = mv.Mask(known)
+        k, p, r = kpr
+        g = mv.build_graph(img, mask, cfg(k=k, p=p, r=r), targets)
+        assert_matches_oracle(g, img, mask, targets, k, p, r)
+
+    @pytest.mark.parametrize(
+        "unknown, targets, kpr",
+        [
+            # six unknown pixels, all of them targets, on every other row and
+            # every third column of the 12 x 13 torus: their 5 x 5 patches
+            # cover it, and no region pixel is unknown
+            pytest.param([0, 29, 58, 87, 116, 132], None, (5, 2, 3), id="torus"),
+            # a 2 x 2 hole at (5, 6) whose pixels are the targets: the region
+            # round it is cut in both axes and holds no unknown pixel
+            pytest.param([71, 72, 84, 85], None, (5, 1, 2), id="cut"),
+            # the same hole with pixel (3, 8) unknown too, and no target: it
+            # lies in the region, in the patches of candidates of row 4
+            pytest.param([47, 71, 72, 84, 85], [71, 72, 84, 85], (5, 1, 2),
+                         id="cut-one-unknown"),
+        ],
+    )
+    def test_regions_without_unknown_pixels(self, unknown, targets, kpr):
+        # where every region pixel is known or a target, the build makes no
+        # overlap fields and counts box * box pixels in every patch pair;
+        # beside it the case with one unknown pixel runs the overlap fields
+        # on the same image
+        img = random_image(S2, 12, 13, np.random.default_rng(40))
+        known = np.ones(12 * 13, dtype=bool)
+        known[unknown] = False
+        mask = mv.Mask(known.reshape(12, 13))
+        targets = unknown if targets is None else targets
         k, p, r = kpr
         g = mv.build_graph(img, mask, cfg(k=k, p=p, r=r), targets)
         assert_matches_oracle(g, img, mask, targets, k, p, r)

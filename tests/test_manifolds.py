@@ -276,13 +276,75 @@ class TestSphere:
             d, s = xc - yc, xc + yc
             sd = (d[..., 0] * d[..., 0] + d[..., first] * d[..., first]) + d[..., last] * d[..., last]
             ss = (s[..., 0] * s[..., 0] + s[..., first] * s[..., first]) + s[..., last] * s[..., last]
-            angle = 2.0 * np.arctan2(np.sqrt(sd), np.sqrt(ss))
+
+            def half(q):
+                # the clamp only keeps arcsin quiet on the branch not taken
+                return np.arcsin(np.minimum(np.sqrt(q) / 2.0, 1.0))
+
+            angle = np.where(sd <= 2.0, 2.0 * half(sd), np.pi - 2.0 * half(ss))
             return angle * angle
 
         assert closed_form(2, 1).tobytes() == got.tobytes()
         # the pairs tell the orders apart
         assert closed_form(1, 2).tobytes() != got.tobytes()
         assert not got[0].any() and (got[7] < 1e-5).all() and (got[14] > 9.8).all()
+
+
+def sphere_pairs(rng, theta):
+    """Unit vectors x and y (n, 3) with y at angle theta (n,) from x, to rounding."""
+    x = random_point(S2, rng, size=theta.shape)
+    u = random_ortho(S2, rng, x, 1.0)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    y = np.cos(theta)[:, None] * x + np.sin(theta)[:, None] * u
+    return x, y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+
+def kahan_angle(x, y):
+    """Kahan's 2 atan2(|x - y|, |x + y|), in long double, of the same float64 points."""
+    x, y = np.asarray(x, dtype=np.longdouble), np.asarray(y, dtype=np.longdouble)
+    return 2 * np.arctan2(np.sqrt(((x - y) ** 2).sum(-1)), np.sqrt(((x + y) ** 2).sum(-1)))
+
+
+# angle families: uniform, both sides of the pi/2 seam between the chord
+# and the antipodal form, and ever closer to the antipode
+ANGLES = {
+    "uniform": lambda rng, n: rng.uniform(0.0, np.pi, n),
+    "seam": lambda rng, n: np.pi / 2 + rng.uniform(-1e-3, 1e-3, n),
+    "pi-1e-3": lambda rng, n: np.full(n, np.pi - 1e-3),
+    "pi-1e-6": lambda rng, n: np.full(n, np.pi - 1e-6),
+    "pi-1e-9": lambda rng, n: np.full(n, np.pi - 1e-9),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is float64 here, so the oracle is no finer")
+@pytest.mark.parametrize("family", ANGLES)
+def test_sphere_dist_matches_a_long_double_oracle(family):
+    rng = np.random.default_rng(70)
+    x, y = sphere_pairs(rng, ANGLES[family](rng, 4000))
+    want = kahan_angle(x, y)
+    got = S2.kernel.dist(x, y)
+    assert (np.abs(got - want) <= 4 * np.finfo(np.float64).eps * want).all()
+
+
+def test_sphere_dist_of_antipodal_points_is_pi():
+    # exactly pi (0 at the point itself is test_dist2_of_a_point_to_itself_
+    # is_exactly_zero's); RuntimeWarnings are errors in this suite, so no
+    # arcsin reads an argument above 1
+    x = random_point(S2, np.random.default_rng(71), size=(500,))
+    assert (S2.kernel.dist(x, -x) == np.pi).all()
+    assert S2.kernel.dist(x[0], -x[0]) == np.pi
+
+
+@pytest.mark.parametrize("family", ANGLES)
+def test_sphere_log_length_is_the_distance(family):
+    # up to pi - 1e-9: y - <x, y> x cancels near the antipode, so the log
+    # takes only its direction from it
+    rng = np.random.default_rng(72)
+    x, y = sphere_pairs(rng, np.minimum(ANGLES[family](rng, 4000), np.pi - 1e-9))
+    got = np.linalg.norm(S2.kernel.log_ortho(x, y), axis=-1)
+    want = S2.kernel.dist(x, y)
+    assert (np.abs(got - want) <= 1e-14 * want).all()
 
 
 @pytest.mark.parametrize("desc", [S1, S2], ids=lambda d: d.label())
@@ -307,7 +369,7 @@ def test_batched_log_is_nan_exactly_at_the_cut_locus(desc):
     assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == pos[:2].tolist()
     assert np.isnan(got[pos[:2]]).all()
     assert got[np.delete(np.arange(12), pos)].tobytes() == k.log_ortho(x, y).tobytes()
-    # y - <x, y> x loses its relative precision near the antipode
+    # outside the tolerance the log keeps its length near the antipode
     assert np.linalg.norm(got[pos[2]]) == pytest.approx(np.pi - gaps[2], abs=1e-7)
 
 
