@@ -27,6 +27,7 @@ _RULES = {
     "tau": ("lie in (0, 1]", lambda t: 0.0 < t <= 1.0),
     "eps": ("be positive", lambda e: e > 0.0),
     "max_iter": ("be a positive integer", _integer(1)),
+    "cumulative_active": ("be True or False", lambda b: b is True or b is False),
     "threads": ("be a positive integer", lambda t: t is None or _integer(1)(t)),
 }
 

@@ -128,8 +128,9 @@ def inpaint(img: MvImage, mask: Mask, cfg: SolverConfig):
     Raises:
         DimensionMismatch: the mask shape does not match the image.
         NumericalError: any numerical failure of a layer (a SolverError,
-            GraphBuildError, CutLocusError, NotPositiveDefinite, ...); its
-            layer names the failing layer.
+            GraphBuildError, CutLocusError or EigenConvergenceError); its
+            layer names the failing layer.  The kernels take img's pixels
+            as valid, as img checked them when it was made.
     """
     check_mask_shape(img, mask)
 

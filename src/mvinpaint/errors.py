@@ -5,8 +5,10 @@ They fall into three families, one per CLI exit code:
 * usage: ConfigError, an invalid setting or a command line that does not
   parse (exit 1);
 * data: DimensionMismatch and FileFormatError, inputs that do not fit
-  together or do not parse, plus any OSError (exit 2);
-* numerical: every NumericalError, a failure of the computation itself
+  together or do not parse, and pixels off their manifold, which an image
+  rejects when it is made or read, plus any OSError (exit 2);
+* numerical: every NumericalError (CutLocusError, EigenConvergenceError,
+  GraphBuildError, SolverError), a failure of the computation itself
   (exit 3).  It carries the failing vertex when known, and the front
   driver sets the layer it failed in.
 """
@@ -39,10 +41,6 @@ class CutLocusError(NumericalError, ValueError):
     def __init__(self, message, vertex=None, neighbor=None):
         super().__init__(message, vertex)
         self.neighbor = neighbor
-
-
-class NotPositiveDefinite(NumericalError, ValueError):
-    """Matrix that must be symmetric positive definite is not."""
 
 
 class EigenConvergenceError(NumericalError, RuntimeError):

@@ -20,7 +20,9 @@ the usual black-on-white convention for holes.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 
 import numpy as np
 
@@ -108,20 +110,21 @@ def read_mvi(path) -> MvImage:
             raise FileFormatError(
                 f"count {count} does not match rows*cols*point_len = {expected}"
             )
-        data = np.empty((rows, cols, desc.point_len), dtype="<f8")
-        got = fh.readinto(data)
+        # a regular file's size is checked before a buffer of count floats
+        # is made; a pipe has no size to check
+        st = os.fstat(fh.fileno())
+        got = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else 8 * count
         if got == 8 * count:
-            got += len(fh.read())
+            data = np.empty((rows, cols, desc.point_len), dtype="<f8")
+            got = fh.readinto(data) + len(fh.read())
     if got != 8 * count:
         raise FileFormatError(
             f"payload size mismatch: expected {8 * count} bytes, got {got}"
         )
-    img = MvImage(desc, data)
     try:
-        img.validate()
+        return MvImage(desc, data)
     except DimensionMismatch as e:
         raise FileFormatError(str(e)) from e
-    return img
 
 
 def write_mask(mask: Mask, path):

@@ -6,6 +6,7 @@ Vertex ids enumerate pixels row-major: u = i * cols + j.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,10 @@ from .manifolds import ManifoldDescriptor
 
 @dataclass
 class MvImage:
-    """A grid of manifold points stored as one (rows, cols, point_len) buffer."""
+    """A grid of manifold points stored as one (rows, cols, point_len) buffer.
+
+    Its pixels are validated when it is made; the kernels take them as valid.
+    """
 
     descriptor: ManifoldDescriptor
     data: np.ndarray
@@ -30,6 +34,7 @@ class MvImage:
             )
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise DimensionMismatch("image needs at least one row and one column")
+        self.validate()
 
     @property
     def rows(self) -> int:
@@ -52,7 +57,7 @@ class MvImage:
         return divmod(one_vertex_id(u, self.vertex_count, "u"), self.cols)
 
     def copy(self) -> "MvImage":
-        return MvImage(self.descriptor, self.data.copy())
+        return copy.deepcopy(self)          # runs no __post_init__: self is valid
 
     def validate(self):
         """Check every pixel against the manifold invariants.

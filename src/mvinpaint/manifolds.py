@@ -41,8 +41,11 @@ Numerical conventions: sphere2's maps take tangent norms below 1e-15 as
 exact zeros, the log and ``dist2`` of a point at itself are exactly zero,
 and ``log_ortho`` gives NaN in each pair within 1e-10 of the cut locus and
 raises nothing there, so a failed row never changes another; the operators
-built on it raise ``CutLocusError`` there.  Distances have closed forms
-everywhere and never raise.
+built on it raise ``CutLocusError`` there.
+
+Every map assumes valid points, those ``validate_points`` accepts, which an
+image checks when it is made: on an invalid point a map returns whatever its
+arithmetic gives.  Only the spd(n != 2) maps raise, where the eigensolver fails.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenConvergenceError, NotPositiveDefinite
+from .errors import DimensionMismatch, EigenConvergenceError
 
 __all__ = ["ManifoldDescriptor"]
 
@@ -365,16 +368,12 @@ class _SpdKernel(_Kernel):
     def _apply(self, mats, fn):
         """fn(W) for symmetric W, fn being np.log (W positive definite) or np.exp."""
         lam, Q = self._eig(mats)
-        if fn is np.log and lam[..., 0].min(initial=np.inf) <= 0.0:
-            raise NotPositiveDefinite("log target: eigenvalue <= 0")
         out = np.einsum("...ij,...j,...kj->...ik", Q, fn(lam), Q)
         return self._sym(out)
 
     def _root(self, X, inverse=False):
         """X^(1/2), or X^(-1/2) if inverse, of symmetric positive definite X."""
         lam, Q = self._eig(X)
-        if lam[..., 0].min(initial=np.inf) <= 0.0:
-            raise NotPositiveDefinite("base point is not positive definite")
         s = np.sqrt(lam)
         if inverse:
             s = 1.0 / s
@@ -409,14 +408,12 @@ class _SpdKernel(_Kernel):
 
     def _dist2(self, x, y, out):
         lam, _ = self._eig(self._whiten(x, y))
-        if lam[..., 0].min(initial=np.inf) <= 0.0:
-            raise NotPositiveDefinite("distance target is not positive definite")
         ln = np.log(lam)
         np.einsum("...i,...i->...", ln, ln, out=out)
 
     def _check_values(self, pts):
         # each entry pair's asymmetry in one scratch field; only symmetric
-        # points get the positive-definite test of _root
+        # points get the eigensolver's positive-definite test
         t = np.empty(pts.shape[:-1])
         asym = np.zeros(t.shape, dtype=bool)
         for i, j in zip(*np.triu_indices(self.n, 1)):
@@ -456,10 +453,9 @@ class _Spd2Kernel(_SpdKernel):
         return np.where(same, 1.0, a), np.where(same, 0.0, b), np.where(same, 1.0, c)
 
     def _check_values(self, pts):
-        # _root's positive-definite test on the triples, in views of pts and
-        # one scratch field t; a positive definite point whose 2 det
-        # overflows (1e154 I) has no finite distance, to I or to any other
-        # point
+        # a > 0 and det > 0 on the triples, in views of pts and one scratch
+        # field t; a positive definite point whose 2 det overflows (1e154 I)
+        # has no finite distance, to I or to any other point
         a, c = pts[..., 0], pts[..., 3]
         t = np.subtract(pts[..., 1], pts[..., 2])
         asym = self._first(np.abs(t, out=t) > SPD_SYM_TOL, "not symmetric")
@@ -477,8 +473,6 @@ class _Spd2Kernel(_SpdKernel):
     def _root(self, X, inverse=False):
         a, b, c = X
         det = a * c - b * b
-        if (a <= 0.0).any() or (det <= 0.0).any():
-            raise NotPositiveDefinite("base point is not positive definite")
         # X^(1/2) = (X + sqrt(det) I) / sqrt(tr + 2 sqrt(det)); its inverse is
         # its adjugate over its determinant sqrt(det)
         sd = np.sqrt(det)
@@ -507,12 +501,9 @@ class _Spd2Kernel(_SpdKernel):
         r2 = np.where(nz, 2.0 * r, 1.0)
         if fn is np.log:
             hi = m + r
-            det = a * c - b * b
-            if (hi <= 0.0).any() or (det <= 0.0).any():
-                raise NotPositiveDefinite("log target: eigenvalue <= 0")
             # the small eigenvalue from the determinant: m - r cancels, and
             # log1p keeps the divided difference accurate as r -> 0
-            lo = det / hi
+            lo = (a * c - b * b) / hi
             f0 = 0.5 * (np.log(hi) + np.log(lo))
             f1 = np.where(nz, np.log1p(2.0 * r / lo) / r2, 1.0 / lo)
         else:
@@ -542,10 +533,6 @@ class _Spd2Kernel(_SpdKernel):
         q *= 0.5
         np.multiply(p, s, out=s1)
         s1 -= np.multiply(q, q, out=s2)                        # s1: det Y
-        if (a <= 0).any() or (det_x <= 0).any():
-            raise NotPositiveDefinite("distance base is not positive definite")
-        if (p <= 0).any() or (s1 <= 0).any():
-            raise NotPositiveDefinite("distance target is not positive definite")
         np.multiply(c, q, out=s2)
         s2 -= np.multiply(b, s, out=s3)                        # s2: v
         np.multiply(a, q, out=s3)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, FileFormatError
+from .errors import FileFormatError
 from .image import MvImage, check_mask_shape
 
 GRAY = (128, 128, 128)
@@ -86,8 +86,6 @@ def _render_spd_svg(img: MvImage, mask, path):
     a, c = img.flat[:, 0], img.flat[:, 3]
     off = 0.5 * (img.flat[:, 1] + img.flat[:, 2])
     det = a * c - off * off
-    if not ((a > 0.0) & (det > 0.0)).all():
-        raise DimensionMismatch("spd image has a non positive definite pixel")
     h = 0.5 * (a - c)
     rad = np.hypot(h, off)
     hi = 0.5 * (a + c) + rad

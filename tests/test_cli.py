@@ -357,24 +357,41 @@ class TestExitCodes:
         named = re.search(r"layer 1: vertex (\d+):", err).group(1)
         assert summary["vertex"] == int(named)
 
-    def test_not_positive_definite_names_the_layer(self, tmp_path, capsys, monkeypatch):
-        # validation rejects a pixel of 1e-200 * I by the kernel's own test;
-        # with it switched off, the pixel fails the definiteness test of a
-        # patch distance in the first layer
-        monkeypatch.setattr(mvinpaint.MvImage, "validate", lambda self: None)
+    def test_invalid_pixel_exits_2(self, tmp_path, capsys):
+        # a pixel of 1e-200 * I, whose determinant underflows to 0, is
+        # rejected when the image is read, before any layer runs
         img = generate_spd_image(6, 6)
-        img.data[1, 1] = [1e-200, 0.0, 0.0, 1e-200]
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         write_mvi(img, img_p)
+        raw = bytearray(img_p.read_bytes())
+        off = len(raw) - img.data.nbytes + (1 * 6 + 1) * 4 * 8
+        raw[off : off + 32] = np.array([1e-200, 0.0, 0.0, 1e-200]).tobytes()
+        img_p.write_bytes(bytes(raw))
         write_mask(cut_mask(6, 6, (2, 2, 2, 2)), mask_p)
+        out = tmp_path / "o.mvi"
         rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
-                     "-o", tmp_path / "o.mvi", "--k", 3, "--p", 1, "--r", 2)
-        assert rc == 3
+                     "-o", out, "--k", 3, "--p", 1, "--r", 2)
+        assert rc == 2
+        assert not out.exists()
         err = capsys.readouterr().err
-        assert "numerical error: layer 1: " in err
+        assert "data error: " in err
+        assert "pixel (1, 1) invalid: not positive definite" in err
         summary = json_summary(err)
-        assert summary["exit_code"] == 3
-        assert summary["layer"] == 1
+        assert summary["exit_code"] == 2
+        assert "layer" not in summary
+
+    def test_payload_far_shorter_than_its_count_exits_2(self, tmp_path, capsys):
+        # the header claims 80 GB; the file is checked, not allocated
+        img_p = tmp_path / "huge.mvi"
+        img_p.write_bytes(b"MVI1\nmanifold spd 100000\nrows 1\ncols 1\nbyteorder LE\n"
+                          b"count 10000000000\n\0\0")
+        write_mask(Mask.all_known(1, 1), tmp_path / "m.pbm")
+        rc = run_cli("inpaint", "-i", img_p, "-m", tmp_path / "m.pbm",
+                     "-o", tmp_path / "o.mvi")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "payload size mismatch: expected 80000000000 bytes, got 2" in err
+        assert json_summary(err)["exit_code"] == 2
 
     @pytest.mark.parametrize("exc, label, code", [
         (errors.ConfigError("bad setting"), "usage error", 1),
@@ -385,8 +402,8 @@ class TestExitCodes:
         (OSError(errno.ENOSPC, "no space left"), "data error", 2),
     ] + [
         (cls("numerical trouble"), "numerical error", 3)
-        for cls in (errors.CutLocusError, errors.NotPositiveDefinite,
-                    errors.EigenConvergenceError, errors.GraphBuildError, errors.SolverError)
+        for cls in (errors.CutLocusError, errors.EigenConvergenceError,
+                    errors.GraphBuildError, errors.SolverError)
     ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
     def test_error_families_map_to_exit_codes(self, exc, label, code,
                                               tmp_path, capsys, monkeypatch):

@@ -20,6 +20,10 @@ from mvinpaint.errors import ConfigError
     ("eps", 0),
     ("max_iter", 0),
     ("threads", 0),
+    # a truthy string would switch on coupled solves
+    ("cumulative_active", "no"),
+    ("cumulative_active", None),
+    ("cumulative_active", 1),
     # a failed conversion or comparison is a ConfigError too
     ("k", float("nan")),
     ("p", float("inf")),

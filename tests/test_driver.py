@@ -8,8 +8,8 @@ import mvinpaint as mv
 from mvinpaint import operators
 from mvinpaint.errors import (
     DimensionMismatch,
+    EigenConvergenceError,
     GraphBuildError,
-    NotPositiveDefinite,
     SolverError,
 )
 
@@ -381,7 +381,7 @@ class TestInpaint:
         with pytest.raises(DimensionMismatch):
             mv.inpaint(img, mv.Mask.all_known(2, 2), cheap_cfg())
 
-    @pytest.mark.parametrize("error", [GraphBuildError, NotPositiveDefinite],
+    @pytest.mark.parametrize("error", [GraphBuildError, EigenConvergenceError],
                              ids=lambda e: e.__name__)
     def test_failures_name_the_layer(self, error, monkeypatch):
         if error is GraphBuildError:
@@ -389,14 +389,16 @@ class TestInpaint:
             monkeypatch.setattr(type(E1.kernel), "_dist2",
                                 lambda self, x, y, out: out.fill(np.nan))
             img = random_image(E1, 6, 6, np.random.default_rng(66))
-            cfg = cheap_cfg()
         else:
-            # a known pixel in the first layer's patches is 1e-200 * I, which
-            # passes point validation but not the distance's definiteness test
-            data = mv.generate_spd_image(6, 6).data.copy()
-            data[1, 1] = [1e-200, 0.0, 0.0, 1e-200]
-            img = mv.MvImage(mv.ManifoldDescriptor.spd(2), data)
-            cfg = cheap_cfg()
+            # the eigensolver fails in the first layer's spd(3) patch
+            # distances, after the image passed validation through it
+            img = random_image(mv.ManifoldDescriptor.spd(3), 6, 6, np.random.default_rng(66))
+
+            def fail(a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+            monkeypatch.setattr(np.linalg, "eigh", fail)
+        cfg = cheap_cfg()
         mask = hole_mask(6, 6, 2, 2, 2, 2)
         with pytest.raises(error) as exc:
             mv.inpaint(img, mask, cfg)

@@ -140,6 +140,21 @@ class TestMvi:
         with pytest.raises(FileFormatError, match=f"^payload size mismatch: expected 32 bytes, got {got}$"):
             mv.read_mvi(path)
 
+    def test_payload_size_checked_before_the_buffer_is_made(self, tmp_path):
+        # the header claims 80 GB, and two bytes follow it
+        path = tmp_path / "huge.mvi"
+        path.write_bytes(b"MVI1\nmanifold spd 100000\nrows 1\ncols 1\nbyteorder LE\n"
+                         b"count 10000000000\n\0\0")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError,
+                               match="^payload size mismatch: expected 80000000000 bytes, got 2$"):
+                mv.read_mvi(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("generate", [mv.generate_sphere_image, mv.generate_spd_image])
     def test_read_peak_memory_is_at_most_two_images(self, generate, tmp_path):
         # the payload is read into the image's buffer, and validation's

@@ -272,11 +272,12 @@ class TestBuildGraph:
     def test_no_finite_distance(self, chunk_pairs, monkeypatch):
         monkeypatch.setattr(graph_mod, "_CHUNK_PAIRS", chunk_pairs)
         # every candidate of the unknown target 5 holds NaN, so each patch
-        # distance is NaN although the patches overlap
+        # distance is NaN although the patches overlap.  An image is made of
+        # valid pixels only, so the NaNs are written in place
         known = np.ones((4, 4), dtype=bool)
         known[1, 1] = False
-        img = mv.MvImage.constant(E1, 4, 4, [np.nan])
-        img.flat[5] = 0.0
+        img = mv.MvImage.constant(E1, 4, 4, [0.0])
+        img.flat[np.arange(16) != 5] = np.nan
         with pytest.raises(GraphBuildError) as exc:
             mv.build_graph(img, mv.Mask(known), cfg(k=3, p=0, r=2), [5])
         assert exc.value.vertex == 5
@@ -289,9 +290,10 @@ class TestBuildGraph:
         # target 0 of a 1 x 5 line, offsets -2..2: ids 3 and 4 are unknown,
         # so they overlap nothing and their distances come out finite (0),
         # but they are not candidates; ids 1 and 2 are candidates holding
-        # NaN.  With one offset per chunk the two kinds never share a chunk,
-        # and no candidate has a finite distance
-        img = scalar_image([[0.0, np.nan, np.nan, 3.0, 4.0]])
+        # NaN, written in place.  With one offset per chunk the two kinds
+        # never share a chunk, and no candidate has a finite distance
+        img = scalar_image([[0.0, 1.0, 2.0, 3.0, 4.0]])
+        img.flat[1:3] = np.nan
         mask = mv.Mask(np.array([[False, True, True, False, False]]))
         with pytest.raises(GraphBuildError) as exc:
             mv.build_graph(img, mask, cfg(k=2, p=0, r=2, threads=threads), [0])

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
+import mvinpaint.manifolds as manifolds
 from mvinpaint.errors import DimensionMismatch
 
 from conftest import extract_patch, random_image
 
 S2 = mv.ManifoldDescriptor.sphere2()
 E2 = mv.ManifoldDescriptor.euclidean(2)
+P2 = mv.ManifoldDescriptor.spd(2)
+P3 = mv.ManifoldDescriptor.spd(3)
 
 
 def test_shape_and_ids():
@@ -47,6 +50,52 @@ def test_validate_reports_pixel():
     with pytest.raises(DimensionMismatch) as exc:
         img.validate()
     assert "(1, 2)" in str(exc.value)
+
+
+I2, I3 = np.eye(2).reshape(4), np.eye(3).reshape(9)
+# per family, a valid pixel, an invalid one and the reason validation gives
+INVALID_PIXELS = {
+    "euclidean": (E2, [0.0, 0.0], [np.inf, 0.0], "non-finite entry"),
+    "circle": (mv.ManifoldDescriptor.circle(), [0.0], [4.0], "angle outside (-pi, pi]"),
+    "sphere2": (S2, [0.0, 0.0, 1.0], [0.0, 0.0, 2.0], "not a unit vector"),
+    "spd2-nan": (P2, I2, [1.0, 0.0, 0.0, np.nan], "non-finite entry"),
+    "spd2-asymmetric": (P2, I2, [1.0, 0.5, 0.0, 1.0], "not symmetric"),
+    "spd2-indefinite": (P2, I2, [1.0, 0.0, 0.0, -1.0], "not positive definite"),
+    "spd2-singular": (P2, I2, [0.0, 0.0, 0.0, 0.0], "not positive definite"),
+    "spd2-overflow": (P2, I2, 1e154 * I2, "distance not finite"),
+    "spd3-asymmetric": (P3, I3, I3 + [0, 0.5, 0, 0, 0, 0, 0, 0, 0], "not symmetric"),
+    "spd3-indefinite": (P3, I3, np.diag([2.0, -1.0, 1.0]).reshape(9), "not positive definite"),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID_PIXELS))
+def test_an_image_is_valid_from_when_it_is_made(name):
+    desc, good, bad, reason = INVALID_PIXELS[name]
+    data = np.broadcast_to(np.asarray(good, dtype=np.float64), (2, 3, desc.point_len)).copy()
+    mv.MvImage(desc, data)
+    data[1, 2] = bad
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(f'pixel (1, 2) invalid: {reason}')}$"):
+        mv.MvImage(desc, data)
+
+
+def test_copy_validates_nothing_and_reading_validates_once(monkeypatch, tmp_path):
+    img = random_image(P3, 4, 5, np.random.default_rng(2))
+    path = tmp_path / "img.mvi"
+    mv.write_mvi(img, path)
+    calls = []
+    real = manifolds._Kernel.validate_points
+
+    def counting(self, pts):
+        calls.append(len(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(manifolds._Kernel, "validate_points", counting)
+    dup = img.copy()
+    assert calls == []
+    assert dup.descriptor == P3 and dup.data is not img.data
+    assert dup.data.tobytes() == img.data.tobytes()
+    assert mv.read_mvi(path).data.tobytes() == img.data.tobytes()
+    assert calls == [20]
 
 
 def test_rejects_wrong_point_len():

@@ -9,7 +9,6 @@ from mvinpaint.errors import (
     CutLocusError,
     DimensionMismatch,
     EigenConvergenceError,
-    NotPositiveDefinite,
 )
 from mvinpaint.manifolds import sym_eig_batch, wrap_angle
 
@@ -410,28 +409,14 @@ class TestSpd:
     def test_rejects_non_spd_point(self):
         bad = spd_buf([1.0, 0.0], [0.0, -1.0])
         good = spd_buf([1.0, 0.0], [0.0, 1.0])
-        with pytest.raises((DimensionMismatch, NotPositiveDefinite)):
-            P2.kernel.dist(bad, good)
+        with pytest.raises(DimensionMismatch, match=r"pixel \(0, 1\) invalid: not positive definite"):
+            line_image(P2, [good, bad])
 
     def test_rejects_asymmetric_point(self):
         bad = spd_buf([1.0, 0.5], [0.0, 1.0])
         good = spd_buf([1.0, 0.0], [0.0, 1.0])
-        with pytest.raises(DimensionMismatch):
-            line_image(P2, [good, bad]).validate()
-
-    @pytest.mark.parametrize("method, x, y, message", [
-        ("log_ortho", "bad", "good", "base point is not positive definite"),
-        ("log_ortho", "good", "bad", "log target"),
-        ("exp_ortho", "bad", "zero", "base point is not positive definite"),
-        ("dist2", "bad", "good", "base point is not positive definite"),
-        ("dist2", "good", "bad", "distance target is not positive definite"),
-    ])
-    def test_spd3_kernel_rejects_indefinite_points(self, method, x, y, message):
-        # the kernel is called directly, past the validation of an image
-        pts = {"good": np.eye(3).reshape(1, 9), "zero": np.zeros((1, 9)),
-               "bad": np.diag([2.0, -1.0, 1.0]).reshape(1, 9)}
-        with pytest.raises(NotPositiveDefinite, match=message):
-            getattr(P3.kernel, method)(pts[x], pts[y])
+        with pytest.raises(DimensionMismatch, match=r"pixel \(0, 1\) invalid: not symmetric"):
+            line_image(P2, [good, bad])
 
 
 class TestArgumentChecking:
@@ -603,9 +588,9 @@ class TestSpd2ClosedForm:
         assert (out[:, 5:] == out[:, :1]).all()
 
     def test_non_positive_definite_points_raise(self):
-        k = P2.kernel
+        # indefinite, negative definite and singular points: an image
+        # rejects each when it is made, so no map ever takes one
         good = spd_buf([2.0, 0.5], [0.5, 1.0])
-        w = spd_buf([0.1, 0.0], [0.0, -0.1])
         bad_points = [
             spd_buf([1.0, 0.0], [0.0, -1.0]),
             spd_buf([1.0, 2.0], [2.0, 1.0]),
@@ -613,17 +598,9 @@ class TestSpd2ClosedForm:
             spd_buf([1.0, 1.0], [1.0, 1.0]),
         ]
         for bad in bad_points:
-            x = np.stack([good, bad])
-            for name, arg in (("log_ortho", good), ("exp_ortho", w), ("dist2", good)):
-                with pytest.raises(NotPositiveDefinite):
-                    getattr(k, name)(x, arg)
-            with pytest.raises(NotPositiveDefinite):
-                k.dist2(good, np.stack([good, bad]))
-        # a singular target whitens to a determinant at rounding level, of
-        # either sign, so only indefinite and negative targets are checked
-        for bad in bad_points[:3]:
-            with pytest.raises(NotPositiveDefinite, match="log target"):
-                k.log_ortho(good, np.stack([good, bad]))
+            assert P2.kernel.validate_points(np.stack([good, bad])) == (1, "not positive definite")
+            with pytest.raises(DimensionMismatch, match=r"pixel \(0, 1\) invalid: not positive definite"):
+                line_image(P2, [good, bad])
 
     def test_validation_accepts_exactly_what_the_maps_accept(self):
         # near-singular points on both sides of positive definite: entries
@@ -645,13 +622,8 @@ class TestSpd2ClosedForm:
                               scaled[:, None] * spd_buf([1.0, 0.0], [0.0, 1.0])])
         eye, zero = spd_buf([1.0, 0.0], [0.0, 1.0]), np.zeros(4)
 
-        def accepted(fn, *args):
-            """fn raises no NotPositiveDefinite and returns finite values."""
-            try:
-                with np.errstate(all="ignore"):
-                    return bool(np.isfinite(fn(*args)).all())
-            except NotPositiveDefinite:
-                return False
+        def finite(fn, *args):
+            return bool(np.isfinite(fn(*args)).all())
 
         valid, reasons = [], []
         for x in pts:
@@ -664,15 +636,16 @@ class TestSpd2ClosedForm:
             # whitens to a determinant at rounding level
             calls = ((k.dist2, (x, x)), (k.dist2, (eye, x)), (k.dist2, (x, eye)),
                      (k.log_ortho, (eye, x)), (k.log_ortho, (x, x)), (k.exp_ortho, (x, zero)))
-            if bad is None or bad[1] == "not positive definite":
+            if bad is None:
+                # the maps' precondition holds: every map is finite, with no
+                # RuntimeWarning, and the log of x at itself is exactly zero
                 for fn, args in calls:
-                    assert accepted(fn, *args) == valid[-1], (x, fn.__name__, args)
-            else:
-                # positive definite, but a distance from it is NaN or inf
-                assert bad[1] == "distance not finite"
-                assert not all(accepted(fn, *args) for fn, args in calls[:3])
-            if valid[-1]:
+                    assert finite(fn, *args), (x, fn.__name__, args)
                 assert not k.log_ortho(x, x).any()
+            elif bad[1] == "distance not finite":
+                # positive definite, but a distance from it is NaN or inf
+                with np.errstate(all="ignore"):
+                    assert not all(finite(fn, *args) for fn, args in calls[:3])
         assert reasons[-11:] == ["not positive definite"] * 3 + [None] * 7 + [
             "distance not finite"]
         # dist2 divides by no determinant, so every positive definite point
@@ -746,9 +719,10 @@ def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
 
     monkeypatch.setattr(manifolds, "sym_eig_batch", counting)
     rng = np.random.default_rng(5)
-    # spd(3) validation asks the eigensolver; spd(2)'s tests the triples
-    mv.MvImage(P3, random_point(P3, rng, size=(3, 4))).validate()
-    mv.MvImage(P2, random_point(P2, rng, size=(3, 4))).validate()
+    # spd(3) validation, which making an image runs, asks the eigensolver;
+    # spd(2)'s tests the triples
+    mv.MvImage(P3, random_point(P3, rng, size=(3, 4)))
+    mv.MvImage(P2, random_point(P2, rng, size=(3, 4)))
     assert sizes == [3]
     # the spd(2) maps are closed forms: none of them reaches the eigensolver
     k = P2.kernel

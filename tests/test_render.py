@@ -133,12 +133,6 @@ class TestSpdSvg:
         assert hits[1][5] == "#808080"
         assert hits[0][5] != "#808080"
 
-    def test_rejects_non_positive_definite_pixel(self, tmp_path):
-        data = np.array([[np.diag([1.0, 1.0]).reshape(4), np.zeros(4)]])
-        img = MvImage(ManifoldDescriptor.spd(2), data)
-        with pytest.raises(DimensionMismatch):
-            render(img, None, tmp_path / "img.svg", "svg")
-
     def test_does_not_modify_inputs(self, tmp_path):
         data = np.array([[rot_spd(3.0, 1.0, 10.0), rot_spd(2.0, 0.5, 70.0)]])
         img = MvImage(ManifoldDescriptor.spd(2), data)
