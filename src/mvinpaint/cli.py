@@ -4,7 +4,8 @@ Subcommands: generate, mask, inpaint, render, compare.  Exit codes: 0 on
 success, then one per family of errors.py: 1 usage, 2 data (any OSError
 too), 3 numerical; a numerical failure names its layer and vertex.  A command
 line that does not parse or an option out of range is a usage error, found
-before any file is read.  Every run writes a JSON run summary (parameters,
+before any file is read, but for a patch wider than the image, found when
+the first graph is built.  Every run writes a JSON run summary (parameters,
 layer log, timings) to stderr, or to --log PATH when given.  Outputs are
 bitwise deterministic for identical invocations, independent of --threads.
 """
@@ -93,13 +94,14 @@ def build_parser():
     p.add_argument("--r", type=int, default=cfg.r, help="search window radius (default: %(default)s)")
     p.add_argument("--sigma", type=_parse_sigma, default=cfg.sigma,
                    help='weight scale, positive or "auto" (default: %(default)s)')
-    p.add_argument("--tau", type=float, default=cfg.tau, help="Euler step size (default: %(default)s)")
     p.add_argument("--eps", type=float, default=cfg.eps,
-                   help="relative-change stopping threshold (default: %(default)s)")
+                   help="relative-change stopping threshold of the coupled pass "
+                        "(default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=cfg.max_iter,
-                   help="iteration cap per solve (default: %(default)s)")
-    p.add_argument("--cumulative-active", action="store_true",
-                   help="keep earlier layers active in later solves")
+                   help="Euler step cap of the coupled pass (default: %(default)s)")
+    p.add_argument("--coupled-pass", action="store_true",
+                   help="after the front layers, solve every unknown pixel again "
+                        "in one coupled pass of full Euler steps")
     p.add_argument("--threads", type=int, default=None,
                    help="worker cap for graph building, capped at the CPUs this "
                         "process may run on (default: that count)")

@@ -24,23 +24,11 @@ _RULES = {
     "r": ("be a positive integer", _integer(1)),
     "sigma": ('be positive or "auto"',
               lambda s: s == "auto" if isinstance(s, str) else s > 0.0),
-    "tau": ("lie in (0, 1]", lambda t: 0.0 < t <= 1.0),
     "eps": ("be positive", lambda e: e > 0.0),
     "max_iter": ("be a positive integer", _integer(1)),
-    "cumulative_active": ("be True or False", lambda b: b is True or b is False),
+    "coupled_pass": ("be True or False", lambda b: b is True or b is False),
     "threads": ("be a positive integer", lambda t: t is None or _integer(1)(t)),
 }
-
-
-def check(name: str, value):
-    """Raise ConfigError unless value passes the rule of the SolverConfig field name."""
-    rule, ok = _RULES[name]
-    try:
-        if ok(value):
-            return
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +41,10 @@ class SolverConfig:
               window around the target, periodic wrap.
     sigma:    weight scale in w = exp(-(d^2 - d1^2) / sigma^2), d1 the nearest
               distance; "auto" means the mean selected finite patch distance.
-    tau:      Euler step size, 0 < tau <= 1.
-    eps:      relative-change stopping threshold.
-    max_iter: iteration cap per solve.
-    cumulative_active: keep earlier layers active in later solves instead of
-              freezing them.
+    eps:      relative-change stopping threshold of the coupled pass.
+    max_iter: Euler step cap of the coupled pass.
+    coupled_pass: after the front layers, solve every unknown pixel again in
+              one coupled pass, its graph built over the whole filled image.
     threads:  worker cap for graph construction, capped at the CPUs this
               process may run on; None means that count.
 
@@ -68,15 +55,20 @@ class SolverConfig:
     p: int = 12
     r: int = 32
     sigma: float | str = "auto"
-    tau: float = 0.1
     eps: float = 1e-7
     max_iter: int = 1000
-    cumulative_active: bool = False
+    coupled_pass: bool = False
     threads: int | None = None
 
     def __post_init__(self):
-        for name in _RULES:
-            check(name, getattr(self, name))
+        for name, (rule, ok) in _RULES.items():
+            value = getattr(self, name)
+            try:
+                if ok(value):
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise ConfigError(f"{name} must {rule}, got {value!r}")
 
     def resolved_threads(self) -> int:
         if hasattr(os, "process_cpu_count"):        # Python 3.13 on

@@ -84,7 +84,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
-from .errors import DimensionMismatch, GraphBuildError
+from .errors import ConfigError, DimensionMismatch, GraphBuildError
 from .image import Mask, MvImage, check_mask_shape, one_vertex_id, vertex_ids
 
 
@@ -255,9 +255,12 @@ def build_graph(
     thread count, on the chunk size, or, but on spd(n >= 3), on the cut
     or the pairing: there a torus build matches a cut one to rounding.
 
-    Raises DimensionMismatch where targets are not vertex ids of the grid,
-    and GraphBuildError naming the first target with no finite-distance
-    candidate: none in its window, or none with a finite patch distance.
+    Raises DimensionMismatch where targets are not vertex ids of the grid;
+    ConfigError, before any buffer is made, where there are targets and a
+    patch is wider than the grid (2p + 1 > min(rows, cols)), as it would
+    wrap the grid again and again at a cost linear in p; and GraphBuildError
+    naming the first target with no finite-distance candidate: none in its
+    window, or none with a finite patch distance.
     """
     check_mask_shape(img, mask)
 
@@ -270,6 +273,9 @@ def build_graph(
     kernel = img.descriptor.kernel
     p, r = int(cfg.p), int(cfg.r)
     box = 2 * p + 1
+    if box > min(rows, cols):
+        raise ConfigError(f"p = {p} makes patches of side {box}, wider than the "
+                          f"{rows} x {cols} grid")
     t_row, t_col = np.divmod(targets, cols)
 
     # window offsets (a, b) in A x B, one per candidate; the one that is zero

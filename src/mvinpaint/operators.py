@@ -12,7 +12,7 @@ and returns
 
 Objective ties are broken by the lexicographically smallest (v1, v2) vertex
 id pair, which makes every routine here deterministic.  The explicit Euler
-step moves each active vertex along exp_{f(u)}(tau * operator).
+step moves each active vertex along exp_{f(u)}(operator), the full step.
 
 solve_dirichlet takes those steps only on a layer whose vertices are each
 other's neighbors.  On a decoupled layer every neighbor value is fixed, and
@@ -37,7 +37,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .config import SolverConfig, check
+from .config import SolverConfig
 from .errors import CutLocusError, SolverError
 from .graph import NonlocalGraph
 from .image import Mask, MvImage, check_mask_shape, one_vertex_id, vertex_ids
@@ -184,23 +184,22 @@ def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> np.ndarra
     return _batch_at(graph, img, active)[2]
 
 
-def euler_step(graph: NonlocalGraph, img: MvImage, active, tau: float) -> MvImage:
-    """One explicit Euler update of all active vertices (Jacobi semantics).
+def euler_step(graph: NonlocalGraph, img: MvImage, active) -> MvImage:
+    """One full explicit Euler update of all active vertices (Jacobi semantics).
 
-    Returns a new image.  Every read comes from the input image, which is
-    left as it is; non-active vertices are copied bitwise.  Where the
-    operator vanishes the vertex is left bitwise unchanged.  tau follows the
-    rule of SolverConfig.tau and raises ConfigError where it breaks it.
+    Each active vertex u moves to exp_{f(u)}(operator at u).  Returns a new
+    image.  Every read comes from the input image, which is left as it is;
+    non-active vertices are copied bitwise.  Where the operator vanishes the
+    vertex is left bitwise unchanged.
     """
     active = vertex_ids(active, img.vertex_count, "active")
-    check("tau", tau)
     out = img.copy()
     if active.size == 0:
         return out
     x, _, delta, moving = _batch_at(graph, img, active)
     if moving.any():
         kernel = img.descriptor.kernel
-        x[moving] = kernel.exp_ortho(x[moving], tau * delta[moving])
+        x[moving] = kernel.exp_ortho(x[moving], delta[moving])
     out.flat[active] = x
     return out
 
@@ -564,7 +563,7 @@ def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConf
     denom = None
     for step in range(1, int(cfg.max_iter) + 1):
         prev = f.flat[active]
-        f = euler_step(graph, f, active, cfg.tau)
+        f = euler_step(graph, f, active)
         change = float(kernel.dist(prev, f.flat[active]).mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
@@ -616,16 +615,15 @@ def solve_dirichlet(
     _centres): where that has two supports i < j it is, bitwise, the point
     at fraction sqrt(w_j) / (sqrt(w_i) + sqrt(w_j)) of the geodesic f(v_i)
     -> f(v_j), where the operator of that pair vanishes.  No Euler step
-    runs there, and cfg.tau, cfg.eps and cfg.max_iter do not matter.
+    runs there, and cfg.eps and cfg.max_iter do not matter.
 
-    On a coupled layer, as cfg.cumulative_active makes every layer after
-    the first, every active vertex starts from its value in f0 and takes
-    Euler steps, each through the module-level euler_step, until the
-    relative change stalls: the mean geodesic displacement of the active
-    vertices divided by the same mean at step 1 (1 if that mean is 0)
-    drops below cfg.eps, or cfg.max_iter steps have run.  Every step moves
-    every active vertex, so the vertex-steps of a layer are iterations
-    times the active count.
+    On a coupled layer, as the driver's coupled pass usually is, every
+    active vertex starts from its value in f0 and takes full Euler steps,
+    each through the module-level euler_step, until the relative change
+    stalls: the mean geodesic displacement of the active vertices divided
+    by the same mean at step 1 (1 if that mean is 0) drops below cfg.eps,
+    or cfg.max_iter steps have run.  Every step moves every active vertex,
+    so the vertex-steps of a layer are iterations times the active count.
 
     Returns:
         a LayerSolve whose image is f0, the layer written into its active

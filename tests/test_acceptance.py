@@ -144,7 +144,7 @@ def test_criterion_3_lipschitz_extensions(capsys):
         f0 = line_image(E1, start)
         known = np.zeros((1, 9), dtype=bool)
         known[0, 0] = known[0, 8] = True
-        cfg = mv.SolverConfig(k=2, p=0, r=1, tau=0.1, eps=1e-12, max_iter=1000)
+        cfg = mv.SolverConfig(k=2, p=0, r=1, eps=1e-12, max_iter=1000)
         res = mv.solve_dirichlet(graph, f0, mv.Mask(known), np.arange(1, 8), cfg)
         out = res.image
         assert res.iterations <= 1000
@@ -159,7 +159,7 @@ def test_criterion_3_lipschitz_extensions(capsys):
         img = line_image(desc, [x, x, y])
         graph = make_graph(3, {0: ([1, 2], [1.0, 1.0])})
         known = np.array([[False, True, True]])
-        cfg = mv.SolverConfig(k=2, p=0, r=1, tau=0.1, eps=1e-12, max_iter=1000)
+        cfg = mv.SolverConfig(k=2, p=0, r=1, eps=1e-12, max_iter=1000)
         out = mv.solve_dirichlet(graph, img, mv.Mask(known), [0], cfg).image
         k = desc.kernel
         midpoint = k.exp_ortho(x, 0.5 * k.log_ortho(x, y))

@@ -240,43 +240,58 @@ class TestExitCodes:
         fields = [f.name for f in dataclasses.fields(SolverConfig)]
         assert {f: getattr(args, f) for f in fields} == dataclasses.asdict(SolverConfig())
 
-    def test_tau_out_of_range_exits_1(self, tmp_path, capsys):
+    def test_eps_out_of_range_exits_1(self, tmp_path, capsys):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         run_cli("generate", "--manifold", "s2", "--rows", 6, "--cols", 6,
                 "-o", img_p)
         run_cli("mask", "--rows", 6, "--cols", 6, "--rect", "2,2,2,2",
                 "-o", mask_p)
         rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
-                     "-o", tmp_path / "o.mvi", "--tau", 2)
+                     "-o", tmp_path / "o.mvi", "--eps", 0)
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
     def test_config_checked_before_reading_files(self, tmp_path, capsys):
         rc = run_cli("inpaint", "-i", tmp_path / "nope.mvi",
                      "-m", tmp_path / "nope.pbm", "-o", tmp_path / "o.mvi",
-                     "--tau", 2)
+                     "--eps", 0)
         assert rc == 1
-        assert "usage error: tau must lie in (0, 1]" in capsys.readouterr().err
+        assert "usage error: eps must be positive" in capsys.readouterr().err
+
+    def test_patch_wider_than_the_grid_exits_1(self, tmp_path, capsys):
+        # 40,001 x 40,001 patches would wrap the 16 x 16 grid 2,500 times
+        img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
+        run_cli("generate", "--manifold", "s2", "--rows", 16, "--cols", 16,
+                "-o", img_p)
+        run_cli("mask", "--rows", 16, "--cols", 16, "--rect", "7,7,2,2",
+                "-o", mask_p)
+        capsys.readouterr()
+        rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
+                     "-o", tmp_path / "o.mvi", "--p", 20000)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error: p = 20000 makes patches of side 40001" in err
+        assert not (tmp_path / "o.mvi").exists()
 
     def test_unconverged_layers_exit_0(self, tmp_path, capsys):
         img_p, mask_p = tmp_path / "i.mvi", tmp_path / "m.pbm"
         run_cli("generate", "--manifold", "s2", "--rows", 8, "--cols", 8,
                 "-o", img_p)
-        # with --cumulative-active the second layer is coupled: it takes
-        # Euler steps, which max_iter stops.  The first is decoupled and
-        # solved by its 1-centres, which never stop early
+        # with --coupled-pass the pass after the two layers is coupled: it
+        # takes Euler steps, which max_iter stops.  The layers are decoupled
+        # and solved by their 1-centres, which never stop early
         run_cli("mask", "--rows", 8, "--cols", 8, "--rect", "2,3,4,4",
                 "-o", mask_p)
         capsys.readouterr()
         rc = run_cli("inpaint", "-i", img_p, "-m", mask_p,
                      "-o", tmp_path / "o.mvi",
                      "--k", 4, "--p", 1, "--r", 3, "--max-iter", 1,
-                     "--cumulative-active")
+                     "--coupled-pass")
         assert rc == 0
         layers = json_summary(capsys.readouterr().err)["layers"]
-        assert len(layers) == 2
-        assert [rec["iterations"] for rec in layers] == [0, 1]
-        assert [rec["converged"] for rec in layers] == [True, False]
+        assert [rec["border_size"] for rec in layers] == [12, 4, 0]
+        assert [rec["iterations"] for rec in layers] == [0, 0, 1]
+        assert [rec["converged"] for rec in layers] == [True, True, False]
 
     def test_render_needs_known_extension(self, tmp_path, capsys):
         img_p = tmp_path / "i.mvi"

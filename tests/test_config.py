@@ -15,15 +15,13 @@ from mvinpaint.errors import ConfigError
     ("r", 0),
     ("sigma", 0),
     ("sigma", "x"),
-    ("tau", 0),
-    ("tau", 1.5),
     ("eps", 0),
     ("max_iter", 0),
     ("threads", 0),
-    # a truthy string would switch on coupled solves
-    ("cumulative_active", "no"),
-    ("cumulative_active", None),
-    ("cumulative_active", 1),
+    # a truthy string would switch on the coupled pass
+    ("coupled_pass", "no"),
+    ("coupled_pass", None),
+    ("coupled_pass", 1),
     # a failed conversion or comparison is a ConfigError too
     ("k", float("nan")),
     ("p", float("inf")),
@@ -31,7 +29,6 @@ from mvinpaint.errors import ConfigError
     ("max_iter", None),
     ("threads", float("nan")),
     ("sigma", None),
-    ("tau", "0.1"),
     ("eps", None),
 ])
 def test_invalid_value_rejected_when_made(field, value):
@@ -42,5 +39,5 @@ def test_invalid_value_rejected_when_made(field, value):
 def test_fields_cannot_be_assigned():
     cfg = SolverConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.tau = 2.0
-    assert cfg.tau == SolverConfig().tau
+        cfg.eps = 2.0
+    assert cfg.eps == SolverConfig().eps

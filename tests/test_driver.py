@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import mvinpaint as mv
-from mvinpaint import operators
+from mvinpaint import driver, operators
 from mvinpaint.errors import (
     DimensionMismatch,
     EigenConvergenceError,
@@ -262,21 +263,22 @@ class TestInpaint:
         assert all(rec.converged for rec in front.log)
 
     def test_layer_stopped_by_max_iter_is_not_converged(self):
-        # with cumulative_active the second layer is coupled: it takes Euler
-        # steps, which max_iter stops.  The decoupled first layer is solved
-        # by its 1-centres, which max_iter does not limit
+        # with coupled_pass the pass after the two layers is coupled: it
+        # takes Euler steps, which max_iter stops.  The decoupled layers are
+        # solved by their 1-centres, which max_iter does not limit
         rng = np.random.default_rng(65)
         img = random_image(S2, 8, 8, rng)
         mask = hole_mask(8, 8, 2, 2, 3, 3)
-        cfg = cheap_cfg(max_iter=1, cumulative_active=True)
+        cfg = cheap_cfg(max_iter=1, coupled_pass=True)
         _, front = mv.inpaint(img, mask, cfg)
-        assert len(front.log) == 2
-        first, second = front.log
-        assert (first.iterations, first.residual, first.converged) == (0, 0.0, True)
-        assert second.iterations == 1
-        assert second.residual >= cfg.eps
-        assert second.converged is False
-        assert (second.rounds, second.multi_support) == (0, 0)
+        assert len(front.log) == 3
+        *layers, last = front.log
+        for rec in layers:
+            assert (rec.iterations, rec.residual, rec.converged) == (0, 0.0, True)
+        assert last.iterations == 1
+        assert last.residual >= cfg.eps
+        assert last.converged is False
+        assert (last.rounds, last.multi_support) == (0, 0)
         assert all(rec.sigma > 0.0 for rec in front.log)
 
     def test_readme_example_takes_no_euler_step(self, monkeypatch):
@@ -308,18 +310,21 @@ class TestInpaint:
     def test_deterministic_across_runs_and_threads(self):
         img = mv.generate_sphere_image(12, 12)
         mask = hole_mask(12, 12, 4, 4, 4, 4)
-        outs = []
-        for threads in (1, 1, 3):
-            out, _ = mv.inpaint(img, mask, cheap_cfg(threads=threads))
-            outs.append(out.data.tobytes())
-        assert outs[0] == outs[1] == outs[2]
+        for coupled_pass in (False, True):
+            outs = []
+            for threads in (1, 1, 3):
+                out, front = mv.inpaint(img, mask,
+                                        cheap_cfg(threads=threads, coupled_pass=coupled_pass))
+                outs.append(out.data.tobytes())
+            assert outs[0] == outs[1] == outs[2]
+            assert (front.log[-1].iterations > 0) == coupled_pass
 
-    @pytest.mark.parametrize("cumulative", [False, True])
-    def test_callers_image_is_left_as_it_was(self, cumulative):
+    @pytest.mark.parametrize("coupled_pass", [False, True])
+    def test_callers_image_is_left_as_it_was(self, coupled_pass):
         img = mv.generate_sphere_image(12, 12)
         before = img.data.tobytes()
         out, _ = mv.inpaint(img, hole_mask(12, 12, 4, 4, 4, 4),
-                            cheap_cfg(cumulative_active=cumulative, max_iter=20))
+                            cheap_cfg(coupled_pass=coupled_pass, max_iter=20))
         assert img.data.tobytes() == before
         assert out.data.tobytes() != before
 
@@ -339,10 +344,10 @@ class TestInpaint:
             tracemalloc.stop()
         assert peak <= 1.5 * img.data.nbytes
 
-    @pytest.mark.parametrize("cumulative", [False, True])
+    @pytest.mark.parametrize("coupled_pass", [False, True])
     @pytest.mark.parametrize("manifold, scale", [("sphere2", 1.0), ("spd2", 1.0),
                                                  ("spd2", 1e150), ("spd2", 1e-70)])
-    def test_valid_input_raises_no_runtime_warning(self, manifold, scale, cumulative):
+    def test_valid_input_raises_no_runtime_warning(self, manifold, scale, coupled_pass):
         # spd(2) is affine-invariant, so a scaled image is as valid as the
         # image itself; its determinants reach 1e300 and 1e-140
         if manifold == "sphere2":
@@ -355,26 +360,19 @@ class TestInpaint:
             img.validate()
             out, front = mv.inpaint(img, hole_mask(16, 16, 6, 6, 4, 4),
                                     cheap_cfg(k=5, p=2, r=4, max_iter=20,
-                                              cumulative_active=cumulative))
+                                              coupled_pass=coupled_pass))
             out.validate()
-        assert any(rec.iterations for rec in front.log) == cumulative
+        assert any(rec.iterations for rec in front.log) == coupled_pass
 
     def test_fully_known_returns_copy(self):
+        # no layer runs, so neither does the coupled pass
         img = mv.MvImage.constant(E1, 3, 3, [2.0])
-        out, front = mv.inpaint(img, mv.Mask.all_known(3, 3), cheap_cfg())
-        assert np.array_equal(out.data, img.data)
-        assert out.data is not img.data
-        assert front.log == []
-
-    def test_cumulative_active_keeps_layers_moving(self):
-        rng = np.random.default_rng(65)
-        img = random_image(S2, 8, 8, rng)
-        mask = hole_mask(8, 8, 2, 2, 4, 4)
-        out, front = mv.inpaint(img, mask, cheap_cfg(cumulative_active=True))
-        sizes = [rec.active_size for rec in front.log]
-        assert sizes == sorted(sizes) and sizes[-1] == 16
-        assert np.array_equal(out.flat[mask.known_flat], img.flat[mask.known_flat])
-        out.validate()
+        for coupled_pass in (False, True):
+            out, front = mv.inpaint(img, mv.Mask.all_known(3, 3),
+                                    cheap_cfg(coupled_pass=coupled_pass))
+            assert np.array_equal(out.data, img.data)
+            assert out.data is not img.data
+            assert front.log == []
 
     def test_shape_mismatch_rejected(self):
         img = mv.MvImage.constant(E1, 3, 3, [0.0])
@@ -405,6 +403,62 @@ class TestInpaint:
         assert exc.value.layer == 1
         if error is GraphBuildError:
             assert "no candidate with a finite patch distance" in str(exc.value)
+
+
+class TestCoupledPass:
+    """One coupled solve of every unknown pixel after the front layers."""
+
+    @staticmethod
+    def case():
+        img = mv.generate_sphere_image(16, 16)
+        mask = mv.cut_mask(16, 16, (6, 6, 4, 4))
+        return img, mask, mv.SolverConfig(k=5, p=2, r=4)
+
+    def test_pass_is_the_last_record_and_converges(self):
+        img, mask, cfg = self.case()
+        _, layers = mv.inpaint(img, mask, cfg)
+        out, front = mv.inpaint(img, mask, dataclasses.replace(cfg, coupled_pass=True))
+
+        def untimed(log):
+            return [{k: v for k, v in dataclasses.asdict(rec).items() if not k.endswith("_s")}
+                    for rec in log]
+
+        # the layers are those of a run without the pass
+        assert untimed(front.log[:-1]) == untimed(layers.log)
+        last = front.log[-1]
+        assert last.index == len(layers.log) + 1
+        assert (last.border_size, last.active_size) == (0, 16)
+        assert last.converged and last.iterations > 0
+        kn = mask.known_flat
+        assert out.flat[kn].tobytes() == img.flat[kn].tobytes()
+
+    def test_pass_zeroes_the_operator_of_its_graph(self):
+        # the pass's graph is that of every unknown pixel over the filled
+        # image, each pixel a candidate; at the pass's fixed point the
+        # paper's operator vanishes at every unknown pixel
+        img, mask, cfg = self.case()
+        unknown = mask.unknown_ids()
+        filled, _ = mv.inpaint(img, mask, cfg)
+        out, _ = mv.inpaint(img, mask, dataclasses.replace(cfg, coupled_pass=True))
+        g = mv.build_graph(filled, mv.Mask.all_known(16, 16), cfg, unknown)
+        delta = mv.inf_laplacian_field(g, out, unknown)
+        assert np.sqrt(np.einsum("al,al->a", delta, delta)).max() <= 1e-7
+
+    def test_failure_in_the_pass_names_its_index(self, monkeypatch):
+        # the pass's graph, over a fully known mask, finds no finite patch
+        # distance; the two layers before it are built as usual
+        img, mask, cfg = self.case()
+        build = driver.build_graph
+
+        def failing(img, known, cfg, targets):
+            if known.known.all():
+                raise GraphBuildError("no candidate with a finite patch distance")
+            return build(img, known, cfg, targets)
+
+        monkeypatch.setattr(driver, "build_graph", failing)
+        with pytest.raises(GraphBuildError) as exc:
+            mv.inpaint(img, mask, dataclasses.replace(cfg, coupled_pass=True))
+        assert exc.value.layer == 3
 
 
 def generic_spd2():

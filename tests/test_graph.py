@@ -210,6 +210,26 @@ class TestBuildGraph:
         assert g.sigma == 1.0
         assert len(g.neighbors(5)[0]) == 0  # non-target rows stay empty
 
+    def test_patch_wider_than_the_grid_rejected_before_any_buffer(self):
+        # a box wider than the grid wraps it again and again, at a cost
+        # linear in p: p = 20,000 on 16 x 16 used to take 69 MiB and 7 s.
+        # A patch as wide as the grid is still a patch
+        img = mv.generate_sphere_image(16, 16)
+        mask = mv.cut_mask(16, 16, (7, 7, 2, 2))
+        targets = mask.unknown_ids()
+        assert mv.build_graph(img, mask, cfg(k=5, p=7, r=4), targets).targets.size == 4
+        with pytest.raises(ConfigError, match=r"^p = 8 makes patches of side 17, wider "
+                           r"than the 16 x 16 grid$"):
+            mv.build_graph(img, mask, cfg(k=5, p=8, r=4), targets)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^p = 20000 makes patches of side 40001"):
+                mv.build_graph(img, mask, cfg(k=5, p=20000, r=4), targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_k_larger_than_candidate_count(self):
         img = mv.MvImage.constant(E1, 3, 3, [0.0])
         g = mv.build_graph(img, mv.Mask.all_known(3, 3), cfg(k=50, r=1), [0])
@@ -350,8 +370,8 @@ class TestBuildGraph:
         [
             pytest.param(E2, 7, 7, [0, 10, 24, 48], (4, 1, 2), 1.0, False, 23,
                          id="e2-all-known"),
-            # every target known, as earlier layers are with --cumulative-active,
-            # so the targets are candidates of each other
+            # every target known, as in the coupled pass (--coupled-pass), so
+            # the targets are candidates of each other
             pytest.param(E2, 7, 8, [3, 17, 30, 44, 55], (4, 1, 2), 0.5, True, 26,
                          id="e2-known-targets"),
             pytest.param(S2, 8, 7, [9, 20, 33, 46], (5, 1, 3), 0.75, False, 27,
@@ -375,11 +395,11 @@ class TestBuildGraph:
             # targets on two rows but every column: the region is cut in columns only
             pytest.param(E2, 9, 8, [24, 26, 28, 30, 33, 35, 37, 39], (4, 1, 2), 0.8, False, 36,
                          id="column-period"),
-            # 261 x 261 patches wrapped round a 12 x 12 torus with 7 pixels
-            # unknown: the column sums of the overlap flags reach 261 > 255
-            # on rows of known pixels, so the counts are summed in 2 bytes
-            # (1 byte would wrap them round and fail this)
-            pytest.param(S2, 12, 12, [0, 29, 77, 130], (4, 130, 1), 0.97, False, 38,
+            # 17 x 17 patches on an 18 x 18 torus with 13 pixels unknown:
+            # the overlap counts of patch pairs reach 17 * 17 = 289 > 255, so
+            # they are summed in 2 bytes (1 byte would wrap them round and
+            # fail this)
+            pytest.param(S2, 18, 18, [0, 41, 115, 230], (4, 8, 1), 0.97, False, 38,
                          id="counts-past-one-byte"),
             # the ring round a 4 x 4 hole on a 12 x 13 grid: the region is 8 x 8
             # pixels, not the torus, and the corners read only the first 4 of
@@ -463,9 +483,9 @@ class TestBuildGraph:
         # the build pairs the offsets s and -s.  The same targets on the image
         # tiled 2 x 2 span half of each axis, so that build is neither cut
         # nor paired, and every patch and window holds the same values.  The
-        # targets are known pixels, as earlier layers are with
-        # --cumulative-active, so that their copies in the other tiles, which
-        # are no targets, count in patches as the targets do
+        # targets are known pixels, as in the coupled pass (--coupled-pass),
+        # so that their copies in the other tiles, which are no targets,
+        # count in patches as the targets do
         rng = np.random.default_rng(33)
         img = random_image(desc, rows, cols, rng)
         targets = sorted({(i % rows) * cols + i % cols for i in range(max(rows, cols))}
@@ -524,9 +544,9 @@ class TestBuildGraph:
         # the same targets on the image tiled 2 x 2: there their patches span
         # only half of each axis, so the region is not cut and no offsets are
         # paired, and every patch and window holds the same values.  The
-        # targets are known pixels, as earlier layers are with
-        # --cumulative-active, so that their copies in the other tiles, which
-        # are no targets, count in patches as the targets do
+        # targets are known pixels, as in the coupled pass (--coupled-pass),
+        # so that their copies in the other tiles, which are no targets,
+        # count in patches as the targets do
         rows, cols, k, p, r = 14, 13, 6, 4, 3
         rng = np.random.default_rng(37)
         img = random_image(S2, rows, cols, rng)

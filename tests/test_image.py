@@ -203,7 +203,7 @@ ID_USERS = {
     "build_graph": ("target", lambda img, m, g, ids: mv.build_graph(img, m, _CFG, ids)),
     "solve_dirichlet": ("active", lambda img, m, g, ids: mv.solve_dirichlet(
         g, img, m, ids, _CFG)),
-    "euler_step": ("active", lambda img, m, g, ids: mv.euler_step(g, img, ids, 0.5)),
+    "euler_step": ("active", lambda img, m, g, ids: mv.euler_step(g, img, ids)),
     "inf_laplacian_field": ("active", lambda img, m, g, ids: mv.inf_laplacian_field(
         g, img, ids)),
     "inf_laplacian": ("u", lambda img, m, g, ids: mv.inf_laplacian(g, img, ids)),

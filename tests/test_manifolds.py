@@ -164,7 +164,7 @@ class TestProperties:
         rng = np.random.default_rng(47)
         x = random_point(descriptor, rng)
         img = line_image(descriptor, [x, x])
-        out = mv.euler_step(make_graph(2, {0: ([1], [1.0])}), img, [0], 1.0)
+        out = mv.euler_step(make_graph(2, {0: ([1], [1.0])}), img, [0])
         y = out.flat[0]
         assert np.array_equal(y, x)
         assert out is not img  # a copy, the input must stay untouched
@@ -180,7 +180,7 @@ class TestProperties:
         g = make_graph(3, {0: ([1, 2], [1.0, 1e-40])})
         assert 0.0 < 1e-20 * np.linalg.norm(log_at(descriptor, x, y)) < 1e-15
         assert not mv.inf_laplacian(g, img, 0).any()
-        assert np.array_equal(mv.euler_step(g, img, [0], 1.0).flat[0], x)
+        assert np.array_equal(mv.euler_step(g, img, [0]).flat[0], x)
 
 
 class TestCircle:
@@ -737,11 +737,11 @@ def test_spd_eigen_calls_go_through_the_module_name(monkeypatch):
     assert len(sizes) > 1 and set(sizes) == {3}
 
 
-def count_kernel_calls(desc, monkeypatch, cumulative_active):
+def count_kernel_calls(desc, monkeypatch, coupled_pass):
     """Inpaint an 8x8 image of desc, counting the four traced kernel methods.
 
     Returns ({method: [calls, calls inside the Euler loop]}, the Euler
-    steps of each layer).
+    steps of each layer and of the pass).
     """
     calls = {name: [0, 0] for name in ("dist2", "dist", "log_ortho", "exp_ortho")}
     in_euler = [False]
@@ -767,7 +767,7 @@ def count_kernel_calls(desc, monkeypatch, cumulative_active):
     else:
         img = mv.generate_spd_image(8, 8)
     mask = mv.cut_mask(8, 8, (3, 1, 3, 3))
-    cfg = mv.SolverConfig(k=3, p=1, r=2, max_iter=5, cumulative_active=cumulative_active)
+    cfg = mv.SolverConfig(k=3, p=1, r=2, max_iter=5, coupled_pass=coupled_pass)
     _, front = mv.inpaint(img, mask, cfg)
     return calls, [rec.iterations for rec in front.log]
 
@@ -778,18 +778,18 @@ def test_solver_kernel_calls_go_through_the_class(desc, monkeypatch):
     # the kernel class; a call that bypasses them would zero those metrics.
     # Both layers are decoupled: the graph build and the 1-centre search
     # make every call, and no Euler step runs
-    calls, steps = count_kernel_calls(desc, monkeypatch, cumulative_active=False)
+    calls, steps = count_kernel_calls(desc, monkeypatch, coupled_pass=False)
     assert steps == [0, 0]
     assert all(total for total, _ in calls.values()), calls
 
 
 @pytest.mark.parametrize("desc", [S2, P2], ids=lambda d: d.label())
 def test_coupled_kernel_calls_go_through_the_class(desc, monkeypatch):
-    # with cumulative_active, layer 2 is coupled and takes Euler steps: the
-    # logs and exps of euler_step and the distances of the stop rule go
-    # through the class too
-    calls, steps = count_kernel_calls(desc, monkeypatch, cumulative_active=True)
-    assert steps[0] == 0 and steps[1] >= 1
+    # with coupled_pass, the pass after the two layers is coupled and takes
+    # Euler steps: the logs and exps of euler_step and the distances of the
+    # stop rule go through the class too
+    calls, steps = count_kernel_calls(desc, monkeypatch, coupled_pass=True)
+    assert steps[:2] == [0, 0] and steps[2] >= 1
     assert all(in_euler for _, in_euler in calls.values()), calls
 
 

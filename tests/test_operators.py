@@ -5,7 +5,7 @@ import pytest
 
 import mvinpaint as mv
 from mvinpaint import operators
-from mvinpaint.errors import ConfigError, CutLocusError, DimensionMismatch, SolverError
+from mvinpaint.errors import CutLocusError, DimensionMismatch, SolverError
 
 from conftest import (
     brute_extremal_pair,
@@ -163,15 +163,14 @@ class TestTieBreak:
             edges[u] = (ids.tolist(), rng.choice([0.5, 1.0], size=deg).tolist())
         g = make_graph(n, edges)
         active = list(degrees)
-        tau = 0.5
         field = mv.inf_laplacian_field(g, img, active)
-        stepped = mv.euler_step(g, img, active, tau)
+        stepped = mv.euler_step(g, img, active)
         for row, u in enumerate(active):
             assert g.neighbors(u)[0].tolist() == sorted(edges[u][0])
             assert select_extremal_pair(g, img, u) == brute_extremal_pair(g, img, u)
             ref = brute_inf_laplacian(g, img, u)
             assert np.abs(field[row] - ref).max() < 1e-10
-            moved = desc.kernel.exp_ortho(img.flat[u], tau * ref)
+            moved = desc.kernel.exp_ortho(img.flat[u], ref)
             assert desc.kernel.dist(stepped.flat[u], moved) < 1e-10
 
 
@@ -330,29 +329,29 @@ class TestEulerStep:
         # both vertices update from the old values of each other
         g = make_graph(2, {0: ([1], [1.0]), 1: ([0], [1.0])})
         img = line_image(E1, [[0.0], [10.0]])
-        out = mv.euler_step(g, img, [0, 1], 0.1)
-        assert out.flat[0, 0] == 1.0
-        assert out.flat[1, 0] == 9.0
+        out = mv.euler_step(g, img, [0, 1])
+        assert out.flat[0, 0] == 10.0
+        assert out.flat[1, 0] == 0.0
 
     def test_non_active_pixels_bitwise_unchanged(self):
         rng = np.random.default_rng(37)
         img = random_image(S2, 2, 3, rng)
         g = make_graph(6, {0: ([1, 2], [1.0, 1.0])})
-        out = mv.euler_step(g, img, [0], 0.5)
+        out = mv.euler_step(g, img, [0])
         changed = np.flatnonzero((out.flat != img.flat).any(axis=1))
         assert changed.tolist() == [0]
 
     def test_vanishing_operator_keeps_vertex_bitwise(self):
         img = line_image(E1, [[7.25], [7.25], [7.25]])
         g = make_graph(3, {0: ([1, 2], [1.0, 1.0])})
-        out = mv.euler_step(g, img, [0], 1.0)
+        out = mv.euler_step(g, img, [0])
         assert np.array_equal(out.data, img.data)
 
     def test_input_image_not_mutated(self):
         img = line_image(E1, [[0.0], [4.0]])
         snap = img.data.copy()
         g = make_graph(2, {0: ([1], [1.0])})
-        mv.euler_step(g, img, [0], 0.5)
+        mv.euler_step(g, img, [0])
         assert np.array_equal(img.data, snap)
 
     @pytest.mark.parametrize("active", [[-1], [0, 2]])
@@ -360,14 +359,7 @@ class TestEulerStep:
         img = line_image(E1, [[0.0], [4.0]])
         g = make_graph(2, {0: ([1], [1.0])})
         with pytest.raises(DimensionMismatch, match="active ids outside the grid"):
-            mv.euler_step(g, img, active, 0.5)
-
-    def test_bad_tau_rejected(self):
-        # the rule of SolverConfig.tau, in its usage family
-        g, img = star_graph([0.0, 1.0], [1.0])
-        for tau in (0.0, -0.5, 1.5, "0.1", None):
-            with pytest.raises(ConfigError, match=r"^tau must lie in \(0, 1\], got "):
-                mv.euler_step(g, img, [0], tau)
+            mv.euler_step(g, img, active)
 
     @pytest.mark.parametrize("desc", [E1, S2, SPD2], ids=lambda d: d.label())
     def test_vanishing_operator_keeps_its_vertex_among_moving_ones(self, desc):
@@ -375,7 +367,7 @@ class TestEulerStep:
         # center 2's neighbors all carry its value, so its operator is zero
         ids, _ = graph.neighbors(2)
         img.flat[ids] = img.flat[2]
-        out = mv.euler_step(graph, img, active, 0.1)
+        out = mv.euler_step(graph, img, active)
         moved = (out.flat[active] != img.flat[active]).any(axis=1)
         assert moved.tolist() == [True, True, False, True, True, True]
 
@@ -383,7 +375,7 @@ class TestEulerStep:
         img = line_image(S1, [[0.0], [np.pi]])
         g = make_graph(2, {0: ([1], [1.0])})
         with pytest.raises(CutLocusError) as exc:
-            mv.euler_step(g, img, [0], 0.1)
+            mv.euler_step(g, img, [0])
         assert exc.value.vertex == 0
         assert exc.value.neighbor == 1
 
@@ -395,7 +387,7 @@ class TestEulerStep:
                            2: ([4, 6], [1.0, 1.0])})
         with pytest.raises(CutLocusError, match="^vertex 1: neighbor 6 is numerically at the cut "
                            "locus of the current value$") as exc:
-            mv.euler_step(g, img, [0, 1, 2], 0.1)
+            mv.euler_step(g, img, [0, 1, 2])
         assert (exc.value.vertex, exc.value.neighbor) == (1, 6)
 
 
@@ -407,7 +399,7 @@ class TestSolveDirichlet:
         known = np.zeros((1, n), dtype=bool)
         known[0, 0] = known[0, n - 1] = True
         mask = mv.Mask(known)
-        cfg = mv.SolverConfig(tau=0.1, eps=1e-9, max_iter=2000)
+        cfg = mv.SolverConfig(eps=1e-9, max_iter=2000)
         res = mv.solve_dirichlet(g, img, mask, [1, 2, 3], cfg)
         assert np.abs(res.image.flat[:, 0] - np.arange(5.0)).max() < 1e-4
         assert res.iterations == len(res.trace) <= 2000
@@ -489,7 +481,7 @@ class TestSolveDirichlet:
         img = mv.MvImage(S2, data)
         g = make_graph(3, {1: ([0, 2], [1.0, 1.0])})
         known = np.array([[True, False, True]])
-        cfg = mv.SolverConfig(tau=0.5, eps=1e-12, max_iter=500)
+        cfg = mv.SolverConfig(eps=1e-12, max_iter=500)
         out = mv.solve_dirichlet(g, img, mv.Mask(known), [1], cfg).image
         mid = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         assert S2.kernel.dist(out.flat[1], mid) < 1e-6
@@ -544,7 +536,7 @@ def euler_loop(graph, f0, active, cfg):
     kernel = f0.descriptor.kernel
     f, trace, denom = f0, [], None
     for _ in range(cfg.max_iter):
-        nxt = mv.euler_step(graph, f, active, cfg.tau)
+        nxt = mv.euler_step(graph, f, active)
         change = float(kernel.dist(f.flat[active], nxt.flat[active]).mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
@@ -560,9 +552,9 @@ def record_steps(monkeypatch):
     calls = []
     step = operators.euler_step
 
-    def euler_step(graph, img, active, tau):
+    def euler_step(graph, img, active):
         calls.append(np.asarray(active).tolist())
-        return step(graph, img, active, tau)
+        return step(graph, img, active)
 
     monkeypatch.setattr(operators, "euler_step", euler_step)
     return calls
@@ -642,7 +634,7 @@ class TestStepCalls:
 
     def test_coupled_layer_is_the_plain_euler_loop(self):
         graph, img, mask, active = sphere_path(7, seed=4)
-        cfg = mv.SolverConfig(tau=0.1, max_iter=400)
+        cfg = mv.SolverConfig(max_iter=400)
         ref, trace = euler_loop(graph, img, active, cfg)
         res = mv.solve_dirichlet(graph, img, mask, active, cfg)
         out = res.image

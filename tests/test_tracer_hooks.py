@@ -31,12 +31,12 @@ def wrap(module, name, monkeypatch):
 def test_solve_and_step_hooks(monkeypatch):
     solves = wrap(driver, "solve_dirichlet", monkeypatch)
     steps = wrap(operators, "euler_step", monkeypatch)
-    # layer 2 is coupled (cumulative_active), so Euler runs there; the
-    # decoupled layer 1 takes no step
+    # the coupled pass after the two decoupled layers takes Euler steps,
+    # and the layers take none
     img = mv.generate_sphere_image(8, 8)
-    cfg = mv.SolverConfig(k=3, p=1, r=2, max_iter=5, cumulative_active=True)
+    cfg = mv.SolverConfig(k=3, p=1, r=2, max_iter=5, coupled_pass=True)
     _, front = mv.inpaint(img, mv.cut_mask(8, 8, (3, 1, 3, 3)), cfg)
-    assert len(solves) == len(front.log) == 2
+    assert len(solves) == len(front.log) == 3
     for (args, out), rec in zip(solves, front.log):
         assert args["cfg"] is cfg
         iterations, trace = out[1], out[2]
@@ -46,5 +46,5 @@ def test_solve_and_step_hooks(monkeypatch):
         assert at_max_iter == (not rec.converged)
     counted = sum(len(args["active"]) for args, _ in steps)
     assert counted == sum(rec.iterations * rec.active_size for rec in front.log) > 0
-    assert front.log[0].iterations == 0
-    assert len(steps) == front.log[1].iterations
+    assert [rec.iterations for rec in front.log[:2]] == [0, 0]
+    assert len(steps) == front.log[2].iterations
