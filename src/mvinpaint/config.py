@@ -5,15 +5,21 @@ A SolverConfig is immutable and checks its values when it is made.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
 
 
+def _is_integer(v):
+    """Whether v is an integral number other than a bool, as numpy integers are."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _integer(least):
     """Test that a value is an integer no less than least."""
-    return lambda v: int(v) == v >= least
+    return lambda v: _is_integer(v) and v >= least
 
 
 # each field, what it must be and its test; a test that raises, as for NaN,
@@ -48,7 +54,9 @@ class SolverConfig:
     threads:  worker cap for graph construction, capped at the CPUs this
               process may run on; None means that count.
 
-    Raises ConfigError naming the first invalid value.
+    An integer field is a Python int: a numpy integer, which passes the
+    checks, is stored as one.  Raises ConfigError naming the first invalid
+    value.
     """
 
     k: int = 25
@@ -65,6 +73,8 @@ class SolverConfig:
             value = getattr(self, name)
             try:
                 if ok(value):
+                    if _is_integer(value):
+                        object.__setattr__(self, name, int(value))
                     continue
             except (TypeError, ValueError, OverflowError):
                 pass
@@ -77,4 +87,4 @@ class SolverConfig:
             cpus = len(os.sched_getaffinity(0))
         else:
             cpus = os.cpu_count() or 1
-        return cpus if self.threads is None else min(int(self.threads), cpus)
+        return cpus if self.threads is None else min(self.threads, cpus)

@@ -36,8 +36,9 @@ class LayerRecord:
     front layer is, every active vertex takes its weighted 1-centre:
     multi_support counts those whose 1-centre has three supports or more,
     and rounds the rounds of the support search.  A coupled solve, as the
-    pass usually is, takes full Euler steps instead, and reports 0 for both.  iterations counts the Euler steps (0 on a decoupled layer);
-    each step moves every active vertex, so the layer's vertex-steps are
+    pass usually is, takes full Euler steps instead, and reports 0 for
+    both.  iterations counts the Euler steps (0 on a decoupled layer); each
+    step moves every active vertex, so the layer's vertex-steps are
     iterations * active_size.  residual is the last relative change of
     those steps (0.0 when there is none), and converged says whether
     residual fell below cfg.eps before max_iter ran out.

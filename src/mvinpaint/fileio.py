@@ -178,7 +178,7 @@ def read_mask(path) -> Mask:
     if stray.any():
         n = int(np.argmax(stray))
         raise FileFormatError(f"bad PBM bit {chr(arr[n])!r} at position {n}")
-    known = (arr == ord("0")).reshape(rows, cols)
-    if not known.any():
-        raise FileFormatError("mask marks every pixel unknown")
-    return Mask(known)
+    try:
+        return Mask((arr == ord("0")).reshape(rows, cols))
+    except DimensionMismatch as e:
+        raise FileFormatError(str(e)) from e

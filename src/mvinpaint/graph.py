@@ -271,7 +271,7 @@ def build_graph(
         return NonlocalGraph.empty(V)
 
     kernel = img.descriptor.kernel
-    p, r = int(cfg.p), int(cfg.r)
+    p, r = cfg.p, cfg.r
     box = 2 * p + 1
     if box > min(rows, cols):
         raise ConfigError(f"p = {p} makes patches of side {box}, wider than the "
@@ -341,7 +341,7 @@ def build_graph(
     else:
         spans = [(ia, B.size) for ia in range(A.size)]
 
-    k = int(cfg.k)
+    k = cfg.k
     step = max(1, _CHUNK_PAIRS // (nR * nC))    # offsets per chunk
     width = min(step, B.size)                   # offset slots of a chunk buffer
     # a field's box rows at the target corners: row k of target t's window

@@ -185,23 +185,21 @@ def inf_laplacian_field(graph: NonlocalGraph, img: MvImage, active) -> np.ndarra
 
 
 def euler_step(graph: NonlocalGraph, img: MvImage, active) -> MvImage:
-    """One full explicit Euler update of all active vertices (Jacobi semantics).
+    """One full explicit Euler update of all active vertices, written into img.
 
-    Each active vertex u moves to exp_{f(u)}(operator at u).  Returns a new
-    image.  Every read comes from the input image, which is left as it is;
-    non-active vertices are copied bitwise.  Where the operator vanishes the
-    vertex is left bitwise unchanged.
+    Each active vertex u moves to exp_{f(u)}(operator at u); returns img.
+    Every read is gathered before any write (Jacobi semantics), so each
+    vertex steps from the values img was given.  Non-active vertices are
+    not touched, and where the operator vanishes the vertex is left bitwise
+    unchanged.
     """
     active = vertex_ids(active, img.vertex_count, "active")
-    out = img.copy()
     if active.size == 0:
-        return out
+        return img
     x, _, delta, moving = _batch_at(graph, img, active)
     if moving.any():
-        kernel = img.descriptor.kernel
-        x[moving] = kernel.exp_ortho(x[moving], delta[moving])
-    out.flat[active] = x
-    return out
+        img.flat[active[moving]] = img.descriptor.kernel.exp_ortho(x[moving], delta[moving])
+    return img
 
 
 def _pair_zero(kernel, fi, fj, si, sj):
@@ -359,10 +357,8 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
     neighbor is covered.
 
     Returns:
-        (values (A, L), supports (A,), rounds, lipschitz): supports counts
-        the members of each vertex's final basis, rounds the rounds of the
-        search, and lipschitz is the largest sqrt(w_uv) d(c(u), f(v)), as
-        the round that ends each vertex's search measures it.
+        (values (A, L), supports (A,), rounds): supports counts the members
+        of each vertex's final basis, and rounds the rounds of the search.
     Raises:
         CutLocusError naming a vertex two of whose supports have no
         geodesic between them; SolverError naming a vertex whose round does
@@ -392,7 +388,6 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
     g = g[got]
     basis[g, :2], lam[g, :2], c[g], r[g], size[g] = T[got], target[got], y[got], value[got], 2
     supports = np.empty(A, dtype=np.int64)
-    lipschitz = 0.0
     pend = np.arange(A)
     for rounds in itertools.count(1):
         far = sqw[pend] * kernel.dist(c[pend, None], nbr_vals[pend])
@@ -400,10 +395,9 @@ def _centres(graph: NonlocalGraph, f0: MvImage, active: np.ndarray, rows: np.nda
         far = far[np.arange(pend.size), v]
         done = far <= r[pend] * (1.0 + _SLACK) + tol[pend]
         supports[pend[done]] = size[pend[done]]
-        lipschitz = far[done].max(initial=lipschitz)
         pend, v = pend[~done], v[~done]
         if not pend.size:
-            return c, supports, rounds, float(lipschitz)
+            return c, supports, rounds
         lam_v = np.zeros(pend.size)
         full = np.flatnonzero(size[pend] == dim + 1)
         if full.size:
@@ -553,24 +547,24 @@ def _pivot(kernel, nbr_vals, sqw, active, state, size, c, r, chain, nested=False
 
 
 def _euler(graph: NonlocalGraph, f: MvImage, active: np.ndarray, cfg: SolverConfig):
-    """Euler steps of every active vertex, until cfg.eps or cfg.max_iter.
+    """Euler steps of every active vertex, written into f, until cfg.eps or cfg.max_iter.
 
     Returns:
-        (image, iterations, trace)
+        (iterations, trace)
     """
     kernel = f.descriptor.kernel
     trace = []
     denom = None
-    for step in range(1, int(cfg.max_iter) + 1):
+    for step in range(1, cfg.max_iter + 1):
         prev = f.flat[active]
-        f = euler_step(graph, f, active)
+        euler_step(graph, f, active)
         change = float(kernel.dist(prev, f.flat[active]).mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
         trace.append(change / denom)
         if trace[-1] < cfg.eps:
             break
-    return f, step, trace
+    return step, trace
 
 
 def _lipschitz(graph: NonlocalGraph, img: MvImage, active: np.ndarray, rows: np.ndarray) -> float:
@@ -588,12 +582,12 @@ class LayerSolve(namedtuple("LayerSolve",
     rounds counts the rounds of the support search and multi_support the
     vertices whose 1-centre has three supports or more: both 0 on a coupled
     layer.  lipschitz is the largest sqrt(w_uv) d(f(u), f(v)) over the
-    active u and their neighbors v in image, from the support search's last
-    rounds on a decoupled layer, in the graph's weights (build_graph's are 1
-    at each nearest neighbor).  image, iterations and trace stay at positions
-    0, 1 and 2, where the benchmark tracer reads them.  A typing.NamedTuple
-    would compile its six annotations at import, which costs the
-    benchmark's s2-hole64 run about 0.1 MB of peak resident memory.
+    active u and their neighbors v in image, read from image after the
+    solve, in the graph's weights (build_graph's are 1 at each nearest
+    neighbor).  image, iterations and trace stay at positions 0, 1 and 2,
+    where the benchmark tracer reads them.  A typing.NamedTuple would
+    compile its six annotations at import, which costs the benchmark's
+    s2-hole64 run about 0.1 MB of peak resident memory.
     """
 
     __slots__ = ()
@@ -627,8 +621,7 @@ def solve_dirichlet(
 
     Returns:
         a LayerSolve whose image is f0, the layer written into its active
-        vertices: a coupled layer's Euler steps each make a new image, and
-        the last one's active values are written into f0.
+        vertices: the 1-centres, or every Euler step in turn.
     Raises:
         DimensionMismatch, SolverError, before solving: active is not vertex
             ids of the grid; an active vertex is known or has no row.
@@ -643,9 +636,10 @@ def solve_dirichlet(
 
     rows = _rows(graph, active)
     if np.isin(graph.ids[rows], active).any():
-        f, iterations, trace = _euler(graph, f0, active, cfg)
-        f0.flat[active] = f.flat[active]
-        return LayerSolve(f0, iterations, trace, 0, 0, _lipschitz(graph, f0, active, rows))
-    x, supports, rounds, lipschitz = _centres(graph, f0, active, rows)
-    f0.flat[active] = x
-    return LayerSolve(f0, 0, [], rounds, int((supports >= 3).sum()), lipschitz)
+        iterations, trace = _euler(graph, f0, active, cfg)
+        rounds = multi_support = 0
+    else:
+        x, supports, rounds = _centres(graph, f0, active, rows)
+        f0.flat[active] = x
+        iterations, trace, multi_support = 0, [], int((supports >= 3).sum())
+    return LayerSolve(f0, iterations, trace, rounds, multi_support, _lipschitz(graph, f0, active, rows))

@@ -89,8 +89,6 @@ def cut_mask(rows: int, cols: int, rect) -> Mask:
         raise DimensionMismatch("rectangle must have positive size")
     if i0 < 0 or j0 < 0 or i0 + h > rows or j0 + w > cols:
         raise DimensionMismatch("rectangle does not fit in the grid")
-    if h == rows and w == cols:
-        raise DimensionMismatch("rectangle covers the whole grid")
     known = np.ones((rows, cols), dtype=bool)
     known[i0 : i0 + h, j0 : j0 + w] = False
     return Mask(known)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ class TestTieBreak:
         g = make_graph(n, edges)
         active = list(degrees)
         field = mv.inf_laplacian_field(g, img, active)
-        stepped = mv.euler_step(g, img, active)
+        stepped = mv.euler_step(g, img.copy(), active)
         for row, u in enumerate(active):
             assert g.neighbors(u)[0].tolist() == sorted(edges[u][0])
             assert select_extremal_pair(g, img, u) == brute_extremal_pair(g, img, u)
@@ -337,22 +338,42 @@ class TestEulerStep:
         rng = np.random.default_rng(37)
         img = random_image(S2, 2, 3, rng)
         g = make_graph(6, {0: ([1, 2], [1.0, 1.0])})
-        out = mv.euler_step(g, img, [0])
+        out = mv.euler_step(g, img.copy(), [0])
         changed = np.flatnonzero((out.flat != img.flat).any(axis=1))
         assert changed.tolist() == [0]
 
     def test_vanishing_operator_keeps_vertex_bitwise(self):
         img = line_image(E1, [[7.25], [7.25], [7.25]])
         g = make_graph(3, {0: ([1, 2], [1.0, 1.0])})
-        out = mv.euler_step(g, img, [0])
+        out = mv.euler_step(g, img.copy(), [0])
         assert np.array_equal(out.data, img.data)
 
-    def test_input_image_not_mutated(self):
+    def test_step_is_written_into_the_given_image(self):
         img = line_image(E1, [[0.0], [4.0]])
-        snap = img.data.copy()
         g = make_graph(2, {0: ([1], [1.0])})
-        mv.euler_step(g, img, [0])
-        assert np.array_equal(img.data, snap)
+        out = mv.euler_step(g, img, [0])
+        assert out is img
+        assert img.flat[:, 0].tolist() == [4.0, 4.0]
+
+    def test_step_allocates_for_its_active_vertices_only(self):
+        # 16 unknown pixels of a 512 x 512 sphere2 image: a copy of the
+        # image alone would take 6 MiB
+        img = mv.generate_sphere_image(512, 512)
+        known = np.ones((512, 512), dtype=bool)
+        known[200:204, 300:304] = False
+        mask = mv.Mask(known)
+        active = mask.unknown_ids()
+        graph = mv.build_graph(img, mask, mv.SolverConfig(k=8, p=2, r=4, threads=1), active)
+        before = img.flat[active].copy()
+        tracemalloc.start()
+        try:
+            out = mv.euler_step(graph, img, active)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert out is img
+        assert (img.flat[active] != before).any(axis=1).all()
 
     @pytest.mark.parametrize("active", [[-1], [0, 2]])
     def test_active_ids_outside_the_grid_rejected(self, active):
@@ -367,7 +388,7 @@ class TestEulerStep:
         # center 2's neighbors all carry its value, so its operator is zero
         ids, _ = graph.neighbors(2)
         img.flat[ids] = img.flat[2]
-        out = mv.euler_step(graph, img, active)
+        out = mv.euler_step(graph, img.copy(), active)
         moved = (out.flat[active] != img.flat[active]).any(axis=1)
         assert moved.tolist() == [True, True, False, True, True, True]
 
@@ -536,7 +557,7 @@ def euler_loop(graph, f0, active, cfg):
     kernel = f0.descriptor.kernel
     f, trace, denom = f0, [], None
     for _ in range(cfg.max_iter):
-        nxt = mv.euler_step(graph, f, active)
+        nxt = mv.euler_step(graph, f.copy(), active)
         change = float(kernel.dist(f.flat[active], nxt.flat[active]).mean())
         if denom is None:
             denom = change if change > 0.0 else 1.0
@@ -618,9 +639,9 @@ class TestStepCalls:
 
     @pytest.mark.parametrize("desc", [S2, SPD2, SPD3], ids=lambda d: d.label())
     def test_lipschitz_of_a_decoupled_layer_is_its_largest_edge_term(self, desc):
-        # the support search's last round gives it: the same bits as every
-        # edge measured apart, on sphere2 and spd(2), whose distances do not
-        # depend on the batch; spd(3)'s go through a batched eigensolver
+        # read from the solved image: the same bits as every edge measured
+        # apart, on sphere2 and spd(2), whose distances do not depend on the
+        # batch; spd(3)'s go through a batched eigensolver
         graph, img, mask, active = star_layer(desc, 2)
         res = mv.solve_dirichlet(graph, img, mask, active, mv.SolverConfig())
         assert res.rounds > 0
